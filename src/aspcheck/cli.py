@@ -96,8 +96,6 @@ def _cmd_validate(args) -> int:
     options = engine.RunOptions(
         mode=args.mode,
         fail_fast=not args.all_errors,
-        valid_only=args.valid_only,
-        report_format=args.format,
     )
 
     facts = []

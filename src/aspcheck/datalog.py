@@ -13,7 +13,6 @@ least one body atom against the tuples derived in the previous iteration.
 from __future__ import annotations
 
 import itertools
-import re
 from dataclasses import dataclass, field
 
 from .terms import (
@@ -22,7 +21,9 @@ from .terms import (
     Func,
     GroundTerm,
     Number,
+    ParseError,
     Str,
+    TokenCursor,
     Tuple,
     compare,
 )
@@ -40,11 +41,8 @@ __all__ = [
 ]
 
 
-class ProgramSyntaxError(ValueError):
-    def __init__(self, message: str, line: int, column: int):
-        self.line = line
-        self.column = column
-        super().__init__(f"{message} (line {line}, column {column})")
+class ProgramSyntaxError(ParseError):
+    """Syntax error in rule text, positioned by line and column."""
 
 
 class UnsafeRuleError(ValueError):
@@ -155,78 +153,6 @@ class Program:
     stratum_of: dict[str, int] = field(default_factory=dict)
 
 
-
-# ---------------------------------------------------------------------------
-# Tokenizer
-
-
-_PROGRAM_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<comment>%[^\n]*)
-  | (?P<number>\d+)
-  | (?P<string>"(?:[^"\\]|\\.)*")
-  | (?P<agg>\#(?:min|max|count|sum))
-  | (?P<ident>_*[a-z][A-Za-z0-9_]*)
-  | (?P<var>_*[A-Z][A-Za-z0-9_']*)
-  | (?P<anon>_)
-  | (?P<op>:-|\.\.|<=|>=|!=|==|[-+*/(){},:;.<>=@|])
-    """,
-    re.VERBOSE,
-)
-
-
-@dataclass(frozen=True, slots=True)
-class _Tok:
-    kind: str
-    text: str
-    offset: int
-    line: int
-    column: int
-
-
-def _tokenize_program(text: str) -> list[_Tok]:
-    toks: list[_Tok] = []
-    pos = 0
-    line = 1
-    line_start = 0
-    n = len(text)
-    while pos < n:
-        m = _PROGRAM_TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ProgramSyntaxError(f"unexpected character {text[pos]!r}",
-                                     line, pos - line_start + 1)
-        kind = m.lastgroup
-        lexeme = m.group()
-        if kind in ("ws", "comment"):
-            line += lexeme.count("\n")
-            if "\n" in lexeme:
-                line_start = m.start() + lexeme.rfind("\n") + 1
-            pos = m.end()
-            continue
-        toks.append(_Tok(kind, lexeme, m.start(), line, m.start() - line_start + 1))
-        pos = m.end()
-    toks.append(_Tok("end", "", n, line, n - line_start + 1))
-    return toks
-
-
-_STRING_UNESCAPE = {"\\\\": "\\", '\\"': '"', "\\n": "\n"}
-
-
-def _unquote(lexeme: str) -> str:
-    body = lexeme[1:-1]
-    out = []
-    i = 0
-    while i < len(body):
-        if body[i] == "\\" and body[i : i + 2] in _STRING_UNESCAPE:
-            out.append(_STRING_UNESCAPE[body[i : i + 2]])
-            i += 2
-        else:
-            out.append(body[i])
-            i += 1
-    return "".join(out)
-
-
 # ---------------------------------------------------------------------------
 # Parser
 
@@ -235,32 +161,13 @@ _COMPARE_OPS = {"=", "==", "!=", "<", "<=", ">", ">="}
 _FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "==": "==", "!=": "!="}
 
 
-class _ProgramParser:
+class _ProgramParser(TokenCursor):
+    error_class = ProgramSyntaxError
+
     def __init__(self, text: str, *, permissive: bool):
-        self.text = text
-        self.toks = _tokenize_program(text)
-        self.i = 0
+        super().__init__(text)
         self.permissive = permissive
         self.anon_count = 0
-
-    @property
-    def cur(self) -> _Tok:
-        return self.toks[self.i]
-
-    def advance(self) -> _Tok:
-        t = self.toks[self.i]
-        self.i += 1
-        return t
-
-    def error(self, expected: str) -> ProgramSyntaxError:
-        t = self.cur
-        got = repr(t.text) if t.kind != "end" else "end of input"
-        return ProgramSyntaxError(f"expected {expected}, got {got}", t.line, t.column)
-
-    def expect(self, text: str, expected: str) -> _Tok:
-        if self.cur.text != text:
-            raise self.error(expected)
-        return self.advance()
 
     def parse(self) -> list[Rule]:
         rules = []
@@ -273,16 +180,15 @@ class _ProgramParser:
         head: Atom | None = None
         if self.cur.text == ":-":
             if not self.permissive:
-                raise ProgramSyntaxError(
+                raise self.error_at(
                     "constraints have no meaning here; only defining rules are"
-                    " evaluated", self.cur.line, self.cur.column)
+                    " evaluated")
             self.advance()
             body = self.body()
         else:
             head = self.head_atom()
             if self.cur.text == "|":
-                raise ProgramSyntaxError("disjunctive heads are not supported",
-                                         self.cur.line, self.cur.column)
+                raise self.error_at("disjunctive heads are not supported")
             body = ()
             if self.cur.text == ":-":
                 self.advance()
@@ -293,8 +199,7 @@ class _ProgramParser:
 
     def head_atom(self) -> Atom:
         if self.cur.text == "{":
-            raise ProgramSyntaxError("choice rules are not supported",
-                                     self.cur.line, self.cur.column)
+            raise self.error_at("choice rules are not supported")
         t = self.cur
         if t.kind != "ident":
             raise self.error("a rule head")
@@ -337,8 +242,7 @@ class _ProgramParser:
             return Atom(term.name, term.args)
         if isinstance(term, Const):
             return Atom(term.name, ())
-        raise ProgramSyntaxError("expected an atom or a comparison",
-                                 self.cur.line, self.cur.column)
+        raise self.error_at("expected an atom or a comparison")
 
     def atom(self) -> Atom:
         return self.as_atom(self.term())
@@ -356,8 +260,7 @@ class _ProgramParser:
                 cond.append(self.condition_literal())
             condition = tuple(cond)
         if self.cur.text == ";":
-            raise ProgramSyntaxError("multiple aggregate elements are not supported",
-                                     self.cur.line, self.cur.column)
+            raise self.error_at("multiple aggregate elements are not supported")
         self.expect("}", "'}' closing the aggregate")
         return Aggregate(func, elements, condition)
 
@@ -378,11 +281,8 @@ class _ProgramParser:
     def term(self, *, allow_interval: bool = False):
         node = self.additive()
         if self.cur.text == "..":
-            tok = self.cur
             if not allow_interval:
-                raise ProgramSyntaxError(
-                    "intervals are only supported in facts and rule heads",
-                    tok.line, tok.column)
+                raise self.error_at("intervals are only supported in facts and rule heads")
             self.advance()
             return Interval(node, self.additive())
         return node
@@ -417,7 +317,7 @@ class _ProgramParser:
             return Number(int(t.text))
         if t.kind == "string":
             self.advance()
-            return Str(_unquote(t.text))
+            return Str(self.string_value(t))
         if t.kind == "var":
             self.advance()
             return Var(t.text)
@@ -427,9 +327,8 @@ class _ProgramParser:
             return Var(f"_#{self.anon_count}")
         if t.text == "@":
             if not self.permissive:
-                raise ProgramSyntaxError(
-                    "externally interpreted terms cannot be evaluated here",
-                    t.line, t.column)
+                raise self.error_at(
+                    "externally interpreted terms cannot be evaluated here")
             self.advance()
             if self.cur.kind != "ident":
                 raise self.error("a name after '@'")

@@ -4,8 +4,8 @@ Validation normally happens in-process, but a full program (choice rules,
 disjunction, anything beyond the stratified fragment) can be grounded by an
 external tool instead; the resulting atoms are fed back for engine-side
 checking.  For users who integrate with a solver that supports interpreted
-terms directly, export_validators writes the constraint validators together
-with the auxiliary rules as a plain .lp file.
+terms directly, render_validator_program writes the constraint validators
+together with the auxiliary rules as a plain .lp program.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .datalog import parse_program
 from .schema import ValidationSpec
 from .terms import Fact, ParseError, parse_facts
 
@@ -26,7 +25,6 @@ __all__ = [
     "BridgeError",
     "emit_constraint_validators",
     "render_validator_program",
-    "export_validators",
     "ground_with_external",
 ]
 
@@ -98,15 +96,6 @@ def render_validator_program(spec: ValidationSpec) -> str:
         lines.append("% auxiliary rules")
         lines.append(spec.asp_program.rstrip("\n"))
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def export_validators(spec: ValidationSpec, path) -> None:
-    Path(path).write_text(render_validator_program(spec), encoding="utf-8")
-
-
-def reparse_validator(text: str) -> None:
-    """Sanity-check emitted text against the permissive rule grammar."""
-    parse_program(text, permissive=True)
 
 
 # ---------------------------------------------------------------------------

@@ -38,8 +38,6 @@ __all__ = [
 class RunOptions:
     mode: str = "builtin"  # builtin | bridge
     fail_fast: bool = True
-    valid_only: bool = True  # kept for interface parity; no models are ever computed
-    report_format: str = "text"
     grounder: "object | None" = None  # emit.GrounderBridgeConfig in bridge mode
     program_text: str | None = None  # bridge mode: raw program text to ground
     extra_rules_text: str | None = None  # builtin mode: rule text joining A
@@ -98,12 +96,12 @@ def check_instance(definition: UserDefinition, fact: Fact,
     when the instance is fully valid (count tracks every atom processed).
     """
     symbol = definition.symbol
-    rendered = render(fact.term())
     store.counts[symbol] = store.counts.get(symbol, 0) + 1
 
     def diag(rule: str, message: str) -> Diagnostic:
+        # Rendered here, not up front: most instances are valid.
         return Diagnostic("instance", symbol, rule, message,
-                          instance=rendered, arity=definition.arity)
+                          instance=render(fact.term()), arity=definition.arity)
 
     if len(fact.args) != definition.arity:
         return [diag("wrong-arity",
@@ -130,35 +128,39 @@ def check_instance(definition: UserDefinition, fact: Fact,
         return diags
 
     checked = hooks.CheckedInstance(symbol, values, fact.term())
-
-    having_ok = True
-    for index, cmp in enumerate(definition.having):
-        script = store.having_script(definition, index)
-        problem = _run_hook(script, store, instance=checked)
-        if isinstance(problem, hooks.CheckFailure):
-            diags.append(diag("having", problem.message))
-            having_ok = False
-        elif isinstance(problem, hooks.ScriptEvalError):
-            diags.append(diag("eval-error", f"having {cmp}: {problem}"))
-            having_ok = False
-
-    # The hook may rely on the declared comparisons, so it is skipped when
-    # one failed; facet violations do not block it.
-    after_init = store.hook(definition, "after_init") if having_ok else None
-    if after_init:
-        problem = _run_hook(after_init, store, instance=checked,
-                            snapshot_target=checked)
-        if isinstance(problem, hooks.CheckFailure):
-            diags.append(diag("hook-fail", problem.message))
-        elif isinstance(problem, hooks.ScriptEvalError):
-            diags.append(diag("eval-error", f"after_init: {problem}"))
-
+    for rule, message in _check_hooks(definition, checked, store):
+        diags.append(diag(rule, message))
     if diags:
         return diags
     _update_accumulators(definition, values, store)
     if _wants_implicit_snapshot(definition, store):
         store.snapshots.setdefault(symbol, []).append(checked)
     return []
+
+
+def _check_hooks(definition: UserDefinition, checked: hooks.CheckedInstance,
+                 store: AccumulatorStore) -> list[tuple[str, str]]:
+    """Run the having comparisons, then after_init; problems in that order."""
+    problems: list[tuple[str, str]] = []
+    for index, cmp in enumerate(definition.having):
+        script = store.having_script(definition, index)
+        problem = _run_hook(script, store, instance=checked)
+        if isinstance(problem, hooks.CheckFailure):
+            problems.append(("having", problem.message))
+        elif isinstance(problem, hooks.ScriptEvalError):
+            problems.append(("eval-error", f"having {cmp}: {problem}"))
+
+    # The hook may rely on the declared comparisons, so it is skipped when
+    # one failed; facet violations do not block it.
+    after_init = None if problems else store.hook(definition, "after_init")
+    if after_init:
+        problem = _run_hook(after_init, store, instance=checked,
+                            snapshot_target=checked)
+        if isinstance(problem, hooks.CheckFailure):
+            problems.append(("hook-fail", problem.message))
+        elif isinstance(problem, hooks.ScriptEvalError):
+            problems.append(("eval-error", f"after_init: {problem}"))
+    return problems
 
 
 def _run_hook(script: hooks.HookScript, store: AccumulatorStore, *,
@@ -211,50 +213,34 @@ def _check_nested(fld: FieldDecl, term: GroundTerm, store: AccumulatorStore):
     """
     nested = store.spec.definitions[fld.type]
     if nested.arity == 1:
-        inner_value, problem = _check_kind(nested.fields[0], term, store)
+        args: tuple[GroundTerm, ...] = (term,)
+    elif not isinstance(term, Func) or term.name != nested.symbol:
+        return None, ("wrong-kind",
+                      f"{fld.name}: expected an instance of {nested.symbol},"
+                      f" received {render(term)}")
+    elif len(term.args) != nested.arity:
+        return None, ("wrong-arity",
+                      f"{nested.symbol} is expected to have arity {nested.arity},"
+                      f" but {len(term.args)} arguments are found")
+    else:
+        args = term.args
+
+    # Unlike check_instance, a nested value reports its first problem only,
+    # field by field: kind, then facets.
+    values = {}
+    for inner_fld, arg in zip(nested.fields, args):
+        inner_value, problem = _check_kind(inner_fld, arg, store)
         if problem is not None:
             return None, problem
-        facet_problems = _check_facets(nested.fields[0], inner_value, term)
+        facet_problems = _check_facets(inner_fld, inner_value, arg)
         if facet_problems:
             return None, facet_problems[0]
-        values = {nested.fields[0].name: inner_value}
-        source = term
-    else:
-        if not isinstance(term, Func) or term.name != nested.symbol:
-            return None, ("wrong-kind",
-                          f"{fld.name}: expected an instance of {nested.symbol},"
-                          f" received {render(term)}")
-        if len(term.args) != nested.arity:
-            return None, ("wrong-arity",
-                          f"{nested.symbol} is expected to have arity {nested.arity},"
-                          f" but {len(term.args)} arguments are found")
-        values = {}
-        for inner_fld, arg in zip(nested.fields, term.args):
-            inner_value, problem = _check_kind(inner_fld, arg, store)
-            if problem is not None:
-                return None, problem
-            facet_problems = _check_facets(inner_fld, inner_value, arg)
-            if facet_problems:
-                return None, facet_problems[0]
-            values[inner_fld.name] = inner_value
-        source = term
+        values[inner_fld.name] = inner_value
 
-    checked = hooks.CheckedInstance(nested.symbol, values, source)
-    for index, cmp in enumerate(nested.having):
-        script = store.having_script(nested, index)
-        problem = _run_hook(script, store, instance=checked)
-        if isinstance(problem, hooks.CheckFailure):
-            return None, ("having", problem.message)
-        if isinstance(problem, hooks.ScriptEvalError):
-            return None, ("eval-error", f"having {cmp}: {problem}")
-    after_init = store.hook(nested, "after_init")
-    if after_init:
-        problem = _run_hook(after_init, store, instance=checked,
-                            snapshot_target=checked)
-        if isinstance(problem, hooks.CheckFailure):
-            return None, ("hook-fail", problem.message)
-        if isinstance(problem, hooks.ScriptEvalError):
-            return None, ("eval-error", f"after_init: {problem}")
+    checked = hooks.CheckedInstance(nested.symbol, values, term)
+    problems = _check_hooks(nested, checked, store)
+    if problems:
+        return None, problems[0]
     return checked, None
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import datetime
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 from .terms import Const, Func, GroundTerm, Number, Str, Tuple, compare, render
 
@@ -37,7 +37,6 @@ __all__ = [
     "HookScript",
     "parse_script",
     "eval_instance",
-    "eval_class_hook",
     "run_prelude",
     "compile_having",
 ]
@@ -609,25 +608,6 @@ def run_prelude(script: HookScript | None) -> dict[str, object]:
     env = EvalEnv()
     eval_instance(script, env)
     return env.locals
-
-
-def eval_class_hook(script: HookScript, class_store: dict[str, object], phase: str,
-                    *, prelude: Mapping[str, object] | None = None,
-                    snapshots: Sequence[CheckedInstance] = ()) -> None:
-    """Run a before/after hook; after-phase scripts using self sweep snapshots."""
-    if phase not in ("before", "after"):
-        raise ValueError(f"unknown phase {phase!r}")
-    prelude = prelude or {}
-    if phase == "after" and script.uses_self:
-        for snap in snapshots:
-            env = EvalEnv(instance=snap.values, class_store=class_store, prelude=prelude)
-            try:
-                eval_instance(script, env)
-            except CheckFailure as failure:
-                failure.source = snap.source
-                raise
-        return
-    eval_instance(script, EvalEnv(instance=None, class_store=class_store, prelude=prelude))
 
 
 def compile_having(lhs: str, op: str, rhs: str) -> HookScript:

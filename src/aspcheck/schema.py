@@ -17,7 +17,7 @@ import yaml
 
 from . import hooks
 from .diagnostics import Diagnostic
-from .terms import IDENT_RE, Const, GroundTerm, Number, Str, parse_term
+from .terms import IDENT_RE, Const, GroundTerm, Number, Str, parse_term, render
 from .terms import ParseError as TermParseError
 
 __all__ = [
@@ -521,15 +521,9 @@ def _check_enum_kinds(symbol: str, f: FieldDecl) -> list[Diagnostic]:
         if not isinstance(value, expected):
             out.append(Diagnostic(
                 "spec-load", symbol, "enum-type",
-                f"{symbol}.{f.name}: enum value {_render_term(value)} does not"
+                f"{symbol}.{f.name}: enum value {render(value)} does not"
                 f" match type {f.type.value}"))
     return out
-
-
-def _render_term(t: GroundTerm) -> str:
-    from .terms import render
-
-    return render(t)
 
 
 def _check_facet_bounds(symbol: str, f: FieldDecl) -> list[Diagnostic]:

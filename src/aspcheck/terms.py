@@ -4,7 +4,9 @@ The term grammar covers exactly what shows up in ground data: integers
 (unbounded at this layer; 32-bit range enforcement is a validation facet,
 not a parsing concern), double-quoted strings, alphanumeric constants,
 functions with at least one argument, and tuples.  Variables, intervals
-and rule syntax are deliberately absent; those belong to the rule engine.
+and rule syntax are deliberately absent; those belong to the rule engine,
+which reads its text through the same lexer, string decoder and token
+cursor defined here.
 """
 
 from __future__ import annotations
@@ -82,80 +84,53 @@ class Fact:
 
 
 class ParseError(ValueError):
-    """Syntax error in term or fact text, with position information."""
+    """Syntax error in ASP text, positioned by line and column."""
 
-    def __init__(self, message: str, *, offset: int, line: int | None = None,
-                 column: int | None = None):
+    def __init__(self, message: str, *, offset: int, line: int, column: int):
         self.offset = offset
         self.line = line
         self.column = column
-        where = f"line {line}, column {column}" if line is not None else f"offset {offset}"
-        super().__init__(f"{message} ({where})")
+        super().__init__(f"{message} (line {line}, column {column})")
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer
+# Lexer and token cursor, shared with the rule parser in datalog
 
 
+# One lexer for all ASP text.  The ground grammar below reads a subset of
+# these tokens; the rule grammar in datalog reads all of them.
 _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
   | (?P<comment>%[^\n]*)
   | (?P<number>\d+)
   | (?P<string>"(?:[^"\\]|\\.)*")
+  | (?P<agg>\#(?:min|max|count|sum))
   | (?P<ident>_*[a-z][A-Za-z0-9_]*)
-  | (?P<rulearrow>:-)
-  | (?P<punct>[(),.\-])
+  | (?P<var>_*[A-Z][A-Za-z0-9_']*)
+  | (?P<anon>_)
+  | (?P<op>:-|\.\.|<=|>=|!=|==|[-+*/(){},:;.<>=@|])
+  | (?P<bad>.)
     """,
     re.VERBOSE,
 )
 
+# Exactly the escapes _encode_string writes; anything else is an error.
 _ESCAPES = {"\\\\": "\\", '\\"': '"', "\\n": "\n"}
-
-
-def _decode_string(lexeme: str, offset: int) -> str:
-    body = lexeme[1:-1]
-    out: list[str] = []
-    i = 0
-    while i < len(body):
-        ch = body[i]
-        if ch == "\\":
-            esc = body[i : i + 2]
-            if esc not in _ESCAPES:
-                raise ParseError(f"unsupported string escape {esc!r}", offset=offset + 1 + i)
-            out.append(_ESCAPES[esc])
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+_ESCAPE_RE = re.compile(r"\\.")
 
 
 def _encode_string(value: str) -> str:
     return '"' + value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n") + '"'
 
 
-@dataclass(frozen=True, slots=True)
+# Not frozen: a frozen dataclass assigns each field through
+# object.__setattr__, which makes lexing measurably slower.
+@dataclass(slots=True)
 class _Token:
-    kind: str  # number | string | ident | rulearrow | punct | end
+    kind: str  # a group name of _TOKEN_RE, or "end"
     text: str
     offset: int
-
-
-def _tokenize(text: str, *, keep_comments: bool = False) -> Iterator[_Token]:
-    pos = 0
-    n = len(text)
-    while pos < n:
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", offset=pos,
-                             **_line_col(text, pos))
-        kind = m.lastgroup
-        pos = m.end()
-        if kind == "ws" or (kind == "comment" and not keep_comments):
-            continue
-        yield _Token(kind, m.group(), m.start())
-    yield _Token("end", "", n)
 
 
 def _line_col(text: str, offset: int) -> dict[str, int]:
@@ -164,36 +139,72 @@ def _line_col(text: str, offset: int) -> dict[str, int]:
     return {"line": line, "column": column}
 
 
-# ---------------------------------------------------------------------------
-# Recursive-descent parser
+class TokenCursor:
+    """One token of lookahead over ASP text, lexed lazily.
 
+    Tokens carry only their offset; line and column are computed when an
+    error is built.  Subclasses set error_class to their own ParseError.
+    """
 
-class _Parser:
+    error_class = ParseError
+
     def __init__(self, text: str):
         self.text = text
-        self.tokens = list(_tokenize(text))
-        self.i = 0
+        self._next = self._lex().__next__
+        self.cur = self._next()
 
-    @property
-    def cur(self) -> _Token:
-        return self.tokens[self.i]
+    def _lex(self) -> Iterator[_Token]:
+        for m in _TOKEN_RE.finditer(self.text):
+            kind = m.lastgroup
+            if kind == "ws" or kind == "comment":
+                continue
+            if kind == "bad":
+                raise self.error_at(f"unexpected character {m.group()!r}", m.start())
+            yield _Token(kind, m.group(), m.start())
+        yield _Token("end", "", len(self.text))
 
     def advance(self) -> _Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def error(self, expected: str) -> ParseError:
         tok = self.cur
-        got = repr(tok.text) if tok.kind != "end" else "end of input"
-        return ParseError(f"expected {expected}, got {got}", offset=tok.offset,
-                          **_line_col(self.text, tok.offset))
+        self.cur = self._next()
+        return tok
 
     def expect(self, text: str, expected: str) -> _Token:
         if self.cur.text != text:
             raise self.error(expected)
         return self.advance()
 
+    def error_at(self, message: str, offset: int | None = None) -> ParseError:
+        """An error at the offset, by default that of the current token."""
+        if offset is None:
+            offset = self.cur.offset
+        return self.error_class(message, offset=offset, **_line_col(self.text, offset))
+
+    def error(self, expected: str) -> ParseError:
+        tok = self.cur
+        got = repr(tok.text) if tok.kind != "end" else "end of input"
+        return self.error_at(f"expected {expected}, got {got}")
+
+    def string_value(self, tok: _Token) -> str:
+        """The content of a string token, unescaped."""
+        body = tok.text[1:-1]
+        if "\\" not in body:
+            return body
+
+        def unescape(m: re.Match) -> str:
+            esc = m.group()
+            if esc not in _ESCAPES:
+                raise self.error_at(f"unsupported string escape {esc!r}",
+                                    tok.offset + 1 + m.start())
+            return _ESCAPES[esc]
+
+        return _ESCAPE_RE.sub(unescape, body)
+
+
+# ---------------------------------------------------------------------------
+# Recursive-descent parser for ground terms and facts
+
+
+class _Parser(TokenCursor):
     def term(self) -> GroundTerm:
         tok = self.cur
         if tok.kind == "number":
@@ -206,7 +217,7 @@ class _Parser:
             return Number(-int(self.advance().text))
         if tok.kind == "string":
             self.advance()
-            return Str(_decode_string(tok.text, tok.offset))
+            return Str(self.string_value(tok))
         if tok.kind == "ident":
             self.advance()
             if self.cur.text == "(":
@@ -216,18 +227,21 @@ class _Parser:
                 return Func(tok.text, tuple(args))
             return Const(tok.text)
         if tok.text == "(":
+            # As in the rule grammar: (t) is t, and only (t,) is a 1-tuple.
             self.advance()
             if self.cur.text == ")":
                 self.advance()
                 return Tuple(())
             args = [self.term()]
+            is_tuple = False
             while self.cur.text == ",":
+                is_tuple = True
                 self.advance()
                 if self.cur.text == ")":  # trailing comma: (1,)
                     break
                 args.append(self.term())
             self.expect(")", "')' closing tuple")
-            return Tuple(tuple(args))
+            return Tuple(tuple(args)) if is_tuple else args[0]
         raise self.error("a term (number, string, constant, function or tuple)")
 
     def term_list(self) -> list[GroundTerm]:
@@ -270,12 +284,14 @@ def parse_facts(text: str) -> list[Fact]:
         parser = _Parser(text)
         facts: list[Fact] = []
         while parser.cur.kind != "end":
-            if parser.cur.kind == "rulearrow":
+            if parser.cur.text == ":-":
                 raise _rule_error(text, parser.cur.offset)
             facts.append(parser.fact())
         return facts
     except ParseError as exc:
-        line_text = text.splitlines()[exc.line - 1] if exc.line else ""
+        # Split on "\n" only, as _line_col counts lines; the error may sit
+        # on the empty line after a final newline.
+        line_text = text.split("\n")[exc.line - 1]
         if ":-" in line_text and "rules are not allowed" not in str(exc):
             raise _rule_error(text, exc.offset) from None
         raise
@@ -307,10 +323,6 @@ def render(t: GroundTerm) -> str:
             return f"({render(t.args[0])},)"
         return f"({','.join(render(a) for a in t.args)})"
     raise TypeError(f"not a ground term: {t!r}")
-
-
-def render_fact(f: Fact) -> str:
-    return render(f.term())
 
 
 _KIND_RANK = {Number: 0, Const: 1, Str: 2, Tuple: 3, Func: 4}

@@ -7,6 +7,9 @@ import sys
 import pytest
 
 from aspcheck.cli import main
+from aspcheck.engine import run
+from aspcheck.schema import load_spec
+from aspcheck.terms import ParseError, parse_facts
 
 from _support import FIXTURES, fixture_text
 
@@ -63,6 +66,29 @@ class TestValidate:
         facts = write(tmp_path, "bad.lp", "income(\n")
         assert main(["validate", income_spec, facts]) == 1
         assert "invalid input" in capsys.readouterr().err
+
+    def test_unsupported_string_escape_exit_1(self, tmp_path, capsys):
+        spec = write(tmp_path, "q.yaml", "q:\n    s: String\n")
+        facts = write(tmp_path, "tab.lp", 'q("a\\tb").\n')
+        assert main(["validate", spec, facts]) == 1
+        err = capsys.readouterr().err
+        assert "invalid input" in err
+        assert "(line 1, column 5)" in err
+
+    @pytest.mark.parametrize("spec_text, facts_text, verdict", [
+        ("p:\n    x: Integer\n", "p((1)).\n", "valid"),
+        ("q:\n    s: String\n", 'q("a\\tb").\n', "invalid"),
+    ])
+    def test_same_verdict_as_library(self, tmp_path, capsys, spec_text, facts_text,
+                                     verdict):
+        spec = write(tmp_path, "spec.yaml", spec_text)
+        facts = write(tmp_path, "data.lp", facts_text)
+        cli_verdict = {0: "valid", 1: "invalid"}[main(["validate", spec, facts])]
+        try:
+            lib_verdict = run(load_spec(spec_text), parse_facts(facts_text)).verdict
+        except ParseError:
+            lib_verdict = "invalid"
+        assert (cli_verdict, lib_verdict) == (verdict, verdict)
 
     def test_stdin_dash(self, income_spec, monkeypatch, capsys):
         import io

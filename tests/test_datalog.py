@@ -106,6 +106,18 @@ class TestParsing:
             parse_program("p(1).\nq(X) :- p(X), .")
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize("text, line, column", [
+        ("% c\np(1).\nq(X) :- .\n", 3, 9),
+        ("p(1).\n  r(X) :- s(X), X ! 2.\n", 2, 19),
+        ("p(1)\n", 2, 1),
+        ('p(1).\nq("a\\tb").', 2, 5),
+    ])
+    def test_syntax_error_line_and_column(self, text, line, column):
+        with pytest.raises(ProgramSyntaxError) as exc:
+            parse_program(text)
+        assert (exc.value.line, exc.value.column) == (line, column)
+        assert str(exc.value).endswith(f"(line {line}, column {column})")
+
 
 class TestStratify:
     def test_poset_has_two_strata(self):

@@ -9,12 +9,13 @@ from aspcheck.hooks import (
     ScriptEvalError,
     ScriptSyntaxError,
     compile_having,
-    eval_class_hook,
     eval_instance,
     parse_script,
     run_prelude,
 )
-from aspcheck.terms import parse_term
+from aspcheck.engine import run
+from aspcheck.schema import load_spec
+from aspcheck.terms import parse_facts, parse_term
 
 from _support import proleptic_gregorian_valid
 
@@ -181,63 +182,104 @@ class TestEvaluation:
         assert env.class_store == {}
 
 
+def run_spec(spec_text, facts_text=""):
+    """Validate facts against a YAML spec through the engine's hook path."""
+    return run(load_spec(spec_text), parse_facts(facts_text))
+
+
+def only_diagnostic(report):
+    assert len(report.diagnostics) == 1, report.diagnostics
+    return report.diagnostics[0]
+
+
+# Its name sorts after every other symbol, so its after_grounding hook
+# runs last and reports the accumulator value the other hooks left behind.
+PROBE = """
+zz_probe:
+    n: Integer
+    valasp:
+        after_grounding: |+
+            fail('{cls.%s}')
+"""
+
+
 class TestClassHooks:
     def test_before_initializes_accumulators(self):
-        store: dict = {}
-        eval_class_hook(parse_script("cls.sum_positive_of_amount = 0"),
-                        store, "before")
-        assert store == {"sum_positive_of_amount": 0}
+        report = run_spec("p:\n    a: Integer\n    valasp:\n"
+                          "        before_grounding: |+\n"
+                          "            cls.sum_positive_of_amount = 0\n"
+                          + PROBE % "sum_positive_of_amount")
+        diag = only_diagnostic(report)
+        assert (diag.symbol, diag.rule, diag.message) == ("zz_probe", "hook-fail", "0")
 
     def test_empty_before_hook(self):
-        eval_class_hook(parse_script(""), {}, "before")
+        report = run_spec("p:\n    a: Integer\n    valasp:\n"
+                          "        before_grounding: ''\n", "p(1).")
+        assert report.verdict == "valid"
 
     def test_after_hook_checks_accumulator(self):
-        store = {"sum_positive_of_amount": 3000000000}
-        script = parse_script(
-            "if cls.sum_positive_of_amount > 2147483647:\n"
-            "    fail('sum of amount in income may exceed 2147483647')")
-        with pytest.raises(CheckFailure, match="may exceed 2147483647"):
-            eval_class_hook(script, store, "after")
+        report = run_spec(
+            "income:\n    amount: Integer\n    valasp:\n"
+            "        before_grounding: |+\n"
+            "            cls.sum_positive_of_amount = 3000000000\n"
+            "        after_grounding: |+\n"
+            "            if cls.sum_positive_of_amount > 2147483647:\n"
+            "                fail('sum of amount in income may exceed 2147483647')\n")
+        diag = only_diagnostic(report)
+        assert (diag.phase, diag.rule) == ("after", "hook-fail")
+        assert "may exceed 2147483647" in diag.message
 
     def test_accumulate_then_check(self):
-        store: dict = {}
-        eval_class_hook(parse_script("cls.total = 0"), store, "before")
-        update = parse_script("if self.amount > 0: cls.total += self.amount")
-        for amount in (1500000000, 1500000000, -5):
-            eval_instance(update, EvalEnv(instance={"amount": amount},
-                                          class_store=store))
-        assert store["total"] == 3000000000
+        report = run_spec(
+            "income:\n    company: Alpha\n    amount: Integer\n    valasp:\n"
+            "        before_grounding: |+\n"
+            "            cls.total = 0\n"
+            "        after_init: |+\n"
+            "            if self.amount > 0: cls.total += self.amount\n"
+            + PROBE % "total",
+            "income(a,1500000000). income(b,1500000000). income(c,-5).")
+        assert only_diagnostic(report).message == "3000000000"
 
     def test_augmented_assign_requires_initialization(self):
         with pytest.raises(ScriptEvalError, match="not initialized"):
             eval_instance(parse_script("cls.total += 1"), EvalEnv())
 
     def test_after_sweep_over_snapshots(self):
-        snapshots = [
-            CheckedInstance("__in_range",
-                            {"x": x, "source": parse_term(f"givenmove(1,7,3,{x})")},
-                            parse_term(f"__in_range({x},givenmove(1,7,3,{x}))"))
-            for x in (3, 7, 9)
-        ]
-        script = parse_script(
-            "if self.x > cls.board_size:\n"
-            "    fail('Value out of bound in {self.source}: {self.x}')")
-        with pytest.raises(CheckFailure) as exc:
-            eval_class_hook(script, {"board_size": 8}, "after", snapshots=snapshots)
-        assert exc.value.message == "Value out of bound in givenmove(1,7,3,9): 9"
-        assert exc.value.source == parse_term("__in_range(9,givenmove(1,7,3,9))")
+        spec = (
+            "size:\n    value: Integer\n    valasp:\n"
+            "        after_init: |+\n"
+            "            cls.board_size = self.value\n"
+            "__in_range:\n    x: Integer\n    source: Any\n    valasp:\n"
+            "        after_grounding: |+\n"
+            "            if self.x > cls.board_size:\n"
+            "                fail('Value out of bound in {self.source}: {self.x}')\n")
+        moves = " ".join(f"__in_range({x},givenmove(1,7,3,{x}))." for x in (3, 7, 9))
+        diag = only_diagnostic(run_spec(spec, "size(8). " + moves))
+        assert diag.message == "Value out of bound in givenmove(1,7,3,9): 9"
+        assert diag.instance == "__in_range(9,givenmove(1,7,3,9))"
         # All in bounds: the sweep is silent.
-        eval_class_hook(script, {"board_size": 10}, "after", snapshots=snapshots)
+        assert run_spec(spec, "size(10). " + moves).verdict == "valid"
 
     def test_after_hook_without_self_runs_once(self):
-        store = {"seen": 0}
-        eval_class_hook(parse_script("cls.seen += 1"), store, "after",
-                        snapshots=[CheckedInstance("p", {"x": 1}, parse_term("p(1)"))])
-        assert store["seen"] == 1
+        report = run_spec(
+            "p:\n    x: Integer\n    valasp:\n"
+            "        before_grounding: |+\n"
+            "            cls.seen = 0\n"
+            "        after_init: |+\n"
+            "            append_snapshot()\n"
+            "        after_grounding: |+\n"
+            "            cls.seen += 1\n"
+            + PROBE % "seen",
+            "p(1). p(2). p(3).")
+        assert only_diagnostic(report).message == "1"
 
     def test_self_unavailable_in_before_phase(self):
-        with pytest.raises(ScriptEvalError, match="self is not available"):
-            eval_class_hook(parse_script("cls.x = self.v"), {}, "before")
+        report = run_spec("p:\n    v: Integer\n    valasp:\n"
+                          "        before_grounding: |+\n"
+                          "            cls.x = self.v\n", "p(1).")
+        diag = only_diagnostic(report)
+        assert (diag.phase, diag.rule) == ("before", "eval-error")
+        assert "self is not available" in diag.message
 
 
 class TestHaving:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aspcheck.datalog import evaluate, parse_program
 from aspcheck.terms import (
     Const,
     Fact,
@@ -61,6 +62,11 @@ class TestParseTerm:
 
     def test_empty_tuple(self):
         assert parse_term("()") == Tuple(())
+
+    def test_parentheses_alone_make_no_tuple(self):
+        # As in rule text: (t) is t, and only (t,) is a 1-tuple.
+        assert parse_term("(1)") == Number(1)
+        assert parse_term("f((1))") == parse_term("f(1)")
 
     def test_error_reports_offset_and_expectation(self):
         with pytest.raises(ParseError) as exc:
@@ -124,6 +130,20 @@ class TestParseFacts:
             parse_facts("p(1).\np(.")
         assert exc.value.line == 2
         assert exc.value.column is not None
+
+    def test_unsupported_escape_has_line_and_column(self):
+        with pytest.raises(ParseError, match="unsupported string escape") as exc:
+            parse_facts('p(1).\nq("a\\tb").')
+        assert (exc.value.line, exc.value.column) == (2, 5)
+
+    def test_missing_dot_at_final_newline(self):
+        with pytest.raises(ParseError, match="'.'") as exc:
+            parse_facts("p(1)\n")
+        assert (exc.value.line, exc.value.column) == (2, 1)
+
+    def test_variable_is_not_a_term(self):
+        with pytest.raises(ParseError, match=r"expected a term .*, got 'X'"):
+            parse_facts("p(X).")
 
 
 class TestRender:
@@ -214,6 +234,14 @@ _terms = st.recursive(
 @settings(max_examples=300)
 def test_parse_render_round_trip(term):
     assert parse_term(render(term)) == term
+
+
+@given(_terms)
+@settings(max_examples=200)
+def test_ground_and_rule_parsers_read_rendered_terms_alike(term):
+    text = render(term)
+    [fact] = evaluate(parse_program(f"p({text})."), ())
+    assert fact.args == (parse_term(text),)
 
 
 @given(_terms)
