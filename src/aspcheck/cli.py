@@ -93,10 +93,7 @@ def _cmd_validate(args) -> int:
     spec = load_spec(_read(spec_path))
     input_text = "\n".join(_read(p) for p in paths)
 
-    options = engine.RunOptions(
-        mode=args.mode,
-        fail_fast=not args.all_errors,
-    )
+    options = engine.RunOptions(fail_fast=not args.all_errors)
 
     facts = []
     if args.mode == "bridge":
@@ -109,15 +106,16 @@ def _cmd_validate(args) -> int:
             timeout=args.grounder_timeout)
         options.program_text = input_text
     else:
-        # Pre-check the input on its own so data problems are reported as
-        # data problems, with positions relative to the user's files.
+        # The input is parsed once, on its own, so data problems are
+        # reported as data problems, with positions in the user's files.
         try:
-            datalog.parse_program(input_text)
+            program = datalog.parse_program(input_text)
         except (datalog.ProgramSyntaxError, datalog.UnsafeRuleError,
                 datalog.UnstratifiedError) as exc:
             print(f"invalid input: {exc}", file=sys.stderr)
             return EXIT_INVALID
-        options.extra_rules_text = input_text
+        facts = program.facts
+        options.rules = tuple(program.rules)
 
     report = engine.run(spec, facts, options)
     rendered = render_report(report, args.format)

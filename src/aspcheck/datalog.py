@@ -6,6 +6,9 @@ integer arithmetic, and `l..u` intervals in facts and rule heads.  Heads
 must be single atoms; disjunction, choice constructs and optimization are
 rejected so that every program has one computable model.
 
+A body-less rule whose head is ground after constant folding is a fact:
+parse_program returns it in Program.facts, never as a Rule.
+
 Evaluation is bottom-up and semi-naive per stratum: each iteration joins at
 least one body atom against the tuples derived in the previous iteration.
 """
@@ -16,6 +19,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .terms import (
+    GROUND_TYPES,
     Const,
     Fact,
     Func,
@@ -149,8 +153,7 @@ class Rule:
 @dataclass(slots=True)
 class Program:
     rules: list[Rule]
-    strata: list[list[str]] = field(default_factory=list)
-    stratum_of: dict[str, int] = field(default_factory=dict)
+    facts: list[Fact] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -168,15 +171,21 @@ class _ProgramParser(TokenCursor):
         super().__init__(text)
         self.permissive = permissive
         self.anon_count = 0
+        # (message, offset) of the current rule's first constant that cannot
+        # be evaluated; an error if it sits in the head of a body-less rule.
+        self.defect: tuple[str, int] | None = None
 
-    def parse(self) -> list[Rule]:
-        rules = []
+    def parse(self) -> tuple[list[Rule], list[Fact]]:
+        rules: list[Rule] = []
+        facts: list[Fact] = []
         while self.cur.kind != "end":
-            rules.append(self.rule())
-        return rules
+            item = self.rule()
+            (facts if type(item) is Fact else rules).append(item)
+        return rules, facts
 
-    def rule(self) -> Rule:
+    def rule(self) -> Rule | Fact:
         start = self.cur.offset
+        self.defect = None
         head: Atom | None = None
         if self.cur.text == ":-":
             if not self.permissive:
@@ -193,7 +202,12 @@ class _ProgramParser(TokenCursor):
             if self.cur.text == ":-":
                 self.advance()
                 body = self.body()
+            elif self.defect is not None:
+                # Bad data in a fact is a syntax error where it is written.
+                raise self.error_at(*self.defect)
         end_tok = self.expect(".", "'.' terminating the rule")
+        if not body and all(isinstance(a, GROUND_TYPES) for a in head.args):
+            return Fact(head.pred, head.args)
         source = " ".join(self.text[start : end_tok.offset + 1].split())
         return Rule(head=head, body=body, source=source)
 
@@ -238,7 +252,7 @@ class _ProgramParser(TokenCursor):
         return self.as_atom(left)
 
     def as_atom(self, term) -> Atom:
-        if isinstance(term, FuncPat):
+        if isinstance(term, (FuncPat, Func)):
             return Atom(term.name, term.args)
         if isinstance(term, Const):
             return Atom(term.name, ())
@@ -279,12 +293,17 @@ class _ProgramParser(TokenCursor):
         return terms
 
     def term(self, *, allow_interval: bool = False):
+        start = self.cur.offset
         node = self.additive()
         if self.cur.text == "..":
             if not allow_interval:
                 raise self.error_at("intervals are only supported in facts and rule heads")
             self.advance()
-            return Interval(node, self.additive())
+            node = Interval(node, self.additive())
+            bounds = (node.lo, node.hi)
+            if all(isinstance(b, GROUND_TYPES) for b in bounds) \
+                    and not all(isinstance(b, Number) for b in bounds):
+                self.defect = self.defect or ("interval bounds must be integers", start)
         return node
 
     def additive(self):
@@ -297,8 +316,11 @@ class _ProgramParser(TokenCursor):
     def multiplicative(self):
         node = self.unary()
         while self.cur.text in ("*", "/"):
-            op = self.advance().text
-            node = _fold(op, node, self.unary())
+            op_tok = self.advance()
+            right = self.unary()
+            if op_tok.text == "/" and right == Number(0) and isinstance(node, Number):
+                self.defect = self.defect or ("division by zero", op_tok.offset)
+            node = _fold(op_tok.text, node, right)
         return node
 
     def unary(self):
@@ -340,26 +362,20 @@ class _ProgramParser(TokenCursor):
         if t.kind == "ident":
             self.advance()
             if self.cur.text == "(":
-                self.advance()
+                self.open_paren()
                 args = tuple(self.term_list())
-                self.expect(")", "')' closing the argument list")
+                self.close_paren("')' closing the argument list")
+                if all(isinstance(a, GROUND_TYPES) for a in args):
+                    return Func(t.text, args)
                 return FuncPat(t.text, args)
             return Const(t.text)
         if t.text == "(":
-            self.advance()
-            if self.cur.text == ")":
-                self.advance()
-                return TuplePat(())
-            items = [self.term()]
-            is_tuple = False
-            while self.cur.text == ",":
-                is_tuple = True
-                self.advance()
-                if self.cur.text == ")":
-                    break
-                items.append(self.term())
-            self.expect(")", "')'")
-            return TuplePat(tuple(items)) if is_tuple else items[0]
+            items, is_tuple = self.parenthesized(self.term)
+            if not is_tuple:
+                return items[0]
+            if all(isinstance(a, GROUND_TYPES) for a in items):
+                return Tuple(tuple(items))
+            return TuplePat(tuple(items))
         raise self.error("a term")
 
 
@@ -626,16 +642,17 @@ def _tarjan(nodes: set[str], edges: set[tuple[str, str]]) -> list[list[str]]:
 
 
 def parse_program(text: str, *, permissive: bool = False) -> Program:
-    """Parse rule text; checks safety and stratification unless permissive."""
-    parser = _ProgramParser(text, permissive=permissive)
-    rules = parser.parse()
-    if permissive:
-        return Program(rules=rules)
-    for rule in rules:
-        _plan_rule(rule)
-    strata = stratify(rules)
-    stratum_of = {p: i for i, s in enumerate(strata) for p in s}
-    return Program(rules=rules, strata=strata, stratum_of=stratum_of)
+    """Parse rule text into rules and ground facts.
+
+    Unless permissive, every rule is planned (which checks safety) and the
+    rules are stratified, so an unstratified text is rejected here.
+    """
+    rules, facts = _ProgramParser(text, permissive=permissive).parse()
+    if not permissive:
+        for rule in rules:
+            _plan_rule(rule)
+        stratify(rules)
+    return Program(rules=rules, facts=facts)
 
 
 # ---------------------------------------------------------------------------
@@ -643,7 +660,14 @@ def parse_program(text: str, *, permissive: bool = False) -> Program:
 
 
 def evaluate(program: Program, input_facts) -> set[Fact]:
-    """The unique stratified model over the input facts, as a fact set."""
+    """The unique stratified model over the program's and the input facts.
+
+    The rules must come from a non-permissive parse_program (they carry
+    their plans); they are stratified here, so a set of rules joined from
+    several programs raises UnstratifiedError if the join has a bad cycle.
+    """
+    strata = stratify(program.rules)
+    stratum_of = {p: i for i, s in enumerate(strata) for p in s}
     relations: dict[str, set[tuple]] = {}
 
     def add(pred: str, args: tuple) -> bool:
@@ -653,26 +677,21 @@ def evaluate(program: Program, input_facts) -> set[Fact]:
         rel.add(args)
         return True
 
-    for fact in input_facts:
+    model = set(itertools.chain(program.facts, input_facts))
+    for fact in model:
         add(fact.predicate, fact.args)
-
-    for rule in program.rules:
-        if not rule.body:
-            for args in _instantiate_head(rule.head, {}, rule):
-                add(rule.head.pred, args)
 
     by_stratum: dict[int, list[Rule]] = {}
     for rule in program.rules:
-        if rule.body:
-            idx = program.stratum_of.get(rule.head.pred, 0)
-            by_stratum.setdefault(idx, []).append(rule)
+        by_stratum.setdefault(stratum_of[rule.head.pred], []).append(rule)
 
     for idx in sorted(by_stratum):
-        _eval_stratum(by_stratum[idx], set(program.strata[idx]), relations, add)
+        _eval_stratum(by_stratum[idx], set(strata[idx]), relations, add)
 
-    return {
-        Fact(pred, args) for pred, rel in relations.items() for args in rel
-    }
+    # The set keeps the given Fact objects, so the caller's facts are not
+    # held twice.
+    model.update(Fact(pred, args) for pred, rel in relations.items() for args in rel)
+    return model
 
 
 def _eval_stratum(rules: list[Rule], stratum_preds: set[str],
@@ -858,7 +877,7 @@ def _match(pattern, ground: GroundTerm, binding: dict, rule: Rule) -> dict | Non
         return _match_args(pattern.args, ground.args, binding, rule)
     if isinstance(pattern, Arith):
         return binding if _eval_term(pattern, binding, rule) == ground else None
-    if isinstance(pattern, (Number, Str, Const, Func, Tuple)):
+    if isinstance(pattern, GROUND_TYPES):
         return binding if pattern == ground else None
     return None
 

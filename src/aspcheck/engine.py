@@ -36,11 +36,10 @@ __all__ = [
 
 @dataclass(slots=True)
 class RunOptions:
-    mode: str = "builtin"  # builtin | bridge
     fail_fast: bool = True
-    grounder: "object | None" = None  # emit.GrounderBridgeConfig in bridge mode
+    grounder: "object | None" = None  # emit.GrounderBridgeConfig: bridge mode
     program_text: str | None = None  # bridge mode: raw program text to ground
-    extra_rules_text: str | None = None  # builtin mode: rule text joining A
+    rules: tuple[datalog.Rule, ...] = ()  # builtin mode: parsed rules joining asp
 
 
 class AccumulatorStore:
@@ -61,7 +60,7 @@ class AccumulatorStore:
         self.snapshots: dict[str, list[hooks.CheckedInstance]] = {}
         self.prelude: dict[str, object] = {}
         self._compiled: dict[tuple[str, str], hooks.HookScript | None] = {}
-        self._having: dict[tuple[str, int], hooks.HookScript] = {}
+        self._having: dict[tuple[str, int], tuple[str, hooks.HookScript]] = {}
 
     def hook(self, definition: UserDefinition, key: str) -> hooks.HookScript | None:
         cached = self._compiled.get((definition.symbol, key))
@@ -71,11 +70,14 @@ class AccumulatorStore:
             self._compiled[(definition.symbol, key)] = cached
         return cached
 
-    def having_script(self, definition: UserDefinition, index: int) -> hooks.HookScript:
+    def having_script(self, definition: UserDefinition,
+                      index: int) -> tuple[str, hooks.HookScript]:
+        """The comparison's label for diagnostics, and its compiled script."""
         key = (definition.symbol, index)
         if key not in self._having:
             cmp = definition.having[index]
-            self._having[key] = hooks.compile_having(cmp.lhs, cmp.op, cmp.rhs)
+            self._having[key] = (f"having {cmp}",
+                                 hooks.compile_having(cmp.lhs, cmp.op, cmp.rhs))
         return self._having[key]
 
 
@@ -142,31 +144,31 @@ def _check_hooks(definition: UserDefinition, checked: hooks.CheckedInstance,
                  store: AccumulatorStore) -> list[tuple[str, str]]:
     """Run the having comparisons, then after_init; problems in that order."""
     problems: list[tuple[str, str]] = []
-    for index, cmp in enumerate(definition.having):
-        script = store.having_script(definition, index)
-        problem = _run_hook(script, store, instance=checked)
-        if isinstance(problem, hooks.CheckFailure):
-            problems.append(("having", problem.message))
-        elif isinstance(problem, hooks.ScriptEvalError):
-            problems.append(("eval-error", f"having {cmp}: {problem}"))
+    for index in range(len(definition.having)):
+        label, script = store.having_script(definition, index)
+        problem = _run_hook(script, store, label, instance=checked)
+        if problem is not None:
+            problems.append(problem)
 
     # The hook may rely on the declared comparisons, so it is skipped when
     # one failed; facet violations do not block it.
     after_init = None if problems else store.hook(definition, "after_init")
     if after_init:
-        problem = _run_hook(after_init, store, instance=checked,
+        problem = _run_hook(after_init, store, "after_init", instance=checked,
                             snapshot_target=checked)
-        if isinstance(problem, hooks.CheckFailure):
-            problems.append(("hook-fail", problem.message))
-        elif isinstance(problem, hooks.ScriptEvalError):
-            problems.append(("eval-error", f"after_init: {problem}"))
+        if problem is not None:
+            problems.append(problem)
     return problems
 
 
-def _run_hook(script: hooks.HookScript, store: AccumulatorStore, *,
+def _run_hook(script: hooks.HookScript, store: AccumulatorStore, label: str, *,
               instance: hooks.CheckedInstance | None,
-              snapshot_target: hooks.CheckedInstance | None = None):
-    """Run a script against the store; return the failure instead of raising."""
+              snapshot_target: hooks.CheckedInstance | None = None
+              ) -> tuple[str, str] | None:
+    """Run a script against the store; return its problem as (rule, message).
+
+    label is "having <comparison>" or the hook's key, e.g. "after_init".
+    """
     on_snapshot = None
     if snapshot_target is not None:
         def on_snapshot():
@@ -179,8 +181,10 @@ def _run_hook(script: hooks.HookScript, store: AccumulatorStore, *,
     )
     try:
         hooks.eval_instance(script, env)
-    except (hooks.CheckFailure, hooks.ScriptEvalError) as exc:
-        return exc
+    except hooks.CheckFailure as exc:
+        return ("having" if label.startswith("having") else "hook-fail", exc.message)
+    except hooks.ScriptEvalError as exc:
+        return "eval-error", f"{label}: {exc}"
     return None
 
 
@@ -316,37 +320,23 @@ def finalize(definition: UserDefinition, store: AccumulatorStore) -> list[Diagno
                 diags.append(diag("count",
                                   f"found {count} instances of {symbol},"
                                   f" expected {expected}"))
-        if fld.facets.sum_pos is not None:
-            lo, hi = fld.facets.sum_pos
-            total = store.sums_pos.get((symbol, fld.name), 0)
-            if total < lo or total > hi:
-                diags.append(diag("sum-pos",
-                                  f"sum of positive {fld.name} in {symbol} is {total},"
-                                  f" outside [{lo}, {hi}]"))
-        if fld.facets.sum_neg is not None:
-            lo, hi = fld.facets.sum_neg
-            total = store.sums_neg.get((symbol, fld.name), 0)
-            if total < lo or total > hi:
-                diags.append(diag("sum-neg",
-                                  f"sum of negative {fld.name} in {symbol} is {total},"
-                                  f" outside [{lo}, {hi}]"))
+        for rule, sign, bounds, sums in (
+                ("sum-pos", "positive", fld.facets.sum_pos, store.sums_pos),
+                ("sum-neg", "negative", fld.facets.sum_neg, store.sums_neg)):
+            total = sums.get((symbol, fld.name), 0)
+            if bounds is not None and not bounds[0] <= total <= bounds[1]:
+                diags.append(diag(rule, f"sum of {sign} {fld.name} in {symbol} is {total},"
+                                        f" outside [{bounds[0]}, {bounds[1]}]"))
 
     after = store.hook(definition, "after_grounding")
     if after:
-        if after.uses_self:
-            for snap in store.snapshots.get(symbol, []):
-                problem = _run_hook(after, store, instance=snap)
-                if isinstance(problem, hooks.CheckFailure):
-                    diags.append(diag("hook-fail", problem.message,
-                                      instance=render(snap.source)))
-                elif isinstance(problem, hooks.ScriptEvalError):
-                    diags.append(diag("eval-error", f"after_grounding: {problem}"))
-        else:
-            problem = _run_hook(after, store, instance=None)
-            if isinstance(problem, hooks.CheckFailure):
-                diags.append(diag("hook-fail", problem.message))
-            elif isinstance(problem, hooks.ScriptEvalError):
-                diags.append(diag("eval-error", f"after_grounding: {problem}"))
+        # A hook over self runs once per snapshot, any other hook once.
+        for snap in store.snapshots.get(symbol, []) if after.uses_self else [None]:
+            problem = _run_hook(after, store, "after_grounding", instance=snap)
+            if problem is not None:
+                rule, message = problem
+                shown = render(snap.source) if snap is not None and rule == "hook-fail" else None
+                diags.append(diag(rule, message, instance=shown))
     return diags
 
 
@@ -391,14 +381,9 @@ def run(spec: ValidationSpec, facts, options: RunOptions | None = None) -> Valid
         script = store.hook(definition, "before_grounding")
         if not script:
             continue
-        problem = _run_hook(script, store, instance=None)
-        if isinstance(problem, hooks.CheckFailure):
-            diags.append(Diagnostic("before", symbol, "hook-fail", problem.message,
-                                    arity=definition.arity))
-        elif isinstance(problem, hooks.ScriptEvalError):
-            diags.append(Diagnostic("before", symbol, "eval-error",
-                                    f"before_grounding: {problem}",
-                                    arity=definition.arity))
+        problem = _run_hook(script, store, "before_grounding", instance=None)
+        if problem is not None:
+            diags.append(Diagnostic("before", symbol, *problem, arity=definition.arity))
         if diags and options.fail_fast:
             return report()
 
@@ -433,18 +418,14 @@ def run(spec: ValidationSpec, facts, options: RunOptions | None = None) -> Valid
 
 def _instance_set(spec: ValidationSpec, facts, options: RunOptions):
     """Step 3: input atoms plus whatever the auxiliary program derives."""
-    facts = set(facts)
-    if options.mode == "bridge":
+    if options.grounder is not None:
         from . import emit
 
-        if options.grounder is None:
-            return None, Diagnostic("before", "", "bridge-error",
-                                    "bridge mode needs a grounder command")
         if options.program_text is not None:
             program_text = options.program_text
         else:
-            program_text = "\n".join(
-                render(f.term()) + "." for f in sorted(facts, key=lambda f: sort_key(f.term())))
+            program_text = "\n".join(render(f.term()) + "." for f in
+                                     sorted(set(facts), key=lambda f: sort_key(f.term())))
         if spec.asp_program:
             program_text += "\n" + spec.asp_program
         try:
@@ -452,16 +433,20 @@ def _instance_set(spec: ValidationSpec, facts, options: RunOptions):
         except emit.BridgeError as exc:
             return None, Diagnostic("before", "", "bridge-error", str(exc))
 
-    rule_text = "\n".join(t for t in (spec.asp_program, options.extra_rules_text) if t)
-    if not rule_text.strip():
-        return facts, None
+    program = datalog.Program([])
+    if spec.asp_program and not spec.asp_program.isspace():
+        try:
+            program = datalog.parse_program(spec.asp_program)
+        except (datalog.ProgramSyntaxError, datalog.UnsafeRuleError,
+                datalog.UnstratifiedError) as exc:
+            return None, Diagnostic("before", "", "asp-syntax", str(exc))
+    rules = program.rules + list(options.rules)
+    if not rules:
+        return {*program.facts, *facts}, None
     try:
-        program = datalog.parse_program(rule_text)
-    except (datalog.ProgramSyntaxError, datalog.UnsafeRuleError,
-            datalog.UnstratifiedError) as exc:
+        return datalog.evaluate(datalog.Program(rules, program.facts), facts), None
+    except datalog.UnstratifiedError as exc:  # only the joined rules have the cycle
         return None, Diagnostic("before", "", "asp-syntax", str(exc))
-    try:
-        return datalog.evaluate(program, facts), None
     except datalog.EvaluationError as exc:
         return None, Diagnostic("before", "", "eval-error", str(exc))
 

@@ -24,9 +24,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
-from .terms import Const, Func, GroundTerm, Number, Str, Tuple, compare, render
-
-_TERM_TYPES = (Number, Str, Const, Func, Tuple)
+from .terms import GROUND_TYPES, GroundTerm, Number, Str, compare, render
 
 __all__ = [
     "CheckFailure",
@@ -272,22 +270,16 @@ def _tokenize_line(line: str, lineno: int) -> list[_Tok]:
     return toks
 
 
+_SCRIPT_ESCAPES = {"\\\\": "\\", "\\'": "'", '\\"': '"', "\\n": "\n"}
+
+
 def _decode_script_string(tok: _Tok) -> str:
-    body = tok.text[1:-1]
-    out: list[str] = []
-    i = 0
-    while i < len(body):
-        if body[i] == "\\":
-            esc = body[i + 1 : i + 2]
-            mapped = {"\\": "\\", "'": "'", '"': '"', "n": "\n"}.get(esc)
-            if mapped is None:
-                raise ScriptSyntaxError(f"unsupported escape \\{esc}", tok.line, tok.column)
-            out.append(mapped)
-            i += 2
-        else:
-            out.append(body[i])
-            i += 1
-    return "".join(out)
+    def unescape(m: re.Match) -> str:
+        if m.group() not in _SCRIPT_ESCAPES:
+            raise ScriptSyntaxError(f"unsupported escape {m.group()}", tok.line, tok.column)
+        return _SCRIPT_ESCAPES[m.group()]
+
+    return re.sub(r"\\.", unescape, tok.text[1:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -412,32 +404,28 @@ class _LineParser:
         if t.kind == "name":
             self.advance()
             if self.cur.text == "(":
-                self.advance()
-                args: list = []
-                if self.cur.text != ")":
-                    args.append(self.expr())
-                    while self.cur.text == ",":
-                        self.advance()
-                        args.append(self.expr())
-                self.expect(")", "')' closing the call")
-                return ECall(t.text, tuple(args))
+                return ECall(t.text, self.expr_list(")", "')' closing the call"))
             return EName(t.text)
         if t.text == "[":
-            self.advance()
-            items: list = []
-            if self.cur.text != "]":
-                items.append(self.expr())
-                while self.cur.text == ",":
-                    self.advance()
-                    items.append(self.expr())
-            self.expect("]", "']' closing the list")
-            return EList(tuple(items))
+            return EList(self.expr_list("]", "']' closing the list"))
         if t.text == "(":
             self.advance()
             inner = self.expr()
             self.expect(")", "')'")
             return inner
         raise self.error("an expression")
+
+    def expr_list(self, close: str, expected: str) -> tuple:
+        """Comma-separated expressions after the opening bracket, to close."""
+        self.advance()
+        items: list = []
+        if self.cur.text != close:
+            items.append(self.expr())
+            while self.cur.text == ",":
+                self.advance()
+                items.append(self.expr())
+        self.expect(close, expected)
+        return tuple(items)
 
     # statements ------------------------------------------------------------
 
@@ -513,8 +501,10 @@ def parse_script(text: str) -> HookScript:
     return HookScript(
         statements=stmts,
         source=text,
-        uses_self=any(_walk_uses_self(s) for s in stmts),
-        uses_append_snapshot=any(_walk_uses_snapshot(s) for s in stmts),
+        uses_self=any(_mentions(s, lambda n: isinstance(n, ESelf)) for s in stmts),
+        uses_append_snapshot=any(
+            _mentions(s, lambda n: isinstance(n, ECall) and n.name == "append_snapshot")
+            for s in stmts),
     )
 
 
@@ -561,32 +551,14 @@ def _parse_statement(lines, i: int):
     return stmt, i + 1
 
 
-def _walk_uses_self(node) -> bool:
-    if isinstance(node, ESelf):
+def _mentions(node, hit) -> bool:
+    """Whether hit holds for the statement or expression or any node in it."""
+    if hit(node):
         return True
-    if isinstance(node, SFail):
-        return any(not isinstance(s, str) and _walk_uses_self(s) for s in node.segments)
-    for f in getattr(node, "__dataclass_fields__", {}):
+    for f in node.__dataclass_fields__:
         v = getattr(node, f)
-        if isinstance(v, tuple):
-            if any(_walk_uses_self(x) for x in v if not isinstance(x, str)):
-                return True
-        elif isinstance(v, Stmt + Expr):
-            if _walk_uses_self(v):
-                return True
-    return False
-
-
-def _walk_uses_snapshot(node) -> bool:
-    if isinstance(node, ECall) and node.name == "append_snapshot":
-        return True
-    for f in getattr(node, "__dataclass_fields__", {}):
-        v = getattr(node, f)
-        if isinstance(v, tuple):
-            if any(_walk_uses_snapshot(x) for x in v if not isinstance(x, str)):
-                return True
-        elif isinstance(v, Stmt + Expr):
-            if _walk_uses_snapshot(v):
+        for child in v if isinstance(v, tuple) else (v,):
+            if isinstance(child, Stmt + Expr) and _mentions(child, hit):
                 return True
     return False
 
@@ -782,7 +754,7 @@ def _is_int(v) -> bool:
 
 
 def _is_term(v) -> bool:
-    return isinstance(v, _TERM_TYPES)
+    return isinstance(v, GROUND_TYPES)
 
 
 def _truth(v) -> bool:

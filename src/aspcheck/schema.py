@@ -415,10 +415,6 @@ _PRIMITIVES = {t.value: t for t in PrimitiveType}
 
 def _parse_field(symbol: str, name: str, entry, *, position: int) -> FieldDecl:
     path = f"{symbol}.{name}"
-    if name == RESERVED_KEY:
-        raise _err(path, "reserved-name",
-                   f"{RESERVED_KEY!r} is reserved and cannot be a field name",
-                   symbol=symbol)
     if not re.fullmatch(r"_*[a-z][A-Za-z0-9_]*", name):
         raise _err(path, "facet-value", f"{name!r} is not a valid field name",
                    symbol=symbol)
@@ -473,37 +469,27 @@ def check_spec(spec: ValidationSpec) -> list[Diagnostic]:
                         "spec-load", symbol, "having-field",
                         f"{symbol}: having {cmp} names unknown field {side!r}"))
         for key in ("before_grounding", "after_init", "after_grounding"):
-            diags.extend(_check_hook(symbol, key, getattr(definition, key)))
+            diags.extend(_check_hook(symbol, f"{symbol}.{RESERVED_KEY}.{key}",
+                                     getattr(definition, key)))
 
-    diags.extend(_check_prelude(spec))
+    hint = ""
+    if spec.prelude_key == "python":
+        hint = (" (the 'python' key is a deprecated alias: rename it to 'script'"
+                " and write the body in the validation script language)")
+    diags.extend(_check_hook("", f"{RESERVED_KEY}.{spec.prelude_key}", spec.prelude, hint))
     diags.extend(_check_type_cycles(spec))
     return diags
 
 
-def _check_hook(symbol: str, key: str, hook) -> list[Diagnostic]:
+def _check_hook(symbol: str, where: str, hook, hint: str = "") -> list[Diagnostic]:
+    """A script-syntax diagnostic for hook text kept because it did not parse."""
     if not isinstance(hook, str):
         return []
     try:
         hooks.parse_script(hook)
         return []
     except hooks.ScriptSyntaxError as exc:
-        return [Diagnostic("spec-load", symbol, "script-syntax",
-                           f"{symbol}.{RESERVED_KEY}.{key}: {exc}")]
-
-
-def _check_prelude(spec: ValidationSpec) -> list[Diagnostic]:
-    if not isinstance(spec.prelude, str):
-        return []
-    try:
-        hooks.parse_script(spec.prelude)
-        return []
-    except hooks.ScriptSyntaxError as exc:
-        message = f"{RESERVED_KEY}.{spec.prelude_key}: {exc}"
-        if spec.prelude_key == "python":
-            message += (" (the 'python' key is a deprecated alias: rename it to"
-                        " 'script' and write the body in the validation script"
-                        " language)")
-        return [Diagnostic("spec-load", "", "script-syntax", message)]
+        return [Diagnostic("spec-load", symbol, "script-syntax", f"{where}: {exc}{hint}")]
 
 
 def _check_enum_kinds(symbol: str, f: FieldDecl) -> list[Diagnostic]:

@@ -31,6 +31,10 @@ __all__ = [
     "sort_key",
 ]
 
+# How deeply terms may nest parentheses; deeper input is a ParseError
+# rather than a RecursionError in the recursive-descent parsers.
+MAX_NESTING = 100
+
 # Matches gringo-style identifiers; leading underscores are legal so that
 # auxiliary predicates like __in_range can be declared and derived.
 IDENT_RE = re.compile(r"_*[a-z][A-Za-z0-9_]*\Z")
@@ -69,6 +73,7 @@ class Tuple:
 
 
 GroundTerm = Union[Number, Str, Const, Func, Tuple]
+GROUND_TYPES = (Number, Str, Const, Func, Tuple)  # for isinstance checks
 
 
 @dataclass(frozen=True, slots=True)
@@ -152,6 +157,7 @@ class TokenCursor:
         self.text = text
         self._next = self._lex().__next__
         self.cur = self._next()
+        self.depth = 0
 
     def _lex(self) -> Iterator[_Token]:
         for m in _TOKEN_RE.finditer(self.text):
@@ -172,6 +178,36 @@ class TokenCursor:
         if self.cur.text != text:
             raise self.error(expected)
         return self.advance()
+
+    def open_paren(self) -> None:
+        """Consume the '(' of a nested term, at most MAX_NESTING deep."""
+        if self.depth == MAX_NESTING:
+            raise self.error_at(f"terms nested more than {MAX_NESTING} levels deep")
+        self.depth += 1
+        self.advance()
+
+    def close_paren(self, expected: str) -> None:
+        self.expect(")", expected)
+        self.depth -= 1
+
+    def parenthesized(self, item) -> tuple[list, bool]:
+        """The items of '(' ... ')' and whether they form a tuple.
+
+        (t) is just t; (), (t,) and (t,u) are tuples.
+        """
+        self.open_paren()
+        items = []
+        is_tuple = self.cur.text == ")"
+        if not is_tuple:
+            items.append(item())
+            while self.cur.text == ",":
+                is_tuple = True
+                self.advance()
+                if self.cur.text == ")":  # trailing comma: (1,)
+                    break
+                items.append(item())
+        self.close_paren("')' closing the parenthesis")
+        return items, is_tuple
 
     def error_at(self, message: str, offset: int | None = None) -> ParseError:
         """An error at the offset, by default that of the current token."""
@@ -221,26 +257,13 @@ class _Parser(TokenCursor):
         if tok.kind == "ident":
             self.advance()
             if self.cur.text == "(":
-                self.advance()
+                self.open_paren()
                 args = self.term_list()
-                self.expect(")", "')' closing argument list")
+                self.close_paren("')' closing argument list")
                 return Func(tok.text, tuple(args))
             return Const(tok.text)
         if tok.text == "(":
-            # As in the rule grammar: (t) is t, and only (t,) is a 1-tuple.
-            self.advance()
-            if self.cur.text == ")":
-                self.advance()
-                return Tuple(())
-            args = [self.term()]
-            is_tuple = False
-            while self.cur.text == ",":
-                is_tuple = True
-                self.advance()
-                if self.cur.text == ")":  # trailing comma: (1,)
-                    break
-                args.append(self.term())
-            self.expect(")", "')' closing tuple")
+            args, is_tuple = self.parenthesized(self.term)
             return Tuple(tuple(args)) if is_tuple else args[0]
         raise self.error("a term (number, string, constant, function or tuple)")
 

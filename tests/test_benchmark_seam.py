@@ -45,7 +45,9 @@ def test_traced_cli_run_reaches_every_patched_layer(tmp_path, monkeypatch, capsy
     assert code == 1
     assert "Value out of bound in givenmove(2,3,9,4): 9" in capsys.readouterr().out
     assert {name: tracer.calls(name) > 0 for name in TRACED} == dict.fromkeys(TRACED, True)
-    # The CLI parses its input twice (pre-check, then the run) and checks
-    # the spec twice (load_spec, then run).
+    # The CLI parses its input once and the spec's asp once; the input's
+    # facts are not rules, so only the spec's 8 rules are counted.  The spec
+    # is checked twice (load_spec, then run).
     assert tracer.calls("datalog.parse_program") == 2
+    assert tracer.counters["datalog.parse_program.rules"] == 8
     assert tracer.calls("schema.check_spec") == 2

@@ -75,6 +75,29 @@ class TestValidate:
         assert "invalid input" in err
         assert "(line 1, column 5)" in err
 
+    @pytest.mark.parametrize("facts_text, position", [
+        ("p(1).\np(a..b).\n", "(line 2, column 3)"),
+        ("p(1/0).\n", "(line 1, column 4)"),
+    ])
+    def test_bad_constant_in_fact_exit_1(self, tmp_path, capsys, facts_text, position):
+        spec = write(tmp_path, "p.yaml", "p:\n    x: Integer\n")
+        facts = write(tmp_path, "bad.lp", facts_text)
+        assert main(["validate", spec, facts]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input: ")
+        assert position in err
+
+    @pytest.mark.parametrize("depth, code", [(100, 0), (101, 1), (5000, 1)])
+    def test_deep_nesting(self, tmp_path, capsys, depth, code):
+        spec = write(tmp_path, "p.yaml", "p:\n    x: Any\n")
+        facts = write(tmp_path, "deep.lp", "p(" + "f(" * depth + "1" + ")" * depth + ").")
+        assert main(["validate", spec, facts]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith("invalid input: terms nested more than 100 levels")
+            assert "(line 1, column 204)" in err
+            assert "Traceback" not in err
+
     @pytest.mark.parametrize("spec_text, facts_text, verdict", [
         ("p:\n    x: Integer\n", "p((1)).\n", "valid"),
         ("q:\n    s: String\n", 'q("a\\tb").\n', "invalid"),

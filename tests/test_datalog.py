@@ -119,6 +119,43 @@ class TestParsing:
         assert str(exc.value).endswith(f"(line {line}, column {column})")
 
 
+class TestFacts:
+    def test_ground_bodyless_rules_are_facts(self):
+        program = parse_program('p(1). q(f(a),(1,"s")). t(2+3).\n'
+                                "r(X) :- p(X). s(1..3).")
+        assert [render(f.term()) for f in program.facts] == [
+            "p(1)", 'q(f(a),(1,"s"))', "t(5)"]
+        assert [r.head.pred for r in program.rules] == ["r", "s"]
+        assert program.rules[1].plan == ()
+
+    def test_permissive_parse_splits_facts_too(self):
+        program = parse_program("p(1).\n:- p(X), @f(X) != 1.", permissive=True)
+        assert program.facts == [Fact("p", (Number(1),))]
+        assert len(program.rules) == 1
+
+    def test_interval_rule_feeds_later_rules(self):
+        program = parse_program("q(X) :- r(X), X > 1. r(1..3).")
+        assert preds(evaluate(program, []), "q") == ["q(2)", "q(3)"]
+
+    @pytest.mark.parametrize("text, line, column, message", [
+        ("p(a..b).", 1, 3, "interval bounds must be integers"),
+        ('q(1).\n  p(1..f("x")).', 2, 5, "interval bounds must be integers"),
+        ("q(1).\np(1/0).", 2, 4, "division by zero"),
+        ("p(f(2 / (1-1))).", 1, 7, "division by zero"),
+    ])
+    def test_bad_constants_in_facts_are_syntax_errors(self, text, line, column,
+                                                       message):
+        with pytest.raises(ProgramSyntaxError, match=message) as exc:
+            parse_program(text)
+        assert (exc.value.line, exc.value.column) == (line, column)
+
+    @pytest.mark.parametrize("rule", ["q(Y) :- p(X), Y = X/0.", "q(1/0) :- p(1)."])
+    def test_division_by_zero_in_rules_is_reported_at_evaluation(self, rule):
+        program = parse_program(rule)
+        with pytest.raises(EvaluationError, match="division by zero"):
+            evaluate(program, parse_facts("p(1)."))
+
+
 class TestStratify:
     def test_poset_has_two_strata(self):
         strata = stratify(parse_program(POSET_RULES))
@@ -139,7 +176,11 @@ class TestStratify:
             parse_program("p(N) :- N = #count{X : p(X)}, q(N).")
 
     def test_fact_only_program_single_stratum(self):
-        assert len(stratify(parse_program("p(1). q(2)."))) == 1
+        # Facts are not rules, so they have no stratum.
+        program = parse_program("p(1). q(2).")
+        assert stratify(program) == []
+        assert preds(evaluate(program, []), "p") == ["p(1)"]
+        assert preds(evaluate(program, []), "q") == ["q(2)"]
 
     def test_positive_recursion_is_fine(self):
         strata = stratify(parse_program("t(X,Y) :- e(X,Y). t(X,Z) :- t(X,Y), e(Y,Z)."))

@@ -187,7 +187,7 @@ class TestBridgeRun:
 
         spec = load_fixture("solitaire.yaml")
         canned = "\n".join(SOLITAIRE_ATOMS + ["location(1,1)."])
-        options = RunOptions(mode="bridge", grounder=echo_grounder(canned),
+        options = RunOptions(grounder=echo_grounder(canned),
                              program_text="location(1,1).")
         report = run(spec, [], options)
         assert report.verdict == "invalid"
@@ -199,7 +199,7 @@ class TestBridgeRun:
         spec = load_fixture("income.yaml")
         config = GrounderBridgeConfig(command=(
             sys.executable, "-c", "import sys; sys.exit(1)"))
-        report = run(spec, [], RunOptions(mode="bridge", grounder=config))
+        report = run(spec, [], RunOptions(grounder=config))
         assert report.verdict == "spec-error"
         assert report.diagnostics[0].rule == "bridge-error"
 
@@ -211,6 +211,6 @@ class TestBridgeRun:
             sys.executable, "-c", "import sys; sys.stdout.write(sys.stdin.read())"))
         facts = parse_facts('income("Acme ASP",1500000000).'
                             ' income("Yoyodyne YAML",1500000000).')
-        report = run(spec, facts, RunOptions(mode="bridge", grounder=config))
+        report = run(spec, facts, RunOptions(grounder=config))
         assert report.verdict == "invalid"
         assert report.diagnostics[0].rule == "sum-pos"

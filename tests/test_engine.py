@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from aspcheck import datalog
+from aspcheck.datalog import parse_program
 from aspcheck.diagnostics import render_report
 from aspcheck.engine import (
     AccumulatorStore,
@@ -350,12 +352,41 @@ class TestRunModes:
 
     def test_extra_rules_join_the_aux_program(self):
         spec = load_fixture("income.yaml")
-        options = RunOptions(extra_rules_text='income("Derived", 2000000000)'
-                                              ' :- seed(1).\nseed(1).')
-        report = run(spec, parse_facts('income("Acme", 1500000000).'), options)
+        extra = parse_program('income("Derived", 2000000000) :- seed(1).\nseed(1).')
+        options = RunOptions(rules=tuple(extra.rules))
+        facts = parse_facts('income("Acme", 1500000000).') + extra.facts
+        report = run(spec, facts, options)
         assert report.verdict == "invalid"
         assert single(report).rule == "sum-pos"
         assert "3500000000" in single(report).message
+
+    @pytest.mark.parametrize("fact", ["p(a..b).", "p(1/0)."])
+    def test_bad_constant_in_spec_fact_is_asp_syntax(self, fact):
+        spec = load_spec(f"valasp:\n    asp: |+\n        {fact}\np:\n    a: Integer\n")
+        report = run(spec, [])
+        assert report.verdict == "spec-error"
+        assert single(report).rule == "asp-syntax"
+        assert "(line 1, column " in single(report).message
+
+    def test_cycle_only_in_the_joined_rules_is_asp_syntax(self):
+        spec = load_spec("valasp:\n    asp: |+\n        q(X) :- p(X), not r(X).\n"
+                         "p:\n    a: Integer\n")
+        extra = parse_program("r(X) :- q(X).")
+        report = run(spec, parse_facts("p(1)."), RunOptions(rules=tuple(extra.rules)))
+        assert report.verdict == "spec-error"
+        assert single(report).rule == "asp-syntax"
+        assert "not stratified" in single(report).message
+
+    def test_spec_facts_without_rules_skip_evaluation(self, monkeypatch):
+        def no_evaluate(*args):
+            raise AssertionError("evaluate called without rules")
+
+        monkeypatch.setattr(datalog, "evaluate", no_evaluate)
+        spec = load_spec("valasp:\n    asp: |+\n        p(1). p(2).\n"
+                         "p:\n    a: Integer\n")
+        report = run(spec, parse_facts("p(3)."))
+        assert report.verdict == "valid"
+        assert report.stats.instances_checked == {"p": 3}
 
     def test_videosum_aux_program(self):
         spec = load_fixture("videosum.yaml")

@@ -211,6 +211,28 @@ class TestCompare:
         assert [render(t) for t in by_cmp] == [render(t) for t in by_key]
 
 
+def _nested(depth: int) -> str:
+    return "f(" * depth + "1" + ")" * depth
+
+
+@pytest.mark.parametrize("depth", [101, 5000])
+@pytest.mark.parametrize("parse, text, column", [
+    (parse_term, "{}", 202),
+    (parse_facts, "q.\np({}).", 204),
+    (parse_program, "q.\np({}).", 204),
+])
+def test_nesting_beyond_the_limit_is_a_positioned_error(parse, text, column, depth):
+    with pytest.raises(ParseError, match="nested more than 100 levels") as exc:
+        parse(text.format(_nested(depth)))
+    assert (exc.value.line, exc.value.column) == (1 if parse is parse_term else 2, column)
+
+
+def test_nesting_at_the_limit_parses_alike():
+    term = parse_term(_nested(100))
+    assert parse_facts(f"p({_nested(100)}).")[0].args == (term,)
+    assert parse_program(f"p({_nested(100)}).").facts[0].args == (term,)
+
+
 # Round-trip property over generated terms (depth-limited).
 
 _idents = st.from_regex(r"_{0,2}[a-z][a-z0-9_]{0,5}", fullmatch=True)
@@ -255,3 +277,16 @@ def test_fact_shaped_terms_round_trip_through_parse_facts(term):
         parsed = parse_facts(text + ".")
         assert len(parsed) == 1
         assert parsed[0].term() == term
+
+
+_facts = st.builds(lambda name, args: Fact(name, tuple(args)),
+                   _idents, st.lists(_terms, max_size=3))
+
+
+@given(st.lists(_facts, max_size=4))
+@settings(max_examples=100)
+def test_rule_parser_reads_ground_fact_files_as_facts(facts):
+    text = "".join(render(f.term()) + ".\n" for f in facts)
+    program = parse_program(text)
+    assert program.facts == parse_facts(text)
+    assert program.rules == []
