@@ -11,6 +11,11 @@ parse_program returns it in Program.facts, never as a Rule.
 
 Evaluation is bottom-up and semi-naive per stratum: each iteration joins at
 least one body atom against the tuples derived in the previous iteration.
+Body and aggregate-condition atoms read their relation through hash
+indexes keyed by the argument positions known when the atom is reached
+(ground, or a variable bound earlier in the plan), so a join touches only
+the tuples that agree on those positions.  Indexes are built on first use
+and kept current as relations grow.
 """
 
 from __future__ import annotations
@@ -148,6 +153,9 @@ class Rule:
     body: tuple
     source: str
     plan: tuple = ()  # body reordered so every literal is ready when reached
+    # One entry per plan literal: (occurrence, key positions) for an Atom,
+    # the key positions of each condition literal for an aggregate, else None.
+    lookups: tuple = ()
 
 
 @dataclass(slots=True)
@@ -324,13 +332,17 @@ class _ProgramParser(TokenCursor):
         return node
 
     def unary(self):
-        if self.cur.text == "-":
+        signs = 0
+        while self.cur.text == "-":
             self.advance()
-            operand = self.unary()
-            if isinstance(operand, Number):
-                return Number(-operand.value)
-            return Arith("-", Number(0), operand)
-        return self.primary()
+            signs += 1
+        node = self.primary()
+        for _ in range(signs):
+            if isinstance(node, Number):
+                node = Number(-node.value)
+            else:
+                node = Arith("-", Number(0), node)
+        return node
 
     def primary(self):
         t = self.cur
@@ -482,10 +494,52 @@ def _aggregate_ready(lit: AggregateLit, bound: set[str]) -> bool:
     return needed <= bound
 
 
+def _key_positions(atom: Atom, bound: set[str]) -> tuple[int, ...]:
+    """Argument positions whose values are known before the atom is matched.
+
+    A position is a key if it is ground or a variable bound earlier.  Keys
+    stop at the first argument holding arithmetic, so a failing evaluation
+    is met on the same candidate tuples as in a scan of the relation.
+    """
+    keys = []
+    for pos, arg in enumerate(atom.args):
+        if not _is_pattern(arg):
+            break
+        if isinstance(arg, GROUND_TYPES) or (isinstance(arg, Var) and arg.name in bound):
+            keys.append(pos)
+    return tuple(keys)
+
+
+def _is_pattern(term) -> bool:
+    """True if matching the term never evaluates anything."""
+    if isinstance(term, (FuncPat, TuplePat)):
+        return all(_is_pattern(a) for a in term.args)
+    return not isinstance(term, Arith)
+
+
+def _condition_keys(condition: tuple, bound: set[str]) -> tuple:
+    """Key positions of each aggregate condition atom; None for a comparison."""
+    bound = set(bound)
+    keys: list = []
+    for lit in condition:
+        if isinstance(lit, Atom):
+            keys.append(_key_positions(lit, bound))
+            bound |= _vars_of(lit)
+        else:
+            keys.append(None)
+    return tuple(keys)
+
+
 def _plan_rule(rule: Rule) -> None:
-    """Reorder the body greedily so each literal is evaluable when reached."""
+    """Reorder the body greedily so each literal is evaluable when reached.
+
+    Each planned literal also gets its lookup metadata (see Rule.lookups):
+    an atom's occurrence number counts the atoms before it in the plan.
+    """
     remaining = list(rule.body)
     plan: list = []
+    lookups: list = []
+    atoms = 0
     bound: set[str] = set()
     while remaining:
         progress = False
@@ -516,6 +570,13 @@ def _plan_rule(rule: Rule) -> None:
                         binds = {lit.guard.name}
             if ready:
                 plan.append(lit)
+                if isinstance(lit, Atom):
+                    lookups.append((atoms, _key_positions(lit, bound)))
+                    atoms += 1
+                elif isinstance(lit, AggregateLit):
+                    lookups.append(_condition_keys(lit.agg.condition, bound))
+                else:
+                    lookups.append(None)
                 bound |= binds
                 del remaining[idx]
                 progress = True
@@ -528,6 +589,7 @@ def _plan_rule(rule: Rule) -> None:
     if loose:
         raise UnsafeRuleError(loose[0], rule.source)
     rule.plan = tuple(plan)
+    rule.lookups = tuple(lookups)
 
 
 # ---------------------------------------------------------------------------
@@ -668,101 +730,140 @@ def evaluate(program: Program, input_facts) -> set[Fact]:
     """
     strata = stratify(program.rules)
     stratum_of = {p: i for i, s in enumerate(strata) for p in s}
-    relations: dict[str, set[tuple]] = {}
-
-    def add(pred: str, args: tuple) -> bool:
-        rel = relations.setdefault(pred, set())
-        if args in rel:
-            return False
-        rel.add(args)
-        return True
-
+    relations = _Relations()
     model = set(itertools.chain(program.facts, input_facts))
     for fact in model:
-        add(fact.predicate, fact.args)
+        relations.add(fact.predicate, fact.args)
 
     by_stratum: dict[int, list[Rule]] = {}
     for rule in program.rules:
         by_stratum.setdefault(stratum_of[rule.head.pred], []).append(rule)
 
     for idx in sorted(by_stratum):
-        _eval_stratum(by_stratum[idx], set(strata[idx]), relations, add)
+        _eval_stratum(by_stratum[idx], relations)
 
     # The set keeps the given Fact objects, so the caller's facts are not
     # held twice.
-    model.update(Fact(pred, args) for pred, rel in relations.items() for args in rel)
+    model.update(Fact(pred, args)
+                 for pred, rel in relations.tuples.items() for args in rel)
     return model
 
 
-def _eval_stratum(rules: list[Rule], stratum_preds: set[str],
-                  relations: dict[str, set[tuple]], add) -> None:
-    delta: dict[str, set[tuple]] = {}
+class _Relations:
+    """Tuples by predicate, with hash indexes built on first use.
+
+    An index holds the tuples of one predicate and arity in buckets keyed
+    by their values at some argument positions, each bucket in insertion
+    order.  add keeps every built index current, so lookups stay exact
+    while the relations of the stratum being evaluated grow.
+    """
+
+    __slots__ = ("tuples", "_indexes")
+
+    def __init__(self) -> None:
+        self.tuples: dict[str, set[tuple]] = {}
+        # pred -> (arity, positions) -> key -> bucket
+        self._indexes: dict[str, dict[tuple, dict[tuple, list[tuple]]]] = {}
+
+    def add(self, pred: str, args: tuple) -> bool:
+        rel = self.tuples.get(pred)
+        if rel is None:
+            rel = self.tuples[pred] = set()
+        elif args in rel:
+            return False
+        rel.add(args)
+        indexes = self._indexes.get(pred)
+        if indexes:
+            for (arity, positions), index in indexes.items():
+                if len(args) == arity:
+                    index.setdefault(tuple([args[p] for p in positions]), []).append(args)
+        return True
+
+    def lookup(self, pred: str, arity: int, positions: tuple, key: tuple):
+        """The tuples of pred/arity holding key at positions, as of now."""
+        indexes = self._indexes.get(pred)
+        if indexes is None:
+            indexes = self._indexes[pred] = {}
+        index = indexes.get((arity, positions))
+        if index is None:
+            index = indexes[arity, positions] = {}
+            for args in self.tuples.get(pred, ()):
+                if len(args) == arity:
+                    index.setdefault(tuple([args[p] for p in positions]), []).append(args)
+        bucket = index.get(key)
+        if bucket is None:
+            return ()
+        # Tuples appended while the caller iterates are left to the next
+        # round's delta, as a snapshot would leave them.
+        return itertools.islice(bucket, len(bucket))
+
+
+def _candidates(relations: _Relations, atom: Atom, positions: tuple,
+                binding: dict):
+    """The tuples that can match atom: its key positions already agree."""
+    args = atom.args
+    key = tuple([binding[args[p].name] if isinstance(args[p], Var) else args[p]
+                 for p in positions])
+    return relations.lookup(atom.pred, len(args), positions, key)
+
+
+def _eval_stratum(rules: list[Rule], relations: _Relations) -> None:
+    delta = _Relations()
 
     def derive(rule: Rule, delta_occurrence: int | None,
-               frozen_delta: dict[str, set[tuple]]) -> None:
-        for binding in _solve(rule, rule.plan, 0, {}, relations,
-                              stratum_preds, delta_occurrence, frozen_delta):
+               frozen: _Relations | None) -> None:
+        for binding in _solve(rule, 0, {}, relations, delta_occurrence, frozen):
             for args in _instantiate_head(rule.head, binding, rule):
-                if add(rule.head.pred, args):
-                    delta.setdefault(rule.head.pred, set()).add(args)
+                if relations.add(rule.head.pred, args):
+                    delta.add(rule.head.pred, args)
 
     for rule in rules:
-        derive(rule, None, {})
+        derive(rule, None, None)
 
-    while delta:
-        frozen = delta
-        delta = {}
+    # Only this stratum's heads enter the delta, so an atom over a lower
+    # stratum never reads it.
+    while delta.tuples:
+        frozen, delta = delta, _Relations()
         for rule in rules:
-            occurrence = 0
-            for lit in rule.plan:
-                if isinstance(lit, Atom) and lit.pred in stratum_preds:
-                    if lit.pred in frozen:
-                        derive(rule, occurrence, frozen)
-                    occurrence += 1
+            for lit, lookup in zip(rule.plan, rule.lookups):
+                if isinstance(lit, Atom) and lit.pred in frozen.tuples:
+                    derive(rule, lookup[0], frozen)
     # delta empty: fixpoint reached
 
 
-def _solve(rule: Rule, plan: tuple, i: int, binding: dict,
-           relations: dict[str, set[tuple]], stratum_preds: set[str],
-           delta_occurrence: int | None, frozen_delta: dict[str, set[tuple]]):
+def _solve(rule: Rule, i: int, binding: dict, relations: _Relations,
+           delta_occurrence: int | None, delta: _Relations | None):
+    plan = rule.plan
     if i == len(plan):
         yield binding
         return
     lit = plan[i]
     if isinstance(lit, Atom):
-        occurrence = sum(
-            1 for prev in plan[:i]
-            if isinstance(prev, Atom) and prev.pred in stratum_preds)
-        if lit.pred in stratum_preds and occurrence == delta_occurrence:
-            rel = frozen_delta.get(lit.pred, set())
-        else:
-            rel = relations.get(lit.pred, set())
-        # Snapshot: same-stratum relations grow while generators are live.
-        for args in tuple(rel):
-            if len(args) != len(lit.args):
-                continue
+        occurrence, positions = rule.lookups[i]
+        source = delta if occurrence == delta_occurrence else relations
+        for args in _candidates(source, lit, positions, binding):
             new_binding = _match_args(lit.args, args, binding, rule)
             if new_binding is not None:
-                yield from _solve(rule, plan, i + 1, new_binding, relations,
-                                  stratum_preds, delta_occurrence, frozen_delta)
+                yield from _solve(rule, i + 1, new_binding, relations,
+                                  delta_occurrence, delta)
         return
     if isinstance(lit, NegAtom):
         args = tuple(_eval_term(a, binding, rule) for a in lit.atom.args)
-        if args not in relations.get(lit.atom.pred, set()):
-            yield from _solve(rule, plan, i + 1, binding, relations,
-                              stratum_preds, delta_occurrence, frozen_delta)
+        if args not in relations.tuples.get(lit.atom.pred, ()):
+            yield from _solve(rule, i + 1, binding, relations,
+                              delta_occurrence, delta)
         return
     if isinstance(lit, Comparison):
         result = _eval_comparison(lit, binding, rule)
         if result is not None:
-            yield from _solve(rule, plan, i + 1, result, relations,
-                              stratum_preds, delta_occurrence, frozen_delta)
+            yield from _solve(rule, i + 1, result, relations,
+                              delta_occurrence, delta)
         return
     if isinstance(lit, AggregateLit):
-        result = _eval_aggregate(lit, binding, relations, rule)
+        result = _eval_aggregate(lit, rule.lookups[i], binding, relations, rule)
         if result is not None:
-            yield from _solve(rule, plan, i + 1, result, relations,
-                              stratum_preds, delta_occurrence, frozen_delta)
+            yield from _solve(rule, i + 1, result, relations,
+                              delta_occurrence, delta)
         return
     raise EvaluationError(f"cannot evaluate literal {lit!r}", rule.source, binding)
 
@@ -789,10 +890,11 @@ def _holds(op: str, left: GroundTerm, right: GroundTerm) -> bool:
     return {"<": c < 0, "<=": c <= 0, ">": c > 0, ">=": c >= 0}[op]
 
 
-def _eval_aggregate(lit: AggregateLit, binding: dict,
-                    relations: dict[str, set[tuple]], rule: Rule) -> dict | None:
+def _eval_aggregate(lit: AggregateLit, keys: tuple, binding: dict,
+                    relations: _Relations, rule: Rule) -> dict | None:
     tuples: set[tuple] = set()
-    for cond_binding in _solve_condition(lit.agg.condition, 0, binding, relations, rule):
+    for cond_binding in _solve_condition(lit.agg.condition, keys, 0, binding,
+                                         relations, rule):
         tuples.add(tuple(_eval_term(t, cond_binding, rule) for t in lit.agg.elements))
 
     func = lit.agg.func
@@ -826,25 +928,24 @@ def _eval_aggregate(lit: AggregateLit, binding: dict,
     return binding if _holds(lit.op, value, guard) else None
 
 
-def _solve_condition(condition: tuple, i: int, binding: dict,
-                     relations: dict[str, set[tuple]], rule: Rule):
+def _solve_condition(condition: tuple, keys: tuple, i: int, binding: dict,
+                     relations: _Relations, rule: Rule):
     if i == len(condition):
         yield binding
         return
     lit = condition[i]
     if isinstance(lit, Atom):
-        for args in relations.get(lit.pred, set()):
-            if len(args) != len(lit.args):
-                continue
+        for args in _candidates(relations, lit, keys[i], binding):
             new_binding = _match_args(lit.args, args, binding, rule)
             if new_binding is not None:
-                yield from _solve_condition(condition, i + 1, new_binding,
+                yield from _solve_condition(condition, keys, i + 1, new_binding,
                                             relations, rule)
         return
     if isinstance(lit, Comparison):
         result = _eval_comparison(lit, binding, rule)
         if result is not None:
-            yield from _solve_condition(condition, i + 1, result, relations, rule)
+            yield from _solve_condition(condition, keys, i + 1, result,
+                                        relations, rule)
         return
     raise EvaluationError(f"unsupported aggregate condition {lit!r}",
                           rule.source, binding)

@@ -79,7 +79,14 @@ _VARS = ["X", "Y", "Z", "W"]
 
 
 def generate_program(rng: random.Random, *, max_rules: int = 8,
-                     domain: int = 6, allow_negation: bool = True) -> GenProgram:
+                     domain: int = 6, allow_negation: bool = True,
+                     join_shapes: bool = False) -> GenProgram:
+    """A random layered program.
+
+    With join_shapes, body atoms also take integer constants, and about
+    half of the rules join a predicate with itself.  Off, the random draws
+    (and so the programs for a given seed) are those of the plain shape.
+    """
     edb = [("e0", rng.choice([1, 2])), ("e1", rng.choice([1, 2]))]
     idb = [(f"p{i}", rng.choice([1, 2])) for i in range(rng.randint(1, 3))]
     layer_of = {name: 0 for name, _ in edb}
@@ -105,7 +112,15 @@ def generate_program(rng: random.Random, *, max_rules: int = 8,
             pred = rng.choice(same_or_lower)
             args = tuple(rng.choice(_VARS[: rng.randint(2, 4)])
                          for _ in range(arity_of[pred]))
+            if join_shapes:
+                args = _with_constants(rng, args, domain)
             pos.append((pred, args))
+            bound.extend(a for a in args if isinstance(a, str))
+        if join_shapes and rng.random() < 0.5:
+            pred = rng.choice(pos)[0]
+            args = _with_constants(rng, tuple(rng.choice(_VARS)
+                                              for _ in range(arity_of[pred])), domain)
+            pos.insert(rng.randint(0, len(pos)), (pred, args))
             bound.extend(a for a in args if isinstance(a, str))
         if not bound:
             continue
@@ -121,6 +136,10 @@ def generate_program(rng: random.Random, *, max_rules: int = 8,
             for _ in range(arity_of[head_pred]))
         rules.append((k, GenRule((head_pred, head_args), pos, neg)))
     return GenProgram(facts, rules)
+
+
+def _with_constants(rng: random.Random, args: tuple, domain: int) -> tuple:
+    return tuple(rng.randint(1, domain) if rng.random() < 0.25 else a for a in args)
 
 
 def render_program(program: GenProgram) -> str:
@@ -213,6 +232,25 @@ def bfs_connected(nodes: set[int], edges: set[tuple[int, int]]) -> bool:
                 seen.add(b)
                 queue.append(b)
     return seen == nodes
+
+
+def reachable_pairs(edges: set[tuple[int, int]]) -> set[tuple[int, int]]:
+    """(a, b) for every b reached from a along one or more directed edges."""
+    succ: dict[int, list[int]] = {}
+    for a, b in edges:
+        succ.setdefault(a, []).append(b)
+    pairs = set()
+    for start in succ:
+        seen: set[int] = set()
+        queue = list(succ[start])
+        while queue:
+            current = queue.pop()
+            if current in seen:
+                continue
+            seen.add(current)
+            queue.extend(succ.get(current, ()))
+        pairs.update((start, b) for b in seen)
+    return pairs
 
 
 def is_poset(pairs: set[tuple]) -> bool:

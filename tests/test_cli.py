@@ -98,6 +98,17 @@ class TestValidate:
             assert "(line 1, column 204)" in err
             assert "Traceback" not in err
 
+    @pytest.mark.parametrize("signs, code", [(5000, 0), (5001, 1)])
+    def test_long_run_of_unary_minus(self, tmp_path, capsys, signs, code):
+        spec = write(tmp_path, "p.yaml", "p:\n    x:\n        type: Integer\n"
+                                         "        min: 0\n")
+        facts = write(tmp_path, "minus.lp", "p(" + "-" * signs + "3).")
+        assert main(["validate", spec, facts]) == code
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        if code:
+            assert "p(-3)" in out and "min" in out
+
     @pytest.mark.parametrize("spec_text, facts_text, verdict", [
         ("p:\n    x: Integer\n", "p((1)).\n", "valid"),
         ("q:\n    s: String\n", 'q("a\\tb").\n', "invalid"),

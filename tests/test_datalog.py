@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from aspcheck import datalog
 from aspcheck.datalog import (
     EvaluationError,
     ProgramSyntaxError,
@@ -20,6 +21,7 @@ from _support import (
     generate_program,
     model_as_tuples,
     naive_fixpoint,
+    reachable_pairs,
     render_program,
 )
 
@@ -105,6 +107,11 @@ class TestParsing:
         with pytest.raises(ProgramSyntaxError) as exc:
             parse_program("p(1).\nq(X) :- p(X), .")
         assert exc.value.line == 2
+
+    @pytest.mark.parametrize("signs, value", [(5000, 3), (5001, -3)])
+    def test_long_run_of_unary_minus_folds(self, signs, value):
+        program = parse_program("p(" + "-" * signs + "3).")
+        assert program.facts == [Fact("p", (Number(value),))]
 
     @pytest.mark.parametrize("text, line, column", [
         ("% c\np(1).\nq(X) :- .\n", 3, 9),
@@ -347,3 +354,85 @@ class TestOracleEquivalence:
             model = evaluate(program, facts)
             engine_connected = not any(f.predicate == "unconnected" for f in model)
             assert engine_connected == bfs_connected(nodes, edges)
+
+    def test_join_shapes_match_naive_fixpoint(self):
+        rng = random.Random(4141)
+        shapes = {"constant": 0, "self-join": 0, "repeated variable": 0}
+        for _ in range(150):
+            generated = generate_program(rng, join_shapes=True)
+            program = parse_program(render_program(generated))
+            assert model_as_tuples(evaluate(program, [])) == naive_fixpoint(generated)
+            for _, rule in generated.rules:
+                preds = [pred for pred, _ in rule.pos]
+                shapes["self-join"] += len(set(preds)) < len(preds)
+                names = [[a for a in args if isinstance(a, str)] for _, args in rule.pos]
+                shapes["repeated variable"] += any(len(set(n)) < len(n) for n in names)
+                shapes["constant"] += sum(map(len, names)) < sum(
+                    len(args) for _, args in rule.pos)
+        assert min(shapes.values()) >= 50, shapes
+
+
+def _path_model(rules: str, edges: set[tuple[int, int]]) -> set[tuple[int, int]]:
+    facts = [Fact("edge", (Number(a), Number(b))) for a, b in edges]
+    model = evaluate(parse_program(rules), facts)
+    return {(f.args[0].value, f.args[1].value) for f in model if f.predicate == "path"}
+
+
+class TestIndexedJoins:
+    @pytest.mark.parametrize("recursive_rule", [
+        "path(X,Z) :- path(X,Y), edge(Y,Z).",  # left: the delta is scanned
+        "path(X,Z) :- edge(X,Y), path(Y,Z).",  # right: the delta is looked up
+        "path(X,Z) :- path(X,Y), path(Y,Z).",  # both atoms grow
+    ])
+    def test_recursion_shapes_against_bfs(self, recursive_rule):
+        rules = "path(X,Y) :- edge(X,Y).\n" + recursive_rule
+        rng = random.Random(31)
+        cyclic = 0
+        for _ in range(20):
+            nodes = range(rng.randint(1, 12))
+            edges = {(a, b) for a in nodes for b in nodes if rng.random() < 0.15}
+            expected = reachable_pairs(edges)
+            assert _path_model(rules, edges) == expected
+            cyclic += any(a == b for a, b in expected)
+        assert cyclic >= 10
+
+    def test_count_per_bound_variable_against_brute_force(self):
+        program = parse_program(
+            "out(X,N) :- node(X), N = #count{Y : e(X,Y)}.\n"
+            "loops(X,N) :- node(X), N = #count{Y : e(X,Y), e(Y,X)}.")
+        rng = random.Random(8)
+        for _ in range(20):
+            nodes = range(rng.randint(1, 10))
+            edges = {(a, b) for a in nodes for b in nodes if rng.random() < 0.3}
+            facts = [Fact("node", (Number(n),)) for n in nodes]
+            facts += [Fact("e", (Number(a), Number(b))) for a, b in edges]
+            got = {(f.predicate, f.args[0].value, f.args[1].value)
+                   for f in evaluate(program, facts) if f.predicate in ("out", "loops")}
+            want = {("out", x, sum(1 for y in nodes if (x, y) in edges)) for x in nodes}
+            want |= {("loops", x, sum(1 for y in nodes if (x, y) in edges and (y, x) in edges))
+                     for x in nodes}
+            assert got == want
+
+    def test_key_after_arithmetic_still_sees_every_candidate(self):
+        # r's second argument is bound, but it follows arithmetic that fails
+        # on a non-integer: the error is met as in a scan of r.
+        program = parse_program("q(X) :- p(X), r(X+1, X).")
+        with pytest.raises(EvaluationError, match="non-integers"):
+            evaluate(program, parse_facts("p(a). r(1, b)."))
+
+    @pytest.mark.parametrize("n", [100, 200])
+    def test_matching_work_is_linear_in_the_closure(self, monkeypatch, n):
+        calls = 0
+        match_args = datalog._match_args
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return match_args(*args)
+
+        monkeypatch.setattr(datalog, "_match_args", counting)
+        edges = {(i, i + 1) for i in range(n)}
+        paths = _path_model(
+            "path(X,Y) :- edge(X,Y). path(X,Z) :- path(X,Y), edge(Y,Z).", edges)
+        assert len(paths) == n * (n + 1) // 2
+        assert calls <= 10 * len(paths), (calls, len(paths))
