@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 from .terms import (
     GROUND_TYPES,
+    MAX_NESTING,
     Const,
     Fact,
     Func,
@@ -312,6 +313,8 @@ class _ProgramParser(TokenCursor):
             if all(isinstance(b, GROUND_TYPES) for b in bounds) \
                     and not all(isinstance(b, Number) for b in bounds):
                 self.defect = self.defect or ("interval bounds must be integers", start)
+        if isinstance(node, (Arith, Interval)) and _arith_depth(node) > MAX_NESTING:
+            raise self.error_at(f"arithmetic nested more than {MAX_NESTING} levels deep", start)
         return node
 
     def additive(self):
@@ -389,6 +392,23 @@ class _ProgramParser(TokenCursor):
                 return Tuple(tuple(items))
             return TuplePat(tuple(items))
         raise self.error("a term")
+
+
+def _arith_depth(term) -> int:
+    """The most Arith nodes on one path through term, counted without recursion."""
+    deepest = 0
+    stack = [(term, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if isinstance(node, Arith):
+            depth += 1
+            deepest = max(deepest, depth)
+            stack += ((node.left, depth), (node.right, depth))
+        elif isinstance(node, Interval):
+            stack += ((node.lo, depth), (node.hi, depth))
+        elif isinstance(node, (FuncPat, TuplePat, AtTerm)):
+            stack += ((arg, depth) for arg in node.args)
+    return deepest
 
 
 def _fold(op: str, left, right):

@@ -45,12 +45,10 @@ class GrounderBridgeConfig:
 
     The program is piped to standard input unless an argument contains the
     placeholder ``{file}``, in which case it is written to a temporary file
-    whose path is substituted.  The tool must print ground text on stdout;
-    "text" is the only supported output mode.
+    whose path is substituted.  The tool must print ground text on stdout.
     """
 
     command: tuple[str, ...]
-    mode: str = "text"
     timeout: float = 60.0
 
 
@@ -111,8 +109,6 @@ def ground_with_external(program_text: str, config: GrounderBridgeConfig) -> set
     command: Sequence[str] = config.command
     if not command:
         raise BridgeError("empty grounder command")
-    if config.mode != "text":
-        raise BridgeError(f"unsupported grounder output mode {config.mode!r}")
 
     tmp = None
     stdin_text: str | None = program_text

@@ -59,26 +59,6 @@ class AccumulatorStore:
         self.class_store: dict[str, object] = {}
         self.snapshots: dict[str, list[hooks.CheckedInstance]] = {}
         self.prelude: dict[str, object] = {}
-        self._compiled: dict[tuple[str, str], hooks.HookScript | None] = {}
-        self._having: dict[tuple[str, int], tuple[str, hooks.HookScript]] = {}
-
-    def hook(self, definition: UserDefinition, key: str) -> hooks.HookScript | None:
-        cached = self._compiled.get((definition.symbol, key))
-        if cached is None and (definition.symbol, key) not in self._compiled:
-            raw = getattr(definition, key)
-            cached = hooks.parse_script(raw) if isinstance(raw, str) else raw
-            self._compiled[(definition.symbol, key)] = cached
-        return cached
-
-    def having_script(self, definition: UserDefinition,
-                      index: int) -> tuple[str, hooks.HookScript]:
-        """The comparison's label for diagnostics, and its compiled script."""
-        key = (definition.symbol, index)
-        if key not in self._having:
-            cmp = definition.having[index]
-            self._having[key] = (f"having {cmp}",
-                                 hooks.compile_having(cmp.lhs, cmp.op, cmp.rhs))
-        return self._having[key]
 
 
 def wrap32(n: int) -> int:
@@ -130,29 +110,33 @@ def check_instance(definition: UserDefinition, fact: Fact,
         return diags
 
     checked = hooks.CheckedInstance(symbol, values, fact.term())
-    for rule, message in _check_hooks(definition, checked, store):
+    for rule, message in _having_and_after_init(definition, checked, store):
         diags.append(diag(rule, message))
     if diags:
         return diags
     _update_accumulators(definition, values, store)
-    if _wants_implicit_snapshot(definition, store):
+    if _wants_implicit_snapshot(definition):
         store.snapshots.setdefault(symbol, []).append(checked)
     return []
 
 
-def _check_hooks(definition: UserDefinition, checked: hooks.CheckedInstance,
-                 store: AccumulatorStore) -> list[tuple[str, str]]:
+def _having_and_after_init(definition: UserDefinition, checked: hooks.CheckedInstance,
+                           store: AccumulatorStore) -> list[tuple[str, str]]:
     """Run the having comparisons, then after_init; problems in that order."""
     problems: list[tuple[str, str]] = []
-    for index in range(len(definition.having)):
-        label, script = store.having_script(definition, index)
-        problem = _run_hook(script, store, label, instance=checked)
-        if problem is not None:
-            problems.append(problem)
+    for cmp in definition.having:
+        try:
+            holds = hooks.compare_values(cmp.op, checked.values[cmp.lhs],
+                                         checked.values[cmp.rhs])
+        except hooks.ScriptEvalError as exc:
+            problems.append(("eval-error", f"having {cmp}: {exc}"))
+            continue
+        if not holds:
+            problems.append(("having", f"Expected {cmp}"))
 
     # The hook may rely on the declared comparisons, so it is skipped when
     # one failed; facet violations do not block it.
-    after_init = None if problems else store.hook(definition, "after_init")
+    after_init = None if problems else definition.after_init
     if after_init:
         problem = _run_hook(after_init, store, "after_init", instance=checked,
                             snapshot_target=checked)
@@ -167,7 +151,7 @@ def _run_hook(script: hooks.HookScript, store: AccumulatorStore, label: str, *,
               ) -> tuple[str, str] | None:
     """Run a script against the store; return its problem as (rule, message).
 
-    label is "having <comparison>" or the hook's key, e.g. "after_init".
+    label is the hook's key, e.g. "after_init".
     """
     on_snapshot = None
     if snapshot_target is not None:
@@ -182,7 +166,7 @@ def _run_hook(script: hooks.HookScript, store: AccumulatorStore, label: str, *,
     try:
         hooks.eval_instance(script, env)
     except hooks.CheckFailure as exc:
-        return ("having" if label.startswith("having") else "hook-fail", exc.message)
+        return "hook-fail", exc.message
     except hooks.ScriptEvalError as exc:
         return "eval-error", f"{label}: {exc}"
     return None
@@ -242,7 +226,7 @@ def _check_nested(fld: FieldDecl, term: GroundTerm, store: AccumulatorStore):
         values[inner_fld.name] = inner_value
 
     checked = hooks.CheckedInstance(nested.symbol, values, term)
-    problems = _check_hooks(nested, checked, store)
+    problems = _having_and_after_init(nested, checked, store)
     if problems:
         return None, problems[0]
     return checked, None
@@ -289,12 +273,11 @@ def _update_accumulators(definition: UserDefinition, values: dict,
             store.sums_neg[key] = store.sums_neg.get(key, 0) + value
 
 
-def _wants_implicit_snapshot(definition: UserDefinition,
-                             store: AccumulatorStore) -> bool:
-    after = store.hook(definition, "after_grounding")
+def _wants_implicit_snapshot(definition: UserDefinition) -> bool:
+    after = definition.after_grounding
     if after is None or not after.uses_self:
         return False
-    init = store.hook(definition, "after_init")
+    init = definition.after_init
     return init is None or not init.uses_append_snapshot
 
 
@@ -328,7 +311,7 @@ def finalize(definition: UserDefinition, store: AccumulatorStore) -> list[Diagno
                 diags.append(diag(rule, f"sum of {sign} {fld.name} in {symbol} is {total},"
                                         f" outside [{bounds[0]}, {bounds[1]}]"))
 
-    after = store.hook(definition, "after_grounding")
+    after = definition.after_grounding
     if after:
         # A hook over self runs once per snapshot, any other hook once.
         for snap in store.snapshots.get(symbol, []) if after.uses_self else [None]:
@@ -364,10 +347,7 @@ def run(spec: ValidationSpec, facts, options: RunOptions | None = None) -> Valid
 
     # Step 1: the prelude defines run-wide constants.
     try:
-        prelude = spec.prelude
-        if isinstance(prelude, str):  # pragma: no cover - check_spec guards this
-            prelude = hooks.parse_script(prelude)
-        store.prelude = hooks.run_prelude(prelude)
+        store.prelude = hooks.run_prelude(spec.prelude)
     except hooks.CheckFailure as exc:
         diags.append(Diagnostic("before", "", "hook-fail", f"prelude: {exc.message}"))
         return report()
@@ -378,7 +358,7 @@ def run(spec: ValidationSpec, facts, options: RunOptions | None = None) -> Valid
     # Step 2: before hooks, in symbol order.
     for symbol in sorted(spec.definitions):
         definition = spec.definitions[symbol]
-        script = store.hook(definition, "before_grounding")
+        script = definition.before_grounding
         if not script:
             continue
         problem = _run_hook(script, store, "before_grounding", instance=None)

@@ -1,8 +1,8 @@
 """The validation hook mini-language.
 
-`having` comparisons, per-instance checks (after_init), run-level hooks
-(before_grounding / after_grounding) and the global prelude all share one
-small, closed statement language.  It deliberately has no loops, no user
+Per-instance checks (after_init), run-level hooks (before_grounding /
+after_grounding) and the global prelude all share one small, closed
+statement language, and `having` comparisons use its compare_values.  It deliberately has no loops, no user
 functions and no I/O: calendar validity, modulo tests, membership,
 accumulators, snapshot sweeps and formatted failure messages are the whole
 feature set, so a specification stays auditable.
@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
-from .terms import GROUND_TYPES, GroundTerm, Number, Str, compare, render
+from .terms import GROUND_TYPES, MAX_NESTING, GroundTerm, Number, Str, compare, render
 
 __all__ = [
     "CheckFailure",
@@ -36,17 +36,16 @@ __all__ = [
     "parse_script",
     "eval_instance",
     "run_prelude",
-    "compile_having",
+    "compare_values",
 ]
 
 
 class CheckFailure(Exception):
     """Validation verdict: the data is invalid, with a human message."""
 
-    def __init__(self, message: str, source: GroundTerm | None = None):
+    def __init__(self, message: str):
         super().__init__(message)
         self.message = message
-        self.source = source
 
 
 class ScriptEvalError(Exception):
@@ -216,7 +215,6 @@ Stmt = (SAssign, SClsAssign, SClsAugAssign, SIf, SFail, SExpr)
 @dataclass(frozen=True, slots=True)
 class HookScript:
     statements: tuple["Stmt", ...]
-    source: str
     uses_self: bool
     uses_append_snapshot: bool
 
@@ -285,6 +283,26 @@ def _decode_script_string(tok: _Tok) -> str:
 # ---------------------------------------------------------------------------
 # Parser
 
+# Binding strength of the binary operators, loosest first; prefix 'not'
+# sits between 'and' and the comparisons.
+_OR, _AND, _NOT, _CMP, _SUM, _PRODUCT = 1, 2, 3, 4, 5, 6
+_BINARY = {"or": _OR, "and": _AND, "in": _CMP, "not in": _CMP,
+           "==": _CMP, "!=": _CMP, "<": _CMP, "<=": _CMP, ">": _CMP, ">=": _CMP,
+           "+": _SUM, "-": _SUM, "*": _PRODUCT, "//": _PRODUCT, "%": _PRODUCT}
+
+
+_CONSTANTS = {"True": EBool(True), "False": EBool(False), "self": ESelf(), "cls": ECls()}
+
+
+def _binary_node(op: str, prec: int, left, right):
+    if prec <= _AND:
+        return EBoolOp(op, (left, right))
+    if op in ("in", "not in"):
+        return EIn(left, right, negated=op == "not in")
+    if prec == _CMP:
+        return ECompare(op, left, right)
+    return EBin(op, left, right)
+
 
 class _LineParser:
     """Expression and statement parser over one logical line."""
@@ -292,6 +310,7 @@ class _LineParser:
     def __init__(self, toks: list[_Tok]):
         self.toks = toks
         self.i = 0
+        self.open = 0  # brackets open at the current token
 
     @property
     def cur(self) -> _Tok:
@@ -318,114 +337,120 @@ class _LineParser:
     # expressions -----------------------------------------------------------
 
     def expr(self):
-        return self.or_expr()
+        return self.binary(_OR)[0]
 
-    def or_expr(self):
-        parts = [self.and_expr()]
-        while self.cur.text == "or":
-            self.advance()
-            parts.append(self.and_expr())
-        return parts[0] if len(parts) == 1 else EBoolOp("or", tuple(parts))
+    def nested(self, depth: int, tok: _Tok) -> int:
+        """depth, unless it exceeds MAX_NESTING."""
+        if depth > MAX_NESTING:
+            raise ScriptSyntaxError(
+                f"expression nested more than {MAX_NESTING} levels deep", tok.line, tok.column)
+        return depth
 
-    def and_expr(self):
-        parts = [self.not_expr()]
-        while self.cur.text == "and":
-            self.advance()
-            parts.append(self.not_expr())
-        return parts[0] if len(parts) == 1 else EBoolOp("and", tuple(parts))
+    def binary(self, min_prec: int):
+        """(expression, depth) of the operators binding at least min_prec.
 
-    def not_expr(self):
-        if self.cur.text == "not":
+        Precedence climbing from loosest to tightest: or, and, prefix not,
+        comparisons (which do not chain), + -, * // %, prefix -, attribute
+        access.  depth counts the compound nodes on the longest path.
+        """
+        start = self.cur
+        if start.text == "not" and min_prec <= _NOT:
+            nots = self.prefix_run("not")
+            node, depth = self.binary(_CMP)
+            for _ in range(nots):
+                node = ENot(node)
+            depth, limit = self.nested(depth + nots, start), _NOT
+        else:
+            node, depth = self.unary()
+            limit = _PRODUCT
+        last = None
+        while True:
+            t = self.cur
+            op = "not in" if t.text == "not" and self.toks[self.i + 1].text == "in" else t.text
+            prec = _BINARY.get(op)
+            if prec is None or not min_prec <= prec <= limit:
+                return node, depth
             self.advance()
-            return ENot(self.not_expr())
-        return self.comparison()
+            if op == "not in":
+                self.advance()
+            right, right_depth = self.binary(prec + 1)
+            if op == last and prec <= _AND:  # a and b and c is one node
+                node, depth = EBoolOp(op, node.parts + (right,)), max(depth, right_depth + 1)
+            else:
+                node, depth = _binary_node(op, prec, node, right), max(depth, right_depth) + 1
+            depth = self.nested(depth, t)
+            last, limit = op, prec - 1 if prec == _CMP else prec
 
-    def comparison(self):
-        left = self.arith()
-        t = self.cur
-        if t.text in ("==", "!=", "<", "<=", ">", ">="):
+    def prefix_run(self, text: str) -> int:
+        """Consume a run of the prefix operator text; return its length."""
+        count = 0
+        while self.cur.text == text:
             self.advance()
-            return ECompare(t.text, left, self.arith())
-        if t.text == "in":
-            self.advance()
-            return EIn(left, self.arith(), negated=False)
-        if t.text == "not" and self.toks[self.i + 1].text == "in":
-            self.advance()
-            self.advance()
-            return EIn(left, self.arith(), negated=True)
-        return left
-
-    def arith(self):
-        node = self.term()
-        while self.cur.text in ("+", "-"):
-            op = self.advance().text
-            node = EBin(op, node, self.term())
-        return node
-
-    def term(self):
-        node = self.unary()
-        while self.cur.text in ("*", "//", "%"):
-            op = self.advance().text
-            node = EBin(op, node, self.unary())
-        return node
+            count += 1
+        return count
 
     def unary(self):
-        if self.cur.text == "-":
-            self.advance()
-            return ENeg(self.unary())
-        return self.postfix()
-
-    def postfix(self):
-        node = self.atom()
+        start = self.cur
+        negs = self.prefix_run("-")
+        node, depth = self.atom()
         while self.cur.text == ".":
             self.advance()
             if self.cur.kind != "name":
                 raise self.error("an attribute name after '.'")
-            node = EAttr(node, self.advance().text)
-        return node
+            node, depth = EAttr(node, self.advance().text), depth + 1
+        for _ in range(negs):
+            node = ENeg(node)
+        return node, self.nested(depth + negs, start)
 
     def atom(self):
         t = self.cur
         if t.kind == "number":
             self.advance()
-            return ENum(int(t.text))
+            return ENum(int(t.text)), 0
         if t.kind == "string":
             self.advance()
-            return EStr(_decode_script_string(t))
-        if t.text in ("True", "False"):
+            return EStr(_decode_script_string(t)), 0
+        if t.text in _CONSTANTS:
             self.advance()
-            return EBool(t.text == "True")
-        if t.text == "self":
-            self.advance()
-            return ESelf()
-        if t.text == "cls":
-            self.advance()
-            return ECls()
+            return _CONSTANTS[t.text], 0
         if t.kind == "name":
             self.advance()
             if self.cur.text == "(":
-                return ECall(t.text, self.expr_list(")", "')' closing the call"))
-            return EName(t.text)
+                args, depth = self.bracketed(")", "')' closing the call")
+                return ECall(t.text, args), depth
+            return EName(t.text), 0
         if t.text == "[":
-            return EList(self.expr_list("]", "']' closing the list"))
+            items, depth = self.bracketed("]", "']' closing the list")
+            return EList(items), depth
         if t.text == "(":
-            self.advance()
-            inner = self.expr()
-            self.expect(")", "')'")
+            self.open_bracket()
+            inner = self.binary(_OR)
+            self.close_bracket(")", "')'")
             return inner
         raise self.error("an expression")
 
-    def expr_list(self, close: str, expected: str) -> tuple:
-        """Comma-separated expressions after the opening bracket, to close."""
-        self.advance()
-        items: list = []
+    def open_bracket(self) -> _Tok:
+        """Consume an opening bracket, at most MAX_NESTING deep."""
+        tok = self.advance()
+        self.open = self.nested(self.open + 1, tok)
+        return tok
+
+    def close_bracket(self, close: str, expected: str) -> None:
+        self.expect(close, expected)
+        self.open -= 1
+
+    def bracketed(self, close: str, expected: str):
+        """(items, depth) of the comma-separated expressions up to close."""
+        tok = self.open_bracket()
+        items: list = []  # (expression, depth) pairs
         if self.cur.text != close:
-            items.append(self.expr())
+            items.append(self.binary(_OR))
             while self.cur.text == ",":
                 self.advance()
-                items.append(self.expr())
-        self.expect(close, expected)
-        return tuple(items)
+                items.append(self.binary(_OR))
+        self.close_bracket(close, expected)
+        depth = max((depth for _, depth in items), default=0)
+        return tuple(item for item, _ in items), self.nested(depth + 1, tok)
 
     # statements ------------------------------------------------------------
 
@@ -493,14 +518,13 @@ def parse_script(text: str) -> HookScript:
         indent = len(expanded) - len(expanded.lstrip(" "))
         lines.append((indent, _tokenize_line(expanded.strip(), lineno)))
 
-    statements, rest = _parse_block(lines, 0, base_indent=None)
+    statements, rest = _parse_block(lines, 0, base_indent=None, ifs=0)
     if rest != len(lines):
         tok = lines[rest][1][0]
         raise ScriptSyntaxError("unexpected indentation", tok.line, tok.column)
     stmts = tuple(statements)
     return HookScript(
         statements=stmts,
-        source=text,
         uses_self=any(_mentions(s, lambda n: isinstance(n, ESelf)) for s in stmts),
         uses_append_snapshot=any(
             _mentions(s, lambda n: isinstance(n, ECall) and n.name == "append_snapshot")
@@ -508,7 +532,8 @@ def parse_script(text: str) -> HookScript:
     )
 
 
-def _parse_block(lines, start: int, base_indent: int | None):
+def _parse_block(lines, start: int, base_indent: int | None, ifs: int):
+    """The statements of one suite; ifs counts the if blocks around it."""
     statements: list = []
     i = start
     indent = None
@@ -523,15 +548,18 @@ def _parse_block(lines, start: int, base_indent: int | None):
         if line_indent > indent:
             tok = toks[0]
             raise ScriptSyntaxError("unexpected indentation", tok.line, tok.column)
-        stmt, i = _parse_statement(lines, i)
+        stmt, i = _parse_statement(lines, i, ifs)
         statements.append(stmt)
     return statements, i
 
 
-def _parse_statement(lines, i: int):
+def _parse_statement(lines, i: int, ifs: int):
     line_indent, toks = lines[i]
     p = _LineParser(toks)
     if p.cur.text == "if":
+        if ifs == MAX_NESTING:
+            raise ScriptSyntaxError(f"if blocks nested more than {MAX_NESTING} levels deep",
+                                    toks[0].line, toks[0].column)
         p.advance()
         cond = p.expr()
         p.expect(":", "':' after the if condition")
@@ -540,7 +568,7 @@ def _parse_statement(lines, i: int):
             if not p.at_end():
                 raise p.error("end of line after the inline statement")
             return SIf(cond, (body,)), i + 1
-        body_stmts, nxt = _parse_block(lines, i + 1, base_indent=line_indent)
+        body_stmts, nxt = _parse_block(lines, i + 1, base_indent=line_indent, ifs=ifs + 1)
         if not body_stmts:
             raise ScriptSyntaxError("expected an indented block after 'if ...:'",
                                     toks[0].line, toks[0].column)
@@ -582,11 +610,6 @@ def run_prelude(script: HookScript | None) -> dict[str, object]:
     return env.locals
 
 
-def compile_having(lhs: str, op: str, rhs: str) -> HookScript:
-    """Turn a field comparison into the equivalent guard script."""
-    return parse_script(f"if not (self.{lhs} {op} self.{rhs}): fail('Expected {lhs} {op} {rhs}')")
-
-
 def _exec(stmt, env: EvalEnv) -> None:
     if isinstance(stmt, SAssign):
         env.locals[stmt.name] = _eval(stmt.expr, env)
@@ -607,10 +630,8 @@ def _exec(stmt, env: EvalEnv) -> None:
                 _exec(inner, env)
     elif isinstance(stmt, SFail):
         raise CheckFailure(_render_fail(stmt, env))
-    elif isinstance(stmt, SExpr):
-        _eval(stmt.expr, env)
     else:
-        raise ScriptEvalError(f"unknown statement {stmt!r}")
+        _eval(stmt.expr, env)
 
 
 def _render_fail(stmt: SFail, env: EvalEnv) -> str:
@@ -692,15 +713,13 @@ def _eval(node, env: EvalEnv):
                 return True
         return False
     if isinstance(node, ECompare):
-        return _compare_values(node.op, _eval(node.left, env), _eval(node.right, env))
-    if isinstance(node, EIn):
-        seq = _eval(node.seq, env)
-        if not isinstance(seq, list):
-            raise ScriptEvalError("'in' expects a list on the right-hand side")
-        item = _eval(node.item, env)
-        found = any(_compare_values("==", item, member) for member in seq)
-        return not found if node.negated else found
-    raise ScriptEvalError(f"unknown expression {node!r}")
+        return compare_values(node.op, _eval(node.left, env), _eval(node.right, env))
+    seq = _eval(node.seq, env)  # node is an EIn
+    if not isinstance(seq, list):
+        raise ScriptEvalError("'in' expects a list on the right-hand side")
+    item = _eval(node.item, env)
+    found = any(compare_values("==", item, member) for member in seq)
+    return not found if node.negated else found
 
 
 @dataclass(frozen=True, slots=True)
@@ -775,7 +794,8 @@ def _as_term(v) -> GroundTerm:
     raise ScriptEvalError(f"cannot order a value of type {type(v).__name__}")
 
 
-def _compare_values(op: str, left, right) -> bool:
+def compare_values(op: str, left, right) -> bool:
+    """left op right as scripts compare: terms in term order, ScriptEvalError if unordered."""
     uses_terms = any(isinstance(v, CheckedInstance) or _is_term(v) for v in (left, right))
     if uses_terms:
         c = compare(_as_term(left), _as_term(right))
@@ -804,8 +824,6 @@ def _binop(node: EBin, env: EvalEnv):
         return left - right
     if node.op == "*":
         return left * right
-    if node.op in ("//", "%"):
-        if right == 0:
-            raise ScriptEvalError("division by zero")
-        return left // right if node.op == "//" else left % right
-    raise ScriptEvalError(f"unknown operator {node.op!r}")
+    if right == 0:  # node.op is // or %
+        raise ScriptEvalError("division by zero")
+    return left // right if node.op == "//" else left % right

@@ -39,6 +39,9 @@ RESERVED_KEY = "valasp"
 INT32_MIN = -(2**31)
 INT32_MAX = 2**31 - 1
 
+_PYTHON_HINT = (" (the 'python' key is a deprecated alias: rename it to 'script'"
+                " and write the body in the validation script language)")
+
 _HAVING_RE = re.compile(
     r"\s*([A-Za-z_][A-Za-z0-9_]*)\s*(==|!=|<=|>=|<|>)\s*([A-Za-z_][A-Za-z0-9_]*)\s*\Z")
 
@@ -88,16 +91,14 @@ class HavingComparison:
         return f"{self.lhs} {self.op} {self.rhs}"
 
 
-# Hook fields hold the parsed script; raw text is kept only when parsing
-# failed, so check_spec can report the syntax problem as a diagnostic.
 @dataclass(frozen=True, slots=True)
 class UserDefinition:
     symbol: str
     fields: tuple[FieldDecl, ...]
     having: tuple[HavingComparison, ...] = ()
-    before_grounding: "hooks.HookScript | str | None" = None
-    after_init: "hooks.HookScript | str | None" = None
-    after_grounding: "hooks.HookScript | str | None" = None
+    before_grounding: "hooks.HookScript | None" = None
+    after_init: "hooks.HookScript | None" = None
+    after_grounding: "hooks.HookScript | None" = None
 
     @property
     def arity(self) -> int:
@@ -109,10 +110,9 @@ class UserDefinition:
 
 @dataclass(frozen=True, slots=True)
 class ValidationSpec:
-    prelude: "hooks.HookScript | str | None" = None
+    prelude: "hooks.HookScript | None" = None
     asp_program: str | None = None
     definitions: dict[str, UserDefinition] = field(default_factory=dict)
-    prelude_key: str = "script"  # "python" when the deprecated alias was used
 
 
 class SpecError(ValueError):
@@ -295,19 +295,18 @@ def parse_spec(yaml_text: str) -> ValidationSpec:
     if not isinstance(doc, dict):
         raise _err("", "facet-value", "the specification must be a YAML mapping")
 
-    prelude: "hooks.HookScript | str | None" = None
-    prelude_key = "script"
+    prelude = None
     asp_program = None
     definitions: dict[str, UserDefinition] = {}
 
     for key, value in doc.items():
         if key == RESERVED_KEY:
-            prelude, prelude_key, asp_program = _parse_global_block(value)
+            prelude, asp_program = _parse_global_block(value)
         else:
             definitions[key] = _parse_definition(str(key), value)
 
     return ValidationSpec(prelude=prelude, asp_program=asp_program,
-                          definitions=definitions, prelude_key=prelude_key)
+                          definitions=definitions)
 
 
 def _parse_global_block(value):
@@ -321,26 +320,26 @@ def _parse_global_block(value):
         raise _err(RESERVED_KEY, "facet-value", "give either script or python, not both")
 
     prelude = None
-    prelude_key = "script"
     if "script" in value or "python" in value:
-        prelude_key = "script" if "script" in value else "python"
-        text = value[prelude_key]
+        key = "script" if "script" in value else "python"
+        text = value[key]
         if not isinstance(text, str):
-            raise _err(f"{RESERVED_KEY}.{prelude_key}", "facet-value",
+            raise _err(f"{RESERVED_KEY}.{key}", "facet-value",
                        "the prelude must be a text block")
-        prelude = _parse_hook(text)
+        prelude = _parse_hook(text, f"{RESERVED_KEY}.{key}",
+                              hint=_PYTHON_HINT if key == "python" else "")
 
     asp_program = value.get("asp")
     if asp_program is not None and not isinstance(asp_program, str):
         raise _err(f"{RESERVED_KEY}.asp", "facet-value", "asp must be a text block")
-    return prelude, prelude_key, asp_program
+    return prelude, asp_program
 
 
-def _parse_hook(text: str) -> "hooks.HookScript | str":
+def _parse_hook(text: str, where: str, symbol: str = "", hint: str = "") -> "hooks.HookScript":
     try:
         return hooks.parse_script(text)
-    except hooks.ScriptSyntaxError:
-        return text  # reported by check_spec with position details
+    except hooks.ScriptSyntaxError as exc:
+        raise _err(where, "script-syntax", f"{exc}{hint}", symbol=symbol) from exc
 
 
 def _parse_definition(symbol: str, value) -> UserDefinition:
@@ -352,7 +351,7 @@ def _parse_definition(symbol: str, value) -> UserDefinition:
 
     fields: list[FieldDecl] = []
     having: tuple[HavingComparison, ...] = ()
-    hooks_block: dict[str, "hooks.HookScript | str | None"] = {
+    hooks_block: dict[str, "hooks.HookScript | None"] = {
         "before_grounding": None, "after_init": None, "after_grounding": None}
 
     for key, entry in value.items():
@@ -397,16 +396,13 @@ def _parse_symbol_block(symbol: str, block: dict):
                        f"{item!r} is not of the form 'field OP field'", symbol=symbol)
         having.append(HavingComparison(m.group(1), m.group(2), m.group(3)))
 
-    parsed: dict[str, "hooks.HookScript | str | None"] = {}
+    parsed: dict[str, "hooks.HookScript | None"] = {}
     for key in ("before_grounding", "after_init", "after_grounding"):
         text = block.get(key)
-        if text is None:
-            parsed[key] = None
-            continue
-        if not isinstance(text, str):
-            raise _err(f"{symbol}.{RESERVED_KEY}.{key}", "facet-value",
-                       "hook bodies must be text blocks", symbol=symbol)
-        parsed[key] = _parse_hook(text)
+        where = f"{symbol}.{RESERVED_KEY}.{key}"
+        if text is not None and not isinstance(text, str):
+            raise _err(where, "facet-value", "hook bodies must be text blocks", symbol=symbol)
+        parsed[key] = None if text is None else _parse_hook(text, where, symbol)
     return tuple(having), parsed
 
 
@@ -468,28 +464,9 @@ def check_spec(spec: ValidationSpec) -> list[Diagnostic]:
                     diags.append(Diagnostic(
                         "spec-load", symbol, "having-field",
                         f"{symbol}: having {cmp} names unknown field {side!r}"))
-        for key in ("before_grounding", "after_init", "after_grounding"):
-            diags.extend(_check_hook(symbol, f"{symbol}.{RESERVED_KEY}.{key}",
-                                     getattr(definition, key)))
 
-    hint = ""
-    if spec.prelude_key == "python":
-        hint = (" (the 'python' key is a deprecated alias: rename it to 'script'"
-                " and write the body in the validation script language)")
-    diags.extend(_check_hook("", f"{RESERVED_KEY}.{spec.prelude_key}", spec.prelude, hint))
     diags.extend(_check_type_cycles(spec))
     return diags
-
-
-def _check_hook(symbol: str, where: str, hook, hint: str = "") -> list[Diagnostic]:
-    """A script-syntax diagnostic for hook text kept because it did not parse."""
-    if not isinstance(hook, str):
-        return []
-    try:
-        hooks.parse_script(hook)
-        return []
-    except hooks.ScriptSyntaxError as exc:
-        return [Diagnostic("spec-load", symbol, "script-syntax", f"{where}: {exc}{hint}")]
 
 
 def _check_enum_kinds(symbol: str, f: FieldDecl) -> list[Diagnostic]:

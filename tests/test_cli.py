@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -242,6 +243,31 @@ class TestCheck:
                      "p:\n    a:\n        type: Integer\n        'sum*': Integer\n")
         assert main(["check", spec]) == 2
         assert "sum*" in capsys.readouterr().err
+
+
+# Each of these once ended the CLI in a RecursionError traceback.
+@pytest.mark.parametrize("where, text", [
+    ("hook", "if " + "not " * 5000 + "True: x = 1"),
+    ("hook", "x = " + "-" * 5000 + "1"),
+    ("hook", "x = " + "(" * 5000 + "1" + ")" * 5000),
+    ("hook", "".join(" " * i + "if True:\n" for i in range(1200)) + " " * 1200 + "x = 1"),
+    ("rule", "q(1). p(Y) :- q(X), Y = " + "-" * 5000 + "X."),
+    ("rule", "q(1). p(Y) :- q(X), Y = X" + "+1" * 5000 + "."),
+], ids=["not", "minus", "parentheses", "if-blocks", "rule-minus", "rule-plus"])
+def test_deep_nesting_is_a_diagnostic(tmp_path, capsys, where, text):
+    if where == "hook":
+        spec = write(tmp_path, "p.yaml", "p:\n    a: Integer\n    valasp:\n"
+                     "        after_init: |+\n" + textwrap.indent(text, " " * 12) + "\n")
+        facts = write(tmp_path, "p.lp", "p(1).")
+        runs = [(["check", spec], 2), (["validate", spec, facts], 2)]
+    else:
+        spec = write(tmp_path, "p.yaml", "p:\n    a: Integer\n")
+        runs = [(["validate", spec, write(tmp_path, "deep.lp", text)], 1)]
+    for argv, code in runs:
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert "nested more than 100 levels deep" in err
+        assert "Traceback" not in err
 
 
 def test_module_entry_point(tmp_path):

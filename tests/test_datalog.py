@@ -113,6 +113,30 @@ class TestParsing:
         program = parse_program("p(" + "-" * signs + "3).")
         assert program.facts == [Fact("p", (Number(value),))]
 
+    @pytest.mark.parametrize("arith", [
+        "-" * 100 + "X",
+        "X" + "+1" * 100,
+        "(" * 50 + "X" + "*2+1)" * 50,  # two levels per parenthesis
+        "f(" * 50 + "X" + "+1)" * 50 + "+1" * 50,  # counted through f(...)
+    ])
+    def test_arithmetic_at_the_nesting_limit(self, arith):
+        program = parse_program(f"q(1). p(Y) :- q(X), Y = {arith}.")
+        assert len(program.rules) == 1
+
+    @pytest.mark.parametrize("arith", [
+        "-" * 101 + "X",
+        "X" + "+1" * 101,
+        "(" * 50 + "X" + "*2+1)" * 50 + "+1",
+        "f(" * 50 + "X" + "+1)" * 50 + "+1" * 51,
+        "-" * 5000 + "X",
+        "X" + "+1" * 5000,
+    ])
+    def test_arithmetic_beyond_the_nesting_limit(self, arith):
+        with pytest.raises(ProgramSyntaxError,
+                           match="arithmetic nested more than 100 levels deep") as exc:
+            parse_program(f"q(1).\np(Y) :- q(X), Y = {arith}.")
+        assert (exc.value.line, exc.value.column) == (2, 19)
+
     @pytest.mark.parametrize("text, line, column", [
         ("% c\np(1).\nq(X) :- .\n", 3, 9),
         ("p(1).\n  r(X) :- s(X), X ! 2.\n", 2, 19),

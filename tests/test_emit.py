@@ -124,11 +124,6 @@ class TestBridge:
                            parse_facts("r(a,b). r(b,a)."))
         assert bridged == builtin
 
-    def test_unknown_output_mode_rejected(self):
-        config = GrounderBridgeConfig(command=(sys.executable,), mode="smodels")
-        with pytest.raises(BridgeError, match="output mode"):
-            ground_with_external("", config)
-
     def test_budget_program_derives_residuals(self):
         # Π ∪ A for the budget spec over two resources, ground by hand.
         canned = ("init_budget(1,60).\nbudget_spent(1,20).\n"

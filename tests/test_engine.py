@@ -368,6 +368,14 @@ class TestRunModes:
         assert single(report).rule == "asp-syntax"
         assert "(line 1, column " in single(report).message
 
+    def test_deep_arithmetic_in_spec_rules_is_asp_syntax(self):
+        spec = load_spec("valasp:\n    asp: |+\n        q(1). p(Y) :- q(X), Y = X"
+                         + "+1" * 101 + ".\np:\n    a: Integer\n")
+        report = run(spec, [])
+        assert report.verdict == "spec-error"
+        assert single(report).rule == "asp-syntax"
+        assert "arithmetic nested more than 100 levels deep" in single(report).message
+
     def test_cycle_only_in_the_joined_rules_is_asp_syntax(self):
         spec = load_spec("valasp:\n    asp: |+\n        q(X) :- p(X), not r(X).\n"
                          "p:\n    a: Integer\n")

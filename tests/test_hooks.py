@@ -8,12 +8,13 @@ from aspcheck.hooks import (
     EvalEnv,
     ScriptEvalError,
     ScriptSyntaxError,
-    compile_having,
     eval_instance,
     parse_script,
     run_prelude,
 )
-from aspcheck.engine import run
+from aspcheck import hooks
+from aspcheck.diagnostics import render_report
+from aspcheck.engine import RunOptions, run
 from aspcheck.schema import load_spec
 from aspcheck.terms import parse_facts, parse_term
 
@@ -282,25 +283,30 @@ class TestClassHooks:
         assert "self is not available" in diag.message
 
 
+def having_spec(fields, comparison):
+    """A spec of one symbol p with the given fields and one having comparison."""
+    lines = ["p:"] + [f"    {name}: {kind}" for name, kind in fields]
+    lines += ["    valasp:", f"        having: [{comparison}]"]
+    return "\n".join(lines) + "\n"
+
+
 class TestHaving:
     def test_message_matches_declared_comparison(self):
-        script = compile_having("first", "<", "second")
-        with pytest.raises(CheckFailure) as exc:
-            eval_instance(script, EvalEnv(instance={"first": 3, "second": 1}))
-        assert exc.value.message == "Expected first < second"
+        spec = having_spec([("first", "Integer"), ("second", "Integer")], "first < second")
+        diag = only_diagnostic(run_spec(spec, "p(3, 1)."))
+        assert (diag.rule, diag.message) == ("having", "Expected first < second")
 
     def test_term_order_on_user_typed_fields(self):
-        script = compile_having("x", "<", "y")
-        small = CheckedInstance("node", {"value": 1}, parse_term("1"))
-        big = CheckedInstance("node", {"value": 2}, parse_term("2"))
-        eval_instance(script, EvalEnv(instance={"x": small, "y": big}))
-        with pytest.raises(CheckFailure, match="Expected x < y"):
-            eval_instance(script, EvalEnv(instance={"x": big, "y": small}))
+        spec = "node:\n    value: Integer\n" + having_spec(
+            [("x", "node"), ("y", "node")], "x < y")
+        assert run_spec(spec, "p(1, 2).").verdict == "valid"
+        diag = only_diagnostic(run_spec(spec, "p(2, 1)."))
+        assert (diag.rule, diag.message) == ("having", "Expected x < y")
 
     def test_reflexive_equality_always_succeeds(self):
-        script = compile_having("a", "==", "a")
-        for value in (0, -5, "text"):
-            eval_instance(script, EvalEnv(instance={"a": value}))
+        for kind, value in (("Integer", "0"), ("Integer", "-5"), ("String", '"text"')):
+            report = run_spec(having_spec([("a", kind)], "a == a"), f"p({value}).")
+            assert report.verdict == "valid", report.diagnostics
 
     @pytest.mark.parametrize("op,ok,bad", [
         ("<", (1, 2), (2, 2)),
@@ -311,7 +317,70 @@ class TestHaving:
         ("!=", (1, 2), (2, 2)),
     ])
     def test_every_operator(self, op, ok, bad):
-        script = compile_having("l", op, "r")
-        eval_instance(script, EvalEnv(instance={"l": ok[0], "r": ok[1]}))
-        with pytest.raises(CheckFailure):
-            eval_instance(script, EvalEnv(instance={"l": bad[0], "r": bad[1]}))
+        spec = having_spec([("l", "Integer"), ("r", "Integer")], f"l {op} r")
+        assert run_spec(spec, "p(%d, %d)." % ok).verdict == "valid"
+        diag = only_diagnostic(run_spec(spec, "p(%d, %d)." % bad))
+        assert (diag.rule, diag.message) == ("having", f"Expected l {op} r")
+
+    def test_mixed_types_are_an_eval_error_then_a_having_failure(self):
+        spec = load_spec("p:\n    a: Integer\n    b: String\n"
+                         "    valasp:\n        having: [a < b, a == b]\n")
+        report = run(spec, parse_facts('p(1, "x").'), RunOptions(fail_fast=False))
+        assert render_report(report, "jsonl").splitlines() == [
+            '{"arity": 2, "instance": "p(1,\\"x\\")", "message": "having a < b:'
+            ' cannot compare int with str", "phase": "instance", "rule": "eval-error",'
+            ' "symbol": "p"}',
+            '{"arity": 2, "instance": "p(1,\\"x\\")", "message": "Expected a == b",'
+            ' "phase": "instance", "rule": "having", "symbol": "p"}',
+        ]
+
+
+def test_run_parses_no_script(monkeypatch):
+    # Every hook, the prelude and the having comparisons are parsed when the
+    # spec loads; a run only evaluates them.
+    spec = load_spec(
+        "valasp:\n    script: |+\n        limit = 9\n"
+        "p:\n    a: Integer\n    b: Integer\n    valasp:\n"
+        "        having: [a < b]\n"
+        "        before_grounding: |+\n            cls.n = 0\n"
+        "        after_init: |+\n            cls.n += 1\n"
+        "        after_grounding: |+\n            if cls.n > limit: fail('many')\n")
+    calls = []
+    parse = hooks.parse_script
+    monkeypatch.setattr(hooks, "parse_script", lambda *a: calls.append(a) or parse(*a))
+    report = run(spec, parse_facts("p(1, 2). p(3, 4)."))
+    assert report.verdict == "valid", report.diagnostics
+    assert calls == []
+
+
+@pytest.mark.parametrize("text", [
+    "if " + "not " * 100 + "True: x = 1",
+    "x = " + "-" * 100 + "1",
+    "x = " + "(" * 100 + "1" + ")" * 100,
+    "x = " + "[" * 100 + "1" + "]" * 100,
+    "x = " + "len(" * 100 + "1" + ")" * 100,
+    "x = 1" + " + 1" * 100,
+    "x = self" + ".a" * 100,
+    "x = " + "(" * 50 + "1" + " + 1 + 1)" * 50,  # two levels per parenthesis
+    "".join(" " * i + "if True:\n" for i in range(100)) + " " * 100 + "x = 1",
+])
+def test_nesting_at_the_limit_parses(text):
+    assert parse_script(text)
+
+
+@pytest.mark.parametrize("text,line,column", [
+    ("if " + "not " * 101 + "True: x = 1", 1, 4),
+    ("x = " + "-" * 101 + "1", 1, 5),
+    ("x = " + "(" * 101 + "1" + ")" * 101, 1, 105),
+    ("x = " + "[" * 101 + "1" + "]" * 101, 1, 105),
+    ("x = " + "len(" * 101 + "1" + ")" * 101, 1, 408),
+    ("x = 1" + " + 1" * 101, 1, 407),
+    ("x = self" + ".a" * 101, 1, 5),
+    ("x = " + "(" * 51 + "1" + " + 1 + 1)" * 51, 1, 508),
+    ("y = 0\n" + "".join(" " * i + "if True:\n" for i in range(101)) + " " * 101 + "x = 1",
+     102, 1),
+])
+def test_nesting_beyond_the_limit_is_a_positioned_error(text, line, column):
+    with pytest.raises(ScriptSyntaxError, match="nested more than 100 levels") as exc:
+        parse_script(text)
+    assert (exc.value.line, exc.value.column) == (line, column)

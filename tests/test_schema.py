@@ -2,7 +2,7 @@
 
 import pytest
 
-from aspcheck.hooks import HookScript
+from aspcheck.hooks import HookScript, run_prelude
 from aspcheck.schema import (
     INT32_MAX,
     INT32_MIN,
@@ -124,12 +124,12 @@ class TestLoadSpec:
     def test_script_prelude(self):
         spec = load_spec("valasp:\n    script: |+\n        limit = 3\np:\n    a: Integer\n")
         assert isinstance(spec.prelude, HookScript)
-        assert spec.prelude_key == "script"
+        assert run_prelude(spec.prelude) == {"limit": 3}
 
     def test_python_alias_accepted_when_it_parses(self):
         spec = load_spec("valasp:\n    python: |+\n        limit = 3\np:\n    a: Integer\n")
         assert isinstance(spec.prelude, HookScript)
-        assert spec.prelude_key == "python"
+        assert run_prelude(spec.prelude) == {"limit": 3}
 
     def test_python_alias_rejected_with_migration_hint(self):
         with pytest.raises(SpecError, match="deprecated alias"):
@@ -140,6 +140,25 @@ class TestLoadSpec:
         with pytest.raises(SpecError, match="after_init"):
             load_spec("p:\n    a: Integer\n    valasp:\n"
                       "        after_init: |+\n            if self.a >:\n")
+
+    def test_bad_hook_fails_parse_spec(self):
+        with pytest.raises(SpecError) as exc:
+            parse_spec("p:\n    a: Integer\n    valasp:\n"
+                       "        after_init: |+\n            if self.a >:\n")
+        [diag] = exc.value.diagnostics
+        assert (diag.phase, diag.symbol, diag.rule) == ("spec-load", "p", "script-syntax")
+        assert diag.message == ("p.valasp.after_init: expected an expression,"
+                                " got ':' (line 1, column 12)")
+
+    def test_bad_python_prelude_fails_parse_spec_with_hint(self):
+        with pytest.raises(SpecError) as exc:
+            parse_spec("valasp:\n    python: |+\n        import datetime\n")
+        [diag] = exc.value.diagnostics
+        assert (diag.symbol, diag.rule) == ("", "script-syntax")
+        assert diag.message == (
+            "valasp.python: expected end of line, got 'datetime' (line 1, column 8)"
+            " (the 'python' key is a deprecated alias: rename it to 'script'"
+            " and write the body in the validation script language)")
 
     def test_every_fixture_loads_clean(self):
         for path in sorted(FIXTURES.glob("*.yaml")):
