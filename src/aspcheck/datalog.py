@@ -187,7 +187,10 @@ class _ProgramParser(TokenCursor):
     def parse(self) -> tuple[list[Rule], list[Fact]]:
         rules: list[Rule] = []
         facts: list[Fact] = []
-        while self.cur.kind != "end":
+        while True:
+            self.flat_facts(facts)
+            if self.cur.kind == "end":
+                break
             item = self.rule()
             (facts if type(item) is Fact else rules).append(item)
         return rules, facts
@@ -351,7 +354,7 @@ class _ProgramParser(TokenCursor):
         t = self.cur
         if t.kind == "number":
             self.advance()
-            return Number(int(t.text))
+            return Number(self.integer(t.text, t.offset))
         if t.kind == "string":
             self.advance()
             return Str(self.string_value(t))
@@ -1018,9 +1021,9 @@ def _eval_term(term, binding: dict, rule: Rule) -> GroundTerm:
                 f"arithmetic on non-integers ({term.op})", rule.source, binding)
         return Number(_arith(term.op, left.value, right.value, rule.source, binding))
     if isinstance(term, FuncPat):
-        return Func(term.name, tuple(_eval_term(a, binding, rule) for a in term.args))
+        return Func(term.name, _eval_args(term.args, binding, rule))
     if isinstance(term, TuplePat):
-        return Tuple(tuple(_eval_term(a, binding, rule) for a in term.args))
+        return Tuple(_eval_args(term.args, binding, rule))
     if isinstance(term, AtTerm):
         raise EvaluationError(
             f"externally interpreted term @{term.name} cannot be evaluated",
@@ -1029,6 +1032,32 @@ def _eval_term(term, binding: dict, rule: Rule) -> GroundTerm:
         raise EvaluationError("interval outside a fact or rule head",
                               rule.source, binding)
     return term  # ground
+
+
+def _eval_args(args: tuple, binding: dict, rule: Rule) -> tuple:
+    """The values of a derived function's or tuple's arguments.
+
+    Each may nest less than MAX_NESTING deep, so the term built from them
+    nests at most as deep as parsed input may.
+    """
+    values = tuple([_eval_term(a, binding, rule) for a in args])
+    for value in values:
+        if isinstance(value, (Func, Tuple)) and _term_depth(value) >= MAX_NESTING:
+            raise EvaluationError(
+                f"derived term nested more than {MAX_NESTING} levels deep",
+                rule.source, binding)
+    return values
+
+
+def _term_depth(term: GroundTerm) -> int:
+    """The most Func and Tuple nodes on one path through term."""
+    deepest = 0
+    stack = [(term, 1)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        stack += ((a, depth + 1) for a in node.args if isinstance(a, (Func, Tuple)))
+    return deepest
 
 
 def _instantiate_head(head: Atom, binding: dict, rule: Rule):

@@ -59,6 +59,21 @@ class AccumulatorStore:
         self.class_store: dict[str, object] = {}
         self.snapshots: dict[str, list[hooks.CheckedInstance]] = {}
         self.prelude: dict[str, object] = {}
+        self._implicit_snapshot: dict[str, bool] = {}
+
+    def implicit_snapshot(self, definition: UserDefinition) -> bool:
+        """Whether every valid instance of the definition is snapshotted.
+
+        That is so when after_grounding reads self and after_init does not
+        call append_snapshot itself; decided once per symbol.
+        """
+        wanted = self._implicit_snapshot.get(definition.symbol)
+        if wanted is None:
+            after, init = definition.after_grounding, definition.after_init
+            wanted = self._implicit_snapshot[definition.symbol] = (
+                after is not None and after.uses_self
+                and (init is None or not init.uses_append_snapshot))
+        return wanted
 
 
 def wrap32(n: int) -> int:
@@ -78,16 +93,17 @@ def check_instance(definition: UserDefinition, fact: Fact,
     when the instance is fully valid (count tracks every atom processed).
     """
     symbol = definition.symbol
+    arity = definition.arity
     store.counts[symbol] = store.counts.get(symbol, 0) + 1
 
     def diag(rule: str, message: str) -> Diagnostic:
         # Rendered here, not up front: most instances are valid.
         return Diagnostic("instance", symbol, rule, message,
-                          instance=render(fact.term()), arity=definition.arity)
+                          instance=render(fact.term()), arity=arity)
 
-    if len(fact.args) != definition.arity:
+    if len(fact.args) != arity:
         return [diag("wrong-arity",
-                     f"{symbol} is expected to have arity {definition.arity},"
+                     f"{symbol} is expected to have arity {arity},"
                      f" but {len(fact.args)} arguments are found")]
 
     diags: list[Diagnostic] = []
@@ -104,18 +120,20 @@ def check_instance(definition: UserDefinition, fact: Fact,
             for rule, message in _check_facets(fld, values[fld.name], arg):
                 diags.append(diag(rule, message))
 
-    if len(values) < definition.arity:
+    if len(values) < arity:
         # A kind failure leaves the field values incomplete; comparisons and
         # the hook cannot run.  Facet failures only block accumulation.
         return diags
 
-    checked = hooks.CheckedInstance(symbol, values, fact.term())
-    for rule, message in _having_and_after_init(definition, checked, store):
-        diags.append(diag(rule, message))
+    snapshot = store.implicit_snapshot(definition)
+    if definition.having or definition.after_init or snapshot:
+        checked = hooks.CheckedInstance(symbol, values, fact.term())
+        for rule, message in _having_and_after_init(definition, checked, store):
+            diags.append(diag(rule, message))
     if diags:
         return diags
     _update_accumulators(definition, values, store)
-    if _wants_implicit_snapshot(definition):
+    if snapshot:
         store.snapshots.setdefault(symbol, []).append(checked)
     return []
 
@@ -271,14 +289,6 @@ def _update_accumulators(definition: UserDefinition, values: dict,
             store.sums_pos[key] = store.sums_pos.get(key, 0) + value
         if fld.facets.sum_neg is not None and value < 0:
             store.sums_neg[key] = store.sums_neg.get(key, 0) + value
-
-
-def _wants_implicit_snapshot(definition: UserDefinition) -> bool:
-    after = definition.after_grounding
-    if after is None or not after.uses_self:
-        return False
-    init = definition.after_init
-    return init is None or not init.uses_append_snapshot
 
 
 # ---------------------------------------------------------------------------
@@ -444,4 +454,15 @@ def _grouped_instances(spec: ValidationSpec, atoms):
         if definition is not None and len(atom.args) == definition.arity:
             groups.setdefault(atom.predicate, []).append(atom)
     for symbol in sorted(groups):
-        yield symbol, sorted(groups[symbol], key=lambda f: sort_key(f.term()))
+        yield symbol, sorted(groups[symbol], key=_args_key)
+
+
+def _args_key(fact: Fact) -> tuple:
+    """Term order within one group, where predicate and arity are fixed.
+
+    The arguments' sort keys are concatenated.  A key's length follows from
+    its first item, the kind rank, so the keys of equal leading arguments
+    line up and the flat tuple compares as the tuple of keys would, with
+    fewer nested comparisons.
+    """
+    return sum(map(sort_key, fact.args), ())

@@ -24,7 +24,16 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
-from .terms import GROUND_TYPES, MAX_NESTING, GroundTerm, Number, Str, compare, render
+from .terms import (
+    GROUND_TYPES,
+    MAX_NESTING,
+    GroundTerm,
+    Number,
+    Str,
+    compare,
+    integer_too_long,
+    render,
+)
 
 __all__ = [
     "CheckFailure",
@@ -406,7 +415,10 @@ class _LineParser:
         t = self.cur
         if t.kind == "number":
             self.advance()
-            return ENum(int(t.text)), 0
+            try:
+                return ENum(int(t.text)), 0
+            except ValueError:
+                raise ScriptSyntaxError(integer_too_long(), t.line, t.column) from None
         if t.kind == "string":
             self.advance()
             return EStr(_decode_script_string(t)), 0
@@ -690,7 +702,7 @@ def _eval(node, env: EvalEnv):
     if isinstance(node, ECall):
         return _call(node, env)
     if isinstance(node, EList):
-        return [_eval(item, env) for item in node.items]
+        return _ListValue([_eval(item, env) for item in node.items])
     if isinstance(node, ENeg):
         v = _eval(node.operand, env)
         if not _is_int(v):
@@ -720,6 +732,23 @@ def _eval(node, env: EvalEnv):
     item = _eval(node.item, env)
     found = any(compare_values("==", item, member) for member in seq)
     return not found if node.negated else found
+
+
+class _ListValue(list):
+    """A list a script built; depth counts the lists on its longest path.
+
+    Lists nest at most MAX_NESTING deep, so formatting and comparing them
+    cannot exhaust the interpreter's stack.
+    """
+
+    __slots__ = ("depth",)
+
+    def __init__(self, items: list):
+        super().__init__(items)
+        self.depth = 1 + max((x.depth for x in items if isinstance(x, _ListValue)),
+                             default=0)
+        if self.depth > MAX_NESTING:
+            raise ScriptEvalError(f"lists nested more than {MAX_NESTING} levels deep")
 
 
 @dataclass(frozen=True, slots=True)

@@ -17,7 +17,7 @@ import yaml
 
 from . import hooks
 from .diagnostics import Diagnostic
-from .terms import IDENT_RE, Const, GroundTerm, Number, Str, parse_term, render
+from .terms import IDENT_RE, Const, GroundTerm, Number, Str, integer_too_long, parse_term, render
 from .terms import ParseError as TermParseError
 
 __all__ = [
@@ -153,8 +153,17 @@ def _construct_mapping(loader, node, deep=False):
     return mapping
 
 
+def _construct_int(loader, node):
+    try:
+        return loader.construct_yaml_int(node)
+    except ValueError:
+        raise yaml.constructor.ConstructorError(
+            None, None, integer_too_long(), node.start_mark) from None
+
+
 _StrictLoader.add_constructor(
     yaml.resolver.BaseResolver.DEFAULT_MAPPING_TAG, _construct_mapping)
+_StrictLoader.add_constructor("tag:yaml.org,2002:int", _construct_int)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ cursor defined here.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from typing import Iterator, Union
 
@@ -124,6 +125,21 @@ _TOKEN_RE = re.compile(
 _ESCAPES = {"\\\\": "\\", '\\"': '"', "\\n": "\n"}
 _ESCAPE_RE = re.compile(r"\\.")
 
+# A flat fact: `ident(arg,...,arg).` with no whitespace or comment inside,
+# after any whitespace and comments.  Each argument is an integer, a string
+# without escapes or a constant.  A second '.' would lex as '..', so it ends
+# the run.  A comment runs to the end of its line, so that a failed match
+# cannot split it at each '%' and backtrack exponentially.
+_FLAT_ARG = r'-?[0-9]+|"[^"\\]*"|_*[a-z][A-Za-z0-9_]*'
+_FLAT_ARG_RE = re.compile(_FLAT_ARG)
+_FLAT_FACT_RE = re.compile(
+    rf"(?:\s|%[^\n]*(?![^\n]))*(_*[a-z][A-Za-z0-9_]*)\(((?:{_FLAT_ARG})(?:,(?:{_FLAT_ARG}))*)\)\.(?!\.)")
+
+
+def integer_too_long() -> str:
+    """The message for a literal with more digits than int() converts."""
+    return f"integer literal longer than {sys.get_int_max_str_digits()} digits"
+
 
 def _encode_string(value: str) -> str:
     return '"' + value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n") + '"'
@@ -155,12 +171,12 @@ class TokenCursor:
 
     def __init__(self, text: str):
         self.text = text
-        self._next = self._lex().__next__
+        self._next = self._lex(0).__next__
         self.cur = self._next()
         self.depth = 0
 
-    def _lex(self) -> Iterator[_Token]:
-        for m in _TOKEN_RE.finditer(self.text):
+    def _lex(self, pos: int) -> Iterator[_Token]:
+        for m in _TOKEN_RE.finditer(self.text, pos):
             kind = m.lastgroup
             if kind == "ws" or kind == "comment":
                 continue
@@ -209,6 +225,51 @@ class TokenCursor:
         self.close_paren("')' closing the parenthesis")
         return items, is_tuple
 
+    def flat_facts(self, facts: list[Fact]) -> None:
+        """Append the run of flat facts that starts at the current token.
+
+        Each fact takes one match of _FLAT_FACT_RE and gives the values the
+        grammar would.  Lexing resumes after the run.
+        """
+        text = self.text
+        match = _FLAT_FACT_RE.match
+        m = match(text, self.cur.offset)
+        if m is None:
+            return
+        while m is not None:
+            body = m.group(2)
+            args = self._flat_args(body.split(","), m.start(2))
+            if args is None:  # a string argument holds a comma
+                args = self._flat_args(_FLAT_ARG_RE.findall(body), m.start(2))
+            facts.append(Fact(m.group(1), args))
+            end = m.end()
+            m = match(text, end)
+        self._next = self._lex(end).__next__
+        self.cur = self._next()
+
+    def _flat_args(self, parts: list[str], offset: int) -> tuple[GroundTerm, ...] | None:
+        """The terms of a flat fact's arguments; None if parts split a string."""
+        args: list[GroundTerm] = []
+        for part in parts:
+            first = part[0]
+            if first == '"':
+                if len(part) == 1 or part[-1] != '"':
+                    return None
+                args.append(Str(part[1:-1]))
+            elif first >= "_":  # '_' or a lowercase letter
+                args.append(Const(part))
+            else:
+                args.append(Number(self.integer(part, offset + (first == "-"))))
+            offset += len(part) + 1
+        return tuple(args)
+
+    def integer(self, literal: str, offset: int) -> int:
+        """The value of an integer literal whose digits start at offset."""
+        try:
+            return int(literal)
+        except ValueError:
+            raise self.error_at(integer_too_long(), offset) from None
+
     def error_at(self, message: str, offset: int | None = None) -> ParseError:
         """An error at the offset, by default that of the current token."""
         if offset is None:
@@ -245,12 +306,13 @@ class _Parser(TokenCursor):
         tok = self.cur
         if tok.kind == "number":
             self.advance()
-            return Number(int(tok.text))
+            return Number(self.integer(tok.text, tok.offset))
         if tok.text == "-":
             self.advance()
             if self.cur.kind != "number":
                 raise self.error("digits after '-'")
-            return Number(-int(self.advance().text))
+            tok = self.advance()
+            return Number(-self.integer(tok.text, tok.offset))
         if tok.kind == "string":
             self.advance()
             return Str(self.string_value(tok))
@@ -306,7 +368,10 @@ def parse_facts(text: str) -> list[Fact]:
     try:
         parser = _Parser(text)
         facts: list[Fact] = []
-        while parser.cur.kind != "end":
+        while True:
+            parser.flat_facts(facts)
+            if parser.cur.kind == "end":
+                break
             if parser.cur.text == ":-":
                 raise _rule_error(text, parser.cur.offset)
             facts.append(parser.fact())

@@ -48,6 +48,36 @@ def random_term(rng: random.Random, depth: int = 3):
     return Tuple(args)
 
 
+def compare_terms(a, b) -> int:
+    """-1, 0 or 1 by the ASP term order, written out case by case.
+
+    Numbers < constants < strings < tuples < functions; numbers compare by
+    value, constants and strings by text, tuples by length and then their
+    items, functions by arity, then name, then arguments.
+    """
+    kinds = [Number, Const, Str, Tuple, Func]
+    ka, kb = kinds.index(type(a)), kinds.index(type(b))
+    if ka != kb:
+        return -1 if ka < kb else 1
+    if isinstance(a, Number):
+        pair = (a.value, b.value)
+    elif isinstance(a, Const):
+        pair = (a.name, b.name)
+    elif isinstance(a, Str):
+        pair = (a.value, b.value)
+    elif len(a.args) != len(b.args):
+        pair = (len(a.args), len(b.args))
+    elif isinstance(a, Func) and a.name != b.name:
+        pair = (a.name, b.name)
+    else:
+        for x, y in zip(a.args, b.args):
+            c = compare_terms(x, y)
+            if c:
+                return c
+        return 0
+    return (pair[0] > pair[1]) - (pair[0] < pair[1])
+
+
 # ---------------------------------------------------------------------------
 # Random stratified programs with an independent naive-fixpoint oracle
 #

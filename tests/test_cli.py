@@ -270,6 +270,76 @@ def test_deep_nesting_is_a_diagnostic(tmp_path, capsys, where, text):
         assert "Traceback" not in err
 
 
+# Each of these once ended the CLI in a ValueError traceback: the literal
+# has more digits than int() converts.
+_LONG = "9" * 5000
+_INTEGER_SPEC = "p:\n    a: Integer\n"
+
+
+@pytest.mark.parametrize("command, spec, data, code, where", [
+    ("validate", _INTEGER_SPEC, "p(1).\np(" + _LONG + ").", 1,
+     "invalid input: integer literal longer than 4300 digits (line 2, column 3)"),
+    ("validate", _INTEGER_SPEC, "p(1). q(X) :- p(X), X < -" + _LONG + ".", 1,
+     "invalid input: integer literal longer than 4300 digits (line 1, column 26)"),
+    ("validate", _INTEGER_SPEC + "valasp:\n    asp: |+\n        q(" + _LONG + ").\n",
+     "p(1).", 2, "asp-syntax: integer literal longer than 4300 digits (line 1, column 3)"),
+    ("check", _INTEGER_SPEC + "    valasp:\n        after_init: |+\n"
+     "            if self.a > " + _LONG + ": fail('big')\n", None, 2,
+     "script-syntax: p.valasp.after_init: integer literal longer than 4300 digits"
+     " (line 1, column 13)"),
+    ("check", "p:\n    a:\n        type: Integer\n        max: " + _LONG + "\n", None, 2,
+     "facet-value: not valid YAML: integer literal longer than 4300 digits\n"
+     '  in "<unicode string>", line 4, column 14'),
+], ids=["fact", "rule", "asp", "hook", "facet"])
+def test_overlong_integer_literal_is_a_diagnostic(tmp_path, capsys, command, spec, data,
+                                                  code, where):
+    argv = [command, write(tmp_path, "p.yaml", spec)]
+    if data is not None:
+        argv.append(write(tmp_path, "p.lp", data))
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert where in captured.out + captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_overlong_integer_literal_in_parse_facts_is_a_parse_error():
+    with pytest.raises(ParseError, match="integer literal longer than") as exc:
+        parse_facts("p(" + _LONG + ").")
+    assert (exc.value.line, exc.value.column) == (1, 3)
+
+
+def test_hook_lists_nest_at_most_100_deep(tmp_path, capsys):
+    # Once a RecursionError traceback from formatting the 3000-deep list.
+    spec = write(tmp_path, "p.yaml", textwrap.dedent("""\
+        p:
+            a: Integer
+            valasp:
+                before_grounding: |+
+                    cls.acc = 0
+                after_init: |+
+                    cls.acc = [cls.acc]
+                after_grounding: |+
+                    fail('{cls.acc}')
+        """))
+    facts = write(tmp_path, "p.lp", "".join(f"p({i}).\n" for i in range(3000)))
+    assert main(["validate", spec, facts]) == 2
+    captured = capsys.readouterr()
+    assert ("eval-error: after_init: lists nested more than 100 levels deep"
+            in captured.out)
+    assert "p(100)" in captured.out  # the 101st instance in term order
+    assert "Traceback" not in captured.err
+
+
+def test_derived_terms_nest_at_most_100_deep(tmp_path, capsys):
+    # Once a RecursionError traceback from hashing an ever deeper term.
+    spec = write(tmp_path, "p.yaml", "p:\n    a: Any\n")
+    facts = write(tmp_path, "p.lp", "p(a). p(f(X)) :- p(X).")
+    assert main(["validate", spec, facts]) == 2
+    captured = capsys.readouterr()
+    assert "eval-error: derived term nested more than 100 levels deep" in captured.out
+    assert "Traceback" not in captured.err
+
+
 def test_module_entry_point(tmp_path):
     spec = tmp_path / "income.yaml"
     spec.write_text(fixture_text("income.yaml"))

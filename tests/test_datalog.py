@@ -219,6 +219,15 @@ class TestStratify:
 
 
 class TestEvaluate:
+    @pytest.mark.parametrize("wrap", ["f(X)", "(X,)"])
+    def test_derived_terms_nest_at_most_100_deep(self, wrap):
+        rules = f"t(a, 0). t({wrap}, M) :- t(X, N), step(N), M = N + 1."
+        model = evaluate(parse_program(rules + " step(0..99)."), [])
+        deepest = max(f.args[0] for f in model if f.predicate == "t" and f.args[1] == Number(100))
+        assert render(deepest).count("(") == 100
+        with pytest.raises(EvaluationError, match="derived term nested more than 100 levels"):
+            evaluate(parse_program(rules + " step(0..100)."), [])
+
     def test_solitaire_range_and_board(self):
         model = evaluate(parse_program(SOLITAIRE_BOARD), [])
         assert preds(model, "range") == [f"range({i})" for i in range(1, 8)]

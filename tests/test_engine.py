@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aspcheck import datalog
 from aspcheck.datalog import parse_program
@@ -10,15 +12,16 @@ from aspcheck.diagnostics import render_report
 from aspcheck.engine import (
     AccumulatorStore,
     RunOptions,
+    _grouped_instances,
     check_instance,
     finalize,
     run,
     wrap32,
 )
 from aspcheck.schema import load_spec, parse_spec
-from aspcheck.terms import Fact, Number, parse_facts
+from aspcheck.terms import Const, Fact, Func, Number, Str, Tuple, parse_facts, sort_key
 
-from _support import load_fixture
+from _support import compare_terms, load_fixture
 
 INT32_MAX = 2**31 - 1
 INT32_MIN = -(2**31)
@@ -456,3 +459,28 @@ class TestReportRendering:
         report = run(spec, [])
         assert render_report(report, "text") == "valid"
         assert render_report(report, "jsonl") == ""
+
+
+# Small domains, so that many facts share leading arguments and every pair
+# of kinds meets in the same argument position.
+_order_terms = st.recursive(
+    st.one_of(st.integers(-2, 2).map(Number), st.sampled_from("ab").map(Const),
+              st.sampled_from(["", "a", "b"]).map(Str)),
+    lambda children: st.one_of(
+        st.builds(lambda name, args: Func(name, tuple(args)), st.sampled_from("fg"),
+                  st.lists(children, min_size=1, max_size=2)),
+        st.lists(children, min_size=1, max_size=3).map(lambda a: Tuple(tuple(a)))),
+    max_leaves=4,
+)
+_ORDER_SPEC = load_spec("p:\n    a: Any\n    b: Any\n")
+
+
+@given(st.lists(st.tuples(_order_terms, _order_terms), max_size=40))
+@settings(max_examples=200)
+def test_instances_are_checked_in_term_order(pairs):
+    atoms = {Fact("p", args) for args in pairs}
+    groups = list(_grouped_instances(_ORDER_SPEC, atoms))
+    ordered = groups[0][1] if groups else []
+    assert ordered == sorted(atoms, key=lambda f: sort_key(f.term()))
+    for left, right in zip(ordered, ordered[1:]):
+        assert compare_terms(left.term(), right.term()) < 0

@@ -119,6 +119,17 @@ class TestEvaluation:
         with pytest.raises(CheckFailure):
             run_on("if self.x not in [1, 2]: fail('missing')", instance={"x": 9})
 
+    def test_lists_nest_at_most_100_deep(self):
+        wrap = "x = 0\n" + "x = [x, 1]\n" * 100
+        assert run_on(wrap + "if len(x) != 2: fail('lost')").locals["x"][1] == 1
+        with pytest.raises(ScriptEvalError, match="lists nested more than 100 levels deep"):
+            run_on(wrap + "x = [1, [x]]")
+
+    def test_overlong_integer_literal_is_a_syntax_error(self):
+        with pytest.raises(ScriptSyntaxError, match="integer literal longer than") as exc:
+            parse_script("x = 1\ny = 2 + " + "7" * 5000)
+        assert (exc.value.line, exc.value.column) == (2, 9)
+
     def test_len_and_match_builtins(self):
         with pytest.raises(CheckFailure):
             run_on("if len(self.name) > 3: fail('long')", instance={"name": "abcd"})

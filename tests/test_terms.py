@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aspcheck import datalog, terms
 from aspcheck.datalog import evaluate, parse_program
 from aspcheck.terms import (
     Const,
@@ -23,7 +24,7 @@ from aspcheck.terms import (
     sort_key,
 )
 
-from _support import random_term
+from _support import compare_terms, random_term
 
 
 class TestParseTerm:
@@ -203,6 +204,12 @@ class TestCompare:
             assert compare(left, right) <= 0
             assert compare(right, left) >= 0  # antisymmetry on adjacent pairs
 
+    def test_compare_agrees_with_the_oracle(self):
+        rng = random.Random(11)
+        sample = [random_term(rng, depth=3) for _ in range(500)]
+        for left, right in zip(sample, sample[1:]):
+            assert compare(left, right) == compare_terms(left, right)
+
     def test_sort_key_agrees_with_compare(self):
         rng = random.Random(7)
         sample = [random_term(rng, depth=3) for _ in range(2_000)]
@@ -290,3 +297,98 @@ def test_rule_parser_reads_ground_fact_files_as_facts(facts):
     program = parse_program(text)
     assert program.facts == parse_facts(text)
     assert program.rules == []
+
+
+# Flat facts (`p(1,"a",b).` with nothing inside) skip the token grammar;
+# anything else goes through it.  Both routes must read the same facts.
+
+_SEPARATORS = ["", " ", "\n", "% note\n"]
+
+
+def _tokens(term) -> list[str]:
+    """The tokens of render(term), so that separators can go between them."""
+    if isinstance(term, Number):
+        return ["-", str(-term.value)] if term.value < 0 else [str(term.value)]
+    if isinstance(term, (Str, Const)):
+        return [render(term)]
+    inner = []
+    for arg in term.args:
+        inner += ([","] if inner else []) + _tokens(arg)
+    if isinstance(term, Func):
+        return [term.name, "(", *inner, ")"]
+    return ["(", *inner, ",", ")"] if len(term.args) == 1 else ["(", *inner, ")"]
+
+
+@given(st.lists(_facts, max_size=4), st.randoms(use_true_random=False))
+@settings(max_examples=100)
+def test_fact_files_read_alike_whatever_the_separators(facts, rng):
+    text = "".join(tok + rng.choice(_SEPARATORS)
+                   for fact in facts for tok in _tokens(fact.term()) + ["."])
+    assert parse_facts(text) == parse_program(text).facts == facts
+
+
+def test_flat_facts_bypass_the_grammar(monkeypatch):
+    def grammar(self):
+        raise AssertionError("a flat fact went through the grammar")
+
+    monkeypatch.setattr(terms._Parser, "fact", grammar)
+    monkeypatch.setattr(datalog._ProgramParser, "rule", grammar)
+    text = 'income("company7",5).\n% note\n  p(x,-1,"a,b",007,_y).q(1).\n'
+    assert parse_facts(text) == parse_program(text).facts == [
+        Fact("income", (Str("company7"), Number(5))),
+        Fact("p", (Const("x"), Number(-1), Str("a,b"), Number(7), Const("_y"))),
+        Fact("q", (Number(1),)),
+    ]
+
+
+@pytest.mark.parametrize("text, facts", [
+    ("p( 1 ).", [Fact("p", (Number(1),))]),
+    ("p(- 2).", [Fact("p", (Number(-2),))]),
+    ('p("a\\"b").', [Fact("p", (Str('a"b'),))]),
+    ('p("a\nb").', [Fact("p", (Str("a\nb"),))]),
+    ("p(1).p(2).", [Fact("p", (Number(1),)), Fact("p", (Number(2),))]),
+    ('p("a,b",",",-3,x).', [Fact("p", (Str("a,b"), Str(","), Number(-3), Const("x")))]),
+])
+def test_boundary_facts_read_alike(text, facts):
+    assert parse_facts(text) == parse_program(text).facts == facts
+
+
+# Each error as the token grammar reports it, line and column included;
+# None where the rule parser accepts the text.
+@pytest.mark.parametrize("text, facts_error, program_error", [
+    ("p(1)..", "expected '.' terminating the fact, got '..' (line 1, column 5)",
+     "expected '.' terminating the rule, got '..' (line 1, column 5)"),
+    ('q.\np(1).\n  p(x,"s",-3)..',
+     "expected '.' terminating the fact, got '..' (line 3, column 14)",
+     "expected '.' terminating the rule, got '..' (line 3, column 14)"),
+    ("p(1a).", "expected ')' closing argument list, got 'a' (line 1, column 4)",
+     "expected ')' closing the head, got 'a' (line 1, column 4)"),
+    ('p("a\\tb").', "unsupported string escape '\\\\t' (line 1, column 5)",
+     "unsupported string escape '\\\\t' (line 1, column 5)"),
+    ("p(1) :- q.",
+     "rules are not allowed in a facts file (':-' on line 1) (line 1, column 6)", None),
+])
+def test_boundary_errors_are_unchanged(text, facts_error, program_error):
+    with pytest.raises(ParseError) as exc:
+        parse_facts(text)
+    assert str(exc.value) == facts_error
+    if program_error is None:
+        program = parse_program(text)
+        assert (program.facts, len(program.rules)) == ([], 1)
+    else:
+        with pytest.raises(ParseError) as exc:
+            parse_program(text)
+        assert str(exc.value) == program_error
+
+
+@pytest.mark.parametrize("text, column", [
+    ("p(" + "1" * 5000 + ").", 3),
+    ("p(x,-" + "1" * 5000 + ").", 6),
+    ("p( " + "1" * 5000 + " ).", 4),
+    ("p(f(" + "1" * 5000 + ")).", 5),
+], ids=["flat", "negative", "spaced", "nested"])
+@pytest.mark.parametrize("parse", [parse_facts, parse_program])
+def test_overlong_integer_literal_is_a_positioned_error(parse, text, column):
+    with pytest.raises(ParseError, match="integer literal longer than") as exc:
+        parse("q.\n" + text)
+    assert (exc.value.line, exc.value.column) == (2, column)
