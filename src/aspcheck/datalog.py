@@ -36,6 +36,8 @@ from .terms import (
     TokenCursor,
     Tuple,
     compare,
+    integer_too_long,
+    too_many_digits,
 )
 
 __all__ = [
@@ -323,19 +325,29 @@ class _ProgramParser(TokenCursor):
     def additive(self):
         node = self.multiplicative()
         while self.cur.text in ("+", "-"):
-            op = self.advance().text
-            node = _fold(op, node, self.multiplicative())
+            op_tok = self.advance()
+            node = self.fold(op_tok, node, self.multiplicative())
         return node
 
     def multiplicative(self):
         node = self.unary()
         while self.cur.text in ("*", "/"):
             op_tok = self.advance()
-            right = self.unary()
-            if op_tok.text == "/" and right == Number(0) and isinstance(node, Number):
-                self.defect = self.defect or ("division by zero", op_tok.offset)
-            node = _fold(op_tok.text, node, right)
+            node = self.fold(op_tok, node, self.unary())
         return node
+
+    def fold(self, op_tok, left, right):
+        """left op right, computed now if both are numbers and it has a value.
+
+        1/0 and a result with too many digits stay unfolded, to be reported
+        when the rule is evaluated, and become a defect at the operator.
+        """
+        if isinstance(left, Number) and isinstance(right, Number):
+            try:
+                return Number(_arith(op_tok.text, left.value, right.value))
+            except ArithmeticError as exc:
+                self.defect = self.defect or (str(exc), op_tok.offset)
+        return Arith(op_tok.text, left, right)
 
     def unary(self):
         signs = 0
@@ -414,27 +426,24 @@ def _arith_depth(term) -> int:
     return deepest
 
 
-def _fold(op: str, left, right):
-    if isinstance(left, Number) and isinstance(right, Number):
-        if op == "/" and right.value == 0:
-            return Arith(op, left, right)  # report at evaluation, with context
-        return Number(_arith(op, left.value, right.value, None, None))
-    return Arith(op, left, right)
-
-
-def _arith(op: str, a: int, b: int, rule_text, binding) -> int:
+def _arith(op: str, a: int, b: int) -> int:
+    """a op b; an ArithmeticError naming the reason when it has no value."""
     if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
+        value = a + b
+    elif op == "-":
+        value = a - b
+    elif op == "*":
+        value = a * b
+    elif op == "/":
         if b == 0:
-            raise EvaluationError("division by zero", rule_text or "", binding or {})
+            raise ZeroDivisionError("division by zero")
         q = abs(a) // abs(b)
-        return q if (a >= 0) == (b >= 0) else -q
-    raise AssertionError(op)
+        value = q if (a >= 0) == (b >= 0) else -q
+    else:
+        raise AssertionError(op)
+    if too_many_digits(value):
+        raise OverflowError(integer_too_long("result"))
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -931,6 +940,8 @@ def _eval_aggregate(lit: AggregateLit, keys: tuple, binding: dict,
                 raise EvaluationError(
                     f"#sum over a non-integer {t[0]!r}", rule.source, binding)
             total += t[0].value
+        if too_many_digits(total):
+            raise EvaluationError(integer_too_long("result"), rule.source, binding)
         value = Number(total)
     elif func in ("min", "max"):
         if not tuples:
@@ -1019,7 +1030,10 @@ def _eval_term(term, binding: dict, rule: Rule) -> GroundTerm:
         if not isinstance(left, Number) or not isinstance(right, Number):
             raise EvaluationError(
                 f"arithmetic on non-integers ({term.op})", rule.source, binding)
-        return Number(_arith(term.op, left.value, right.value, rule.source, binding))
+        try:
+            return Number(_arith(term.op, left.value, right.value))
+        except ArithmeticError as exc:
+            raise EvaluationError(str(exc), rule.source, binding) from None
     if isinstance(term, FuncPat):
         return Func(term.name, _eval_args(term.args, binding, rule))
     if isinstance(term, TuplePat):

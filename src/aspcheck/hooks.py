@@ -20,6 +20,7 @@ snapshot of its symbol; everything else runs exactly once.
 from __future__ import annotations
 
 import datetime
+import operator
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
@@ -33,6 +34,7 @@ from .terms import (
     compare,
     integer_too_long,
     render,
+    too_many_digits,
 )
 
 __all__ = [
@@ -47,6 +49,9 @@ __all__ = [
     "run_prelude",
     "compare_values",
 ]
+
+# The most items a script's list may hold, counted through its nested lists.
+MAX_LIST_ITEMS = 10**6
 
 
 class CheckFailure(Exception):
@@ -89,141 +94,15 @@ class EvalEnv:
     on_snapshot: Callable[[], None] | None = None
 
 
-# ---------------------------------------------------------------------------
-# AST
-
-
-@dataclass(frozen=True, slots=True)
-class ENum:
-    value: int
-
-
-@dataclass(frozen=True, slots=True)
-class EStr:
-    value: str
-
-
-@dataclass(frozen=True, slots=True)
-class EBool:
-    value: bool
-
-
-@dataclass(frozen=True, slots=True)
-class EName:
-    name: str
-
-
-@dataclass(frozen=True, slots=True)
-class ESelf:
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class ECls:
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class EAttr:
-    base: "Expr"
-    name: str
-
-
-@dataclass(frozen=True, slots=True)
-class ECall:
-    name: str
-    args: tuple["Expr", ...]
-
-
-@dataclass(frozen=True, slots=True)
-class EList:
-    items: tuple["Expr", ...]
-
-
-@dataclass(frozen=True, slots=True)
-class ENeg:
-    operand: "Expr"
-
-
-@dataclass(frozen=True, slots=True)
-class ENot:
-    operand: "Expr"
-
-
-@dataclass(frozen=True, slots=True)
-class EBin:
-    op: str  # + - * // %
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True, slots=True)
-class EBoolOp:
-    op: str  # and | or
-    parts: tuple["Expr", ...]
-
-
-@dataclass(frozen=True, slots=True)
-class ECompare:
-    op: str  # == != < <= > >=
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True, slots=True)
-class EIn:
-    item: "Expr"
-    seq: "Expr"
-    negated: bool
-
-
-Expr = (ENum, EStr, EBool, EName, ESelf, ECls, EAttr, ECall, EList, ENeg,
-        ENot, EBin, EBoolOp, ECompare, EIn)
-
-
-@dataclass(frozen=True, slots=True)
-class SAssign:
-    name: str
-    expr: "Expr"
-
-
-@dataclass(frozen=True, slots=True)
-class SClsAssign:
-    name: str
-    expr: "Expr"
-
-
-@dataclass(frozen=True, slots=True)
-class SClsAugAssign:
-    name: str
-    op: str  # += | -=
-    expr: "Expr"
-
-
-@dataclass(frozen=True, slots=True)
-class SIf:
-    cond: "Expr"
-    body: tuple["Stmt", ...]
-
-
-@dataclass(frozen=True, slots=True)
-class SFail:
-    # Literal fail messages are split into text/expression segments so that
-    # {expr} interpolation happens at failure time.
-    segments: tuple[object, ...]  # str | Expr
-
-
-@dataclass(frozen=True, slots=True)
-class SExpr:
-    expr: "Expr"
-
-
-Stmt = (SAssign, SClsAssign, SClsAugAssign, SIf, SFail, SExpr)
-
-
 @dataclass(frozen=True, slots=True)
 class HookScript:
-    statements: tuple["Stmt", ...]
+    """A parsed hook: each statement is a function of an EvalEnv.
+
+    eval_instance calls them in order.  Scripts compare by their source text.
+    """
+
+    text: str
+    statements: tuple[Callable[[EvalEnv], object], ...] = field(compare=False)
     uses_self: bool
     uses_append_snapshot: bool
 
@@ -290,7 +169,8 @@ def _decode_script_string(tok: _Tok) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Parser
+# Parser: every expression and statement is built as the function of an
+# EvalEnv that evaluates it, so a script is compiled once, when it loads.
 
 # Binding strength of the binary operators, loosest first; prefix 'not'
 # sits between 'and' and the comparisons.
@@ -300,26 +180,37 @@ _BINARY = {"or": _OR, "and": _AND, "in": _CMP, "not in": _CMP,
            "+": _SUM, "-": _SUM, "*": _PRODUCT, "//": _PRODUCT, "%": _PRODUCT}
 
 
-_CONSTANTS = {"True": EBool(True), "False": EBool(False), "self": ESelf(), "cls": ECls()}
+def _binary(op: str, prec: int, parts: list):
+    """The function of op over parts, a list of two operands.
 
-
-def _binary_node(op: str, prec: int, left, right):
-    if prec <= _AND:
-        return EBoolOp(op, (left, right))
+    An and/or reads parts when it runs, so the operands the parser appends
+    to a chain such as a and b and c join the same function.
+    """
+    if prec == _OR:
+        return lambda env: any(_truth(part(env)) for part in parts)
+    if prec == _AND:
+        return lambda env: all(_truth(part(env)) for part in parts)
+    left, right = parts
     if op in ("in", "not in"):
-        return EIn(left, right, negated=op == "not in")
+        return _contains(left, right, negated=op == "not in")
     if prec == _CMP:
-        return ECompare(op, left, right)
-    return EBin(op, left, right)
+        return lambda env: compare_values(op, left(env), right(env))
+    return _arithmetic(op, left, right)
 
 
 class _LineParser:
-    """Expression and statement parser over one logical line."""
+    """Expression and statement parser over one logical line.
 
-    def __init__(self, toks: list[_Tok]):
+    mentions collects "self" and "append_snapshot" where the script uses
+    them; the lines of one script share it.
+    """
+
+    def __init__(self, toks: list[_Tok], mentions: set[str]):
         self.toks = toks
         self.i = 0
         self.open = 0  # brackets open at the current token
+        self.mentions = mentions
+        self.string: str | None = None  # the last atom, if a string literal
 
     @property
     def cur(self) -> _Tok:
@@ -360,14 +251,15 @@ class _LineParser:
 
         Precedence climbing from loosest to tightest: or, and, prefix not,
         comparisons (which do not chain), + -, * // %, prefix -, attribute
-        access.  depth counts the compound nodes on the longest path.
+        access.  depth counts the compound nodes on the longest path; it is
+        0 for a lone atom, parenthesized or not.
         """
         start = self.cur
         if start.text == "not" and min_prec <= _NOT:
             nots = self.prefix_run("not")
             node, depth = self.binary(_CMP)
             for _ in range(nots):
-                node = ENot(node)
+                node = _not(node)
             depth, limit = self.nested(depth + nots, start), _NOT
         else:
             node, depth = self.unary()
@@ -384,9 +276,11 @@ class _LineParser:
                 self.advance()
             right, right_depth = self.binary(prec + 1)
             if op == last and prec <= _AND:  # a and b and c is one node
-                node, depth = EBoolOp(op, node.parts + (right,)), max(depth, right_depth + 1)
+                parts.append(right)
+                depth = max(depth, right_depth + 1)
             else:
-                node, depth = _binary_node(op, prec, node, right), max(depth, right_depth) + 1
+                parts = [node, right]
+                node, depth = _binary(op, prec, parts), max(depth, right_depth) + 1
             depth = self.nested(depth, t)
             last, limit = op, prec - 1 if prec == _CMP else prec
 
@@ -406,34 +300,40 @@ class _LineParser:
             self.advance()
             if self.cur.kind != "name":
                 raise self.error("an attribute name after '.'")
-            node, depth = EAttr(node, self.advance().text), depth + 1
+            node, depth = _attribute(node, self.advance().text), depth + 1
         for _ in range(negs):
-            node = ENeg(node)
+            node = _negate(node)
         return node, self.nested(depth + negs, start)
 
     def atom(self):
         t = self.cur
+        self.string = None
         if t.kind == "number":
             self.advance()
             try:
-                return ENum(int(t.text)), 0
+                return _constant(int(t.text)), 0
             except ValueError:
                 raise ScriptSyntaxError(integer_too_long(), t.line, t.column) from None
         if t.kind == "string":
             self.advance()
-            return EStr(_decode_script_string(t)), 0
+            self.string = _decode_script_string(t)
+            return _constant(self.string), 0
         if t.text in _CONSTANTS:
             self.advance()
+            if t.text == "self":
+                self.mentions.add("self")
             return _CONSTANTS[t.text], 0
         if t.kind == "name":
             self.advance()
             if self.cur.text == "(":
                 args, depth = self.bracketed(")", "')' closing the call")
-                return ECall(t.text, args), depth
-            return EName(t.text), 0
+                if t.text == "append_snapshot":
+                    self.mentions.add(t.text)
+                return _call(t.text, args), depth
+            return _name(t.text), 0
         if t.text == "[":
             items, depth = self.bracketed("]", "']' closing the list")
-            return EList(items), depth
+            return (lambda env: _ListValue([item(env) for item in items])), depth
         if t.text == "(":
             self.open_bracket()
             inner = self.binary(_OR)
@@ -471,9 +371,10 @@ class _LineParser:
         if t.text == "fail":
             self.advance()
             self.expect("(", "'(' after fail")
-            message = self.expr()
+            message, depth = self.binary(_OR)
+            literal = self.string if depth == 0 else None
             self.expect(")", "')' closing fail")
-            return SFail(_fail_segments(message, t))
+            return _fail((message,) if literal is None else self.fail_segments(literal, t))
         if t.text == "cls":
             nxt = self.toks[self.i + 1 : self.i + 4]
             if len(nxt) >= 3 and nxt[0].text == "." and nxt[2].text in ("=", "+=", "-="):
@@ -483,40 +384,38 @@ class _LineParser:
                 op = self.advance().text
                 expr = self.expr()
                 if op == "=":
-                    return SClsAssign(name, expr)
-                return SClsAugAssign(name, op, expr)
+                    return _set_class_field(name, expr)
+                return _update_class_field(name, op, expr)
         if t.kind == "name" and self.toks[self.i + 1].text == "=":
             self.advance()
             self.advance()
-            return SAssign(t.text, self.expr())
-        return SExpr(self.expr())
+            return _assign(t.text, self.expr())
+        return self.expr()
 
+    def fail_segments(self, text: str, tok: _Tok) -> tuple:
+        """Split a literal fail message into text and `{expr}` segments.
 
-def _fail_segments(message, tok: _Tok) -> tuple[object, ...]:
-    """Split a literal fail message into text and `{expr}` segments."""
-    if not isinstance(message, EStr):
-        return (message,)
-    text = message.value
-    segments: list[object] = []
-    pos = 0
-    while pos < len(text):
-        open_ = text.find("{", pos)
-        if open_ < 0:
-            segments.append(text[pos:])
-            break
-        close = text.find("}", open_)
-        if close < 0:
-            raise ScriptSyntaxError("unterminated '{' in fail message", tok.line, tok.column)
-        if open_ > pos:
-            segments.append(text[pos:open_])
-        inner = text[open_ + 1 : close]
-        p = _LineParser(_tokenize_line(inner, tok.line))
-        expr = p.expr()
-        if not p.at_end():
-            raise p.error("end of interpolated expression")
-        segments.append(expr)
-        pos = close + 1
-    return tuple(segments)
+        The expressions are evaluated when the message is built, at failure.
+        """
+        segments: list = []
+        pos = 0
+        while pos < len(text):
+            open_ = text.find("{", pos)
+            if open_ < 0:
+                segments.append(_constant(text[pos:]))
+                break
+            close = text.find("}", open_)
+            if close < 0:
+                raise ScriptSyntaxError("unterminated '{' in fail message", tok.line, tok.column)
+            if open_ > pos:
+                segments.append(_constant(text[pos:open_]))
+            p = _LineParser(_tokenize_line(text[open_ + 1 : close], tok.line), self.mentions)
+            expr = p.expr()
+            if not p.at_end():
+                raise p.error("end of interpolated expression")
+            segments.append(expr)
+            pos = close + 1
+        return tuple(segments)
 
 
 def parse_script(text: str) -> HookScript:
@@ -530,21 +429,16 @@ def parse_script(text: str) -> HookScript:
         indent = len(expanded) - len(expanded.lstrip(" "))
         lines.append((indent, _tokenize_line(expanded.strip(), lineno)))
 
-    statements, rest = _parse_block(lines, 0, base_indent=None, ifs=0)
+    mentions: set[str] = set()
+    statements, rest = _parse_block(lines, 0, None, 0, mentions)
     if rest != len(lines):
         tok = lines[rest][1][0]
         raise ScriptSyntaxError("unexpected indentation", tok.line, tok.column)
-    stmts = tuple(statements)
-    return HookScript(
-        statements=stmts,
-        uses_self=any(_mentions(s, lambda n: isinstance(n, ESelf)) for s in stmts),
-        uses_append_snapshot=any(
-            _mentions(s, lambda n: isinstance(n, ECall) and n.name == "append_snapshot")
-            for s in stmts),
-    )
+    return HookScript(text, tuple(statements), uses_self="self" in mentions,
+                      uses_append_snapshot="append_snapshot" in mentions)
 
 
-def _parse_block(lines, start: int, base_indent: int | None, ifs: int):
+def _parse_block(lines, start: int, base_indent: int | None, ifs: int, mentions: set[str]):
     """The statements of one suite; ifs counts the if blocks around it."""
     statements: list = []
     i = start
@@ -560,14 +454,14 @@ def _parse_block(lines, start: int, base_indent: int | None, ifs: int):
         if line_indent > indent:
             tok = toks[0]
             raise ScriptSyntaxError("unexpected indentation", tok.line, tok.column)
-        stmt, i = _parse_statement(lines, i, ifs)
+        stmt, i = _parse_statement(lines, i, ifs, mentions)
         statements.append(stmt)
     return statements, i
 
 
-def _parse_statement(lines, i: int, ifs: int):
+def _parse_statement(lines, i: int, ifs: int, mentions: set[str]):
     line_indent, toks = lines[i]
-    p = _LineParser(toks)
+    p = _LineParser(toks, mentions)
     if p.cur.text == "if":
         if ifs == MAX_NESTING:
             raise ScriptSyntaxError(f"if blocks nested more than {MAX_NESTING} levels deep",
@@ -579,38 +473,26 @@ def _parse_statement(lines, i: int, ifs: int):
             body = p.simple_statement()
             if not p.at_end():
                 raise p.error("end of line after the inline statement")
-            return SIf(cond, (body,)), i + 1
-        body_stmts, nxt = _parse_block(lines, i + 1, base_indent=line_indent, ifs=ifs + 1)
+            return _if(cond, (body,)), i + 1
+        body_stmts, nxt = _parse_block(lines, i + 1, line_indent, ifs + 1, mentions)
         if not body_stmts:
             raise ScriptSyntaxError("expected an indented block after 'if ...:'",
                                     toks[0].line, toks[0].column)
-        return SIf(cond, tuple(body_stmts)), nxt
+        return _if(cond, tuple(body_stmts)), nxt
     stmt = p.simple_statement()
     if not p.at_end():
         raise p.error("end of line")
     return stmt, i + 1
 
 
-def _mentions(node, hit) -> bool:
-    """Whether hit holds for the statement or expression or any node in it."""
-    if hit(node):
-        return True
-    for f in node.__dataclass_fields__:
-        v = getattr(node, f)
-        for child in v if isinstance(v, tuple) else (v,):
-            if isinstance(child, Stmt + Expr) and _mentions(child, hit):
-                return True
-    return False
-
-
 # ---------------------------------------------------------------------------
-# Evaluation
+# Evaluation: the functions the parser builds, and what they call
 
 
 def eval_instance(script: HookScript, env: EvalEnv) -> None:
     """Run a script; CheckFailure means invalid data, ScriptEvalError a bad spec."""
-    for stmt in script.statements:
-        _exec(stmt, env)
+    for statement in script.statements:
+        statement(env)
 
 
 def run_prelude(script: HookScript | None) -> dict[str, object]:
@@ -622,133 +504,169 @@ def run_prelude(script: HookScript | None) -> dict[str, object]:
     return env.locals
 
 
-def _exec(stmt, env: EvalEnv) -> None:
-    if isinstance(stmt, SAssign):
-        env.locals[stmt.name] = _eval(stmt.expr, env)
-    elif isinstance(stmt, SClsAssign):
-        env.class_store[stmt.name] = _eval(stmt.expr, env)
-    elif isinstance(stmt, SClsAugAssign):
-        if stmt.name not in env.class_store:
+def _assign(name: str, expr):
+    def assign(env: EvalEnv) -> None:
+        env.locals[name] = expr(env)
+    return assign
+
+
+def _set_class_field(name: str, expr):
+    def set_class_field(env: EvalEnv) -> None:
+        env.class_store[name] = expr(env)
+    return set_class_field
+
+
+def _update_class_field(name: str, op: str, expr):
+    """cls.name += expr or cls.name -= expr."""
+    apply = _ARITHMETIC[op[0]]
+
+    def update_class_field(env: EvalEnv) -> None:
+        if name not in env.class_store:
             raise ScriptEvalError(
-                f"cls.{stmt.name} is not initialized (set it in before_grounding)")
-        current = env.class_store[stmt.name]
-        delta = _eval(stmt.expr, env)
+                f"cls.{name} is not initialized (set it in before_grounding)")
+        current = env.class_store[name]
+        delta = expr(env)
         if not _is_int(current) or not _is_int(delta):
-            raise ScriptEvalError(f"cls.{stmt.name} {stmt.op} needs integer operands")
-        env.class_store[stmt.name] = current + delta if stmt.op == "+=" else current - delta
-    elif isinstance(stmt, SIf):
-        if _truth(_eval(stmt.cond, env)):
-            for inner in stmt.body:
-                _exec(inner, env)
-    elif isinstance(stmt, SFail):
-        raise CheckFailure(_render_fail(stmt, env))
-    else:
-        _eval(stmt.expr, env)
+            raise ScriptEvalError(f"cls.{name} {op} needs integer operands")
+        env.class_store[name] = _integer_result(apply(current, delta))
+    return update_class_field
 
 
-def _render_fail(stmt: SFail, env: EvalEnv) -> str:
-    parts: list[str] = []
-    for seg in stmt.segments:
-        parts.append(seg if isinstance(seg, str) else _format_value(_eval(seg, env)))
-    return "".join(parts)
+def _if(cond, body: tuple):
+    def if_(env: EvalEnv) -> None:
+        if _truth(cond(env)):
+            for statement in body:
+                statement(env)
+    return if_
+
+
+def _fail(segments: tuple):
+    def fail(env: EvalEnv):
+        raise CheckFailure("".join(_format_value(segment(env)) for segment in segments))
+    return fail
 
 
 def _format_value(v) -> str:
     if isinstance(v, CheckedInstance):
         return render(v.source)
-    if _is_term(v):
+    if isinstance(v, GROUND_TYPES):
         return render(v)
-    if isinstance(v, bool):
-        return "True" if v else "False"
     if isinstance(v, list):
         return "[" + ", ".join(_format_value(x) for x in v) + "]"
     return str(v)
 
 
-def _eval(node, env: EvalEnv):
-    if isinstance(node, ENum):
-        return node.value
-    if isinstance(node, EStr):
-        return node.value
-    if isinstance(node, EBool):
-        return node.value
-    if isinstance(node, EName):
-        if node.name in env.locals:
-            return env.locals[node.name]
-        if node.name in env.prelude:
-            return env.prelude[node.name]
-        raise ScriptEvalError(f"unknown name {node.name!r}")
-    if isinstance(node, ESelf):
-        if env.instance is None:
-            raise ScriptEvalError("self is not available in this hook phase")
-        return _InstanceScope(env.instance)
-    if isinstance(node, ECls):
-        return _ClsScope(env.class_store)
-    if isinstance(node, EAttr):
-        base = _eval(node.base, env)
-        if isinstance(base, _InstanceScope):
-            if node.name not in base.values:
-                raise ScriptEvalError(f"instance has no field {node.name!r}")
-            return base.values[node.name]
-        if isinstance(base, _ClsScope):
-            if node.name not in base.store:
-                raise ScriptEvalError(f"cls.{node.name} is not set")
-            return base.store[node.name]
-        if isinstance(base, CheckedInstance):
-            if node.name not in base.values:
-                raise ScriptEvalError(f"{base.symbol} has no field {node.name!r}")
-            return base.values[node.name]
-        raise ScriptEvalError(f"value of type {type(base).__name__} has no attributes")
-    if isinstance(node, ECall):
-        return _call(node, env)
-    if isinstance(node, EList):
-        return _ListValue([_eval(item, env) for item in node.items])
-    if isinstance(node, ENeg):
-        v = _eval(node.operand, env)
-        if not _is_int(v):
+def _constant(value):
+    return lambda env: value
+
+
+def _self(env: EvalEnv):
+    if env.instance is None:
+        raise ScriptEvalError("self is not available in this hook phase")
+    return _InstanceScope(env.instance)
+
+
+_CONSTANTS = {"True": _constant(True), "False": _constant(False), "self": _self,
+              "cls": lambda env: _ClsScope(env.class_store)}
+
+
+def _name(name: str):
+    def lookup(env: EvalEnv):
+        if name in env.locals:
+            return env.locals[name]
+        if name in env.prelude:
+            return env.prelude[name]
+        raise ScriptEvalError(f"unknown name {name!r}")
+    return lookup
+
+
+def _attribute(base, name: str):
+    def attribute(env: EvalEnv):
+        value = base(env)
+        if isinstance(value, _InstanceScope):
+            if name not in value.values:
+                raise ScriptEvalError(f"instance has no field {name!r}")
+            return value.values[name]
+        if isinstance(value, _ClsScope):
+            if name not in value.store:
+                raise ScriptEvalError(f"cls.{name} is not set")
+            return value.store[name]
+        if isinstance(value, CheckedInstance):
+            if name not in value.values:
+                raise ScriptEvalError(f"{value.symbol} has no field {name!r}")
+            return value.values[name]
+        raise ScriptEvalError(f"value of type {type(value).__name__} has no attributes")
+    return attribute
+
+
+def _negate(operand):
+    def negate(env: EvalEnv):
+        value = operand(env)
+        if not _is_int(value):
             raise ScriptEvalError("unary '-' needs an integer")
-        return -v
-    if isinstance(node, ENot):
-        return not _truth(_eval(node.operand, env))
-    if isinstance(node, EBin):
-        return _binop(node, env)
-    if isinstance(node, EBoolOp):
-        if node.op == "and":
-            result = True
-            for part in node.parts:
-                result = _truth(_eval(part, env))
-                if not result:
-                    return False
-            return result
-        for part in node.parts:
-            if _truth(_eval(part, env)):
-                return True
-        return False
-    if isinstance(node, ECompare):
-        return compare_values(node.op, _eval(node.left, env), _eval(node.right, env))
-    seq = _eval(node.seq, env)  # node is an EIn
-    if not isinstance(seq, list):
-        raise ScriptEvalError("'in' expects a list on the right-hand side")
-    item = _eval(node.item, env)
-    found = any(compare_values("==", item, member) for member in seq)
-    return not found if node.negated else found
+        return -value
+    return negate
+
+
+def _not(operand):
+    return lambda env: not _truth(operand(env))
+
+
+def _contains(item, seq, negated: bool):
+    def contains(env: EvalEnv) -> bool:
+        members = seq(env)
+        if not isinstance(members, list):
+            raise ScriptEvalError("'in' expects a list on the right-hand side")
+        value = item(env)
+        return any(compare_values("==", value, member) for member in members) != negated
+    return contains
+
+
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+               "//": operator.floordiv, "%": operator.mod}
+
+
+def _arithmetic(op: str, left, right):
+    apply = _ARITHMETIC[op]
+
+    def arithmetic(env: EvalEnv) -> int:
+        a, b = left(env), right(env)
+        if not _is_int(a) or not _is_int(b):
+            raise ScriptEvalError(f"arithmetic '{op}' needs integer operands")
+        try:
+            return _integer_result(apply(a, b))
+        except ZeroDivisionError:
+            raise ScriptEvalError("division by zero") from None
+    return arithmetic
+
+
+def _integer_result(value: int) -> int:
+    """value, unless it has more digits than int() converts to text."""
+    if too_many_digits(value):
+        raise ScriptEvalError(integer_too_long("result"))
+    return value
 
 
 class _ListValue(list):
-    """A list a script built; depth counts the lists on its longest path.
+    """A list a script built.
 
-    Lists nest at most MAX_NESTING deep, so formatting and comparing them
-    cannot exhaust the interpreter's stack.
+    depth counts the lists on its longest path and size the items in it and
+    in its nested lists, repeats included.  Lists nest at most MAX_NESTING
+    deep and hold at most MAX_LIST_ITEMS items, so formatting and comparing
+    them can exhaust neither the interpreter's stack nor memory.
     """
 
-    __slots__ = ("depth",)
+    __slots__ = ("depth", "size")
 
     def __init__(self, items: list):
         super().__init__(items)
-        self.depth = 1 + max((x.depth for x in items if isinstance(x, _ListValue)),
-                             default=0)
+        nested = [x for x in items if isinstance(x, _ListValue)]
+        self.depth = 1 + max((x.depth for x in nested), default=0)
         if self.depth > MAX_NESTING:
             raise ScriptEvalError(f"lists nested more than {MAX_NESTING} levels deep")
+        self.size = len(items) + sum(x.size for x in nested)
+        if self.size > MAX_LIST_ITEMS:
+            raise ScriptEvalError(f"lists hold more than {MAX_LIST_ITEMS} items")
 
 
 @dataclass(frozen=True, slots=True)
@@ -761,29 +679,32 @@ class _ClsScope:
     store: dict[str, object]
 
 
-def _call(node: ECall, env: EvalEnv):
-    args = [_eval(a, env) for a in node.args]
-    if node.name == "valid_date":
+def _call(name: str, args: tuple):
+    return lambda env: _builtin(name, [arg(env) for arg in args], env)
+
+
+def _builtin(name: str, args: list, env: EvalEnv):
+    if name == "valid_date":
         return _valid_date(args)
-    if node.name == "len":
+    if name == "len":
         if len(args) != 1 or not isinstance(args[0], (str, list)):
             raise ScriptEvalError("len expects one string or list argument")
         return len(args[0])
-    if node.name == "match":
+    if name == "match":
         if len(args) != 2 or not isinstance(args[0], str) or not isinstance(args[1], str):
             raise ScriptEvalError("match expects (text, pattern) strings")
         try:
             return re.fullmatch(args[1], args[0]) is not None
         except re.error as exc:
             raise ScriptEvalError(f"bad pattern in match: {exc}") from exc
-    if node.name == "append_snapshot":
+    if name == "append_snapshot":
         if args:
             raise ScriptEvalError("append_snapshot takes no arguments")
         if env.on_snapshot is None:
             raise ScriptEvalError("append_snapshot is only available in after_init")
         env.on_snapshot()
         return None
-    raise ScriptEvalError(f"unknown function {node.name!r}")
+    raise ScriptEvalError(f"unknown function {name!r}")
 
 
 def _valid_date(args) -> bool:
@@ -801,10 +722,6 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _is_term(v) -> bool:
-    return isinstance(v, GROUND_TYPES)
-
-
 def _truth(v) -> bool:
     if isinstance(v, bool):
         return v
@@ -814,7 +731,7 @@ def _truth(v) -> bool:
 def _as_term(v) -> GroundTerm:
     if isinstance(v, CheckedInstance):
         return v.source
-    if _is_term(v):
+    if isinstance(v, GROUND_TYPES):
         return v
     if _is_int(v):
         return Number(v)
@@ -825,7 +742,8 @@ def _as_term(v) -> GroundTerm:
 
 def compare_values(op: str, left, right) -> bool:
     """left op right as scripts compare: terms in term order, ScriptEvalError if unordered."""
-    uses_terms = any(isinstance(v, CheckedInstance) or _is_term(v) for v in (left, right))
+    uses_terms = any(isinstance(v, CheckedInstance) or isinstance(v, GROUND_TYPES)
+                     for v in (left, right))
     if uses_terms:
         c = compare(_as_term(left), _as_term(right))
     elif _is_int(left) and _is_int(right):
@@ -840,19 +758,3 @@ def compare_values(op: str, left, right) -> bool:
     return {
         "==": c == 0, "!=": c != 0, "<": c < 0, "<=": c <= 0, ">": c > 0, ">=": c >= 0,
     }[op]
-
-
-def _binop(node: EBin, env: EvalEnv):
-    left = _eval(node.left, env)
-    right = _eval(node.right, env)
-    if not _is_int(left) or not _is_int(right):
-        raise ScriptEvalError(f"arithmetic '{node.op}' needs integer operands")
-    if node.op == "+":
-        return left + right
-    if node.op == "-":
-        return left - right
-    if node.op == "*":
-        return left * right
-    if right == 0:  # node.op is // or %
-        raise ScriptEvalError("division by zero")
-    return left // right if node.op == "//" else left % right

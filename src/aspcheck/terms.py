@@ -136,9 +136,17 @@ _FLAT_FACT_RE = re.compile(
     rf"(?:\s|%[^\n]*(?![^\n]))*(_*[a-z][A-Za-z0-9_]*)\(((?:{_FLAT_ARG})(?:,(?:{_FLAT_ARG}))*)\)\.(?!\.)")
 
 
-def integer_too_long() -> str:
-    """The message for a literal with more digits than int() converts."""
-    return f"integer literal longer than {sys.get_int_max_str_digits()} digits"
+def integer_too_long(what: str = "literal") -> str:
+    """The message for an integer with more digits than int() converts."""
+    return f"integer {what} longer than {sys.get_int_max_str_digits()} digits"
+
+
+def too_many_digits(value: int) -> bool:
+    """Whether value has more digits than int() converts, found without converting it."""
+    limit = sys.get_int_max_str_digits()
+    # |value| < 2**bits <= 10**limit when bits * 0.30103 <= limit, as log10(2) < 0.30103.
+    return (limit > 0 and value.bit_length() * 30103 > limit * 100000
+            and abs(value) >= 10 ** limit)
 
 
 def _encode_string(value: str) -> str:

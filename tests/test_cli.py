@@ -308,6 +308,66 @@ def test_overlong_integer_literal_in_parse_facts_is_a_parse_error():
     assert (exc.value.line, exc.value.column) == (1, 3)
 
 
+# Each of these once ended the CLI in a ValueError traceback: an integer
+# computed at run time had more digits than str() converts.
+_PRODUCT = "9" * 3000 + "*" + "9" * 3000
+_NINES = "9" * 4300
+
+
+@pytest.mark.parametrize("spec, data, code, message", [
+    ("n: {a: Integer}\n", "n(2). n(X*X) :- n(X), X < 1" + "0" * 4000 + ".", 2,
+     "eval-error: integer result longer than 4300 digits in rule: n(X*X) :- n(X), X < 1"),
+    ("n: {a: Integer}\n", f"n({_PRODUCT}).", 1,
+     "invalid input: integer result longer than 4300 digits (line 1, column 3003)"),
+    ("n: {a: Integer}\n", f"n(1). n(X) :- X = {_PRODUCT}.", 2,
+     "eval-error: integer result longer than 4300 digits in rule: n(X) :- X = 9"),
+    ("n: {a: Integer}\n", f"m({_NINES}). m({_NINES[:-1]}8). n(S) :- S = #sum{{X : m(X)}}.", 2,
+     "eval-error: integer result longer than 4300 digits in rule:"
+     " n(S) :- S = #sum{X : m(X)}. with {}"),
+    (textwrap.dedent("""\
+        p:
+            a: Integer
+            valasp:
+                before_grounding: |+
+                    cls.acc = 2
+                after_init: |+
+                    cls.acc = cls.acc * cls.acc
+                after_grounding: |+
+                    fail('{cls.acc}')
+        """), "".join(f"p({i}).\n" for i in range(14)), 2,
+     "p/1: eval-error: after_init: integer result longer than 4300 digits [p(13)]"),
+], ids=["squares", "fact", "rule", "sum", "hook"])
+def test_computed_integer_with_too_many_digits_is_a_diagnostic(tmp_path, capsys, spec, data,
+                                                               code, message):
+    argv = ["validate", "--all-errors", write(tmp_path, "n.yaml", spec),
+            write(tmp_path, "n.lp", data)]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert message in captured.out + captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_hook_lists_hold_at_most_a_million_items(tmp_path, capsys):
+    # Once a list that doubled with each instance, so 2**40 items at the end.
+    spec = write(tmp_path, "p.yaml", textwrap.dedent("""\
+        p:
+            a: Integer
+            valasp:
+                before_grounding: |+
+                    cls.acc = []
+                after_init: |+
+                    cls.acc = [cls.acc, cls.acc]
+                after_grounding: |+
+                    fail('{cls.acc}')
+        """))
+    facts = write(tmp_path, "p.lp", "".join(f"p({i}).\n" for i in range(40)))
+    assert main(["validate", spec, facts]) == 2
+    captured = capsys.readouterr()
+    assert ("p/1: eval-error: after_init: lists hold more than 1000000 items [p(18)]"
+            in captured.out)
+    assert "Traceback" not in captured.err
+
+
 def test_hook_lists_nest_at_most_100_deep(tmp_path, capsys):
     # Once a RecursionError traceback from formatting the 3000-deep list.
     spec = write(tmp_path, "p.yaml", textwrap.dedent("""\

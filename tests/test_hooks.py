@@ -1,6 +1,8 @@
 """Hook mini-language: parsing, evaluation, class hooks, having."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aspcheck.hooks import (
     CheckedInstance,
@@ -161,6 +163,22 @@ class TestEvaluation:
         env = run_on("cls.total = 0\ncls.total += self.v * self.v",
                      instance={"v": 2**40})
         assert env.class_store["total"] == 2**80
+
+    @pytest.mark.parametrize("text", [
+        "x = cls.n * 10", "x = cls.n * 9 + cls.n", "x = 0 - cls.n * 10",
+        "cls.n += cls.n * 9", "cls.n -= 0 - cls.n * 9",
+    ])
+    def test_integer_results_have_at_most_4300_digits(self, text):
+        store = {"n": 10**4299}
+        assert run_on("x = cls.n * 9 - cls.n", class_store=store).locals["x"] == 8 * 10**4299
+        with pytest.raises(ScriptEvalError, match="^integer result longer than 4300 digits$"):
+            run_on(text, class_store=store)
+
+    def test_lists_hold_at_most_a_million_items(self):
+        wrap = "x = [" + ", ".join(["0"] * 999) + "]\n" + "x = [x, x]\n" * 9
+        assert len(run_on(wrap).locals["x"]) == 2  # 2**9 * 999 + 1022 items
+        with pytest.raises(ScriptEvalError, match="^lists hold more than 1000000 items$"):
+            run_on(wrap + "x = [x, x]")
 
     def test_division_by_zero_is_eval_error(self):
         with pytest.raises(ScriptEvalError, match="division by zero"):
@@ -364,7 +382,7 @@ def test_run_parses_no_script(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("text", [
+_AT_THE_LIMIT = [
     "if " + "not " * 100 + "True: x = 1",
     "x = " + "-" * 100 + "1",
     "x = " + "(" * 100 + "1" + ")" * 100,
@@ -374,9 +392,31 @@ def test_run_parses_no_script(monkeypatch):
     "x = self" + ".a" * 100,
     "x = " + "(" * 50 + "1" + " + 1 + 1)" * 50,  # two levels per parenthesis
     "".join(" " * i + "if True:\n" for i in range(100)) + " " * 100 + "x = 1",
-])
+]
+
+
+@pytest.mark.parametrize("text", _AT_THE_LIMIT)
 def test_nesting_at_the_limit_parses(text):
     assert parse_script(text)
+
+
+@pytest.mark.parametrize("text, outcome", zip(_AT_THE_LIMIT, [
+    1, 1, 1, "list", "len expects one string or list argument", 101,
+    "value of type int has no attributes", 101, 1,
+]))
+def test_nesting_at_the_limit_evaluates(text, outcome):
+    # A value or a ScriptEvalError, never a RecursionError.
+    try:
+        value = run_on(text, instance={"a": 1}).locals["x"]
+    except ScriptEvalError as exc:
+        assert str(exc) == outcome
+    else:
+        if outcome == "list":
+            for _ in range(99):
+                [value] = value
+            assert value == [1]
+        else:
+            assert value == outcome
 
 
 @pytest.mark.parametrize("text,line,column", [
@@ -395,3 +435,174 @@ def test_nesting_beyond_the_limit_is_a_positioned_error(text, line, column):
     with pytest.raises(ScriptSyntaxError, match="nested more than 100 levels") as exc:
         parse_script(text)
     assert (exc.value.line, exc.value.column) == (line, column)
+
+
+_DATE = CheckedInstance("date", {"y": 1}, parse_term("date(1)"))
+
+# One script per place the evaluator raises, with the full message.  The
+# order cases pin which operand is evaluated first: the list before the
+# item of 'in', call arguments before the function is looked up, and the
+# class field before the right-hand side of '+='.
+@pytest.mark.parametrize("text, instance, store, error, message", [
+    ("cls.t += 1", None, {}, ScriptEvalError,
+     "cls.t is not initialized (set it in before_grounding)"),
+    ("cls.t -= missing", None, {}, ScriptEvalError,
+     "cls.t is not initialized (set it in before_grounding)"),
+    ("cls.t += 'a'", None, {"t": 1}, ScriptEvalError, "cls.t += needs integer operands"),
+    ("cls.t -= 1", None, {"t": "a"}, ScriptEvalError, "cls.t -= needs integer operands"),
+    ("x = mystery", None, {}, ScriptEvalError, "unknown name 'mystery'"),
+    ("x = self.a", None, {}, ScriptEvalError, "self is not available in this hook phase"),
+    ("x = self", None, {}, ScriptEvalError, "self is not available in this hook phase"),
+    ("x = self.nope", {"a": 1}, {}, ScriptEvalError, "instance has no field 'nope'"),
+    ("x = cls.nope", None, {}, ScriptEvalError, "cls.nope is not set"),
+    ("x = self.d.nope", {"d": _DATE}, {}, ScriptEvalError, "date has no field 'nope'"),
+    ("x = self.a.b", {"a": 1}, {}, ScriptEvalError, "value of type int has no attributes"),
+    ("x = -'a'", None, {}, ScriptEvalError, "unary '-' needs an integer"),
+    ("x = --True", None, {}, ScriptEvalError, "unary '-' needs an integer"),
+    ("x = 1 in 2", None, {}, ScriptEvalError, "'in' expects a list on the right-hand side"),
+    ("x = item not in items", None, {}, ScriptEvalError, "unknown name 'items'"),
+    pytest.param("x = 0\n" + "x = [x]\n" * 101, None, {}, ScriptEvalError,
+                 "lists nested more than 100 levels deep", id="list-101-deep"),
+    ("x = len(1)", None, {}, ScriptEvalError, "len expects one string or list argument"),
+    ("x = len('a', 'b')", None, {}, ScriptEvalError,
+     "len expects one string or list argument"),
+    ("x = match('a')", None, {}, ScriptEvalError, "match expects (text, pattern) strings"),
+    ("x = match('a', '[')", None, {}, ScriptEvalError,
+     "bad pattern in match: unterminated character set at position 0"),
+    ("append_snapshot(1)", None, {}, ScriptEvalError, "append_snapshot takes no arguments"),
+    ("append_snapshot()", None, {}, ScriptEvalError,
+     "append_snapshot is only available in after_init"),
+    ("x = nosuch(1)", None, {}, ScriptEvalError, "unknown function 'nosuch'"),
+    ("x = nosuch(missing)", None, {}, ScriptEvalError, "unknown name 'missing'"),
+    ("valid_date(1, 2)", None, {}, ScriptEvalError,
+     "valid_date expects three integers (year, month, day)"),
+    ("valid_date(1, 2, True)", None, {}, ScriptEvalError,
+     "valid_date expects three integers (year, month, day)"),
+    ("if 1: x = 1", None, {}, ScriptEvalError, "condition is int, not a boolean"),
+    ("x = True and 1", None, {}, ScriptEvalError, "condition is int, not a boolean"),
+    ("x = False or 'a'", None, {}, ScriptEvalError, "condition is str, not a boolean"),
+    ("x = not [1]", None, {}, ScriptEvalError, "condition is _ListValue, not a boolean"),
+    ("x = self.t < [1]", {"t": parse_term("a")}, {}, ScriptEvalError,
+     "cannot order a value of type _ListValue"),
+    ("x = 1 < 'a'", None, {}, ScriptEvalError, "cannot compare int with str"),
+    ("x = True < False", None, {}, ScriptEvalError, "cannot compare bool with bool"),
+    ("x = 1 + 'a'", None, {}, ScriptEvalError, "arithmetic '+' needs integer operands"),
+    ("x = [1] * 2", None, {}, ScriptEvalError, "arithmetic '*' needs integer operands"),
+    ("x = 1 // 0", None, {}, ScriptEvalError, "division by zero"),
+    ("x = 1 % 0", None, {}, ScriptEvalError, "division by zero"),
+    ("fail('got {self.a + 1} of {self.t}, {[True, \"s\"]}')",
+     {"a": 1, "t": parse_term('f(a,"b")')}, {}, CheckFailure, 'got 2 of f(a,"b"), [True, s]'),
+    ("fail((('at {cls.n}')))", None, {"n": 3}, CheckFailure, "at 3"),
+    ("m = 'no {1}'\nfail(m)", None, {}, CheckFailure, "no {1}"),
+    ("fail('a' + 'b')", None, {}, ScriptEvalError, "arithmetic '+' needs integer operands"),
+    ("fail(self.d)", {"d": _DATE}, {}, CheckFailure, "date(1)"),
+    ("fail(False)", None, {}, CheckFailure, "False"),
+    ("valid_date(2019, 2, 30)", None, {}, CheckFailure, "no such calendar date: 2019-2-30"),
+])
+def test_every_evaluation_error_message(text, instance, store, error, message):
+    with pytest.raises(error) as exc:
+        run_on(text, instance=instance, class_store=store)
+    assert str(exc.value) == message
+
+
+# Every syntax error the script parser raises, message and position.
+@pytest.mark.parametrize("text, message", [
+    ("x = 1 $ 2", "unexpected character '$' (line 1, column 7)"),
+    ("x = 'a\\t'", "unsupported escape \\t (line 1, column 5)"),
+    ("x = ", "expected an expression, got end of line (line 1, column 4)"),
+    ("x = )", "expected an expression, got ')' (line 1, column 5)"),
+    ("x = self.1", "expected an attribute name after '.', got '1' (line 1, column 10)"),
+    ("x = f(1", "expected ')' closing the call, got end of line (line 1, column 8)"),
+    ("x = [1, 2", "expected ']' closing the list, got end of line (line 1, column 10)"),
+    ("x = (1", "expected ')', got end of line (line 1, column 7)"),
+    ("x = 1 < 2 < 3", "expected end of line, got '<' (line 1, column 11)"),
+    ("x = 1 2", "expected end of line, got '2' (line 1, column 7)"),
+    ("fail 'a'", "expected '(' after fail, got \"'a'\" (line 1, column 6)"),
+    ("fail('a' 'b')", "expected ')' closing fail, got \"'b'\" (line 1, column 10)"),
+    ("fail('a {1 +}')", "expected an expression, got end of line (line 1, column 4)"),
+    ("fail('a {1 2}')", "expected end of interpolated expression, got '2' (line 1, column 3)"),
+    ("fail('a {1')", "unterminated '{' in fail message (line 1, column 1)"),
+    ("if True x = 1", "expected ':' after the if condition, got 'x' (line 1, column 9)"),
+    ("if True: x = 1 2", "expected end of line after the inline statement, got '2'"
+     " (line 1, column 16)"),
+    ("if True:\nx = 1", "expected an indented block after 'if ...:' (line 1, column 1)"),
+    ("x = 1\n  y = 2", "unexpected indentation (line 2, column 1)"),
+    ("if True:\n    x = 1\n  y = 2", "unexpected indentation (line 3, column 1)"),
+    ("if True:\n  x = 1\n    y = 2", "unexpected indentation (line 3, column 1)"),
+    ("x = 1 +", "expected an expression, got end of line (line 1, column 8)"),
+    ("cls.x = ", "expected an expression, got end of line (line 1, column 8)"),
+    pytest.param("x = 10" + "0" * 5000,
+                 "integer literal longer than 4300 digits (line 1, column 5)", id="long-literal"),
+])
+def test_every_syntax_error_message(text, message):
+    with pytest.raises(ScriptSyntaxError) as exc:
+        parse_script(text)
+    assert str(exc.value) == message
+
+
+# Well-typed expressions as trees: ("int", n), ("bool", b), ("list", items),
+# ("neg", e), ("not", e), ("and" | "or", parts), ("cmp", op, left, right)
+# and (arithmetic op, left, right).
+_ints = st.deferred(lambda: st.one_of(
+    st.builds(lambda n: ("int", n), st.integers(-50, 50)),
+    st.builds(lambda e: ("neg", e), _ints),
+    st.tuples(st.sampled_from(["+", "-", "*", "//", "%"]), _ints, _ints),
+))
+_int_lists = st.builds(lambda items: ("list", items), st.lists(_ints, max_size=3))
+_bools = st.deferred(lambda: st.one_of(
+    st.builds(lambda b: ("bool", b), st.booleans()),
+    st.tuples(st.just("cmp"), st.sampled_from(["==", "!=", "<", "<=", ">", ">="]),
+              _ints, _ints),
+    st.tuples(st.just("cmp"), st.sampled_from(["==", "!="]), _bools, _bools),
+    st.tuples(st.just("cmp"), st.sampled_from(["==", "!="]), _int_lists, _int_lists),
+    st.tuples(st.just("cmp"), st.sampled_from(["in", "not in"]), _ints, _int_lists),
+    st.builds(lambda e: ("not", e), _bools),
+    st.tuples(st.sampled_from(["and", "or"]), st.lists(_bools, min_size=2, max_size=3)),
+))
+
+# Binding strength, as in Python; an atom binds tightest.
+_STRENGTH = {"or": 1, "and": 2, "not": 3, "cmp": 4, "+": 5, "-": 5,
+             "*": 6, "//": 6, "%": 6, "neg": 7}
+_ATOM = 8
+
+
+def _source(node, redundant: bool) -> tuple[str, int]:
+    """(text, binding strength) of node; redundant parenthesizes every operand."""
+    kind = node[0]
+    if kind == "int":
+        return (str(node[1]), _ATOM) if node[1] >= 0 else (f"-{-node[1]}", _STRENGTH["neg"])
+    if kind == "bool":
+        return str(node[1]), _ATOM
+    if kind == "list":
+        return "[" + ", ".join(_source(x, redundant)[0] for x in node[1]) + "]", _ATOM
+
+    def operand(child, strength):
+        text, own = _source(child, redundant)
+        return f"({text})" if own < strength or (redundant and own < _ATOM) else text
+
+    strength = _STRENGTH[kind]
+    if kind == "neg":
+        return "-" + operand(node[1], strength), strength
+    if kind == "not":
+        return "not " + operand(node[1], strength), strength
+    if kind in ("and", "or"):
+        return f" {kind} ".join(operand(x, strength + 1) for x in node[1]), strength
+    if kind == "cmp":  # comparisons never chain
+        _, op, left, right = node
+        return f"{operand(left, strength + 1)} {op} {operand(right, strength + 1)}", strength
+    left, right = node[1:]
+    return f"{operand(left, strength)} {kind} {operand(right, strength + 1)}", strength
+
+
+@given(st.one_of(_ints, _bools, _int_lists), st.booleans())
+@settings(max_examples=200)
+def test_expressions_evaluate_as_in_python(tree, redundant):
+    text = _source(tree, redundant)[0]
+    try:
+        want = eval(text, {"__builtins__": {}})
+    except ZeroDivisionError:
+        with pytest.raises(ScriptEvalError, match="^division by zero$"):
+            run_on(f"v = {text}")
+        return
+    got = run_on(f"v = {text}").locals["v"]
+    assert (got, type(got) is bool) == (want, type(want) is bool), text

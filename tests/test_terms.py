@@ -392,3 +392,14 @@ def test_overlong_integer_literal_is_a_positioned_error(parse, text, column):
     with pytest.raises(ParseError, match="integer literal longer than") as exc:
         parse("q.\n" + text)
     assert (exc.value.line, exc.value.column) == (2, column)
+
+
+# 2**14284 - 1 is the largest value the bit-length shortcut clears; the
+# comparison decides 2**14284 (4300 digits) and 2**14285 (4301 digits).
+@pytest.mark.parametrize("value, too_long", [
+    (0, False), (2**14284 - 1, False), (2**14284, False), (2**14285, True),
+    (10**4300 - 1, False), (10**4300, True), (10**5000, True),
+], ids=["0", "2**14284-1", "2**14284", "2**14285", "10**4300-1", "10**4300", "10**5000"])
+def test_too_many_digits_counts_decimal_digits(value, too_long):
+    assert terms.too_many_digits(value) is too_long
+    assert terms.too_many_digits(-value) is too_long
