@@ -24,6 +24,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .terms import (
+    COMPARISONS,
     GROUND_TYPES,
     MAX_NESTING,
     Const,
@@ -35,8 +36,9 @@ from .terms import (
     Str,
     TokenCursor,
     Tuple,
-    compare,
     integer_too_long,
+    render,
+    sort_key,
     too_many_digits,
 )
 
@@ -74,8 +76,9 @@ class UnstratifiedError(ValueError):
 
 class EvaluationError(RuntimeError):
     def __init__(self, message: str, rule_text: str, binding: dict):
-        shown = {k: v for k, v in sorted(binding.items()) if not k.startswith("_#")}
-        super().__init__(f"{message} in rule: {rule_text} with {shown}")
+        shown = ", ".join(f"{k}: {render(v)}" for k, v in sorted(binding.items())
+                          if not k.startswith("_#"))
+        super().__init__(f"{message} in rule: {rule_text} with {{{shown}}}")
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +174,6 @@ class Program:
 # Parser
 
 
-_COMPARE_OPS = {"=", "==", "!=", "<", "<=", ">", ">="}
 _FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "==": "==", "!=": "!="}
 
 
@@ -252,13 +254,13 @@ class _ProgramParser(TokenCursor):
             return NegAtom(self.atom())
         if self.cur.kind == "agg":
             agg = self.aggregate()
-            if self.cur.text not in _COMPARE_OPS:
+            if self.cur.text not in COMPARISONS:
                 raise self.error("a comparison after the aggregate")
             op = self.advance().text
             right = self.term()
             return AggregateLit(agg, op, right)
         left = self.term()
-        if self.cur.text in _COMPARE_OPS:
+        if self.cur.text in COMPARISONS:
             op = self.advance().text
             if self.cur.kind == "agg":
                 return AggregateLit(self.aggregate(), _FLIP[op], left)
@@ -294,7 +296,7 @@ class _ProgramParser(TokenCursor):
 
     def condition_literal(self):
         left = self.term()
-        if self.cur.text in _COMPARE_OPS:
+        if self.cur.text in COMPARISONS:
             op = self.advance().text
             return Comparison(op, left, self.term())
         return self.as_atom(left)
@@ -654,7 +656,7 @@ def stratify(program: "Program | list[Rule]") -> list[list[str]]:
 
     sccs = _tarjan(preds, pos_edges | neg_edges)
     scc_of = {p: i for i, scc in enumerate(sccs) for p in scc}
-    for src, dst in neg_edges:
+    for src, dst in sorted(neg_edges):
         if scc_of[src] == scc_of[dst]:
             raise UnstratifiedError(sorted(sccs[scc_of[src]]))
 
@@ -763,8 +765,9 @@ def evaluate(program: Program, input_facts) -> set[Fact]:
     strata = stratify(program.rules)
     stratum_of = {p: i for i, s in enumerate(strata) for p in s}
     relations = _Relations()
-    model = set(itertools.chain(program.facts, input_facts))
-    for fact in model:
+    model: set[Fact] = set()
+    for fact in itertools.chain(program.facts, input_facts):
+        model.add(fact)
         relations.add(fact.predicate, fact.args)
 
     by_stratum: dict[int, list[Rule]] = {}
@@ -782,7 +785,7 @@ def evaluate(program: Program, input_facts) -> set[Fact]:
 
 
 class _Relations:
-    """Tuples by predicate, with hash indexes built on first use.
+    """Tuples by predicate in insertion order, with hash indexes built on first use.
 
     An index holds the tuples of one predicate and arity in buckets keyed
     by their values at some argument positions, each bucket in insertion
@@ -793,17 +796,17 @@ class _Relations:
     __slots__ = ("tuples", "_indexes")
 
     def __init__(self) -> None:
-        self.tuples: dict[str, set[tuple]] = {}
+        self.tuples: dict[str, dict[tuple, None]] = {}  # pred -> tuples as keys
         # pred -> (arity, positions) -> key -> bucket
         self._indexes: dict[str, dict[tuple, dict[tuple, list[tuple]]]] = {}
 
     def add(self, pred: str, args: tuple) -> bool:
         rel = self.tuples.get(pred)
         if rel is None:
-            rel = self.tuples[pred] = set()
+            rel = self.tuples[pred] = {}
         elif args in rel:
             return False
-        rel.add(args)
+        rel[args] = None
         indexes = self._indexes.get(pred)
         if indexes:
             for (arity, positions), index in indexes.items():
@@ -914,20 +917,15 @@ def _eval_comparison(lit: Comparison, binding: dict, rule: Rule) -> dict | None:
 
 
 def _holds(op: str, left: GroundTerm, right: GroundTerm) -> bool:
-    if op in ("=", "=="):
-        return left == right
-    if op == "!=":
-        return left != right
-    c = compare(left, right)
-    return {"<": c < 0, "<=": c <= 0, ">": c > 0, ">=": c >= 0}[op]
+    return COMPARISONS[op](sort_key(left), sort_key(right))
 
 
 def _eval_aggregate(lit: AggregateLit, keys: tuple, binding: dict,
                     relations: _Relations, rule: Rule) -> dict | None:
-    tuples: set[tuple] = set()
-    for cond_binding in _solve_condition(lit.agg.condition, keys, 0, binding,
-                                         relations, rule):
-        tuples.add(tuple(_eval_term(t, cond_binding, rule) for t in lit.agg.elements))
+    tuples = dict.fromkeys(  # distinct, in the order they are found
+        tuple(_eval_term(t, cond_binding, rule) for t in lit.agg.elements)
+        for cond_binding in _solve_condition(lit.agg.condition, keys, 0, binding,
+                                             relations, rule))
 
     func = lit.agg.func
     value: GroundTerm
@@ -938,7 +936,7 @@ def _eval_aggregate(lit: AggregateLit, keys: tuple, binding: dict,
         for t in tuples:
             if not isinstance(t[0], Number):
                 raise EvaluationError(
-                    f"#sum over a non-integer {t[0]!r}", rule.source, binding)
+                    f"#sum over a non-integer {render(t[0])}", rule.source, binding)
             total += t[0].value
         if too_many_digits(total):
             raise EvaluationError(integer_too_long("result"), rule.source, binding)
@@ -946,13 +944,8 @@ def _eval_aggregate(lit: AggregateLit, keys: tuple, binding: dict,
     elif func in ("min", "max"):
         if not tuples:
             return None  # the aggregate binds nothing over an empty set
-        firsts = [t[0] for t in tuples]
-        picked = firsts[0]
-        for candidate in firsts[1:]:
-            c = compare(candidate, picked)
-            if (func == "min" and c < 0) or (func == "max" and c > 0):
-                picked = candidate
-        value = picked
+        pick = min if func == "min" else max
+        value = pick((t[0] for t in tuples), key=sort_key)
     else:
         raise EvaluationError(f"unknown aggregate #{func}", rule.source, binding)
 

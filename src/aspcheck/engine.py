@@ -22,7 +22,8 @@ from .schema import (
     ValidationSpec,
     check_spec,
 )
-from .terms import Const, Fact, Func, GroundTerm, Number, Str, render, sort_key
+from .terms import (Const, Fact, Func, GroundTerm, Number, Str, integer_too_long, render,
+                    sort_key, too_many_digits)
 
 __all__ = [
     "RunOptions",
@@ -318,7 +319,8 @@ def finalize(definition: UserDefinition, store: AccumulatorStore) -> list[Diagno
                 ("sum-neg", "negative", fld.facets.sum_neg, store.sums_neg)):
             total = sums.get((symbol, fld.name), 0)
             if bounds is not None and not bounds[0] <= total <= bounds[1]:
-                diags.append(diag(rule, f"sum of {sign} {fld.name} in {symbol} is {total},"
+                shown = f"an {integer_too_long('total')}" if too_many_digits(total) else total
+                diags.append(diag(rule, f"sum of {sign} {fld.name} in {symbol} is {shown},"
                                         f" outside [{bounds[0]}, {bounds[1]}]"))
 
     after = definition.after_grounding

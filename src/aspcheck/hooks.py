@@ -26,14 +26,15 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from .terms import (
+    COMPARISONS,
     GROUND_TYPES,
     MAX_NESTING,
     GroundTerm,
     Number,
     Str,
-    compare,
     integer_too_long,
     render,
+    sort_key,
     too_many_digits,
 )
 
@@ -740,21 +741,15 @@ def _as_term(v) -> GroundTerm:
     raise ScriptEvalError(f"cannot order a value of type {type(v).__name__}")
 
 
+_TERM_LIKE = (CheckedInstance, *GROUND_TYPES)
+
+
 def compare_values(op: str, left, right) -> bool:
     """left op right as scripts compare: terms in term order, ScriptEvalError if unordered."""
-    uses_terms = any(isinstance(v, CheckedInstance) or isinstance(v, GROUND_TYPES)
-                     for v in (left, right))
-    if uses_terms:
-        c = compare(_as_term(left), _as_term(right))
-    elif _is_int(left) and _is_int(right):
-        c = (left > right) - (left < right)
-    elif isinstance(left, str) and isinstance(right, str):
-        c = (left > right) - (left < right)
-    elif op in ("==", "!="):
-        return (left == right) if op == "==" else (left != right)
-    else:
+    if isinstance(left, _TERM_LIKE) or isinstance(right, _TERM_LIKE):
+        left, right = sort_key(_as_term(left)), sort_key(_as_term(right))
+    elif not (_is_int(left) and _is_int(right) or isinstance(left, str) and isinstance(right, str)
+              or op in ("==", "!=")):
         raise ScriptEvalError(
             f"cannot compare {type(left).__name__} with {type(right).__name__}")
-    return {
-        "==": c == 0, "!=": c != 0, "<": c < 0, "<=": c <= 0, ">": c > 0, ">=": c >= 0,
-    }[op]
+    return COMPARISONS[op](left, right)

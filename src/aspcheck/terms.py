@@ -11,6 +11,7 @@ cursor defined here.
 
 from __future__ import annotations
 
+import operator
 import re
 import sys
 from dataclasses import dataclass
@@ -30,6 +31,7 @@ __all__ = [
     "render",
     "compare",
     "sort_key",
+    "COMPARISONS",
 ]
 
 # How deeply terms may nest parentheses; deeper input is a ParseError
@@ -421,11 +423,14 @@ def render(t: GroundTerm) -> str:
     raise TypeError(f"not a ground term: {t!r}")
 
 
-_KIND_RANK = {Number: 0, Const: 1, Str: 2, Tuple: 3, Func: 4}
-
-
 def sort_key(t: GroundTerm):
-    """Total-order key: tuple comparison agrees with compare()."""
+    """The key of t in the term order; compare and every comparison use it.
+
+    Numbers come first, then constants, strings, tuples and functions.
+    Numbers order by value, constants by name and strings by text; tuples
+    by length, then item by item; functions by arity, then name, then
+    argument by argument.
+    """
     if isinstance(t, Number):
         return (0, t.value)
     if isinstance(t, Const):
@@ -440,35 +445,12 @@ def sort_key(t: GroundTerm):
 
 
 def compare(a: GroundTerm, b: GroundTerm) -> int:
-    """-1, 0 or 1.  Cross-kind rank: Number < Const < Str < Tuple < Func."""
-    ra, rb = _KIND_RANK[type(a)], _KIND_RANK[type(b)]
-    if ra != rb:
-        return -1 if ra < rb else 1
-    if isinstance(a, Number):
-        return _cmp(a.value, b.value)
-    if isinstance(a, Const):
-        return _cmp(a.name, b.name)
-    if isinstance(a, Str):
-        return _cmp(a.value, b.value)
-    if isinstance(a, Tuple):
-        if len(a.args) != len(b.args):
-            return _cmp(len(a.args), len(b.args))
-        return _cmp_args(a.args, b.args)
-    assert isinstance(a, Func) and isinstance(b, Func)
-    if len(a.args) != len(b.args):
-        return _cmp(len(a.args), len(b.args))
-    if a.name != b.name:
-        return _cmp(a.name, b.name)
-    return _cmp_args(a.args, b.args)
+    """-1, 0 or 1 as the sort keys of a and b compare."""
+    ka, kb = sort_key(a), sort_key(b)
+    return (ka > kb) - (ka < kb)
 
 
-def _cmp(x, y) -> int:
-    return (x > y) - (x < y)
-
-
-def _cmp_args(xs: tuple[GroundTerm, ...], ys: tuple[GroundTerm, ...]) -> int:
-    for x, y in zip(xs, ys):
-        c = compare(x, y)
-        if c:
-            return c
-    return 0
+# The comparison operators of rules, `having` and hooks, as functions of two
+# sort keys (or of two values that Python orders alike).
+COMPARISONS = {"=": operator.eq, "==": operator.eq, "!=": operator.ne,
+               "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, formats, modes."""
 
 import json
+import os
 import subprocess
 import sys
 import textwrap
@@ -345,6 +346,58 @@ def test_computed_integer_with_too_many_digits_is_a_diagnostic(tmp_path, capsys,
     captured = capsys.readouterr()
     assert message in captured.out + captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("facet, data, rule, bounds", [
+    ("sum+", f"p({_NINES}). p({_NINES[:-1]}8).", "sum-pos", "[0, 2147483647]"),
+    ("sum-", f"p(-{_NINES}). p(-{_NINES[:-1]}8).", "sum-neg", "[-2147483648, 0]"),
+], ids=["sum-pos", "sum-neg"])
+@pytest.mark.parametrize("flags", [[], ["--all-errors", "--format", "jsonl"]],
+                         ids=["text", "jsonl"])
+def test_sum_facet_total_with_too_many_digits_is_a_diagnostic(tmp_path, capsys, facet, data,
+                                                              rule, bounds, flags):
+    spec = f"p: {{a: {{type: Integer, min: -{_NINES}, max: {_NINES}, {facet}: Integer}}}}\n"
+    argv = ["validate", *flags, write(tmp_path, "p.yaml", spec), write(tmp_path, "p.lp", data)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    sign = "positive" if facet == "sum+" else "negative"
+    message = (f"sum of {sign} a in p is an integer total longer than 4300 digits,"
+               f" outside {bounds}")
+    if flags:
+        [record] = [json.loads(line) for line in captured.out.splitlines()]
+        assert (record["rule"], record["message"]) == (rule, message)
+    else:
+        assert captured.out == f"p/1: {rule}: {message}\ninvalid\n"
+    assert "Traceback" not in captured.err
+
+
+def _validate_under_seeds(tmp_path, spec: str, data: str) -> set[tuple[int, str]]:
+    """The distinct (exit code, stdout) of validate run under six PYTHONHASHSEED values."""
+    argv = [sys.executable, "-m", "aspcheck.cli", "validate",
+            write(tmp_path, "s.yaml", spec), write(tmp_path, "s.lp", data)]
+    return {(proc.returncode, proc.stdout) for proc in (
+        subprocess.run(argv, capture_output=True, text=True,
+                       env={**os.environ, "PYTHONHASHSEED": str(seed)})
+        for seed in range(1, 7))}
+
+
+def test_unstratified_cycle_is_named_alike_under_every_hash_seed(tmp_path):
+    spec = textwrap.dedent("""\
+        a: {x: Integer}
+        valasp:
+            asp: |
+                a(1) :- not b(1). b(1) :- a(1). c(1) :- not d(1). d(1) :- c(1).
+        """)
+    assert _validate_under_seeds(tmp_path, spec, "a(1).") == {(2, (
+        ": asp-syntax: program is not stratified; negation or aggregation on the cycle:"
+        " a -> b -> a\nspec-error\n"))}
+
+
+def test_evaluation_error_binding_is_alike_under_every_hash_seed(tmp_path):
+    spec = "p: {y: Integer}\nvalasp:\n    asp: |\n        p(Y) :- q(X), Y = X + 1.\n"
+    assert _validate_under_seeds(tmp_path, spec, "q(a). q(b). q(c). q(d).") == {(2, (
+        ": eval-error: arithmetic on non-integers (+) in rule: p(Y) :- q(X), Y = X + 1."
+        " with {X: a}\nspec-error\n"))}
 
 
 def test_hook_lists_hold_at_most_a_million_items(tmp_path, capsys):

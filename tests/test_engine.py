@@ -292,7 +292,41 @@ class TestHavingIntegration:
         assert diag.message == "Expected x < y"
 
 
+# The predicates each fixture declares or derives, with the kind of each
+# argument: n for an integer, s for a string.
+_FACT_SHAPES = {
+    "income.yaml": [("income", "sn")],
+    "knight.yaml": [("size", "n"), ("move", "nnnn"), ("givenmove", "nnnn")],
+    "ordered_triple.yaml": [("ordered_triple", "nnn")],
+    "solitaire.yaml": [("range", "n"), ("location", "nn")],
+}
+
+
+def _random_arg(rng: random.Random, kind: str):
+    """Mostly a term of the kind, small or near the 32-bit limit; else any."""
+    roll = rng.random()
+    if roll < 0.1:
+        return rng.choice([Const("a"), Str("A"), Number(1), Func("f", (Number(1),))])
+    if kind == "s":
+        return Str(rng.choice(["A", "B", "C"]))
+    return Number(INT32_MAX - rng.randint(0, 3) if roll < 0.25 else rng.randint(-2, 10))
+
+
 class TestRunModes:
+    @pytest.mark.parametrize("fixture", sorted(_FACT_SHAPES))
+    def test_fail_fast_reports_the_first_of_all_errors(self, fixture):
+        spec = load_fixture(fixture)
+        cut = 0
+        for seed in range(60):
+            rng = random.Random(seed)
+            facts = [Fact(pred, tuple(_random_arg(rng, kind) for kind in kinds))
+                     for pred, kinds in rng.choices(_FACT_SHAPES[fixture], k=rng.randint(0, 8))]
+            all_errors = run(spec, facts, RunOptions(fail_fast=False)).diagnostics
+            first = run(spec, facts, RunOptions(fail_fast=True)).diagnostics
+            assert first == all_errors[:1], (seed, facts)
+            cut += len(all_errors) > 1
+        assert cut >= 10  # fail-fast stopped a run that had more to report
+
     def test_fail_fast_stops_at_first(self):
         spec = load_fixture("income.yaml")
         facts = parse_facts('income("A", -5). income("B", -6).')

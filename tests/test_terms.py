@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aspcheck import datalog, terms
+from aspcheck import datalog, hooks, terms
 from aspcheck.datalog import evaluate, parse_program
 from aspcheck.terms import (
     Const,
@@ -284,6 +284,37 @@ def test_fact_shaped_terms_round_trip_through_parse_facts(term):
         parsed = parse_facts(text + ".")
         assert len(parsed) == 1
         assert parsed[0].term() == term
+
+
+_ORDER_RULES = parse_program("""
+    lt(X,Y) :- v(X), v(Y), X < Y.
+    least(M) :- M = #min{X : v(X)}.
+    greatest(M) :- M = #max{X : v(X)}.
+""")
+_ORDER_OPS = {"==": lambda c: c == 0, "!=": lambda c: c != 0, "<": lambda c: c < 0,
+              "<=": lambda c: c <= 0, ">": lambda c: c > 0, ">=": lambda c: c >= 0}
+# One term of each kind, so that every example compares across kinds.
+_PIVOTS = [Number(0), Const("m"), Str("m"), Tuple((Number(0),)), Func("m", (Number(0),))]
+
+
+@given(st.lists(st.one_of(_leaves, _terms), max_size=6))
+@settings(max_examples=200)
+def test_every_comparison_follows_the_term_order(drawn):
+    # compare, rule comparisons, #min/#max and hook comparisons against the oracle.
+    values = drawn + _PIVOTS
+    for a in values:
+        for b in values:
+            c = compare_terms(a, b)
+            assert compare(a, b) == c
+            for op, holds in _ORDER_OPS.items():
+                assert hooks.compare_values(op, a, b) is holds(c), (op, a, b)
+    model = evaluate(_ORDER_RULES, [Fact("v", (v,)) for v in values])
+    derived = {f.args for f in model if f.predicate == "lt"}
+    assert derived == {(a, b) for a in values for b in values if compare_terms(a, b) < 0}
+    ordered = sorted(values, key=cmp_to_key(compare_terms))
+    assert Fact("least", (ordered[0],)) in model
+    assert Fact("greatest", (ordered[-1],)) in model
+    assert sum(f.predicate in ("least", "greatest") for f in model) == 2
 
 
 _facts = st.builds(lambda name, args: Fact(name, tuple(args)),
