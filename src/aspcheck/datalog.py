@@ -654,11 +654,16 @@ def stratify(program: "Program | list[Rule]") -> list[list[str]]:
                         preds.add(c.pred)
                         neg_edges.add((c.pred, h))
 
-    sccs = _tarjan(preds, pos_edges | neg_edges)
+    succ: dict[str, list[str]] = {p: [] for p in sorted(preds)}
+    for src, dst in sorted(pos_edges | neg_edges):
+        succ[src].append(dst)
+    sccs = _tarjan(succ)
     scc_of = {p: i for i, scc in enumerate(sccs) for p in scc}
     for src, dst in sorted(neg_edges):
         if scc_of[src] == scc_of[dst]:
-            raise UnstratifiedError(sorted(sccs[scc_of[src]]))
+            # A real cycle through the offending edge, from the least member.
+            start = min(sccs[scc_of[src]])
+            raise UnstratifiedError(_path(succ, start, src) + _path(succ, dst, start)[:-1])
 
     # Longest path over the condensation, counting negative edges.
     level = {i: 0 for i in range(len(sccs))}
@@ -686,10 +691,22 @@ def stratify(program: "Program | list[Rule]") -> list[list[str]]:
     return [sorted(s) for s in strata if s]
 
 
-def _tarjan(nodes: set[str], edges: set[tuple[str, str]]) -> list[list[str]]:
-    succ: dict[str, list[str]] = {n: [] for n in nodes}
-    for src, dst in edges:
-        succ[src].append(dst)
+def _path(succ: dict[str, list[str]], start: str, goal: str) -> list[str]:
+    """A shortest path from start to goal, breadth first in successor order."""
+    came_from = {start: start}
+    queue = [start]
+    for node in queue:
+        for nxt in succ[node]:
+            if nxt not in came_from:
+                came_from[nxt] = node
+                queue.append(nxt)
+    path = [goal]
+    while path[-1] != start:
+        path.append(came_from[path[-1]])
+    return path[::-1]
+
+
+def _tarjan(succ: dict[str, list[str]]) -> list[list[str]]:
     index: dict[str, int] = {}
     low: dict[str, int] = {}
     on_stack: set[str] = set()
@@ -731,7 +748,7 @@ def _tarjan(nodes: set[str], edges: set[tuple[str, str]]) -> list[list[str]]:
                         break
                 sccs.append(scc)
 
-    for node in sorted(nodes):
+    for node in sorted(succ):
         if node not in index:
             visit(node)
     return sccs

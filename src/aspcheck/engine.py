@@ -12,6 +12,8 @@ from __future__ import annotations
 import re
 import time
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import NamedTuple
 
 from . import datalog, hooks
 from .diagnostics import Diagnostic, RunStats, ValidationReport
@@ -22,8 +24,8 @@ from .schema import (
     ValidationSpec,
     check_spec,
 )
-from .terms import (Const, Fact, Func, GroundTerm, Number, Str, integer_too_long, render,
-                    sort_key, too_many_digits)
+from .terms import (Const, Fact, Func, Number, Str, integer_too_long, render, sort_key,
+                    too_many_digits)
 
 __all__ = [
     "RunOptions",
@@ -60,21 +62,38 @@ class AccumulatorStore:
         self.class_store: dict[str, object] = {}
         self.snapshots: dict[str, list[hooks.CheckedInstance]] = {}
         self.prelude: dict[str, object] = {}
-        self._implicit_snapshot: dict[str, bool] = {}
+        self._checks: dict[str, _Checks] = {}
 
-    def implicit_snapshot(self, definition: UserDefinition) -> bool:
-        """Whether every valid instance of the definition is snapshotted.
+    def checks(self, definition: UserDefinition) -> "_Checks":
+        """The definition's compiled checks, built on first use in the run."""
+        checks = self._checks.get(definition.symbol)
+        if checks is None:
+            checks = self._checks[definition.symbol] = _compile(definition, self)
+        return checks
 
-        That is so when after_grounding reads self and after_init does not
-        call append_snapshot itself; decided once per symbol.
-        """
-        wanted = self._implicit_snapshot.get(definition.symbol)
-        if wanted is None:
-            after, init = definition.after_grounding, definition.after_init
-            wanted = self._implicit_snapshot[definition.symbol] = (
-                after is not None and after.uses_self
-                and (init is None or not init.uses_append_snapshot))
-        return wanted
+
+class _Checks(NamedTuple):
+    """A definition's checks, compiled once per run.
+
+    snapshot: every valid instance is snapshotted (after_grounding reads self,
+    after_init does not call append_snapshot).  in_after_init: checking an
+    instance runs an after_init, its own or one of its fields' user types,
+    at any depth.  order_free: neither, so no hook sees the checking order.
+    """
+
+    fields: tuple
+    sums: tuple
+    snapshot: bool
+    in_after_init: bool
+    order_free: bool
+
+
+class _Invalid(Exception):
+    """Args: a field value's problems as (rule, message); its kind is wrong."""
+
+
+class _BadFacets(_Invalid):
+    """Args: the facet problems, then the value, which having and hooks still see."""
 
 
 def wrap32(n: int) -> int:
@@ -96,47 +115,44 @@ def check_instance(definition: UserDefinition, fact: Fact,
     symbol = definition.symbol
     arity = definition.arity
     store.counts[symbol] = store.counts.get(symbol, 0) + 1
-
-    def diag(rule: str, message: str) -> Diagnostic:
-        # Rendered here, not up front: most instances are valid.
-        return Diagnostic("instance", symbol, rule, message,
-                          instance=render(fact.term()), arity=arity)
-
+    checks = store.checks(definition)
     if len(fact.args) != arity:
-        return [diag("wrong-arity",
-                     f"{symbol} is expected to have arity {arity},"
-                     f" but {len(fact.args)} arguments are found")]
-
-    diags: list[Diagnostic] = []
-    values: dict[str, object] = {}
-    for fld, arg in zip(definition.fields, fact.args):
-        value, problem = _check_kind(fld, arg, store)
-        if problem is not None:
-            diags.append(diag(problem[0], problem[1]))
-        else:
-            values[fld.name] = value
-
-    for fld, arg in zip(definition.fields, fact.args):
-        if fld.name in values:
-            for rule, message in _check_facets(fld, values[fld.name], arg):
-                diags.append(diag(rule, message))
-
-    if len(values) < arity:
+        problems = [_arity_problem(symbol, arity, len(fact.args))]
+    else:
+        values: dict[str, object] = {}
+        kinds, facets = [], []
+        for (name, check), arg in zip(checks.fields, fact.args):
+            try:
+                values[name] = check(arg)
+            except _BadFacets as exc:
+                facets += exc.args[0]
+                values[name] = exc.args[1]
+            except _Invalid as exc:
+                kinds += exc.args[0]
         # A kind failure leaves the field values incomplete; comparisons and
         # the hook cannot run.  Facet failures only block accumulation.
-        return diags
+        problems = kinds + facets
+        if not kinds and (definition.having or definition.after_init or checks.snapshot):
+            checked = hooks.CheckedInstance(symbol, values, fact.term())
+            problems += _having_and_after_init(definition, checked, store)
+        if not problems:
+            for name, key, pos, neg in checks.sums:
+                value = values[name]
+                if pos and value > 0:
+                    store.sums_pos[key] = store.sums_pos.get(key, 0) + value
+                if neg and value < 0:
+                    store.sums_neg[key] = store.sums_neg.get(key, 0) + value
+            if checks.snapshot:
+                store.snapshots.setdefault(symbol, []).append(checked)
+            return []
+    instance = render(fact.term())  # rendered here, not up front: most instances are valid
+    return [Diagnostic("instance", symbol, rule, message, instance=instance, arity=arity)
+            for rule, message in problems]
 
-    snapshot = store.implicit_snapshot(definition)
-    if definition.having or definition.after_init or snapshot:
-        checked = hooks.CheckedInstance(symbol, values, fact.term())
-        for rule, message in _having_and_after_init(definition, checked, store):
-            diags.append(diag(rule, message))
-    if diags:
-        return diags
-    _update_accumulators(definition, values, store)
-    if snapshot:
-        store.snapshots.setdefault(symbol, []).append(checked)
-    return []
+
+def _arity_problem(symbol: str, arity: int, found: int) -> tuple[str, str]:
+    return ("wrong-arity",
+            f"{symbol} is expected to have arity {arity}, but {found} arguments are found")
 
 
 def _having_and_after_init(definition: UserDefinition, checked: hooks.CheckedInstance,
@@ -191,105 +207,104 @@ def _run_hook(script: hooks.HookScript, store: AccumulatorStore, label: str, *,
     return None
 
 
-def _check_kind(fld: FieldDecl, term: GroundTerm, store: AccumulatorStore):
-    """Return (checked value, None) or (None, (rule, message))."""
-    name = fld.name
-    if fld.type is PrimitiveType.INTEGER:
-        if isinstance(term, Number):
-            return term.value, None
-        return None, ("wrong-kind", f"{name}: expected an integer, received {render(term)}")
-    if fld.type is PrimitiveType.STRING:
-        if isinstance(term, Str):
-            return term.value, None
-        return None, ("wrong-kind", f"{name}: expected a string, received {render(term)}")
-    if fld.type is PrimitiveType.ALPHA:
-        if isinstance(term, Const):
-            return term.name, None
-        return None, ("wrong-kind",
-                      f"{name}: expected an alphanumeric constant, received {render(term)}")
+# Per primitive type: the term class, its name in messages, the field value.
+_KINDS = {
+    PrimitiveType.INTEGER: (Number, "an integer", attrgetter("value")),
+    PrimitiveType.STRING: (Str, "a string", attrgetter("value")),
+    PrimitiveType.ALPHA: (Const, "an alphanumeric constant", attrgetter("name")),
+}
+
+
+def _compile(definition: UserDefinition, store: AccumulatorStore) -> _Checks:
+    fields = definition.fields
+    after, init = definition.after_grounding, definition.after_init
+    snapshot = (after is not None and after.uses_self
+                and (init is None or not init.uses_append_snapshot))
+    in_after_init = init is not None or any(
+        store.checks(store.spec.definitions[f.type]).in_after_init
+        for f in fields if isinstance(f.type, str))
+    return _Checks(
+        fields=tuple((f.name, _compile_field(f, store)) for f in fields),
+        sums=tuple((f.name, (definition.symbol, f.name), f.facets.sum_pos, f.facets.sum_neg)
+                   for f in fields if f.facets.sum_pos or f.facets.sum_neg),
+        snapshot=snapshot, in_after_init=in_after_init,
+        order_free=not (snapshot or in_after_init))
+
+
+def _compile_field(fld: FieldDecl, store: AccumulatorStore):
+    """One field's kind and facet checks as a closure over its bounds.
+
+    The closure returns the field's value.  Otherwise it raises _Invalid
+    with the kind problem, or _BadFacets with every facet problem in turn:
+    enum, min, max, pattern.
+    """
+    if isinstance(fld.type, str):
+        return _compile_nested(fld.name, store.spec.definitions[fld.type], store)
     if fld.type is PrimitiveType.ANY:
-        return term, None
-    return _check_nested(fld, term, store)
+        return lambda term: term
+    name, facets = fld.name, fld.facets
+    kind, noun, value_of = _KINDS[fld.type]
+    enum = None if facets.enum_values is None else frozenset(facets.enum_values)
+    lo, hi = facets.min, facets.max
+    integer = fld.type is PrimitiveType.INTEGER
+    what, shown = ("Should be", value_of) if integer else ("length should be", render)
+    match = None if integer or facets.pattern is None else re.compile(facets.pattern).fullmatch
+
+    def check(term):
+        if not isinstance(term, kind):
+            raise _Invalid([("wrong-kind", f"{name}: expected {noun}, received {render(term)}")])
+        value = value_of(term)
+        size = value if integer else len(value)
+        problems = []
+        if enum is not None and term not in enum:
+            listed = ", ".join(render(v) for v in facets.enum_values)
+            problems.append(("enum", f"{name}: {render(term)} is not one of [{listed}]"))
+        if lo is not None and size < lo:
+            problems.append(("min", f"{name}: {what} >= {lo}, but received {shown(term)}"))
+        if hi is not None and size > hi:
+            problems.append(("max", f"{name}: {what} <= {hi}, but received {shown(term)}"))
+        if match is not None and match(value) is None:
+            problems.append(("pattern", f"{name}: should match {facets.pattern!r},"
+                                        f" but received {render(term)}"))
+        if problems:
+            raise _BadFacets(problems, value)
+        return value
+    return check
 
 
-def _check_nested(fld: FieldDecl, term: GroundTerm, store: AccumulatorStore):
-    """Validate a user-typed field value against the referenced definition.
+def _compile_nested(name: str, nested: UserDefinition, store: AccumulatorStore):
+    """A user-typed field's check: the value is an instance of nested.
 
     A unary definition accepts the bare term as its single field value (the
     forward form); higher arities require a function with the same name.
+    Unlike check_instance, a nested value reports its first problem only,
+    field by field: kind, then facets.
     """
-    nested = store.spec.definitions[fld.type]
-    if nested.arity == 1:
-        args: tuple[GroundTerm, ...] = (term,)
-    elif not isinstance(term, Func) or term.name != nested.symbol:
-        return None, ("wrong-kind",
-                      f"{fld.name}: expected an instance of {nested.symbol},"
-                      f" received {render(term)}")
-    elif len(term.args) != nested.arity:
-        return None, ("wrong-arity",
-                      f"{nested.symbol} is expected to have arity {nested.arity},"
-                      f" but {len(term.args)} arguments are found")
-    else:
-        args = term.args
+    fields = store.checks(nested).fields
+    symbol, arity = nested.symbol, nested.arity
 
-    # Unlike check_instance, a nested value reports its first problem only,
-    # field by field: kind, then facets.
-    values = {}
-    for inner_fld, arg in zip(nested.fields, args):
-        inner_value, problem = _check_kind(inner_fld, arg, store)
-        if problem is not None:
-            return None, problem
-        facet_problems = _check_facets(inner_fld, inner_value, arg)
-        if facet_problems:
-            return None, facet_problems[0]
-        values[inner_fld.name] = inner_value
-
-    checked = hooks.CheckedInstance(nested.symbol, values, term)
-    problems = _having_and_after_init(nested, checked, store)
-    if problems:
-        return None, problems[0]
-    return checked, None
-
-
-def _check_facets(fld: FieldDecl, value, term: GroundTerm) -> list[tuple[str, str]]:
-    out: list[tuple[str, str]] = []
-    facets = fld.facets
-    name = fld.name
-    if facets.enum_values is not None and term not in facets.enum_values:
-        shown = ", ".join(render(v) for v in facets.enum_values)
-        out.append(("enum", f"{name}: {render(term)} is not one of [{shown}]"))
-    if fld.type is PrimitiveType.INTEGER:
-        if facets.min is not None and value < facets.min:
-            out.append(("min", f"{name}: Should be >= {facets.min},"
-                               f" but received {value}"))
-        if facets.max is not None and value > facets.max:
-            out.append(("max", f"{name}: Should be <= {facets.max},"
-                               f" but received {value}"))
-    elif fld.type in (PrimitiveType.STRING, PrimitiveType.ALPHA):
-        if facets.min is not None and len(value) < facets.min:
-            out.append(("min", f"{name}: length should be >= {facets.min},"
-                               f" but received {render(term)}"))
-        if facets.max is not None and len(value) > facets.max:
-            out.append(("max", f"{name}: length should be <= {facets.max},"
-                               f" but received {render(term)}"))
-        if facets.pattern is not None:
-            if re.fullmatch(facets.pattern, value) is None:
-                out.append(("pattern", f"{name}: should match {facets.pattern!r},"
-                                       f" but received {render(term)}"))
-    return out
-
-
-def _update_accumulators(definition: UserDefinition, values: dict,
-                         store: AccumulatorStore) -> None:
-    for fld in definition.fields:
-        if fld.facets.sum_pos is None and fld.facets.sum_neg is None:
-            continue
-        value = values[fld.name]
-        key = (definition.symbol, fld.name)
-        if fld.facets.sum_pos is not None and value > 0:
-            store.sums_pos[key] = store.sums_pos.get(key, 0) + value
-        if fld.facets.sum_neg is not None and value < 0:
-            store.sums_neg[key] = store.sums_neg.get(key, 0) + value
+    def check(term):
+        if arity == 1:
+            args = (term,)
+        elif not isinstance(term, Func) or term.name != symbol:
+            raise _Invalid([("wrong-kind", f"{name}: expected an instance of {symbol},"
+                                           f" received {render(term)}")])
+        elif len(term.args) != arity:
+            raise _Invalid([_arity_problem(symbol, arity, len(term.args))])
+        else:
+            args = term.args
+        values = {}
+        try:
+            for (inner, inner_check), arg in zip(fields, args):
+                values[inner] = inner_check(arg)
+        except _Invalid as exc:
+            raise _Invalid(exc.args[0][:1]) from None
+        checked = hooks.CheckedInstance(symbol, values, term)
+        problems = _having_and_after_init(nested, checked, store)
+        if problems:
+            raise _Invalid(problems[:1])
+        return checked
+    return check
 
 
 # ---------------------------------------------------------------------------
@@ -385,11 +400,19 @@ def run(spec: ValidationSpec, facts, options: RunOptions | None = None) -> Valid
         diags.append(problem_diag)
         return report()
 
-    # Step 4: check instances, symbol by symbol, in term order.
+    # Step 4: check instances, symbol by symbol: in term order where a hook
+    # can observe the order, else in arrival order, sorting only the failing
+    # ones.  Either way diagnostics come in term order.
     for symbol, group in _grouped_instances(spec, atoms):
         definition = spec.definitions[symbol]
-        for fact in group:
-            instance_diags = check_instance(definition, fact, store)
+        if store.checks(definition).order_free:
+            failing = {fact: found for fact in group
+                       if (found := check_instance(definition, fact, store))}
+            outcomes = (failing[fact] for fact in sorted(failing, key=_args_key))
+        else:
+            outcomes = (check_instance(definition, fact, store)
+                        for fact in sorted(group, key=_args_key))
+        for instance_diags in outcomes:
             if instance_diags:
                 if options.fail_fast:
                     diags.append(instance_diags[0])
@@ -444,7 +467,7 @@ def _instance_set(spec: ValidationSpec, facts, options: RunOptions):
 
 
 def _grouped_instances(spec: ValidationSpec, atoms):
-    """Defined symbols in name order, each group in term order.
+    """Defined symbols in name order, each with its atoms in arrival order.
 
     Atoms whose predicate matches a definition only by name but not by arity
     are left unvalidated, mirroring how a grounder would treat them as a
@@ -456,7 +479,7 @@ def _grouped_instances(spec: ValidationSpec, atoms):
         if definition is not None and len(atom.args) == definition.arity:
             groups.setdefault(atom.predicate, []).append(atom)
     for symbol in sorted(groups):
-        yield symbol, sorted(groups[symbol], key=_args_key)
+        yield symbol, groups[symbol]
 
 
 def _args_key(fact: Fact) -> tuple:

@@ -198,6 +198,21 @@ class TestStratify:
         with pytest.raises(UnstratifiedError, match="p"):
             parse_program("p :- not p.")
 
+    @pytest.mark.parametrize("text, cycle", [
+        # Dependencies run from body to head: a -> c (negated), c -> b, b -> a.
+        ("a(1) :- b(1). b(1) :- c(1). c(1) :- not a(1).", ["a", "c", "b"]),
+        ("a(1) :- not b(1). b(1) :- a(1).", ["a", "b"]),
+        # The component is {a, b, c, d}; the shortest cycle through the
+        # negated edge a -> c leaves d out.
+        ("a :- b. b :- a. b :- c. c :- not a. c :- d. d :- c.", ["a", "c", "b"]),
+    ])
+    def test_unstratified_cycle_follows_dependency_edges(self, text, cycle):
+        with pytest.raises(UnstratifiedError) as info:
+            parse_program(text)
+        assert info.value.cycle == cycle
+        assert str(info.value).endswith(
+            "on the cycle: " + " -> ".join(cycle + cycle[:1]))
+
     def test_negation_cycle_rejected(self):
         with pytest.raises(UnstratifiedError):
             parse_program("a(X) :- c(X), not b(X). b(X) :- c(X), not a(X).")

@@ -1,17 +1,20 @@
 """Validation runs: check order, facets, accumulators, reports."""
 
 import random
+from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aspcheck import datalog
+from aspcheck import datalog, engine
 from aspcheck.datalog import parse_program
 from aspcheck.diagnostics import render_report
 from aspcheck.engine import (
     AccumulatorStore,
     RunOptions,
+    _args_key,
     _grouped_instances,
     check_instance,
     finalize,
@@ -19,7 +22,7 @@ from aspcheck.engine import (
     wrap32,
 )
 from aspcheck.schema import load_spec, parse_spec
-from aspcheck.terms import Const, Fact, Func, Number, Str, Tuple, parse_facts, sort_key
+from aspcheck.terms import Const, Fact, Func, Number, Str, Tuple, parse_facts, render, sort_key
 
 from _support import compare_terms, load_fixture
 
@@ -514,7 +517,261 @@ _ORDER_SPEC = load_spec("p:\n    a: Any\n    b: Any\n")
 def test_instances_are_checked_in_term_order(pairs):
     atoms = {Fact("p", args) for args in pairs}
     groups = list(_grouped_instances(_ORDER_SPEC, atoms))
-    ordered = groups[0][1] if groups else []
+    ordered = sorted(groups[0][1], key=_args_key) if groups else []
     assert ordered == sorted(atoms, key=lambda f: sort_key(f.term()))
     for left, right in zip(ordered, ordered[1:]):
         assert compare_terms(left.term(), right.term()) < 0
+
+
+# Every instance-phase message, as check_instance and run report it.  Per
+# instance the order is: the kinds of all fields, then facets field by field
+# (enum, min, max, pattern), then having, then after_init.
+_TABLE_SPEC = load_spec("""
+num:
+    v: {type: Integer, min: 0, max: 9}
+numenum:
+    v: {type: Integer, enum: [1, 2, 30], max: 20}
+str:
+    v: {type: String, min: 2, max: 4, pattern: '[a-z]+', enum: [ab, abc, ABCDE]}
+alpha:
+    v: {type: Alpha, min: 2, max: 3, pattern: 'a.*', enum: [ab, abc, bcd]}
+any:
+    v: Any
+pair:
+    a: Integer
+    b: {type: Integer, max: 5}
+    c: String
+    valasp:
+        having: [a < b]
+        after_init: |+
+            if self.a == 0: fail('a is zero')
+cmp:
+    a: Integer
+    b: String
+    valasp:
+        having: [a < b]
+date:
+    y: {type: Integer, min: 1}
+    m: {type: Integer, max: 12}
+    valasp:
+        having: [y > m]
+        after_init: |+
+            if self.y == 99: fail('no 99')
+event:
+    when: date
+    name: Alpha
+unary:
+    n: {type: Integer, max: 5}
+wrap:
+    u: unary
+""")
+
+_MESSAGES = [
+    ("num(a)", [("wrong-kind", "v: expected an integer, received a")]),
+    ("num(-1)", [("min", "v: Should be >= 0, but received -1")]),
+    ("num(10)", [("max", "v: Should be <= 9, but received 10")]),
+    ("numenum(4)", [("enum", "v: 4 is not one of [1, 2, 30]")]),
+    ("numenum(30)", [("max", "v: Should be <= 20, but received 30")]),
+    ("numenum(25)", [("enum", "v: 25 is not one of [1, 2, 30]"),
+                     ("max", "v: Should be <= 20, but received 25")]),
+    ("str(x)", [("wrong-kind", "v: expected a string, received x")]),
+    ('str("a")', [("enum", 'v: "a" is not one of ["ab", "abc", "ABCDE"]'),
+                  ("min", 'v: length should be >= 2, but received "a"')]),
+    ('str("ABCDE")', [("max", 'v: length should be <= 4, but received "ABCDE"'),
+                      ("pattern", "v: should match '[a-z]+', but received \"ABCDE\"")]),
+    ('str("aB")', [("enum", 'v: "aB" is not one of ["ab", "abc", "ABCDE"]'),
+                   ("pattern", "v: should match '[a-z]+', but received \"aB\"")]),
+    ('alpha("ab")', [("wrong-kind", 'v: expected an alphanumeric constant, received "ab"')]),
+    ("alpha(b)", [("enum", "v: b is not one of [ab, abc, bcd]"),
+                  ("min", "v: length should be >= 2, but received b"),
+                  ("pattern", "v: should match 'a.*', but received b")]),
+    ("alpha(abcd)", [("enum", "v: abcd is not one of [ab, abc, bcd]"),
+                     ("max", "v: length should be <= 3, but received abcd")]),
+    ("alpha(bcd)", [("pattern", "v: should match 'a.*', but received bcd")]),
+    ("alpha(abc)", []),
+    ('any(f((1,"s")))', []),
+    # Kinds of every field come before any facet; having waits for all kinds.
+    ("pair(x,9,3)", [("wrong-kind", "a: expected an integer, received x"),
+                     ("wrong-kind", "c: expected a string, received 3"),
+                     ("max", "b: Should be <= 5, but received 9")]),
+    ('pair(7,6,"s")', [("max", "b: Should be <= 5, but received 6"),
+                       ("having", "Expected a < b")]),
+    ('pair(0,3,"s")', [("hook-fail", "a is zero")]),
+    # A facet failure blocks neither having nor after_init.
+    ('pair(0,9,"s")', [("max", "b: Should be <= 5, but received 9"),
+                       ("hook-fail", "a is zero")]),
+    ('cmp(1,"x")', [("eval-error", "having a < b: cannot compare int with str")]),
+    # A nested value reports its first problem: kind, then facets, field by
+    # field, then having, then after_init.
+    ("event(date(5,3),ab)", []),
+    ("event(date(0,13),x)", [("min", "y: Should be >= 1, but received 0")]),
+    ("event(date(a,13),7)", [
+        ("wrong-kind", "y: expected an integer, received a"),
+        ("wrong-kind", "name: expected an alphanumeric constant, received 7")]),
+    ("event(date(5),x)", [("wrong-arity", "date is expected to have arity 2,"
+                                          " but 1 arguments are found")]),
+    ("event(dat(5,3),x)", [("wrong-kind", "when: expected an instance of date,"
+                                          " received dat(5,3)")]),
+    ("event(date(3,5),x)", [("having", "Expected y > m")]),
+    ("event(date(99,5),x)", [("hook-fail", "no 99")]),
+    ("wrap(7)", [("max", "n: Should be <= 5, but received 7")]),
+]
+
+
+@pytest.mark.parametrize("text, expected", _MESSAGES, ids=[row[0] for row in _MESSAGES])
+def test_instance_messages_and_check_order(text, expected):
+    fact = parse_facts(text + ".")[0]
+    definition = _TABLE_SPEC.definitions[fact.predicate]
+    direct = check_instance(definition, fact, AccumulatorStore(_TABLE_SPEC))
+    assert [(d.rule, d.message) for d in direct] == expected
+    assert {(d.phase, d.symbol, d.instance, d.arity) for d in direct} <= {
+        ("instance", fact.predicate, text.replace(" ", ""), definition.arity)}
+    report = run(_TABLE_SPEC, [fact], RunOptions(fail_fast=False))
+    assert report.diagnostics == direct
+
+
+def test_wrong_arity_message():
+    diags = check_instance(_TABLE_SPEC.definitions["num"], Fact("num", (Number(1), Number(2))),
+                           AccumulatorStore(_TABLE_SPEC))
+    assert [(d.rule, d.message) for d in diags] == [
+        ("wrong-arity", "num is expected to have arity 1, but 2 arguments are found")]
+
+
+def test_checks_are_built_once_per_run(monkeypatch):
+    built = []
+    compile_ = engine._compile
+    monkeypatch.setattr(engine, "_compile",
+                        lambda definition, store: built.append(definition.symbol)
+                        or compile_(definition, store))
+    facts = parse_facts(" ".join(text + "." for text, _ in _MESSAGES))
+    once = Counter({fact.predicate for fact in facts} | {"date", "unary"})
+    run(_TABLE_SPEC, facts, RunOptions(fail_fast=False))
+    assert Counter(built) == once
+    store = AccumulatorStore(_TABLE_SPEC)
+    for fact in facts + facts:
+        check_instance(_TABLE_SPEC.definitions[fact.predicate], fact, store)
+    assert Counter(built) == once + once
+
+
+# Order-free specs: no after_init is reachable and nothing is snapshotted, so
+# instances are checked in arrival order and only the failing ones sorted.
+_ORDER_FREE_SPECS = {
+    "income": (load_fixture("income.yaml"), {"income": "sn"}),
+    "facets": (load_spec("""
+q:
+    name: {type: String, min: 2, max: 4, pattern: '[a-z]+'}
+    tag: {type: Alpha, enum: [lo, hi, mid]}
+    a: {type: Integer, min: 0, max: 9}
+    b: Integer
+    valasp:
+        having: [a < b]
+"""), {"q": "sann"}),
+    "nested": (load_spec("""
+point:
+    x: {type: Integer, min: 0, max: 5}
+    y: {type: Integer, min: 0, max: 5}
+    valasp:
+        having: [x <= y]
+seg:
+    id: Integer
+    from: point
+    to: point
+"""), {"point": "nn", "seg": "npp"}),
+}
+_wrong_kind = st.sampled_from([Const("a"), Str("A"), Number(1), Func("f", (Number(1),))])
+_small = st.integers(-2, 11).map(Number)
+_ARGS = {
+    "n": st.one_of(_small, _small, _wrong_kind),
+    "s": st.one_of(st.sampled_from(["", "a", "ab", "abc", "abcde", "aB"]).map(Str),
+                   _wrong_kind),
+    "a": st.one_of(st.sampled_from(["lo", "hi", "mid", "x"]).map(Const), _wrong_kind),
+    # A point, one of the wrong arity or name, or some other term.
+    "p": st.one_of(st.builds(lambda x, y: Func("point", (x, y)), _small, _small),
+                   st.builds(lambda x: Func("point", (x,)), _small),
+                   st.builds(lambda x, y: Func("pt", (x, y)), _small, _small),
+                   _wrong_kind),
+}
+
+
+def _facts_of(shapes):
+    return st.lists(st.sampled_from(sorted(shapes)).flatmap(
+        lambda pred: st.tuples(*(_ARGS[kind] for kind in shapes[pred])).map(
+            lambda args: Fact(pred, args))), max_size=30)
+
+
+@pytest.mark.parametrize("name", sorted(_ORDER_FREE_SPECS))
+@given(data=st.data())
+@settings(max_examples=100)
+def test_order_free_symbols_report_in_term_order(name, data):
+    spec, shapes = _ORDER_FREE_SPECS[name]
+    facts = data.draw(_facts_of(shapes))
+    store = AccumulatorStore(spec)
+    assert all(store.checks(d).order_free for d in spec.definitions.values())
+
+    all_errors = run(spec, facts, RunOptions(fail_fast=False)).diagnostics
+    terms = {render(fact.term()): fact.term() for fact in facts}
+    for left, right in zip(all_errors, all_errors[1:]):
+        if left.phase == right.phase == "instance" and left.symbol == right.symbol:
+            assert compare_terms(terms[left.instance], terms[right.instance]) <= 0
+    assert run(spec, facts, RunOptions(fail_fast=True)).diagnostics == all_errors[:1]
+
+    # Any arrival order, of the input or of a symbol's atoms, reports alike.
+    rng = data.draw(st.randoms(use_true_random=False))
+    grouped = engine._grouped_instances
+
+    def shuffled_groups(spec, atoms):
+        for symbol, group in grouped(spec, atoms):
+            yield symbol, rng.sample(group, len(group))
+
+    with mock.patch.object(engine, "_grouped_instances", shuffled_groups):
+        for _ in range(3):
+            shuffled = rng.sample(facts, len(facts))
+            assert run(spec, shuffled, RunOptions(fail_fast=False)).diagnostics == all_errors
+            assert run(spec, shuffled).diagnostics == all_errors[:1]
+
+
+# item's after_init sees the order of the box instances (box(N) wraps
+# item N), and mark's after_grounding reads self, so it sweeps the snapshots
+# in checking order.  Both keep term order, whatever the input order.
+_GUARD_SPEC = load_spec("""
+item:
+    n: {type: Integer, min: 1, max: 9}
+    valasp:
+        before_grounding: |+
+            cls.last = 0
+            cls.order = 0
+        after_init: |+
+            if self.n < cls.last: fail('{self.n} after {cls.last}')
+            cls.last = self.n
+            cls.order = cls.order * 10 + self.n
+box:
+    it: item
+    valasp:
+        after_grounding: |+
+            fail('seen {cls.order}')
+mark:
+    v: {type: Integer, max: 50}
+    valasp:
+        after_grounding: |+
+            if self.v % 2 == 1: fail('odd {self.v}')
+""")
+_GUARD_FACTS = parse_facts(" ".join(f"box({n}). mark({n})." for n in range(1, 13))
+                           + " box(a). mark(52).")
+
+
+def test_an_observable_order_keeps_term_order():
+    expected = [
+        ("instance", "box", "max", f"n: Should be <= 9, but received {n}", f"box({n})")
+        for n in (10, 11, 12)
+    ] + [
+        ("instance", "box", "wrong-kind", "n: expected an integer, received a", "box(a)"),
+        ("instance", "mark", "max", "v: Should be <= 50, but received 52", "mark(52)"),
+        ("after", "box", "hook-fail", "seen 123456789", None),
+    ] + [("after", "mark", "hook-fail", f"odd {n}", f"mark({n})") for n in (1, 3, 5, 7, 9, 11)]
+    rng = random.Random(4)
+    for _ in range(20):
+        facts = rng.sample(_GUARD_FACTS, len(_GUARD_FACTS))
+        report = run(_GUARD_SPEC, facts, RunOptions(fail_fast=False))
+        assert [(d.phase, d.symbol, d.rule, d.message, d.instance)
+                for d in report.diagnostics] == expected
+        assert run(_GUARD_SPEC, facts).diagnostics == report.diagnostics[:1]
