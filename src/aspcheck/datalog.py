@@ -11,6 +11,8 @@ parse_program returns it in Program.facts, never as a Rule.
 
 Evaluation is bottom-up and semi-naive per stratum: each iteration joins at
 least one body atom against the tuples derived in the previous iteration.
+Each rule's plan is compiled when it is parsed into nested closures over a
+list of variable slots (see _Compiler); nothing interprets the rule later.
 Body and aggregate-condition atoms read their relation through hash
 indexes keyed by the argument positions known when the atom is reached
 (ground, or a variable bound earlier in the plan), so a join touches only
@@ -22,6 +24,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import partial
+from operator import itemgetter
 
 from .terms import (
     COMPARISONS,
@@ -38,7 +42,6 @@ from .terms import (
     Tuple,
     integer_too_long,
     render,
-    sort_key,
     too_many_digits,
 )
 
@@ -159,9 +162,8 @@ class Rule:
     body: tuple
     source: str
     plan: tuple = ()  # body reordered so every literal is ready when reached
-    # One entry per plan literal: (occurrence, key positions) for an Atom,
-    # the key positions of each condition literal for an aggregate, else None.
-    lookups: tuple = ()
+    atoms: tuple = ()  # the predicate of each positive atom in the plan
+    derive: object = None  # the compiled plan (see _Compiler.rule)
 
 
 @dataclass(slots=True)
@@ -368,7 +370,7 @@ class _ProgramParser(TokenCursor):
         t = self.cur
         if t.kind == "number":
             self.advance()
-            return Number(self.integer(t.text, t.offset))
+            return self.number(t.text, t.offset)
         if t.kind == "string":
             self.advance()
             return Str(self.string_value(t))
@@ -400,7 +402,7 @@ class _ProgramParser(TokenCursor):
                 if all(isinstance(a, GROUND_TYPES) for a in args):
                     return Func(t.text, args)
                 return FuncPat(t.text, args)
-            return Const(t.text)
+            return self.const(t.text)
         if t.text == "(":
             items, is_tuple = self.parenthesized(self.term)
             if not is_tuple:
@@ -452,79 +454,43 @@ def _arith(op: str, a: int, b: int) -> int:
 # Variables, safety and planning
 
 
-def _term_vars(term, out: set[str]) -> None:
-    if isinstance(term, Var):
-        out.add(term.name)
-    elif isinstance(term, (FuncPat, TuplePat)):
-        for a in term.args:
-            _term_vars(a, out)
-    elif isinstance(term, Arith):
-        _term_vars(term.left, out)
-        _term_vars(term.right, out)
-    elif isinstance(term, Interval):
-        _term_vars(term.lo, out)
-        _term_vars(term.hi, out)
-    elif isinstance(term, AtTerm):
-        for a in term.args:
-            _term_vars(a, out)
-
-
 def _vars_of(*items) -> set[str]:
+    """The variables of terms and literals, found without recursion."""
     out: set[str] = set()
-    for item in items:
-        if isinstance(item, Atom):
-            for a in item.args:
-                _term_vars(a, out)
+    stack = list(items)
+    while stack:
+        item = stack.pop()
+        if isinstance(item, Var):
+            out.add(item.name)
+        elif isinstance(item, (Atom, FuncPat, TuplePat, AtTerm)):
+            stack += item.args
+        elif isinstance(item, (Arith, Comparison)):
+            stack += (item.left, item.right)
+        elif isinstance(item, Interval):
+            stack += (item.lo, item.hi)
         elif isinstance(item, NegAtom):
-            out |= _vars_of(item.atom)
-        elif isinstance(item, Comparison):
-            _term_vars(item.left, out)
-            _term_vars(item.right, out)
+            stack.append(item.atom)
         elif isinstance(item, AggregateLit):
-            out |= _vars_of(*item.agg.condition)
-            for t in item.agg.elements:
-                _term_vars(t, out)
-            _term_vars(item.guard, out)
-        else:
-            _term_vars(item, out)
+            stack += (*item.agg.condition, *item.agg.elements, item.guard)
     return out
 
 
-def _atom_binds(atom: Atom, bound: set[str]) -> set[str] | None:
-    """Vars the atom would bind, or None if its computed args are not ready."""
-    binds: set[str] = set()
-    for arg in atom.args:
-        if not _pattern_binds(arg, bound, binds):
-            return None
-    return binds
-
-
-def _pattern_binds(term, bound: set[str], binds: set[str]) -> bool:
+def _pattern_ready(term, known: set[str]) -> bool:
+    """Whether matching term can compute what it must; adds its variables to known."""
     if isinstance(term, Var):
-        binds.add(term.name)
+        known.add(term.name)
         return True
     if isinstance(term, (FuncPat, TuplePat)):
-        return all(_pattern_binds(a, bound, binds) for a in term.args)
+        return all(_pattern_ready(a, known) for a in term.args)
     if isinstance(term, (Arith, AtTerm)):
-        needed: set[str] = set()
-        _term_vars(term, needed)
-        return needed <= bound | binds
-    if isinstance(term, Interval):
-        return False
-    return True  # ground
+        return _vars_of(term) <= known
+    return not isinstance(term, Interval)
 
 
 def _aggregate_ready(lit: AggregateLit, bound: set[str]) -> bool:
-    cond_binds: set[str] = set()
-    for c in lit.agg.condition:
-        if isinstance(c, Atom):
-            for a in c.args:
-                _term_vars(a, cond_binds)
-    needed = _vars_of(lit) - cond_binds
-    guard_vars: set[str] = set()
-    _term_vars(lit.guard, guard_vars)
+    needed = _vars_of(lit) - _vars_of(*(c for c in lit.agg.condition if isinstance(c, Atom)))
     if lit.op == "=" and isinstance(lit.guard, Var):
-        needed -= guard_vars
+        needed.discard(lit.guard.name)
     return needed <= bound
 
 
@@ -537,85 +503,39 @@ def _key_positions(atom: Atom, bound: set[str]) -> tuple[int, ...]:
     """
     keys = []
     for pos, arg in enumerate(atom.args):
-        if not _is_pattern(arg):
+        if _arith_depth(arg):
             break
         if isinstance(arg, GROUND_TYPES) or (isinstance(arg, Var) and arg.name in bound):
             keys.append(pos)
     return tuple(keys)
 
 
-def _is_pattern(term) -> bool:
-    """True if matching the term never evaluates anything."""
-    if isinstance(term, (FuncPat, TuplePat)):
-        return all(_is_pattern(a) for a in term.args)
-    return not isinstance(term, Arith)
-
-
-def _condition_keys(condition: tuple, bound: set[str]) -> tuple:
-    """Key positions of each aggregate condition atom; None for a comparison."""
-    bound = set(bound)
-    keys: list = []
-    for lit in condition:
-        if isinstance(lit, Atom):
-            keys.append(_key_positions(lit, bound))
-            bound |= _vars_of(lit)
-        else:
-            keys.append(None)
-    return tuple(keys)
-
-
 def _plan_rule(rule: Rule) -> None:
-    """Reorder the body greedily so each literal is evaluable when reached.
-
-    Each planned literal also gets its lookup metadata (see Rule.lookups):
-    an atom's occurrence number counts the atoms before it in the plan.
-    """
+    """Order the body so each literal is evaluable when reached; compile it."""
+    compiler = _Compiler(rule.source)
     remaining = list(rule.body)
     plan: list = []
-    lookups: list = []
-    atoms = 0
     bound: set[str] = set()
     while remaining:
-        progress = False
         for idx, lit in enumerate(remaining):
-            ready = False
-            binds: set[str] = set()
             if isinstance(lit, Atom):
-                got = _atom_binds(lit, bound)
-                if got is not None:
-                    ready, binds = True, got
+                known = set(bound)
+                ready = all(_pattern_ready(a, known) for a in lit.args)
             elif isinstance(lit, NegAtom):
                 ready = _vars_of(lit) <= bound
             elif isinstance(lit, Comparison):
-                lv: set[str] = set()
-                rv: set[str] = set()
-                _term_vars(lit.left, lv)
-                _term_vars(lit.right, rv)
-                if lv <= bound and rv <= bound:
-                    ready = True
-                elif lit.op == "=" and isinstance(lit.left, Var) and rv <= bound:
-                    ready, binds = True, {lit.left.name}
-                elif lit.op == "=" and isinstance(lit.right, Var) and lv <= bound:
-                    ready, binds = True, {lit.right.name}
-            elif isinstance(lit, AggregateLit):
-                if _aggregate_ready(lit, bound):
-                    ready = True
-                    if lit.op == "=" and isinstance(lit.guard, Var):
-                        binds = {lit.guard.name}
+                lv, rv = _vars_of(lit.left), _vars_of(lit.right)
+                ready = (lv <= bound and rv <= bound) or lit.op == "=" and (
+                    isinstance(lit.left, Var) and rv <= bound
+                    or isinstance(lit.right, Var) and lv <= bound)
+            else:
+                ready = _aggregate_ready(lit, bound)
             if ready:
                 plan.append(lit)
-                if isinstance(lit, Atom):
-                    lookups.append((atoms, _key_positions(lit, bound)))
-                    atoms += 1
-                elif isinstance(lit, AggregateLit):
-                    lookups.append(_condition_keys(lit.agg.condition, bound))
-                else:
-                    lookups.append(None)
-                bound |= binds
+                compiler.literal(lit, bound)  # adds what lit binds to bound
                 del remaining[idx]
-                progress = True
                 break
-        if not progress:
+        else:
             unbound = sorted(_vars_of(*remaining) - bound)
             raise UnsafeRuleError(unbound[0] if unbound else "?", rule.source)
     head_vars = _vars_of(rule.head) if rule.head is not None else set()
@@ -623,7 +543,8 @@ def _plan_rule(rule: Rule) -> None:
     if loose:
         raise UnsafeRuleError(loose[0], rule.source)
     rule.plan = tuple(plan)
-    rule.lookups = tuple(lookups)
+    rule.atoms = tuple(compiler.atoms)
+    rule.derive = compiler.rule(rule.head, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -804,18 +725,19 @@ def evaluate(program: Program, input_facts) -> set[Fact]:
 class _Relations:
     """Tuples by predicate in insertion order, with hash indexes built on first use.
 
-    An index holds the tuples of one predicate and arity in buckets keyed
-    by their values at some argument positions, each bucket in insertion
-    order.  add keeps every built index current, so lookups stay exact
-    while the relations of the stratum being evaluated grow.
+    An index holds the tuples of one predicate and arity in buckets, in
+    insertion order, keyed by their values at some positions as
+    itemgetter(*positions) gives them.  add keeps every built index current.
     """
 
-    __slots__ = ("tuples", "_indexes")
+    __slots__ = ("tuples", "_indexes", "_index_lists")
 
     def __init__(self) -> None:
         self.tuples: dict[str, dict[tuple, None]] = {}  # pred -> tuples as keys
-        # pred -> (arity, positions) -> key -> bucket
-        self._indexes: dict[str, dict[tuple, dict[tuple, list[tuple]]]] = {}
+        # (pred, arity, positions) -> key -> bucket
+        self._indexes: dict[tuple, dict[object, list[tuple]]] = {}
+        # pred -> (arity, key function, index) of each of its indexes
+        self._index_lists: dict[str, list[tuple]] = {}
 
     def add(self, pred: str, args: tuple) -> bool:
         rel = self.tuples.get(pred)
@@ -824,24 +746,22 @@ class _Relations:
         elif args in rel:
             return False
         rel[args] = None
-        indexes = self._indexes.get(pred)
-        if indexes:
-            for (arity, positions), index in indexes.items():
-                if len(args) == arity:
-                    index.setdefault(tuple([args[p] for p in positions]), []).append(args)
+        for arity, key_of, index in self._index_lists.get(pred, ()):
+            if len(args) == arity:
+                index.setdefault(key_of(args), []).append(args)
         return True
 
-    def lookup(self, pred: str, arity: int, positions: tuple, key: tuple):
+    def lookup(self, pred: str, arity: int, positions: tuple, key):
         """The tuples of pred/arity holding key at positions, as of now."""
-        indexes = self._indexes.get(pred)
-        if indexes is None:
-            indexes = self._indexes[pred] = {}
-        index = indexes.get((arity, positions))
+        index = self._indexes.get((pred, arity, positions))
         if index is None:
-            index = indexes[arity, positions] = {}
+            index = self._indexes[pred, arity, positions] = {}
+            # args[0:0] is (), the one key of an index without positions.
+            key_of = itemgetter(*positions) if positions else itemgetter(slice(0, 0))
+            self._index_lists.setdefault(pred, []).append((arity, key_of, index))
             for args in self.tuples.get(pred, ()):
                 if len(args) == arity:
-                    index.setdefault(tuple([args[p] for p in positions]), []).append(args)
+                    index.setdefault(key_of(args), []).append(args)
         bucket = index.get(key)
         if bucket is None:
             return ()
@@ -850,227 +770,300 @@ class _Relations:
         return itertools.islice(bucket, len(bucket))
 
 
-def _candidates(relations: _Relations, atom: Atom, positions: tuple,
-                binding: dict):
-    """The tuples that can match atom: its key positions already agree."""
-    args = atom.args
-    key = tuple([binding[args[p].name] if isinstance(args[p], Var) else args[p]
-                 for p in positions])
-    return relations.lookup(atom.pred, len(args), positions, key)
-
-
 def _eval_stratum(rules: list[Rule], relations: _Relations) -> None:
     delta = _Relations()
-
-    def derive(rule: Rule, delta_occurrence: int | None,
-               frozen: _Relations | None) -> None:
-        for binding in _solve(rule, 0, {}, relations, delta_occurrence, frozen):
-            for args in _instantiate_head(rule.head, binding, rule):
-                if relations.add(rule.head.pred, args):
-                    delta.add(rule.head.pred, args)
-
     for rule in rules:
-        derive(rule, None, None)
+        rule.derive(relations, delta)
 
     # Only this stratum's heads enter the delta, so an atom over a lower
     # stratum never reads it.
     while delta.tuples:
         frozen, delta = delta, _Relations()
         for rule in rules:
-            for lit, lookup in zip(rule.plan, rule.lookups):
-                if isinstance(lit, Atom) and lit.pred in frozen.tuples:
-                    derive(rule, lookup[0], frozen)
+            for occurrence, pred in enumerate(rule.atoms):
+                if pred in frozen.tuples:
+                    rule.derive(relations, delta, frozen, occurrence)
     # delta empty: fixpoint reached
 
 
-def _solve(rule: Rule, i: int, binding: dict, relations: _Relations,
-           delta_occurrence: int | None, delta: _Relations | None):
-    plan = rule.plan
-    if i == len(plan):
-        yield binding
-        return
-    lit = plan[i]
-    if isinstance(lit, Atom):
-        occurrence, positions = rule.lookups[i]
-        source = delta if occurrence == delta_occurrence else relations
-        for args in _candidates(source, lit, positions, binding):
-            new_binding = _match_args(lit.args, args, binding, rule)
-            if new_binding is not None:
-                yield from _solve(rule, i + 1, new_binding, relations,
-                                  delta_occurrence, delta)
-        return
-    if isinstance(lit, NegAtom):
-        args = tuple(_eval_term(a, binding, rule) for a in lit.atom.args)
-        if args not in relations.tuples.get(lit.atom.pred, ()):
-            yield from _solve(rule, i + 1, binding, relations,
-                              delta_occurrence, delta)
-        return
-    if isinstance(lit, Comparison):
-        result = _eval_comparison(lit, binding, rule)
-        if result is not None:
-            yield from _solve(rule, i + 1, result, relations,
-                              delta_occurrence, delta)
-        return
-    if isinstance(lit, AggregateLit):
-        result = _eval_aggregate(lit, rule.lookups[i], binding, relations, rule)
-        if result is not None:
-            yield from _solve(rule, i + 1, result, relations,
-                              delta_occurrence, delta)
-        return
-    raise EvaluationError(f"cannot evaluate literal {lit!r}", rule.source, binding)
+# ---------------------------------------------------------------------------
+# Compilation of planned rules
+#
+# A binding is a list with a slot per variable, numbered as first met; which
+# are bound at each literal is known at planning.  A literal compiles to a
+# maker: given the next literal's closure and the relations of one pass, it
+# returns a closure that binds or checks slots of the binding and calls on.
+# Nothing is copied per match; a stale slot is never read.
 
 
-def _eval_comparison(lit: Comparison, binding: dict, rule: Rule) -> dict | None:
-    if lit.op == "=":
-        if isinstance(lit.left, Var) and lit.left.name not in binding:
-            value = _eval_term(lit.right, binding, rule)
-            return {**binding, lit.left.name: value}
-        if isinstance(lit.right, Var) and lit.right.name not in binding:
-            value = _eval_term(lit.left, binding, rule)
-            return {**binding, lit.right.name: value}
-    left = _eval_term(lit.left, binding, rule)
-    right = _eval_term(lit.right, binding, rule)
-    return binding if _holds(lit.op, left, right) else None
+class _Compiler:
+    """Compiles one rule's planned literals, in plan order, then its head."""
 
+    def __init__(self, source: str):
+        self.source = source
+        self.slots: dict[str, int] = {}
+        self.makers: list = []
+        self.atoms: list[str] = []  # the predicate of each body atom compiled
 
-def _holds(op: str, left: GroundTerm, right: GroundTerm) -> bool:
-    return COMPARISONS[op](sort_key(left), sort_key(right))
+    def slot(self, name: str) -> int:
+        return self.slots.setdefault(name, len(self.slots))
 
+    def error(self, bound: set[str]):
+        """error(message, b): an EvaluationError showing the bound variables."""
+        shown = [(name, self.slot(name)) for name in bound]
 
-def _eval_aggregate(lit: AggregateLit, keys: tuple, binding: dict,
-                    relations: _Relations, rule: Rule) -> dict | None:
-    tuples = dict.fromkeys(  # distinct, in the order they are found
-        tuple(_eval_term(t, cond_binding, rule) for t in lit.agg.elements)
-        for cond_binding in _solve_condition(lit.agg.condition, keys, 0, binding,
-                                             relations, rule))
+        def error(message: str, b: list) -> EvaluationError:
+            return EvaluationError(message, self.source, {name: b[s] for name, s in shown})
+        return error
 
-    func = lit.agg.func
-    value: GroundTerm
-    if func == "count":
-        value = Number(len(tuples))
-    elif func == "sum":
-        total = 0
-        for t in tuples:
-            if not isinstance(t[0], Number):
-                raise EvaluationError(
-                    f"#sum over a non-integer {render(t[0])}", rule.source, binding)
-            total += t[0].value
-        if too_many_digits(total):
-            raise EvaluationError(integer_too_long("result"), rule.source, binding)
-        value = Number(total)
-    elif func in ("min", "max"):
-        if not tuples:
-            return None  # the aggregate binds nothing over an empty set
-        pick = min if func == "min" else max
-        value = pick((t[0] for t in tuples), key=sort_key)
-    else:
-        raise EvaluationError(f"unknown aggregate #{func}", rule.source, binding)
+    # -- literals ----------------------------------------------------------
 
-    if lit.op == "=" and isinstance(lit.guard, Var) and lit.guard.name not in binding:
-        return {**binding, lit.guard.name: value}
-    guard = _eval_term(lit.guard, binding, rule)
-    return binding if _holds(lit.op, value, guard) else None
+    def literal(self, lit, bound: set[str]) -> None:
+        compile = {Atom: self.atom, NegAtom: self.negation, Comparison: self.comparison,
+                   AggregateLit: self.aggregate}[type(lit)]
+        self.makers.append(compile(lit, bound))
 
+    def atom(self, atom: Atom, bound: set[str], in_body: bool = True):
+        """Candidates by key positions, then binds, then checks left to right."""
+        pred, arity = atom.pred, len(atom.args)
+        occurrence = len(self.atoms) if in_body else -1
+        if in_body:
+            self.atoms.append(pred)
+        positions = _key_positions(atom, bound)
+        key = self.values([atom.args[p] for p in positions], bound, bare=True)
+        binds: list[tuple[int, int]] = []  # (position, slot) of a variable met first
+        checks: list = []  # (position, matcher) of every other argument
+        for pos, arg in enumerate(atom.args):
+            if pos in positions:
+                continue
+            if isinstance(arg, Var) and arg.name not in bound:
+                bound.add(arg.name)
+                binds.append((pos, self.slot(arg.name)))
+            else:
+                checks.append((pos, self.matcher(arg, bound)))
 
-def _solve_condition(condition: tuple, keys: tuple, i: int, binding: dict,
-                     relations: _Relations, rule: Rule):
-    if i == len(condition):
-        yield binding
-        return
-    lit = condition[i]
-    if isinstance(lit, Atom):
-        for args in _candidates(relations, lit, keys[i], binding):
-            new_binding = _match_args(lit.args, args, binding, rule)
-            if new_binding is not None:
-                yield from _solve_condition(condition, keys, i + 1, new_binding,
-                                            relations, rule)
-        return
-    if isinstance(lit, Comparison):
-        result = _eval_comparison(lit, binding, rule)
-        if result is not None:
-            yield from _solve_condition(condition, keys, i + 1, result,
-                                        relations, rule)
-        return
-    raise EvaluationError(f"unsupported aggregate condition {lit!r}",
-                          rule.source, binding)
+        def make(nxt, relations, delta, now):
+            lookup = (delta if occurrence == now else relations).lookup
 
+            def step(b: list) -> None:
+                for args in lookup(pred, arity, positions, key(b)):
+                    for p, s in binds:
+                        b[s] = args[p]
+                    for p, match in checks:
+                        if not match(args[p], b):
+                            break
+                    else:
+                        nxt(b)
+            return step
+        return make
 
-def _match_args(patterns: tuple, ground: tuple, binding: dict,
-                rule: Rule) -> dict | None:
-    new_binding = binding
-    for pat, g in zip(patterns, ground):
-        new_binding = _match(pat, g, new_binding, rule)
-        if new_binding is None:
-            return None
-    return new_binding
+    def matcher(self, pattern, bound: set[str]):
+        """match(g, b): whether ground term g matches, binding pattern's new variables."""
+        if isinstance(pattern, Var):
+            s = self.slot(pattern.name)
+            if pattern.name in bound:
+                return lambda g, b: b[s] == g
+            bound.add(pattern.name)
 
+            def bind(g, b: list) -> bool:
+                b[s] = g
+                return True
+            return bind
+        if isinstance(pattern, (FuncPat, TuplePat)):
+            subs = [self.matcher(a, bound) for a in pattern.args]
+            kind, name = (Func, pattern.name) if isinstance(pattern, FuncPat) else (Tuple, None)
+            return lambda g, b: (type(g) is kind and len(g.args) == len(subs)
+                                 and getattr(g, "name", None) == name
+                                 and all(sub(a, b) for sub, a in zip(subs, g.args)))
+        if isinstance(pattern, GROUND_TYPES):
+            return lambda g, b: g == pattern
+        if isinstance(pattern, Arith):
+            value = self.value(pattern, bound)
+            return lambda g, b: value(b) == g
+        return lambda g, b: False  # an interpreted term matches nothing
 
-def _match(pattern, ground: GroundTerm, binding: dict, rule: Rule) -> dict | None:
-    if isinstance(pattern, Var):
-        seen = binding.get(pattern.name)
-        if seen is None:
-            return {**binding, pattern.name: ground}
-        return binding if seen == ground else None
-    if isinstance(pattern, FuncPat):
-        if not isinstance(ground, Func) or ground.name != pattern.name \
-                or len(ground.args) != len(pattern.args):
-            return None
-        return _match_args(pattern.args, ground.args, binding, rule)
-    if isinstance(pattern, TuplePat):
-        if not isinstance(ground, Tuple) or len(ground.args) != len(pattern.args):
-            return None
-        return _match_args(pattern.args, ground.args, binding, rule)
-    if isinstance(pattern, Arith):
-        return binding if _eval_term(pattern, binding, rule) == ground else None
-    if isinstance(pattern, GROUND_TYPES):
-        return binding if pattern == ground else None
-    return None
+    def negation(self, lit: NegAtom, bound: set[str]):
+        pred, values = lit.atom.pred, self.values(lit.atom.args, bound)
 
+        def make(nxt, relations, delta, now):
+            tuples = relations.tuples
 
-def _eval_term(term, binding: dict, rule: Rule) -> GroundTerm:
-    if isinstance(term, Var):
-        try:
-            return binding[term.name]
-        except KeyError:
-            raise EvaluationError(f"unbound variable {term.name}",
-                                  rule.source, binding) from None
-    if isinstance(term, Arith):
-        left = _eval_term(term.left, binding, rule)
-        right = _eval_term(term.right, binding, rule)
-        if not isinstance(left, Number) or not isinstance(right, Number):
-            raise EvaluationError(
-                f"arithmetic on non-integers ({term.op})", rule.source, binding)
-        try:
-            return Number(_arith(term.op, left.value, right.value))
-        except ArithmeticError as exc:
-            raise EvaluationError(str(exc), rule.source, binding) from None
-    if isinstance(term, FuncPat):
-        return Func(term.name, _eval_args(term.args, binding, rule))
-    if isinstance(term, TuplePat):
-        return Tuple(_eval_args(term.args, binding, rule))
-    if isinstance(term, AtTerm):
-        raise EvaluationError(
-            f"externally interpreted term @{term.name} cannot be evaluated",
-            rule.source, binding)
-    if isinstance(term, Interval):
-        raise EvaluationError("interval outside a fact or rule head",
-                              rule.source, binding)
-    return term  # ground
+            def step(b: list) -> None:
+                if values(b) not in tuples.get(pred, ()):
+                    nxt(b)
+            return step
+        return make
 
+    def comparison(self, lit: Comparison, bound: set[str]):
+        """Binds an unbound variable side of '=', else compares in term order."""
+        if lit.op == "=":
+            for var, other in ((lit.left, lit.right), (lit.right, lit.left)):
+                if isinstance(var, Var) and var.name not in bound:
+                    value = self.value(other, bound)
+                    bound.add(var.name)
+                    s = self.slot(var.name)
 
-def _eval_args(args: tuple, binding: dict, rule: Rule) -> tuple:
-    """The values of a derived function's or tuple's arguments.
+                    def make_bind(nxt, *_):
+                        def step(b: list) -> None:
+                            b[s] = value(b)
+                            nxt(b)
+                        return step
+                    return make_bind
+        left, right = self.value(lit.left, bound), self.value(lit.right, bound)
+        holds = COMPARISONS[lit.op]
 
-    Each may nest less than MAX_NESTING deep, so the term built from them
-    nests at most as deep as parsed input may.
-    """
-    values = tuple([_eval_term(a, binding, rule) for a in args])
-    for value in values:
-        if isinstance(value, (Func, Tuple)) and _term_depth(value) >= MAX_NESTING:
-            raise EvaluationError(
-                f"derived term nested more than {MAX_NESTING} levels deep",
-                rule.source, binding)
-    return values
+        def make(nxt, *_):
+            def step(b: list) -> None:
+                if holds(left(b), right(b)):
+                    nxt(b)
+            return step
+        return make
+
+    def aggregate(self, lit: AggregateLit, bound: set[str]):
+        """Over the distinct element tuples, in the order found; binds or compares the guard."""
+        inner = set(bound)  # condition variables stay local to the aggregate
+        conditions = [self.atom(c, inner, in_body=False) if isinstance(c, Atom)
+                      else self.comparison(c, inner) for c in lit.agg.condition]
+        elements = [self.value(t, inner) for t in lit.agg.elements]
+        error, func = self.error(bound), lit.agg.func
+        guard = lit.guard
+        if lit.op == "=" and isinstance(guard, Var) and guard.name not in bound:
+            guard_slot, holds = self.slot(guard.name), None
+            bound.add(guard.name)
+        else:
+            guard_value, holds = self.value(guard, bound), COMPARISONS[lit.op]
+
+        def make(nxt, relations, delta, now):
+            found: dict[tuple, None] = {}
+
+            def collect(b: list) -> None:
+                found[tuple([e(b) for e in elements])] = None
+            solve = collect
+            for condition in reversed(conditions):
+                solve = condition(solve, relations, None, None)
+
+            def step(b: list) -> None:
+                found.clear()
+                solve(b)
+                if func == "count":
+                    value = Number(len(found))
+                elif func == "sum":
+                    total = 0
+                    for t in found:
+                        if type(t[0]) is not Number:
+                            raise error(f"#sum over a non-integer {render(t[0])}", b)
+                        total += t[0].value
+                    if too_many_digits(total):
+                        raise error(integer_too_long("result"), b)
+                    value = Number(total)
+                elif not found:
+                    return  # #min and #max bind nothing over an empty set
+                else:
+                    value = (min if func == "min" else max)(t[0] for t in found)
+                if holds is None:
+                    b[guard_slot] = value
+                elif not holds(value, guard_value(b)):
+                    return
+                nxt(b)
+            return step
+        return make
+
+    # -- terms -------------------------------------------------------------
+
+    def value(self, term, bound: set[str]):
+        """value(b): the ground value of term; an EvaluationError if it has none."""
+        if isinstance(term, Var) and term.name in bound:
+            return itemgetter(self.slot(term.name))
+        if isinstance(term, GROUND_TYPES):
+            return lambda b: term
+        if isinstance(term, Arith):
+            return self.arith(term, bound)
+        if isinstance(term, (FuncPat, TuplePat)):
+            return self.compound(term, bound)
+        error = self.error(bound)
+        message = (f"unbound variable {term.name}" if isinstance(term, Var)
+                   else f"externally interpreted term @{term.name} cannot be evaluated"
+                   if isinstance(term, AtTerm) else "interval outside a fact or rule head")
+
+        def fail(b: list):
+            raise error(message, b)
+        return fail
+
+    def arith(self, term: Arith, bound: set[str]):
+        left, right = self.value(term.left, bound), self.value(term.right, bound)
+        op, error = term.op, self.error(bound)
+
+        def arith(b: list) -> Number:
+            a, c = left(b), right(b)
+            if type(a) is not Number or type(c) is not Number:
+                raise error(f"arithmetic on non-integers ({op})", b)
+            try:
+                return Number(_arith(op, a.value, c.value))
+            except ArithmeticError as exc:
+                raise error(str(exc), b) from None
+        return arith
+
+    def values(self, terms, bound: set[str], bare: bool = False):
+        """values(b): the terms' values as a tuple; if bare, alone for one term."""
+        if len(terms) > (0 if bare else 1) and all(isinstance(t, Var) and t.name in bound for t in terms):
+            return itemgetter(*[self.slots[t.name] for t in terms])
+        values = [self.value(t, bound) for t in terms]
+        if bare and len(values) == 1:
+            return values[0]
+        return lambda b: tuple([v(b) for v in values])
+
+    def compound(self, term, bound: set[str]):
+        """A derived function or tuple, whose arguments nest less than MAX_NESTING deep."""
+        values = self.values(term.args, bound)
+        build = Tuple if isinstance(term, TuplePat) else partial(Func, term.name)
+        error = self.error(bound)
+
+        def compound(b: list) -> GroundTerm:
+            args = values(b)
+            for v in args:
+                if isinstance(v, (Func, Tuple)) and _term_depth(v) >= MAX_NESTING:
+                    raise error(f"derived term nested more than {MAX_NESTING} levels deep", b)
+            return build(args)
+        return compound
+
+    # -- the head and the whole rule ---------------------------------------
+
+    def rule(self, head: Atom, bound: set[str]):
+        """derive: one pass of the rule, adding each new head atom to relations and out."""
+        pred, makers, width = head.pred, self.makers, len(self.slots)
+        if any(isinstance(a, Interval) for a in head.args):
+            instances = self.intervals(head.args, bound)
+        else:
+            values = self.values(head.args, bound)
+            instances = lambda b: (values(b),)  # noqa: E731
+
+        def derive(relations, out, delta=None, occurrence=None) -> None:
+            add, note = relations.add, out.add
+
+            def emit(b: list) -> None:
+                for args in instances(b):
+                    if add(pred, args):
+                        note(pred, args)
+            step = emit
+            for make in reversed(makers):
+                step = make(step, relations, delta, occurrence)
+            step([None] * width)
+        return derive
+
+    def intervals(self, args: tuple, bound: set[str]):
+        """instances(b): the head's argument tuples, one per value of each interval."""
+        error = self.error(bound)
+
+        def span(lo, hi):
+            def numbers(b: list) -> list[Number]:
+                first, last = lo(b), hi(b)
+                if type(first) is not Number or type(last) is not Number:
+                    raise error("interval bounds must be integers", b)
+                return [Number(v) for v in range(first.value, last.value + 1)]
+            return numbers
+        columns = [span(self.value(a.lo, bound), self.value(a.hi, bound))
+                   if isinstance(a, Interval) else self.values((a,), bound) for a in args]
+        return lambda b: itertools.product(*[column(b) for column in columns])
 
 
 def _term_depth(term: GroundTerm) -> int:
@@ -1082,20 +1075,3 @@ def _term_depth(term: GroundTerm) -> int:
         deepest = max(deepest, depth)
         stack += ((a, depth + 1) for a in node.args if isinstance(a, (Func, Tuple)))
     return deepest
-
-
-def _instantiate_head(head: Atom, binding: dict, rule: Rule):
-    """Ground the head; intervals multiply out into one atom per value."""
-    slots: list[list[GroundTerm]] = []
-    for arg in head.args:
-        if isinstance(arg, Interval):
-            lo = _eval_term(arg.lo, binding, rule)
-            hi = _eval_term(arg.hi, binding, rule)
-            if not isinstance(lo, Number) or not isinstance(hi, Number):
-                raise EvaluationError("interval bounds must be integers",
-                                      rule.source, binding)
-            slots.append([Number(v) for v in range(lo.value, hi.value + 1)])
-        else:
-            slots.append([_eval_term(arg, binding, rule)])
-    for combo in itertools.product(*slots):
-        yield tuple(combo)

@@ -473,21 +473,15 @@ def _grouped_instances(spec: ValidationSpec, atoms):
     are left unvalidated, mirroring how a grounder would treat them as a
     different predicate.
     """
+    arities = {symbol: definition.arity for symbol, definition in spec.definitions.items()}
     groups: dict[str, list[Fact]] = {}
     for atom in atoms:
-        definition = spec.definitions.get(atom.predicate)
-        if definition is not None and len(atom.args) == definition.arity:
+        if len(atom.args) == arities.get(atom.predicate):
             groups.setdefault(atom.predicate, []).append(atom)
     for symbol in sorted(groups):
         yield symbol, groups[symbol]
 
 
 def _args_key(fact: Fact) -> tuple:
-    """Term order within one group, where predicate and arity are fixed.
-
-    The arguments' sort keys are concatenated.  A key's length follows from
-    its first item, the kind rank, so the keys of equal leading arguments
-    line up and the flat tuple compares as the tuple of keys would, with
-    fewer nested comparisons.
-    """
-    return sum(map(sort_key, fact.args), ())
+    """Term order within one group, where predicate and arity are fixed."""
+    return tuple(map(sort_key, fact.args))

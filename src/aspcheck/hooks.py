@@ -714,7 +714,7 @@ def _valid_date(args) -> bool:
     y, m, d = args
     try:
         datetime.date(y, m, d)
-    except ValueError:
+    except (ValueError, OverflowError):  # OverflowError: a part beyond a C int
         raise CheckFailure(f"no such calendar date: {y}-{m}-{d}") from None
     return True
 

@@ -15,6 +15,7 @@ import operator
 import re
 import sys
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator, Union
 
 __all__ = [
@@ -43,36 +44,71 @@ MAX_NESTING = 100
 IDENT_RE = re.compile(r"_*[a-z][A-Za-z0-9_]*\Z")
 
 
-@dataclass(frozen=True, slots=True)
-class Number:
-    value: int
+class _Term(tuple):
+    """A ground term: a tuple laid out as its own sort key, a kind rank first,
+    then what orders terms of that kind, so hashing, equality and ordering
+    run in C.  Numbers rank first, then constants, strings (content without
+    the quotes), tuples (by length first) and functions (by arity, then
+    name).  _fields names the constructor's arguments, for repr and copies.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({shown})"
+
+    def __getnewargs__(self) -> tuple:  # copy and pickle call __new__ with these
+        return tuple(getattr(self, name) for name in self._fields)
 
 
-@dataclass(frozen=True, slots=True)
-class Str:
-    """String content without the surrounding quotes."""
+class Number(_Term):
+    __slots__ = ()
+    _fields = ("value",)
+    value = property(itemgetter(1))
 
-    value: str
-
-
-@dataclass(frozen=True, slots=True)
-class Const:
-    name: str
+    def __new__(cls, value: int):
+        return tuple.__new__(cls, (0, value))
 
 
-@dataclass(frozen=True, slots=True)
-class Func:
-    name: str
-    args: tuple["GroundTerm", ...]
+class Const(_Term):
+    __slots__ = ()
+    _fields = ("name",)
+    name = property(itemgetter(1))
 
-    def __post_init__(self) -> None:
-        if not self.args:
+    def __new__(cls, name: str):
+        return tuple.__new__(cls, (1, name))
+
+
+class Str(_Term):
+    __slots__ = ()
+    _fields = ("value",)
+    value = property(itemgetter(1))
+
+    def __new__(cls, value: str):
+        return tuple.__new__(cls, (2, value))
+
+
+class Tuple(_Term):
+    __slots__ = ()
+    _fields = ("args",)
+    args = property(itemgetter(2))
+
+    def __new__(cls, args: tuple["GroundTerm", ...]):
+        return tuple.__new__(cls, (3, len(args), args))
+
+
+class Func(_Term):
+    __slots__ = ()
+    _fields = ("name", "args")
+    name = property(itemgetter(2))
+    args = property(itemgetter(3))
+
+    def __new__(cls, name: str, args: tuple["GroundTerm", ...]):
+        if not args:
             raise ValueError("zero-arity symbols are Const, not Func")
-
-
-@dataclass(frozen=True, slots=True)
-class Tuple:
-    args: tuple["GroundTerm", ...]
+        return tuple.__new__(cls, (4, len(args), name, args))
 
 
 GroundTerm = Union[Number, Str, Const, Func, Tuple]
@@ -175,6 +211,8 @@ class TokenCursor:
 
     Tokens carry only their offset; line and column are computed when an
     error is built.  Subclasses set error_class to their own ParseError.
+    Equal number and constant literals in one parse share one term, found
+    through memo by their text.
     """
 
     error_class = ParseError
@@ -184,6 +222,7 @@ class TokenCursor:
         self._next = self._lex(0).__next__
         self.cur = self._next()
         self.depth = 0
+        self.memo: dict[str, GroundTerm] = {}
 
     def _lex(self, pos: int) -> Iterator[_Token]:
         for m in _TOKEN_RE.finditer(self.text, pos):
@@ -260,6 +299,7 @@ class TokenCursor:
     def _flat_args(self, parts: list[str], offset: int) -> tuple[GroundTerm, ...] | None:
         """The terms of a flat fact's arguments; None if parts split a string."""
         args: list[GroundTerm] = []
+        memo = self.memo
         for part in parts:
             first = part[0]
             if first == '"':
@@ -267,18 +307,23 @@ class TokenCursor:
                     return None
                 args.append(Str(part[1:-1]))
             elif first >= "_":  # '_' or a lowercase letter
-                args.append(Const(part))
+                args.append(memo.get(part) or self.const(part))
             else:
-                args.append(Number(self.integer(part, offset + (first == "-"))))
+                args.append(memo.get(part) or self.number(part, offset + (first == "-")))
             offset += len(part) + 1
         return tuple(args)
 
-    def integer(self, literal: str, offset: int) -> int:
-        """The value of an integer literal whose digits start at offset."""
-        try:
-            return int(literal)
-        except ValueError:
-            raise self.error_at(integer_too_long(), offset) from None
+    def number(self, literal: str, offset: int) -> Number:
+        """The Number of an integer literal whose digits start at offset."""
+        if literal not in self.memo:
+            try:
+                self.memo[literal] = Number(int(literal))
+            except ValueError:
+                raise self.error_at(integer_too_long(), offset) from None
+        return self.memo[literal]
+
+    def const(self, name: str) -> Const:
+        return self.memo.get(name) or self.memo.setdefault(name, Const(name))
 
     def error_at(self, message: str, offset: int | None = None) -> ParseError:
         """An error at the offset, by default that of the current token."""
@@ -316,13 +361,13 @@ class _Parser(TokenCursor):
         tok = self.cur
         if tok.kind == "number":
             self.advance()
-            return Number(self.integer(tok.text, tok.offset))
+            return self.number(tok.text, tok.offset)
         if tok.text == "-":
             self.advance()
             if self.cur.kind != "number":
                 raise self.error("digits after '-'")
             tok = self.advance()
-            return Number(-self.integer(tok.text, tok.offset))
+            return self.number("-" + tok.text, tok.offset)
         if tok.kind == "string":
             self.advance()
             return Str(self.string_value(tok))
@@ -333,7 +378,7 @@ class _Parser(TokenCursor):
                 args = self.term_list()
                 self.close_paren("')' closing argument list")
                 return Func(tok.text, tuple(args))
-            return Const(tok.text)
+            return self.const(tok.text)
         if tok.text == "(":
             args, is_tuple = self.parenthesized(self.term)
             return Tuple(tuple(args)) if is_tuple else args[0]
@@ -408,46 +453,30 @@ def _rule_error(text: str, offset: int) -> ParseError:
 
 def render(t: GroundTerm) -> str:
     """Canonical text: no whitespace, strings quoted, `(x,)` for 1-tuples."""
-    if isinstance(t, Number):
-        return str(t.value)
-    if isinstance(t, Str):
-        return _encode_string(t.value)
-    if isinstance(t, Const):
-        return t.name
-    if isinstance(t, Func):
-        return f"{t.name}({','.join(render(a) for a in t.args)})"
-    if isinstance(t, Tuple):
-        if len(t.args) == 1:
-            return f"({render(t.args[0])},)"
-        return f"({','.join(render(a) for a in t.args)})"
+    kind = type(t)
+    if kind is Number:
+        return str(t[1])
+    if kind is Const:
+        return t[1]
+    if kind is Str:
+        return _encode_string(t[1])
+    if kind is Func:
+        return f"{t[2]}({','.join(map(render, t[3]))})"
+    if kind is Tuple:
+        if t[1] == 1:
+            return f"({render(t[2][0])},)"
+        return f"({','.join(map(render, t[2]))})"
     raise TypeError(f"not a ground term: {t!r}")
 
 
 def sort_key(t: GroundTerm):
-    """The key of t in the term order; compare and every comparison use it.
-
-    Numbers come first, then constants, strings, tuples and functions.
-    Numbers order by value, constants by name and strings by text; tuples
-    by length, then item by item; functions by arity, then name, then
-    argument by argument.
-    """
-    if isinstance(t, Number):
-        return (0, t.value)
-    if isinstance(t, Const):
-        return (1, t.name)
-    if isinstance(t, Str):
-        return (2, t.value)
-    if isinstance(t, Tuple):
-        return (3, len(t.args), tuple(sort_key(a) for a in t.args))
-    if isinstance(t, Func):
-        return (4, len(t.args), t.name, tuple(sort_key(a) for a in t.args))
-    raise TypeError(f"not a ground term: {t!r}")
+    """The key of t in the term order: t itself, laid out as its own key (see Number)."""
+    return t
 
 
 def compare(a: GroundTerm, b: GroundTerm) -> int:
-    """-1, 0 or 1 as the sort keys of a and b compare."""
-    ka, kb = sort_key(a), sort_key(b)
-    return (ka > kb) - (ka < kb)
+    """-1, 0 or 1 as a and b compare in the term order."""
+    return (a > b) - (a < b)
 
 
 # The comparison operators of rules, `having` and hooks, as functions of two

@@ -89,12 +89,15 @@ def compare_terms(a, b) -> int:
 
 
 class GenRule:
-    __slots__ = ("head", "pos", "neg")
+    __slots__ = ("head", "pos", "neg", "cmp")
 
-    def __init__(self, head, pos, neg):
+    def __init__(self, head, pos, neg, cmp=()):
         self.head = head  # (pred, args); args are var names or int constants
         self.pos = pos  # list of (pred, args)
-        self.neg = neg  # list of (pred, args), all vars bound by pos
+        self.neg = neg  # list of (pred, args), all vars bound by pos or cmp
+        # (op, left, right), each side a var name or an int; an "=" with a
+        # var that is not bound before it binds that var.
+        self.cmp = cmp
 
 
 class GenProgram:
@@ -110,12 +113,14 @@ _VARS = ["X", "Y", "Z", "W"]
 
 def generate_program(rng: random.Random, *, max_rules: int = 8,
                      domain: int = 6, allow_negation: bool = True,
-                     join_shapes: bool = False) -> GenProgram:
+                     join_shapes: bool = False, comparisons: bool = False) -> GenProgram:
     """A random layered program.
 
     With join_shapes, body atoms also take integer constants, and about
-    half of the rules join a predicate with itself.  Off, the random draws
-    (and so the programs for a given seed) are those of the plain shape.
+    half of the rules join a predicate with itself.  With comparisons,
+    rules also hold up to three comparisons: `<`, `!=`, and `=` that binds
+    a new variable.  Off, the random draws (and so the programs for a given
+    seed) are those of the plain shape.
     """
     edb = [("e0", rng.choice([1, 2])), ("e1", rng.choice([1, 2]))]
     idb = [(f"p{i}", rng.choice([1, 2])) for i in range(rng.randint(1, 3))]
@@ -154,6 +159,7 @@ def generate_program(rng: random.Random, *, max_rules: int = 8,
             bound.extend(a for a in args if isinstance(a, str))
         if not bound:
             continue
+        cmp = _comparisons(rng, bound, domain) if comparisons else ()
 
         neg = []
         if allow_negation and strictly_lower and rng.random() < 0.5:
@@ -164,8 +170,23 @@ def generate_program(rng: random.Random, *, max_rules: int = 8,
         head_args = tuple(
             rng.choice(bound) if rng.random() < 0.8 else rng.randint(1, domain)
             for _ in range(arity_of[head_pred]))
-        rules.append((k, GenRule((head_pred, head_args), pos, neg)))
+        rules.append((k, GenRule((head_pred, head_args), pos, neg, cmp)))
     return GenProgram(facts, rules)
+
+
+def _comparisons(rng: random.Random, bound: list, domain: int) -> list:
+    """Up to three comparisons over bound; a binding "=" extends bound."""
+    out = []
+    for i in range(rng.randint(0, 3)):
+        op = rng.choice(["<", "!=", "="])
+        left = rng.choice(bound)
+        right = rng.choice(bound) if rng.random() < 0.6 else rng.randint(1, domain)
+        if op == "=" and rng.random() < 0.8:
+            fresh = f"V{i}"
+            left, right = (fresh, left) if rng.random() < 0.5 else (left, fresh)
+            bound.append(fresh)
+        out.append((op, left, right))
+    return out
 
 
 def _with_constants(rng: random.Random, args: tuple, domain: int) -> tuple:
@@ -183,7 +204,10 @@ def render_program(program: GenProgram) -> str:
 
     lines = [atom(f) + "." for f in sorted(program.facts)]
     for _, rule in program.rules:
-        body = [atom(p) for p in rule.pos] + [f"not {atom(n)}" for n in rule.neg]
+        # Comparisons come first, so the planner must move them after the
+        # atoms that bind their variables.
+        body = [f"{left} {op} {right}" for op, left, right in rule.cmp]
+        body += [atom(p) for p in rule.pos] + [f"not {atom(n)}" for n in rule.neg]
         lines.append(f"{atom(rule.head)} :- {', '.join(body)}.")
     return "\n".join(lines)
 
@@ -199,6 +223,9 @@ def naive_fixpoint(program: GenProgram) -> set[tuple]:
             changed = False
             for rule in layer_rules:
                 for binding in _oracle_match(rule.pos, 0, {}, database):
+                    binding = _oracle_compare(rule.cmp, binding)
+                    if binding is None:
+                        continue
                     if any((n[0], _oracle_ground(n[1], binding)) in database
                            for n in rule.neg):
                         continue
@@ -207,6 +234,25 @@ def naive_fixpoint(program: GenProgram) -> set[tuple]:
                         database.add(derived)
                         changed = True
     return database
+
+
+def _oracle_compare(cmp, binding):
+    """The binding extended by each binding "=", or None if a comparison fails."""
+    binding = dict(binding)
+    for op, left, right in cmp:
+        if op == "=" and isinstance(left, str) and left not in binding:
+            binding[left] = _oracle_value(right, binding)
+        elif op == "=" and isinstance(right, str) and right not in binding:
+            binding[right] = _oracle_value(left, binding)
+        else:
+            a, b = _oracle_value(left, binding), _oracle_value(right, binding)
+            if not (a < b if op == "<" else a != b if op == "!=" else a == b):
+                return None
+    return binding
+
+
+def _oracle_value(item, binding):
+    return binding[item] if isinstance(item, str) else item
 
 
 def _oracle_ground(args, binding):

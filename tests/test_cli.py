@@ -463,3 +463,19 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "valid"
+
+
+@pytest.mark.parametrize("flags", [[], ["--all-errors"]])
+def test_date_part_beyond_a_c_int_is_a_diagnostic(tmp_path, flags):
+    # Once an OverflowError traceback from valid_date, which runs even
+    # though the day already failed its 32-bit max facet.
+    spec = write(tmp_path, "bday.yaml", fixture_text("bday.yaml"))
+    facts = write(tmp_path, "d.lp", "date(2000,1,2147483648).")
+    proc = subprocess.run(
+        [sys.executable, "-m", "aspcheck.cli", "validate", *flags, spec, facts],
+        capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "max: day: Should be <= 2147483647" in proc.stdout
+    if flags:
+        assert "hook-fail: no such calendar date: 2000-1-2147483648" in proc.stdout

@@ -419,6 +419,25 @@ class TestOracleEquivalence:
                     len(args) for _, args in rule.pos)
         assert min(shapes.values()) >= 50, shapes
 
+    def test_comparisons_match_naive_fixpoint(self):
+        rng = random.Random(2718)
+        shapes = {"<": 0, "!=": 0, "= test": 0, "= binds": 0, "bound var used": 0}
+        for _ in range(150):
+            generated = generate_program(rng, comparisons=True)
+            program = parse_program(render_program(generated))
+            assert model_as_tuples(evaluate(program, [])) == naive_fixpoint(generated)
+            for _, rule in generated.rules:
+                fresh = {side for op, left, right in rule.cmp for side in (left, right)
+                         if isinstance(side, str) and side.startswith("V")}
+                for op, left, right in rule.cmp:
+                    if op != "=":
+                        shapes[op] += 1
+                    else:
+                        shapes["= binds" if {left, right} & fresh else "= test"] += 1
+                used = [*rule.head[1], *(a for _, args in rule.neg for a in args)]
+                shapes["bound var used"] += bool(fresh & set(used))
+        assert min(shapes.values()) >= 30, shapes
+
 
 def _path_model(rules: str, edges: set[tuple[int, int]]) -> set[tuple[int, int]]:
     facts = [Fact("edge", (Number(a), Number(b))) for a, b in edges]
@@ -470,17 +489,76 @@ class TestIndexedJoins:
 
     @pytest.mark.parametrize("n", [100, 200])
     def test_matching_work_is_linear_in_the_closure(self, monkeypatch, n):
-        calls = 0
-        match_args = datalog._match_args
+        examined = 0
+        lookup = datalog._Relations.lookup
 
-        def counting(*args):
-            nonlocal calls
-            calls += 1
-            return match_args(*args)
+        def counting(self, *args):
+            nonlocal examined
+            for candidate in lookup(self, *args):
+                examined += 1
+                yield candidate
 
-        monkeypatch.setattr(datalog, "_match_args", counting)
+        monkeypatch.setattr(datalog._Relations, "lookup", counting)
         edges = {(i, i + 1) for i in range(n)}
         paths = _path_model(
             "path(X,Y) :- edge(X,Y). path(X,Z) :- path(X,Y), edge(Y,Z).", edges)
         assert len(paths) == n * (n + 1) // 2
-        assert calls <= 10 * len(paths), (calls, len(paths))
+        assert examined <= 10 * len(paths), (examined, len(paths))
+
+
+BIG = "1" + "0" * 2200  # its square has more digits than int() converts
+NINES = 10 ** 4300 - 1
+DEEP = "f(" * 100 + "a" + ")" * 100  # as deep as parsed input may nest
+
+
+class TestEvaluationErrors:
+    @pytest.mark.parametrize("rule, facts, message, binding", [
+        ("q(Y) :- p(X), Y = X + 1.", "p(a).", "arithmetic on non-integers (+)", "{X: a}"),
+        # Bound by an earlier argument of the same atom.
+        ("q(X) :- p(X), r(Y, X * 2).", "p(a). r(1,2).", "arithmetic on non-integers (*)",
+         "{X: a, Y: 1}"),
+        ("q(X) :- p(X), not r(X - 1).", "p(a).", "arithmetic on non-integers (-)", "{X: a}"),
+        ("q(X+1) :- p(X).", 'p("s").', "arithmetic on non-integers (+)", '{X: "s"}'),
+        ("t(S) :- S = #sum{X+1 : p(X)}.", "p(a).", "arithmetic on non-integers (+)", "{X: a}"),
+        ("p(N) :- q(Y), N = #count{X : r(X,Z), X < Y + Z}.", "q(1). r(2,a).",
+         "arithmetic on non-integers (+)", "{X: 2, Y: 1, Z: a}"),
+        ("q(Y) :- p(X), Y = 7 / X.", "p(0).", "division by zero", "{X: 0}"),
+        ("q(1..X) :- p(X).", "p(a).", "interval bounds must be integers", "{X: a}"),
+        ("t(S) :- S = #sum{X : p(X)}.", "p(a).", "#sum over a non-integer a", "{}"),
+        ("q(Y) :- p(X), Y = X * X.", f"p({BIG}).", "integer result longer than 4300 digits",
+         f"{{X: {BIG}}}"),
+        ("t(S) :- S = #sum{X : p(X)}.", f"p({NINES}). p({NINES - 1}).",
+         "integer result longer than 4300 digits", "{}"),
+        ("p(f(X)) :- q(X).", f"q({DEEP}).", "derived term nested more than 100 levels deep",
+         f"{{X: {DEEP}}}"),
+        # Aggregate conditions are not reordered.
+        ("t(N) :- p(Y), N = #count{X : X < 3, p(X)}.", "p(1).", "unbound variable X", "{Y: 1}"),
+        # An anonymous variable is never shown.
+        ("p(_) :- q(X).", "q(1).", "unbound variable _#1", "{X: 1}"),
+    ])
+    def test_message_and_binding(self, rule, facts, message, binding):
+        with pytest.raises(EvaluationError) as exc:
+            evaluate(parse_program(rule), parse_facts(facts))
+        assert str(exc.value) == f"{message} in rule: {rule} with {binding}"
+
+    def test_interpreted_term(self):
+        # Only a permissive parse reads @f; planned by hand, it still cannot run.
+        rule = "p(Y) :- q(X), Y = @f(X)."
+        program = parse_program(rule, permissive=True)
+        datalog._plan_rule(program.rules[0])
+        with pytest.raises(EvaluationError) as exc:
+            evaluate(program, parse_facts("q(1)."))
+        assert str(exc.value) == (
+            f"externally interpreted term @f cannot be evaluated in rule: {rule} with {{X: 1}}")
+
+    def test_interval_outside_a_head(self):
+        # The parser never builds one; a hand-built rule shows the message.
+        x = datalog.Var("X")
+        rule = datalog.Rule(
+            head=datalog.Atom("p", (datalog.FuncPat("f", (datalog.Interval(Number(1), x),)),)),
+            body=(datalog.Atom("q", (x,)),), source="p(f(1..X)) :- q(X).")
+        datalog._plan_rule(rule)
+        with pytest.raises(EvaluationError) as exc:
+            evaluate(datalog.Program([rule]), parse_facts("q(2)."))
+        assert str(exc.value) == (
+            "interval outside a fact or rule head in rule: p(f(1..X)) :- q(X). with {X: 2}")

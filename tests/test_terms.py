@@ -1,5 +1,7 @@
 """Term parsing, rendering and ordering."""
 
+import copy
+import pickle
 import random
 from functools import cmp_to_key
 
@@ -263,6 +265,19 @@ _terms = st.recursive(
 @settings(max_examples=300)
 def test_parse_render_round_trip(term):
     assert parse_term(render(term)) == term
+
+
+def test_repr_names_each_field():
+    term = Func("f", (Number(-1), Tuple((Str("s"), Const("c")))))
+    assert repr(term) == ("Func(name='f', args=(Number(value=-1),"
+                          " Tuple(args=(Str(value='s'), Const(name='c')))))")
+
+
+@given(_terms)
+@settings(max_examples=100)
+def test_copies_and_pickles_are_the_same_term(term):
+    for twin in (copy.copy(term), copy.deepcopy(term), pickle.loads(pickle.dumps(term))):
+        assert twin == term and type(twin) is type(term) and repr(twin) == repr(term)
 
 
 @given(_terms)
