@@ -161,7 +161,6 @@ class Rule:
     head: Atom | None
     body: tuple
     source: str
-    plan: tuple = ()  # body reordered so every literal is ready when reached
     atoms: tuple = ()  # the predicate of each positive atom in the plan
     derive: object = None  # the compiled plan (see _Compiler.rule)
 
@@ -514,7 +513,6 @@ def _plan_rule(rule: Rule) -> None:
     """Order the body so each literal is evaluable when reached; compile it."""
     compiler = _Compiler(rule.source)
     remaining = list(rule.body)
-    plan: list = []
     bound: set[str] = set()
     while remaining:
         for idx, lit in enumerate(remaining):
@@ -531,7 +529,6 @@ def _plan_rule(rule: Rule) -> None:
             else:
                 ready = _aggregate_ready(lit, bound)
             if ready:
-                plan.append(lit)
                 compiler.literal(lit, bound)  # adds what lit binds to bound
                 del remaining[idx]
                 break
@@ -542,7 +539,6 @@ def _plan_rule(rule: Rule) -> None:
     loose = sorted(v for v in head_vars - bound if not v.startswith("_#"))
     if loose:
         raise UnsafeRuleError(loose[0], rule.source)
-    rule.plan = tuple(plan)
     rule.atoms = tuple(compiler.atoms)
     rule.derive = compiler.rule(rule.head, bound)
 
@@ -586,27 +582,18 @@ def stratify(program: "Program | list[Rule]") -> list[list[str]]:
             start = min(sccs[scc_of[src]])
             raise UnstratifiedError(_path(succ, start, src) + _path(succ, dst, start)[:-1])
 
-    # Longest path over the condensation, counting negative edges.
-    level = {i: 0 for i in range(len(sccs))}
-    changed = True
-    while changed:
-        changed = False
-        for src, dst in pos_edges:
-            if scc_of[src] != scc_of[dst]:
-                want = level[scc_of[src]]
-                if level[scc_of[dst]] < want:
-                    level[scc_of[dst]] = want
-                    changed = True
-        for src, dst in neg_edges:
-            want = level[scc_of[src]] + 1
-            if level[scc_of[dst]] < want:
-                level[scc_of[dst]] = want
-                changed = True
+    # Longest path over the condensation, counting negative edges.  Tarjan
+    # lists each SCC after every SCC it reaches, so in reverse each level is
+    # final before it is pushed along the SCC's edges.
+    level = [0] * len(sccs)
+    for i in reversed(range(len(sccs))):
+        for src in sccs[i]:
+            for dst in succ[src]:
+                j = scc_of[dst]
+                if j != i:
+                    level[j] = max(level[j], level[i] + ((src, dst) in neg_edges))
 
-    if not preds:
-        return []
-    height = max(level.values()) + 1
-    strata: list[list[str]] = [[] for _ in range(height)]
+    strata: list[list[str]] = [[] for _ in sccs]
     for i, scc in enumerate(sccs):
         strata[level[i]].extend(scc)
     return [sorted(s) for s in strata if s]

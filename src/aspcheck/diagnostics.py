@@ -11,8 +11,8 @@ __all__ = ["Diagnostic", "RunStats", "ValidationReport", "render_report"]
 #: environment) is broken, as opposed to the data being invalid.
 SPEC_QUALITY_RULES = frozenset({
     "reserved-name", "unknown-facet", "facet-value", "unknown-type", "type-cycle",
-    "duplicate-field", "having-field", "script-syntax", "enum-type", "facet-bounds",
-    "eval-error", "asp-syntax", "bridge-error",
+    "type-depth", "duplicate-field", "having-field", "script-syntax", "enum-type",
+    "facet-bounds", "eval-error", "asp-syntax", "bridge-error",
 })
 
 

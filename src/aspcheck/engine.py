@@ -4,14 +4,17 @@ A run executes the prelude, the before hooks, obtains the instance set
 (either by evaluating the auxiliary rules in-process or through the
 external grounder bridge), checks every instance of every declared symbol
 in a deterministic order, and finally checks aggregate facets and after
-hooks.  The default is fail-fast: the first diagnostic ends the run.
+hooks.  Both modes run the same steps, which yield diagnostics one at a
+time; the default, fail-fast, stops at the first.
 """
 
 from __future__ import annotations
 
 import re
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import islice
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -355,50 +358,54 @@ def finalize(definition: UserDefinition, store: AccumulatorStore) -> list[Diagno
 
 
 def run(spec: ValidationSpec, facts, options: RunOptions | None = None) -> ValidationReport:
-    """Apply a specification to a set of facts and report the verdict."""
+    """Apply a specification to a set of facts and report the verdict.
+
+    Every check_spec problem is reported, and then nothing runs.  Otherwise
+    fail-fast takes the first diagnostic of the run's stream, and no more.
+    """
     options = options or RunOptions()
     started = time.perf_counter()
-    diags: list[Diagnostic] = []
-
-    def report() -> ValidationReport:
-        stats = RunStats(instances_checked=dict(store.counts),
-                         wall_time=time.perf_counter() - started)
-        return ValidationReport.from_diagnostics(diags, stats)
-
     store = AccumulatorStore(spec)
+    diags = check_spec(spec)
+    if not diags:
+        stream = _diagnostics(spec, facts, options, store)
+        diags = list(islice(stream, 1) if options.fail_fast else stream)
+    stats = RunStats(instances_checked=dict(store.counts),
+                     wall_time=time.perf_counter() - started)
+    return ValidationReport.from_diagnostics(diags, stats)
 
-    spec_problems = check_spec(spec)
-    if spec_problems:
-        diags.extend(spec_problems)
-        return report()
 
-    # Step 1: the prelude defines run-wide constants.
+def _diagnostics(spec: ValidationSpec, facts, options: RunOptions,
+                 store: AccumulatorStore) -> Iterator[Diagnostic]:
+    """Steps 1-5 of a run, yielding its diagnostics in report order.
+
+    No yield sits in a try block, so closing the stream early runs no handler.
+    """
+    # Step 1: the prelude defines run-wide constants.  A failure ends the run.
     try:
         store.prelude = hooks.run_prelude(spec.prelude)
+        failure = None
     except hooks.CheckFailure as exc:
-        diags.append(Diagnostic("before", "", "hook-fail", f"prelude: {exc.message}"))
-        return report()
+        failure = ("hook-fail", f"prelude: {exc.message}")
     except hooks.ScriptEvalError as exc:
-        diags.append(Diagnostic("before", "", "eval-error", f"prelude: {exc}"))
-        return report()
+        failure = ("eval-error", f"prelude: {exc}")
+    if failure is not None:
+        yield Diagnostic("before", "", *failure)
+        return
 
     # Step 2: before hooks, in symbol order.
-    for symbol in sorted(spec.definitions):
-        definition = spec.definitions[symbol]
+    for symbol, definition in sorted(spec.definitions.items()):
         script = definition.before_grounding
-        if not script:
-            continue
-        problem = _run_hook(script, store, "before_grounding", instance=None)
-        if problem is not None:
-            diags.append(Diagnostic("before", symbol, *problem, arity=definition.arity))
-        if diags and options.fail_fast:
-            return report()
+        if script:
+            problem = _run_hook(script, store, "before_grounding", instance=None)
+            if problem is not None:
+                yield Diagnostic("before", symbol, *problem, arity=definition.arity)
 
-    # Step 3: the instance set.
+    # Step 3: the instance set.  A problem ends the run.
     atoms, problem_diag = _instance_set(spec, facts, options)
     if problem_diag is not None:
-        diags.append(problem_diag)
-        return report()
+        yield problem_diag
+        return
 
     # Step 4: check instances, symbol by symbol: in term order where a hook
     # can observe the order, else in arrival order, sorting only the failing
@@ -408,27 +415,15 @@ def run(spec: ValidationSpec, facts, options: RunOptions | None = None) -> Valid
         if store.checks(definition).order_free:
             failing = {fact: found for fact in group
                        if (found := check_instance(definition, fact, store))}
-            outcomes = (failing[fact] for fact in sorted(failing, key=_args_key))
+            for fact in sorted(failing, key=_args_key):
+                yield from failing[fact]
         else:
-            outcomes = (check_instance(definition, fact, store)
-                        for fact in sorted(group, key=_args_key))
-        for instance_diags in outcomes:
-            if instance_diags:
-                if options.fail_fast:
-                    diags.append(instance_diags[0])
-                    return report()
-                diags.extend(instance_diags)
+            for fact in sorted(group, key=_args_key):
+                yield from check_instance(definition, fact, store)
 
     # Step 5: aggregate facets and after hooks, in symbol order.
     for symbol in sorted(spec.definitions):
-        final_diags = finalize(spec.definitions[symbol], store)
-        if final_diags:
-            if options.fail_fast:
-                diags.append(final_diags[0])
-                return report()
-            diags.extend(final_diags)
-
-    return report()
+        yield from finalize(spec.definitions[symbol], store)
 
 
 def _instance_set(spec: ValidationSpec, facts, options: RunOptions):

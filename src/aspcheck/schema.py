@@ -17,7 +17,8 @@ import yaml
 
 from . import hooks
 from .diagnostics import Diagnostic
-from .terms import IDENT_RE, Const, GroundTerm, Number, Str, integer_too_long, parse_term, render
+from .terms import (IDENT_RE, MAX_NESTING, Const, GroundTerm, Number, Str, integer_too_long,
+                    parse_term, render)
 from .terms import ParseError as TermParseError
 
 __all__ = [
@@ -298,6 +299,8 @@ def parse_spec(yaml_text: str) -> ValidationSpec:
             f"duplicate key {exc.key!r} at line {exc.mark.line + 1}")]) from exc
     except yaml.YAMLError as exc:
         raise _err("", "facet-value", f"not valid YAML: {exc}") from exc
+    except RecursionError:
+        raise _err("", "facet-value", "not valid YAML: nested too deeply") from None
 
     if doc is None:
         doc = {}
@@ -522,31 +525,44 @@ def _check_facet_bounds(symbol: str, f: FieldDecl) -> list[Diagnostic]:
 
 
 def _check_type_cycles(spec: ValidationSpec) -> list[Diagnostic]:
+    """Report each cycle of user types, then each chain of too many of them.
+
+    A chain of more than MAX_NESTING is reported at every definition that no
+    other one references.  The search keeps its own stack, not Python's.
+    """
     graph = {
         symbol: [f.type for f in definition.fields
                  if isinstance(f.type, str) and f.type in spec.definitions]
         for symbol, definition in spec.definitions.items()
     }
-    state: dict[str, int] = {}  # 1 = in progress, 2 = done
+    depth: dict[str, int | None] = {}  # None while the symbol is on the trail
     diags: list[Diagnostic] = []
-
-    def visit(node: str, trail: list[str]) -> None:
-        state[node] = 1
-        trail.append(node)
-        for succ in graph[node]:
-            if state.get(succ) == 1:
+    for root in graph:
+        if root in depth:
+            continue
+        depth[root] = None
+        trail, work = [root], [iter(graph[root])]
+        while work:
+            succ = next(work[-1], None)
+            if succ is None:
+                work.pop()
+                node = trail.pop()
+                depth[node] = 1 + max((depth[s] or 0 for s in graph[node]), default=0)
+            elif succ not in depth:
+                depth[succ] = None
+                trail.append(succ)
+                work.append(iter(graph[succ]))
+            elif depth[succ] is None:
                 cycle = trail[trail.index(succ):] + [succ]
                 diags.append(Diagnostic(
                     "spec-load", succ, "type-cycle",
                     f"cyclic type reference: {' -> '.join(cycle)}"))
-            elif succ not in state:
-                visit(succ, trail)
-        trail.pop()
-        state[node] = 2
-
+    referenced = {succ for succs in graph.values() for succ in succs}
     for symbol in graph:
-        if symbol not in state:
-            visit(symbol, [])
+        if symbol not in referenced and depth[symbol] > MAX_NESTING:
+            diags.append(Diagnostic(
+                "spec-load", symbol, "type-depth",
+                f"user types nested more than {MAX_NESTING} levels deep"))
     return diags
 
 

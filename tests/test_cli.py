@@ -271,6 +271,32 @@ def test_deep_nesting_is_a_diagnostic(tmp_path, capsys, where, text):
         assert "Traceback" not in err
 
 
+def _type_chain(length: int) -> str:
+    """t0: {x: t1}, t1: {x: t2}, ... down to a last type holding an Integer."""
+    return ("".join(f"t{i}:\n    x: t{i + 1}\n" for i in range(length - 1))
+            + f"t{length - 1}:\n    x: Integer\n")
+
+
+# The last three once ended the CLI in a RecursionError traceback.
+@pytest.mark.parametrize("command, spec_text, code, message", [
+    ("validate", _type_chain(100), 0, None),
+    ("validate", _type_chain(251), 2, "t0: type-depth: user types nested more than 100 levels"),
+    ("check", _type_chain(1501), 2, "t0: type-depth: user types nested more than 100 levels"),
+    ("check", "p:\n    x: " + "[" * 3000 + "]" * 3000 + "\n", 2, "not valid YAML"),
+], ids=["chain-100", "chain-251", "chain-1501", "yaml-3000"])
+def test_deeply_nested_specs(tmp_path, capsys, command, spec_text, code, message):
+    argv = [command, write(tmp_path, "deep.yaml", spec_text)]
+    if command == "validate":
+        argv.append(write(tmp_path, "t.lp", "t0(1)."))
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    if message is None:
+        assert out == "valid\n"
+    else:
+        assert (out + err).count(message) == 1  # once, not once per chain member
+
+
 # Each of these once ended the CLI in a ValueError traceback: the literal
 # has more digits than int() converts.
 _LONG = "9" * 5000

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aspcheck import datalog
 from aspcheck.datalog import (
@@ -23,6 +25,7 @@ from _support import (
     naive_fixpoint,
     reachable_pairs,
     render_program,
+    stratify_oracle,
 )
 
 SOLITAIRE_BOARD = """
@@ -157,7 +160,7 @@ class TestFacts:
         assert [render(f.term()) for f in program.facts] == [
             "p(1)", 'q(f(a),(1,"s"))', "t(5)"]
         assert [r.head.pred for r in program.rules] == ["r", "s"]
-        assert program.rules[1].plan == ()
+        assert program.rules[1].body == ()
 
     def test_permissive_parse_splits_facts_too(self):
         program = parse_program("p(1).\n:- p(X), @f(X) != 1.", permissive=True)
@@ -231,6 +234,32 @@ class TestStratify:
     def test_positive_recursion_is_fine(self):
         strata = stratify(parse_program("t(X,Y) :- e(X,Y). t(X,Z) :- t(X,Y), e(Y,Z)."))
         assert len(strata) == 1
+
+
+# Rules over 0-ary predicates whose bodies mix plain and negated atoms, so
+# both stratified and unstratified programs are drawn.
+_zero_ary_rules = st.lists(st.tuples(
+    st.sampled_from("abcde"),
+    st.lists(st.tuples(st.sampled_from("abcde"), st.booleans()), min_size=1, max_size=3)),
+    min_size=1, max_size=8)
+
+
+@given(_zero_ary_rules)
+@settings(max_examples=300)
+def test_stratify_matches_relaxation_oracle(rules):
+    text = " ".join(f"{head} :- " + ", ".join(("not " if neg else "") + b for b, neg in body)
+                    + "." for head, body in rules)
+    expected = stratify_oracle(rules)
+    if expected is not None:
+        assert stratify(parse_program(text)) == expected
+        return
+    with pytest.raises(UnstratifiedError) as info:
+        parse_program(text)
+    # The cycle it names is made of the program's edges, one of them negated.
+    cycle = info.value.cycle
+    steps = set(zip(cycle, cycle[1:] + cycle[:1]))
+    assert steps <= {(b, head) for head, body in rules for b, _ in body}
+    assert steps & {(b, head) for head, body in rules for b, neg in body if neg}
 
 
 class TestEvaluate:

@@ -5,6 +5,7 @@ from collections import Counter
 from unittest import mock
 
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -775,3 +776,154 @@ def test_an_observable_order_keeps_term_order():
         assert [(d.phase, d.symbol, d.rule, d.message, d.instance)
                 for d in report.diagnostics] == expected
         assert run(_GUARD_SPEC, facts).diagnostics == report.diagnostics[:1]
+
+
+# What the run's single stream of diagnostics must keep: fail-fast computes
+# nothing after its first diagnostic, and --all-errors stops where a step
+# cannot go on.
+_BEFORE_FAILS = load_spec("""
+valasp:
+    asp: |+
+        q(X) :- p(X).
+p:
+    a: Integer
+    valasp:
+        before_grounding: |+
+            fail('not today')
+q:
+    a: Integer
+""")
+
+
+def test_fail_fast_before_hook_failure_skips_evaluation_and_checks(monkeypatch):
+    calls = []
+    monkeypatch.setattr(datalog, "evaluate", lambda *args: calls.append("evaluate"))
+    monkeypatch.setattr(engine, "check_instance", lambda *args: calls.append("check") or [])
+    report = run(_BEFORE_FAILS, parse_facts("p(1)."))
+    assert [(d.phase, d.message) for d in report.diagnostics] == [("before", "not today")]
+    assert calls == []
+
+
+@pytest.mark.parametrize("hook, checked", [
+    ("        after_init: |+\n            x = 1\n", 3),  # ordered: 1, 3, then 7 fails
+    ("", 4),  # order-free: every instance is checked before the failing ones are sorted
+])
+def test_fail_fast_counts_checked_instances(hook, checked):
+    spec = load_spec("p:\n    a: {type: Integer, max: 5}\n"
+                     + ("    valasp:\n" + hook if hook else ""))
+    report = run(spec, parse_facts("p(9). p(1). p(7). p(3)."))
+    assert single(report).instance == "p(7)"
+    assert report.stats.instances_checked == {"p": checked}
+
+
+def test_fail_fast_skips_finalize_after_a_failing_instance(monkeypatch):
+    finalized = []
+    finalize_ = engine.finalize
+    monkeypatch.setattr(engine, "finalize", lambda definition, store:
+                        finalized.append(definition.symbol) or finalize_(definition, store))
+    spec = load_spec("p:\n    a: {type: Integer, max: 5, count: 9}\nq:\n    b: Integer\n")
+    assert single(run(spec, parse_facts("p(1). p(7). q(1)."))).rule == "max"
+    assert finalized == []
+    run(spec, parse_facts("p(1). q(1)."))
+    assert finalized == ["p"]  # its count diagnostic ends the run
+
+
+@pytest.mark.parametrize("spec_text", [
+    # A failing prelude, then a failing before hook and an invalid fact.
+    "valasp:\n    script: |+\n        fail('prelude down')\n"
+    "p:\n    a: {type: Integer, max: 5}\n    valasp:\n"
+    "        before_grounding: |+\n            fail('not today')\n",
+    # Rules that do not parse, then an invalid fact.
+    "valasp:\n    asp: |+\n        q(X) :- r(Y).\np:\n    a: {type: Integer, max: 5}\n",
+])
+def test_all_errors_stops_where_the_run_cannot_go_on(spec_text):
+    report = run(load_spec(spec_text), parse_facts("p(7)."), RunOptions(fail_fast=False))
+    assert single(report).phase == "before"
+    assert single(report).rule in ("hook-fail", "asp-syntax")
+
+
+def test_fail_fast_reports_every_spec_problem():
+    spec = parse_spec("p:\n    a: nowhere\n    b: elsewhere\n")
+    report = run(spec, parse_facts("p(1,2)."))
+    assert [d.rule for d in report.diagnostics] == ["unknown-type", "unknown-type"]
+    assert report.stats.instances_checked == {}
+
+
+# Generated specs: 1-3 definitions whose fields are primitive or refer to a
+# later definition, with random facets, an optional having and hooks from a
+# fixed list; facts mix valid values with values of the wrong kind or size.
+_KIND_VALUES = {
+    "Integer": st.integers(-2, 12).map(Number),
+    "String": st.sampled_from(["", "a", "ab", "abcd"]).map(Str),
+    "Alpha": st.sampled_from(["a", "b", "ab", "abcd"]).map(Const),
+}
+_GEN_FACETS = {
+    "Integer": {"min": st.sampled_from([0, 2]), "max": st.sampled_from([5, 10]),
+                "enum": st.lists(st.integers(0, 6), min_size=1, max_size=4, unique=True),
+                "sum+": st.sampled_from(["Integer", 8, 30])},
+    "String": {"min": st.just(1), "max": st.just(3),
+               "enum": st.lists(st.sampled_from(["", "a", "ab"]), min_size=1, unique=True)},
+    "Alpha": {"min": st.just(1), "max": st.just(2),
+              "enum": st.lists(st.sampled_from(["a", "b", "ab"]), min_size=1, unique=True)},
+}
+_GEN_COUNT = st.builds(lambda lo, hi: {"min": lo, "max": hi}, st.integers(0, 2), st.integers(2, 5))
+_GEN_HOOKS = [
+    ("after_init", "if self.f0 == 1: fail('one')"),
+    ("after_init", "cls.last = self.f0"),
+    ("after_init", "append_snapshot()"),
+    ("after_grounding", "if self.f0 == 2: fail('two in {self.f0}')"),
+]
+
+
+@st.composite
+def _generated_specs(draw):
+    """A spec's YAML text and each definition's field types."""
+    names = [f"d{i}" for i in range(draw(st.integers(1, 3)))]
+    doc, shapes = {}, {}
+    for i, name in enumerate(names):
+        fields, types = {}, []
+        for k in range(draw(st.integers(1, 3))):
+            ftype = draw(st.sampled_from(["Integer", "String", "Alpha", "Any", *names[i + 1:]]))
+            entry = {"type": ftype}
+            for facet, values in _GEN_FACETS.get(ftype, {}).items():
+                if draw(st.booleans()):
+                    entry[facet] = draw(values)
+            if draw(st.integers(0, 3)) == 0:
+                entry["count"] = draw(_GEN_COUNT)
+            fields[f"f{k}"] = entry
+            types.append(ftype)
+        block = {}
+        if len(types) > 1 and draw(st.booleans()):
+            block["having"] = [f"f0 {draw(st.sampled_from(['<', '<=', '!=']))} f1"]
+        for key, line in draw(st.lists(st.sampled_from(_GEN_HOOKS), max_size=3, unique=True)):
+            block[key] = block.get(key, "") + line + "\n"
+        if block:
+            fields["valasp"] = block
+        doc[name], shapes[name] = fields, types
+    return yaml.safe_dump(doc, sort_keys=False), shapes
+
+
+def _generated_value(ftype, shapes):
+    if ftype in _KIND_VALUES:
+        return st.one_of(_KIND_VALUES[ftype], _KIND_VALUES[ftype], _wrong_kind)
+    if ftype == "Any":
+        return st.one_of(*_KIND_VALUES.values(), _wrong_kind)
+    args = st.tuples(*(_generated_value(t, shapes) for t in shapes[ftype]))
+    nested = args.map(lambda a: a[0]) if len(shapes[ftype]) == 1 else args.map(
+        lambda a: Func(ftype, a))
+    return st.one_of(nested, nested, _wrong_kind)
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_fail_fast_is_the_first_of_all_errors_over_generated_specs(data):
+    text, shapes = data.draw(_generated_specs())
+    spec = load_spec(text)
+    facts = data.draw(st.lists(st.sampled_from(sorted(shapes)).flatmap(
+        lambda name: st.tuples(*(_generated_value(t, shapes) for t in shapes[name])).map(
+            lambda args: Fact(name, args))), max_size=10))
+    everything = run(spec, facts, RunOptions(fail_fast=False))
+    first = run(spec, facts, RunOptions(fail_fast=True))
+    assert first.diagnostics == everything.diagnostics[:1]
+    for symbol, count in first.stats.instances_checked.items():
+        assert count <= everything.stats.instances_checked[symbol]

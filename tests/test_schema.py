@@ -249,6 +249,11 @@ class TestCheckSpec:
         diags = check_spec(spec)
         assert any(d.rule == "type-cycle" for d in diags)
 
+    def test_type_depth_reported_at_each_unreferenced_definition(self):
+        chain = "".join(f"t{i}:\n    x: t{i + 1}\n" for i in range(100)) + "t100:\n    x: Any\n"
+        diags = check_spec(parse_spec(chain + "r:\n    x: t1\nok:\n    x: t2\n"))
+        assert [(d.symbol, d.rule) for d in diags] == [("t0", "type-depth"), ("r", "type-depth")]
+
     def test_enum_type_mismatch(self):
         spec = parse_spec("p:\n    a:\n        type: Alpha\n        enum: [Uppercase]\n")
         diags = check_spec(spec)
