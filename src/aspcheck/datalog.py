@@ -45,6 +45,10 @@ from .terms import (
     too_many_digits,
 )
 
+# The most values one interval may hold, checked before any is built; as
+# many as a hook list may hold (hooks.MAX_LIST_ITEMS).
+MAX_INTERVAL_VALUES = 10**6
+
 __all__ = [
     "Program",
     "Rule",
@@ -52,6 +56,7 @@ __all__ = [
     "UnsafeRuleError",
     "UnstratifiedError",
     "EvaluationError",
+    "ResourceLimitError",
     "parse_program",
     "stratify",
     "evaluate",
@@ -82,6 +87,10 @@ class EvaluationError(RuntimeError):
         shown = ", ".join(f"{k}: {render(v)}" for k, v in sorted(binding.items())
                           if not k.startswith("_#"))
         super().__init__(f"{message} in rule: {rule_text} with {{{shown}}}")
+
+
+class ResourceLimitError(EvaluationError):
+    """Evaluation would exceed a run-time bound, such as MAX_INTERVAL_VALUES."""
 
 
 # ---------------------------------------------------------------------------
@@ -694,6 +703,7 @@ def evaluate(program: Program, input_facts) -> set[Fact]:
     for fact in itertools.chain(program.facts, input_facts):
         model.add(fact)
         relations.add(fact.predicate, fact.args)
+    given = {pred: len(rel) for pred, rel in relations.tuples.items()}
 
     by_stratum: dict[int, list[Rule]] = {}
     for rule in program.rules:
@@ -702,10 +712,10 @@ def evaluate(program: Program, input_facts) -> set[Fact]:
     for idx in sorted(by_stratum):
         _eval_stratum(by_stratum[idx], relations)
 
-    # The set keeps the given Fact objects, so the caller's facts are not
-    # held twice.
-    model.update(Fact(pred, args)
-                 for pred, rel in relations.tuples.items() for args in rel)
+    # Relations keep insertion order, so each one's derived tuples follow
+    # the given facts, whose own Fact objects the model already holds.
+    model.update(Fact(pred, args) for pred, rel in relations.tuples.items()
+                 for args in itertools.islice(rel, given.get(pred, 0), None))
     return model
 
 
@@ -796,11 +806,12 @@ class _Compiler:
         return self.slots.setdefault(name, len(self.slots))
 
     def error(self, bound: set[str]):
-        """error(message, b): an EvaluationError showing the bound variables."""
+        """error(message, b[, kind]): an EvaluationError (or the subclass
+        kind) showing the bound variables."""
         shown = [(name, self.slot(name)) for name in bound]
 
-        def error(message: str, b: list) -> EvaluationError:
-            return EvaluationError(message, self.source, {name: b[s] for name, s in shown})
+        def error(message: str, b: list, kind=EvaluationError) -> EvaluationError:
+            return kind(message, self.source, {name: b[s] for name, s in shown})
         return error
 
     # -- literals ----------------------------------------------------------
@@ -1046,6 +1057,9 @@ class _Compiler:
                 first, last = lo(b), hi(b)
                 if type(first) is not Number or type(last) is not Number:
                     raise error("interval bounds must be integers", b)
+                if last.value - first.value >= MAX_INTERVAL_VALUES:
+                    raise error(f"interval holds more than {MAX_INTERVAL_VALUES} values", b,
+                                ResourceLimitError)
                 return [Number(v) for v in range(first.value, last.value + 1)]
             return numbers
         columns = [span(self.value(a.lo, bound), self.value(a.hi, bound))

@@ -12,7 +12,7 @@ __all__ = ["Diagnostic", "RunStats", "ValidationReport", "render_report"]
 SPEC_QUALITY_RULES = frozenset({
     "reserved-name", "unknown-facet", "facet-value", "unknown-type", "type-cycle",
     "type-depth", "duplicate-field", "having-field", "script-syntax", "enum-type",
-    "facet-bounds", "eval-error", "asp-syntax", "bridge-error",
+    "facet-bounds", "eval-error", "resource-limit", "asp-syntax", "bridge-error",
 })
 
 

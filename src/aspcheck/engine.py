@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import re
 import time
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from itertools import islice
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 from . import datalog, hooks
@@ -82,6 +82,7 @@ class _Checks(NamedTuple):
     after_init does not call append_snapshot).  in_after_init: checking an
     instance runs an after_init, its own or one of its fields' user types,
     at any depth.  order_free: neither, so no hook sees the checking order.
+    columns: the column pre-check of a pure-facet symbol, else None.
     """
 
     fields: tuple
@@ -89,6 +90,7 @@ class _Checks(NamedTuple):
     snapshot: bool
     in_after_init: bool
     order_free: bool
+    columns: Callable[[list[Fact]], list | None] | None
 
 
 class _Invalid(Exception):
@@ -226,12 +228,17 @@ def _compile(definition: UserDefinition, store: AccumulatorStore) -> _Checks:
     in_after_init = init is not None or any(
         store.checks(store.spec.definitions[f.type]).in_after_init
         for f in fields if isinstance(f.type, str))
+    order_free = not (snapshot or in_after_init)
+    # A pure-facet symbol: checking one instance reads no other instance, no
+    # hook and no other symbol, so its group can be checked column by column.
+    pure = order_free and not definition.having and all(
+        isinstance(f.type, PrimitiveType) for f in fields)
     return _Checks(
         fields=tuple((f.name, _compile_field(f, store)) for f in fields),
         sums=tuple((f.name, (definition.symbol, f.name), f.facets.sum_pos, f.facets.sum_neg)
                    for f in fields if f.facets.sum_pos or f.facets.sum_neg),
-        snapshot=snapshot, in_after_init=in_after_init,
-        order_free=not (snapshot or in_after_init))
+        snapshot=snapshot, in_after_init=in_after_init, order_free=order_free,
+        columns=_compile_columns(definition) if pure else None)
 
 
 def _compile_field(fld: FieldDecl, store: AccumulatorStore):
@@ -273,6 +280,59 @@ def _compile_field(fld: FieldDecl, store: AccumulatorStore):
             raise _BadFacets(problems, value)
         return value
     return check
+
+
+def _compile_columns(definition: UserDefinition):
+    """A pure-facet symbol's checks over whole columns of its group.
+
+    columns(group) is None when some instance fails a kind or facet check.
+    Otherwise it is (key, positive sum, negative sum) per checked field.  It
+    changes nothing, and holds one column list at a time.
+    """
+    tests = [(itemgetter(i), _compile_column(f), (definition.symbol, f.name))
+             for i, f in enumerate(definition.fields) if f.type is not PrimitiveType.ANY]
+    args_of = attrgetter("args")
+
+    def columns(group: list[Fact]) -> list | None:
+        sums = []
+        for field_of, totals_of, key in tests:
+            totals = totals_of(list(map(field_of, map(args_of, group))))
+            if totals is None:
+                return None
+            sums.append((key, *totals))
+        return sums
+    return columns
+
+
+def _compile_column(fld: FieldDecl):
+    """totals(col): None if a term of the field's column fails a check that
+    _compile_field builds; else the column's sums of positive and of
+    negative values, each 0 unless the field has that sum facet.
+    """
+    facets = fld.facets
+    kind, _, value_of = _KINDS[fld.type]
+    kinds = {kind}
+    enum = None if facets.enum_values is None else frozenset(facets.enum_values)
+    lo, hi = facets.min, facets.max
+    integer = fld.type is PrimitiveType.INTEGER
+    match = None if integer or facets.pattern is None else re.compile(facets.pattern).fullmatch
+    pos, neg = facets.sum_pos is not None, facets.sum_neg is not None
+
+    def totals(col: list) -> tuple[int, int] | None:
+        if set(map(type, col)) != kinds or (enum is not None and not enum.issuperset(col)):
+            return None
+        if integer:
+            # Term order is value order within one kind.
+            if lo is not None and min(col).value < lo or hi is not None and max(col).value > hi:
+                return None
+            return (sum(filter((0).__lt__, map(value_of, col))) if pos else 0,
+                    sum(filter((0).__gt__, map(value_of, col))) if neg else 0)
+        if (lo is not None and min(map(len, map(value_of, col))) < lo
+                or hi is not None and max(map(len, map(value_of, col))) > hi
+                or match is not None and not all(map(match, set(map(value_of, col))))):
+            return None
+        return 0, 0
+    return totals
 
 
 def _compile_nested(name: str, nested: UserDefinition, store: AccumulatorStore):
@@ -409,10 +469,21 @@ def _diagnostics(spec: ValidationSpec, facts, options: RunOptions,
 
     # Step 4: check instances, symbol by symbol: in term order where a hook
     # can observe the order, else in arrival order, sorting only the failing
-    # ones.  Either way diagnostics come in term order.
+    # ones.  Either way diagnostics come in term order.  A pure-facet symbol
+    # is first checked column by column; if that passes, every instance is
+    # valid and is counted without a row loop.
     for symbol, group in _grouped_instances(spec, atoms):
         definition = spec.definitions[symbol]
-        if store.checks(definition).order_free:
+        checks = store.checks(definition)
+        sums = checks.columns(group) if checks.columns is not None else None
+        if sums is not None:
+            store.counts[symbol] = store.counts.get(symbol, 0) + len(group)
+            for key, pos, neg in sums:
+                if pos:
+                    store.sums_pos[key] = store.sums_pos.get(key, 0) + pos
+                if neg:
+                    store.sums_neg[key] = store.sums_neg.get(key, 0) + neg
+        elif checks.order_free:
             failing = {fact: found for fact in group
                        if (found := check_instance(definition, fact, store))}
             for fact in sorted(failing, key=_args_key):
@@ -457,6 +528,8 @@ def _instance_set(spec: ValidationSpec, facts, options: RunOptions):
         return datalog.evaluate(datalog.Program(rules, program.facts), facts), None
     except datalog.UnstratifiedError as exc:  # only the joined rules have the cycle
         return None, Diagnostic("before", "", "asp-syntax", str(exc))
+    except datalog.ResourceLimitError as exc:
+        return None, Diagnostic("before", "", "resource-limit", str(exc))
     except datalog.EvaluationError as exc:
         return None, Diagnostic("before", "", "eval-error", str(exc))
 

@@ -479,6 +479,18 @@ def test_derived_terms_nest_at_most_100_deep(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+def test_interval_width_is_bounded(tmp_path):
+    # Once a MemoryError traceback and exit 1, after building every number.
+    spec = write(tmp_path, "p.yaml", "p:\n    x: Integer\n")
+    facts = write(tmp_path, "p.lp", "p(1..50000000).\n")
+    proc = subprocess.run([sys.executable, "-m", "aspcheck.cli", "validate", spec, facts],
+                          capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 2
+    assert proc.stdout == (": resource-limit: interval holds more than 1000000 values"
+                           " in rule: p(1..50000000). with {}\nspec-error\n")
+    assert "Traceback" not in proc.stdout + proc.stderr
+
+
 def test_module_entry_point(tmp_path):
     spec = tmp_path / "income.yaml"
     spec.write_text(fixture_text("income.yaml"))

@@ -272,6 +272,19 @@ class TestEvaluate:
         with pytest.raises(EvaluationError, match="derived term nested more than 100 levels"):
             evaluate(parse_program(rules + " step(0..100)."), [])
 
+    def test_model_holds_the_given_fact_objects(self, monkeypatch):
+        made = []
+        monkeypatch.setattr(datalog, "Fact", lambda pred, args: made.append(pred) or Fact(pred, args))
+        program = parse_program("path(X,Y) :- edge(X,Y). path(X,Z) :- path(X,Y), edge(Y,Z)."
+                                " edge(3,4).")
+        given = parse_facts("edge(1,2). edge(2,3). path(1,2).")
+        model = evaluate(program, given)
+        assert preds(model, "path") == [f"path({a},{b})" for a in (1, 2, 3) for b in (2, 3, 4)
+                                        if a < b]
+        held = {fact: fact for fact in model}
+        assert all(held[fact] is fact for fact in [*program.facts, *given])
+        assert made == ["path"] * 5  # only the derived atoms are built
+
     def test_solitaire_range_and_board(self):
         model = evaluate(parse_program(SOLITAIRE_BOARD), [])
         assert preds(model, "range") == [f"range({i})" for i in range(1, 8)]
@@ -553,6 +566,8 @@ class TestEvaluationErrors:
          "arithmetic on non-integers (+)", "{X: 2, Y: 1, Z: a}"),
         ("q(Y) :- p(X), Y = 7 / X.", "p(0).", "division by zero", "{X: 0}"),
         ("q(1..X) :- p(X).", "p(a).", "interval bounds must be integers", "{X: a}"),
+        ("q(X..1000000) :- p(X).", "p(0).", "interval holds more than 1000000 values",
+         "{X: 0}"),
         ("t(S) :- S = #sum{X : p(X)}.", "p(a).", "#sum over a non-integer a", "{}"),
         ("q(Y) :- p(X), Y = X * X.", f"p({BIG}).", "integer result longer than 4300 digits",
          f"{{X: {BIG}}}"),
@@ -569,6 +584,13 @@ class TestEvaluationErrors:
         with pytest.raises(EvaluationError) as exc:
             evaluate(parse_program(rule), parse_facts(facts))
         assert str(exc.value) == f"{message} in rule: {rule} with {binding}"
+
+    def test_interval_width_is_a_resource_limit(self, monkeypatch):
+        monkeypatch.setattr(datalog, "MAX_INTERVAL_VALUES", 5)
+        rules = parse_program("q(X..5) :- p(X).")
+        assert preds(evaluate(rules, parse_facts("p(1).")), "q") == [f"q({i})" for i in range(1, 6)]
+        with pytest.raises(datalog.ResourceLimitError, match="interval holds more than 5 values"):
+            evaluate(rules, parse_facts("p(0)."))
 
     def test_interpreted_term(self):
         # Only a permissive parse reads @f; planned by hand, it still cannot run.

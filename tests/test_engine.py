@@ -22,10 +22,10 @@ from aspcheck.engine import (
     run,
     wrap32,
 )
-from aspcheck.schema import load_spec, parse_spec
+from aspcheck.schema import PrimitiveType, load_spec, parse_spec
 from aspcheck.terms import Const, Fact, Func, Number, Str, Tuple, parse_facts, render, sort_key
 
-from _support import compare_terms, load_fixture
+from _support import FIXTURES, compare_terms, load_fixture
 
 INT32_MAX = 2**31 - 1
 INT32_MIN = -(2**31)
@@ -927,3 +927,144 @@ def test_fail_fast_is_the_first_of_all_errors_over_generated_specs(data):
     assert first.diagnostics == everything.diagnostics[:1]
     for symbol, count in first.stats.instances_checked.items():
         assert count <= everything.stats.instances_checked[symbol]
+
+
+# The column pre-check of a pure-facet symbol (order-free, no having, only
+# primitive fields) passes exactly when the row loop reports nothing, and
+# then accumulates what the row loop would.
+def _pure_symbols(spec):
+    store = AccumulatorStore(spec)
+    return [d for _, d in sorted(spec.definitions.items()) if store.checks(d).columns]
+
+
+_PURE_SPECS = {path.name: load_fixture(path.name) for path in sorted(FIXTURES.glob("*.yaml"))}
+_PURE_SPECS["patterns"] = load_spec("""
+p:
+    name: {type: String, min: 1, max: 2, pattern: 'a*b?'}
+    tag: {type: Alpha, max: 2, pattern: '[a-z]b+', enum: [ab, bb, abb, ba, b]}
+q:
+    n: {type: Integer, min: -1, max: 3, enum: [1, 2, 3, -1, 4, -2], sum+: 5, sum-: Integer}
+    any: Any
+""")
+_PURE_CASES = [(name, d.symbol) for name, spec in _PURE_SPECS.items()
+               for d in _pure_symbols(spec)]
+
+
+def _field_value(fld):
+    """A term _generated_value draws for the field's type, or one likelier to
+    pass: an enum value, a neighbour of an integer bound, or a short string
+    or constant over a and b."""
+    facets = fld.facets
+    likely = [st.sampled_from(facets.enum_values)] if facets.enum_values else []
+    if fld.type is PrimitiveType.INTEGER:
+        edges = [bound + d for bound in (facets.min, facets.max) if bound is not None
+                 for d in (-1, 0, 1)]
+        likely += [st.sampled_from(edges).map(Number)] if edges else []
+    elif fld.type is PrimitiveType.STRING:
+        likely.append(st.text("ab", max_size=3).map(Str))
+    elif fld.type is PrimitiveType.ALPHA:
+        likely.append(st.text("ab", min_size=1, max_size=3).map(Const))
+    return st.one_of(_generated_value(fld.type.value, {}), *likely, *likely)
+
+
+def _assert_precheck_is_the_row_loop(spec, definition, group):
+    store = AccumulatorStore(spec)
+    sums = store.checks(definition).columns(group)
+    assert (store.counts, store.sums_pos, store.sums_neg) == ({}, {}, {})
+    problems = [d for fact in group for d in check_instance(definition, fact, store)]
+    assert (sums is not None) == (not problems)
+    if sums is not None:
+        assert {key: pos for key, pos, _ in sums if pos} == store.sums_pos
+        assert {key: neg for key, _, neg in sums if neg} == store.sums_neg
+
+
+def _draw_group(data, spec, definition):
+    """1-6 facts of definition; half the time the first and only those
+    others that are valid one by one, so that a single failing check shows."""
+    args = st.tuples(*(_field_value(f) for f in definition.fields))
+    group = data.draw(st.lists(args.map(lambda a: Fact(definition.symbol, a)),
+                               min_size=1, max_size=6))
+    if data.draw(st.booleans()):
+        group[1:] = [f for f in group[1:]
+                     if not check_instance(definition, f, AccumulatorStore(spec))]
+    return group
+
+
+def test_fixtures_have_pure_facet_symbols():
+    assert len(_PURE_CASES) >= 8
+    assert ("income.yaml", "income") in _PURE_CASES
+
+
+@pytest.mark.parametrize("name, symbol", _PURE_CASES)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_precheck_passes_exactly_when_the_row_loop_reports_nothing(name, symbol, data):
+    spec = _PURE_SPECS[name]
+    definition = spec.definitions[symbol]
+    _assert_precheck_is_the_row_loop(spec, definition, _draw_group(data, spec, definition))
+
+
+# Valid facts, then one that fails a single check: kind, min, max, pattern
+# or enum, for a string, a constant and an integer.
+@pytest.mark.parametrize("bad", [
+    'p(a,ab)', 'p("",ab)', 'p("aab",ab)', 'p("ba",ab)',
+    'p("a","ab")', 'p("a",abb)', 'p("a",ba)', 'p("a",cb)',
+    'q("1",a)', 'q(-2,a)', 'q(4,a)', 'q(0,a)',
+])
+def test_precheck_fails_when_one_check_fails(bad):
+    spec = _PURE_SPECS["patterns"]
+    definition = spec.definitions[bad[0]]
+    valid = parse_facts('p("a",ab). p("ab",bb). q(1,a). q(-1,f(1)). q(3,"s").')
+    group = [f for f in valid if f.predicate == bad[0]] + parse_facts(bad + ".")
+    assert AccumulatorStore(spec).checks(definition).columns(group[:-1]) is not None
+    assert AccumulatorStore(spec).checks(definition).columns(group) is None
+    _assert_precheck_is_the_row_loop(spec, definition, group)
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_precheck_matches_the_row_loop_over_generated_specs(data):
+    spec = load_spec(data.draw(_generated_specs())[0])
+    for definition in _pure_symbols(spec):
+        _assert_precheck_is_the_row_loop(spec, definition, _draw_group(data, spec, definition))
+
+
+@pytest.mark.parametrize("spec_text, calls", [
+    ("p:\n    a: {type: Integer, max: 5, sum+: Integer}\n    b: Integer\n", 0),
+    ("p:\n    a: Integer\n    b: Integer\n    valasp:\n"
+     "        after_grounding: |+\n            x = 1\n", 0),
+    ("p:\n    a: Integer\n    b: Integer\n    valasp:\n        having: [a < b]\n", 3),
+    ("p:\n    a: q\n    b: Integer\nq:\n    x: Integer\n", 3),
+    ("p:\n    a: Integer\n    b: Integer\n    valasp:\n"
+     "        after_init: |+\n            x = 1\n", 3),
+])
+def test_only_impure_symbols_are_checked_row_by_row(monkeypatch, spec_text, calls):
+    seen = []
+    check = engine.check_instance
+    monkeypatch.setattr(engine, "check_instance",
+                        lambda *args: seen.append(args[1]) or check(*args))
+    report = run(load_spec(spec_text), parse_facts("p(1,2). p(2,3). p(3,4)."))
+    assert report.verdict == "valid"
+    assert report.stats.instances_checked == {"p": 3}
+    assert len(seen) == calls
+
+
+@pytest.mark.parametrize("fail_fast", [True, False])
+def test_one_bad_fact_among_valid_ones_reports_as_the_row_loop(monkeypatch, fail_fast):
+    facts = parse_facts(" ".join(f'income("c{i}",{i}).' for i in range(1000))
+                        + ' income("bad",-5).')
+    spec = load_fixture("income.yaml")
+    outcomes = []
+    for columns in (engine._compile_columns, lambda definition: None):
+        stores = []
+        monkeypatch.setattr(engine, "_compile_columns", columns)
+        monkeypatch.setattr(engine, "AccumulatorStore",
+                            lambda spec: stores.append(AccumulatorStore(spec)) or stores[-1])
+        report = run(spec, facts, RunOptions(fail_fast=fail_fast))
+        outcomes.append((report.diagnostics, report.stats.instances_checked,
+                         stores[0].sums_pos, stores[0].sums_neg))
+    assert outcomes[0] == outcomes[1]
+    diagnostics, checked, sums_pos, sums_neg = outcomes[0]
+    assert [(d.rule, d.instance) for d in diagnostics] == [("min", 'income("bad",-5)')]
+    assert checked == {"income": 1001}
+    assert (sums_pos, sums_neg) == ({("income", "amount"): sum(range(1000))}, {})
