@@ -7,7 +7,10 @@ must be single atoms; disjunction, choice constructs and optimization are
 rejected so that every program has one computable model.
 
 A body-less rule whose head is ground after constant folding is a fact:
-parse_program returns it in Program.facts, never as a Rule.
+parse_program returns it in Program.facts, never as a Rule.  A constraint
+(`:- body.`) derives no atom, so it is read for its syntax and dropped.  An
+externally interpreted term (`@f(t)`) is read anywhere a term is, and
+evaluating one is an EvaluationError, raised only where a rule reaches it.
 
 Evaluation is bottom-up and semi-naive per stratum: each iteration joins at
 least one body atom against the tuples derived in the previous iteration.
@@ -128,7 +131,7 @@ class Interval:
 
 @dataclass(frozen=True, slots=True)
 class AtTerm:
-    # Externally interpreted term; parses in permissive mode, never evaluates.
+    # Externally interpreted term: read like a function, never evaluated.
     name: str
     args: tuple
 
@@ -167,7 +170,7 @@ class AggregateLit:
 
 @dataclass(slots=True)
 class Rule:
-    head: Atom | None
+    head: Atom
     body: tuple
     source: str
     atoms: tuple = ()  # the predicate of each positive atom in the plan
@@ -190,9 +193,8 @@ _FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "==": "==", "!=":
 class _ProgramParser(TokenCursor):
     error_class = ProgramSyntaxError
 
-    def __init__(self, text: str, *, permissive: bool):
+    def __init__(self, text: str):
         super().__init__(text)
-        self.permissive = permissive
         self.anon_count = 0
         # (message, offset) of the current rule's first constant that cannot
         # be evaluated; an error if it sits in the head of a body-less rule.
@@ -206,32 +208,27 @@ class _ProgramParser(TokenCursor):
             if self.cur.kind == "end":
                 break
             item = self.rule()
-            (facts if type(item) is Fact else rules).append(item)
+            if item is not None:
+                (facts if type(item) is Fact else rules).append(item)
         return rules, facts
 
-    def rule(self) -> Rule | Fact:
+    def rule(self) -> Rule | Fact | None:
+        """The next rule or fact; None for a constraint, which derives nothing."""
         start = self.cur.offset
         self.defect = None
-        head: Atom | None = None
+        head = None if self.cur.text == ":-" else self.head_atom()
+        if self.cur.text == "|":
+            raise self.error_at("disjunctive heads are not supported")
+        body = ()
         if self.cur.text == ":-":
-            if not self.permissive:
-                raise self.error_at(
-                    "constraints have no meaning here; only defining rules are"
-                    " evaluated")
             self.advance()
             body = self.body()
-        else:
-            head = self.head_atom()
-            if self.cur.text == "|":
-                raise self.error_at("disjunctive heads are not supported")
-            body = ()
-            if self.cur.text == ":-":
-                self.advance()
-                body = self.body()
-            elif self.defect is not None:
-                # Bad data in a fact is a syntax error where it is written.
-                raise self.error_at(*self.defect)
+        elif self.defect is not None:
+            # Bad data in a fact is a syntax error where it is written.
+            raise self.error_at(*self.defect)
         end_tok = self.expect(".", "'.' terminating the rule")
+        if head is None:
+            return None
         if not body and all(isinstance(a, GROUND_TYPES) for a in head.args):
             return Fact(head.pred, head.args)
         source = " ".join(self.text[start : end_tok.offset + 1].split())
@@ -390,16 +387,15 @@ class _ProgramParser(TokenCursor):
             self.anon_count += 1
             return Var(f"_#{self.anon_count}")
         if t.text == "@":
-            if not self.permissive:
-                raise self.error_at(
-                    "externally interpreted terms cannot be evaluated here")
             self.advance()
             if self.cur.kind != "ident":
                 raise self.error("a name after '@'")
             name = self.advance().text
-            self.expect("(", "'(' after the interpreted term name")
+            if self.cur.text != "(":
+                raise self.error("'(' after the interpreted term name")
+            self.open_paren()
             args = () if self.cur.text == ")" else tuple(self.term_list())
-            self.expect(")", "')'")
+            self.close_paren("')'")
             return AtTerm(name, args)
         if t.kind == "ident":
             self.advance()
@@ -422,14 +418,16 @@ class _ProgramParser(TokenCursor):
 
 
 def _arith_depth(term) -> int:
-    """The most Arith nodes on one path through term, counted without recursion."""
+    """The most Arith and AtTerm nodes on one path through term, counted
+    without recursion."""
     deepest = 0
     stack = [(term, 0)]
     while stack:
         node, depth = stack.pop()
-        if isinstance(node, Arith):
+        if isinstance(node, (Arith, AtTerm)):
             depth += 1
             deepest = max(deepest, depth)
+        if isinstance(node, Arith):
             stack += ((node.left, depth), (node.right, depth))
         elif isinstance(node, Interval):
             stack += ((node.lo, depth), (node.hi, depth))
@@ -506,8 +504,9 @@ def _key_positions(atom: Atom, bound: set[str]) -> tuple[int, ...]:
     """Argument positions whose values are known before the atom is matched.
 
     A position is a key if it is ground or a variable bound earlier.  Keys
-    stop at the first argument holding arithmetic, so a failing evaluation
-    is met on the same candidate tuples as in a scan of the relation.
+    stop at the first argument holding arithmetic or an interpreted term,
+    so a failing evaluation is met on the same candidate tuples as in a
+    scan of the relation.
     """
     keys = []
     for pos, arg in enumerate(atom.args):
@@ -544,8 +543,7 @@ def _plan_rule(rule: Rule) -> None:
         else:
             unbound = sorted(_vars_of(*remaining) - bound)
             raise UnsafeRuleError(unbound[0] if unbound else "?", rule.source)
-    head_vars = _vars_of(rule.head) if rule.head is not None else set()
-    loose = sorted(v for v in head_vars - bound if not v.startswith("_#"))
+    loose = sorted(v for v in _vars_of(rule.head) - bound if not v.startswith("_#"))
     if loose:
         raise UnsafeRuleError(loose[0], rule.source)
     rule.atoms = tuple(compiler.atoms)
@@ -563,8 +561,6 @@ def stratify(program: "Program | list[Rule]") -> list[list[str]]:
     pos_edges: set[tuple[str, str]] = set()
     neg_edges: set[tuple[str, str]] = set()
     for rule in rules:
-        if rule.head is None:
-            continue
         h = rule.head.pred
         preds.add(h)
         for lit in rule.body:
@@ -671,17 +667,16 @@ def _tarjan(succ: dict[str, list[str]]) -> list[list[str]]:
     return sccs
 
 
-def parse_program(text: str, *, permissive: bool = False) -> Program:
-    """Parse rule text into rules and ground facts.
+def parse_program(text: str) -> Program:
+    """Parse rule text into rules and ground facts; constraints are dropped.
 
-    Unless permissive, every rule is planned (which checks safety) and the
-    rules are stratified, so an unstratified text is rejected here.
+    Every rule is planned (which checks safety) and the rules are
+    stratified, so an unstratified text is rejected here.
     """
-    rules, facts = _ProgramParser(text, permissive=permissive).parse()
-    if not permissive:
-        for rule in rules:
-            _plan_rule(rule)
-        stratify(rules)
+    rules, facts = _ProgramParser(text).parse()
+    for rule in rules:
+        _plan_rule(rule)
+    stratify(rules)
     return Program(rules=rules, facts=facts)
 
 
@@ -692,9 +687,9 @@ def parse_program(text: str, *, permissive: bool = False) -> Program:
 def evaluate(program: Program, input_facts) -> set[Fact]:
     """The unique stratified model over the program's and the input facts.
 
-    The rules must come from a non-permissive parse_program (they carry
-    their plans); they are stratified here, so a set of rules joined from
-    several programs raises UnstratifiedError if the join has a bad cycle.
+    The rules must come from parse_program (they carry their plans); they
+    are stratified here, so a set of rules joined from several programs
+    raises UnstratifiedError if the join has a bad cycle.
     """
     strata = stratify(program.rules)
     stratum_of = {p: i for i, s in enumerate(strata) for p in s}
@@ -768,18 +763,21 @@ class _Relations:
 
 
 def _eval_stratum(rules: list[Rule], relations: _Relations) -> None:
-    delta = _Relations()
-    for rule in rules:
-        rule.derive(relations, delta)
-
     # Only this stratum's heads enter the delta, so an atom over a lower
-    # stratum never reads it.
+    # stratum never reads it; and only the heads that a body atom of the
+    # stratum reads, so every atom in it is read.
+    read = {pred for rule in rules for pred in rule.atoms}
+    noted = [rule.head.pred in read for rule in rules]
+    delta = _Relations()
+    for rule, note in zip(rules, noted):
+        rule.derive(relations, delta if note else None)
+
     while delta.tuples:
         frozen, delta = delta, _Relations()
-        for rule in rules:
+        for rule, note in zip(rules, noted):
             for occurrence, pred in enumerate(rule.atoms):
                 if pred in frozen.tuples:
-                    rule.derive(relations, delta, frozen, occurrence)
+                    rule.derive(relations, delta if note else None, frozen, occurrence)
     # delta empty: fixpoint reached
 
 
@@ -875,10 +873,8 @@ class _Compiler:
                                  and all(sub(a, b) for sub, a in zip(subs, g.args)))
         if isinstance(pattern, GROUND_TYPES):
             return lambda g, b: g == pattern
-        if isinstance(pattern, Arith):
-            value = self.value(pattern, bound)
-            return lambda g, b: value(b) == g
-        return lambda g, b: False  # an interpreted term matches nothing
+        value = self.value(pattern, bound)  # arithmetic or an interpreted term
+        return lambda g, b: value(b) == g
 
     def negation(self, lit: NegAtom, bound: set[str]):
         pred, values = lit.atom.pred, self.values(lit.atom.args, bound)
@@ -1027,7 +1023,8 @@ class _Compiler:
     # -- the head and the whole rule ---------------------------------------
 
     def rule(self, head: Atom, bound: set[str]):
-        """derive: one pass of the rule, adding each new head atom to relations and out."""
+        """derive: one pass of the rule, adding each new head atom to relations
+        and, unless out is None, to out."""
         pred, makers, width = head.pred, self.makers, len(self.slots)
         if any(isinstance(a, Interval) for a in head.args):
             instances = self.intervals(head.args, bound)
@@ -1036,11 +1033,11 @@ class _Compiler:
             instances = lambda b: (values(b),)  # noqa: E731
 
         def derive(relations, out, delta=None, occurrence=None) -> None:
-            add, note = relations.add, out.add
+            add, note = relations.add, out.add if out is not None else None
 
             def emit(b: list) -> None:
                 for args in instances(b):
-                    if add(pred, args):
+                    if add(pred, args) and note:
                         note(pred, args)
             step = emit
             for make in reversed(makers):

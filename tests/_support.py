@@ -11,10 +11,12 @@ from __future__ import annotations
 import random
 from pathlib import Path
 
-from aspcheck.schema import ValidationSpec, load_spec
-from aspcheck.terms import Const, Func, Number, Str, Tuple
+from aspcheck.datalog import Atom, parse_program
+from aspcheck.schema import PrimitiveType, ValidationSpec, load_spec
+from aspcheck.terms import Const, Fact, Func, Number, Str, Tuple
 
 FIXTURES = Path(__file__).parent / "fixtures"
+STUB_GROUNDER = Path(__file__).parent / "stub_grounder.py"
 
 
 def load_fixture(name: str) -> ValidationSpec:
@@ -27,6 +29,56 @@ def fixture_text(name: str) -> str:
 
 # ---------------------------------------------------------------------------
 # Random ground terms (fixed-count sampling; hypothesis covers the rest)
+
+
+def random_facts(rng: random.Random, spec: ValidationSpec, k: int) -> list[Fact]:
+    """k random facts over the spec's definitions and over the predicates its
+    program reads in a positive body atom but defines no rule for.  An argument is mostly a value of
+    its field's type (small, at a facet bound or from the enum), sometimes
+    a small term of another kind; a program input's is mostly a small
+    integer.  A symbol the program derives gets no bound values, so a rule
+    counting up from a given atom (solitaire's range) ends in a few rounds."""
+    rules = parse_program(spec.asp_program or "").rules
+    derived = {rule.head.pred for rule in rules}
+    shapes = {symbol: [(f.type, f.facets, symbol not in derived) for f in d.fields]
+              for symbol, d in spec.definitions.items()}
+    for rule in rules:
+        for lit in rule.body:
+            if isinstance(lit, Atom) and lit.pred not in derived:
+                shapes.setdefault(lit.pred, [(None, None, False)] * len(lit.args))
+    names = sorted(shapes)
+    facts = []
+    for _ in range(k):
+        name = rng.choice(names)
+        facts.append(Fact(name, tuple(_random_value(rng, spec, *shape)
+                                      for shape in shapes[name])))
+    return facts
+
+
+_ANY_KIND = [Const("a"), Str("A"), Number(1), Func("f", (Number(1),)), Tuple(()),
+             Tuple((Const("b"), Str("x y"))), Func("g", (Const("a"), Number(-3)))]
+
+
+def _random_value(rng: random.Random, spec: ValidationSpec, ftype, facets, bounds: bool):
+    if rng.random() < 0.1:
+        return rng.choice(_ANY_KIND)
+    if ftype is None:
+        return Number(rng.randint(1, 4))
+    if isinstance(ftype, str):  # a user type; one field stands for itself
+        args = tuple(_random_value(rng, spec, f.type, f.facets, bounds)
+                     for f in spec.definitions[ftype].fields)
+        return args[0] if len(args) == 1 else Func(ftype, args)
+    if facets.enum_values and rng.random() < 0.5:
+        return rng.choice(facets.enum_values)
+    if ftype is PrimitiveType.INTEGER:
+        edges = [b + d for b in (facets.min, facets.max) if bounds and b is not None
+                 for d in (-1, 0, 1)]
+        return Number(rng.choice(edges) if edges and rng.random() < 0.3 else rng.randint(-2, 8))
+    if ftype is PrimitiveType.STRING:
+        return Str(rng.choice(["", "A", "B", "ab"]))
+    if ftype is PrimitiveType.ALPHA:
+        return Const(rng.choice(["a", "b", "ab"]))
+    return rng.choice(_ANY_KIND + [Number(rng.randint(-2, 8))])
 
 
 def random_term(rng: random.Random, depth: int = 3):

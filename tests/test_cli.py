@@ -2,6 +2,8 @@
 
 import json
 import os
+import random
+import shlex
 import subprocess
 import sys
 import textwrap
@@ -9,11 +11,15 @@ import textwrap
 import pytest
 
 from aspcheck.cli import main
-from aspcheck.engine import run
+from aspcheck.diagnostics import render_report
+from aspcheck.engine import RunOptions, run
 from aspcheck.schema import load_spec
-from aspcheck.terms import ParseError, parse_facts
+from aspcheck.terms import ParseError, parse_facts, render
 
-from _support import FIXTURES, fixture_text
+from _support import FIXTURES, STUB_GROUNDER, fixture_text, load_fixture, random_facts
+
+STUB_CMD = shlex.join([sys.executable, str(STUB_GROUNDER)])
+VERDICT_CODES = {"valid": 0, "invalid": 1, "spec-error": 2}
 
 INCOME_FACTS = ('income("Acme ASP",1500000000).\n'
                 'income("Yoyodyne YAML",1500000000).\n')
@@ -174,7 +180,73 @@ class TestValidate:
         assert codes == {1}
 
 
+class TestOrdinaryPrograms:
+    """A constraint is read and dropped; an @-term fails only where it is evaluated."""
+
+    @pytest.mark.parametrize("data, code, out", [
+        ('income("a",1).\n:- income(X,Y), Y > 100.\n', 0, "valid\n"),
+        ('income("a",-1).\n:- income(X,Y), Y < 0.\n', 1,
+         'income/2: min: amount: Should be >= 0, but received -1 [income("a",-1)]\ninvalid\n'),
+        ('income("a",1).\np(Y) :- q(X), Y = @f(X).\nq(1).\n', 2,
+         ": eval-error: externally interpreted term @f cannot be evaluated in rule:"
+         " p(Y) :- q(X), Y = @f(X). with {X: 1}\nspec-error\n"),
+        ('income("a",1).\np(X) :- r(X), q(@f(X)).\nr(1). q(1).\n', 2,
+         ": eval-error: externally interpreted term @f cannot be evaluated in rule:"
+         " p(X) :- r(X), q(@f(X)). with {X: 1}\nspec-error\n"),
+        ('income("a",1).\np(Y) :- q(X), Y = @f(X).\n', 0, "valid\n"),  # never reached
+    ])
+    @pytest.mark.parametrize("mode", ["builtin", "bridge"])
+    def test_verdict(self, income_spec, tmp_path, capsys, data, code, out, mode):
+        facts = write(tmp_path, "program.lp", data)
+        assert main(["validate", "--mode", mode, "--grounder-cmd", STUB_CMD,
+                     income_spec, facts]) == (3 if mode == "bridge" and code == 2 else code)
+        captured = capsys.readouterr()
+        if mode == "builtin" or code != 2:
+            assert captured.out == out
+        else:  # the stub grounder stops with the same message
+            assert out.splitlines()[0][len(": eval-error: "):] in captured.out
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.yaml")))
+    def test_cli_and_library_agree_on_facts(self, name, tmp_path, capsys):
+        spec_path = write(tmp_path, name, fixture_text(name))
+        spec = load_fixture(name)
+        for seed in range(5):
+            rng = random.Random(seed)
+            text = "".join(render(f.term()) + ".\n"
+                           for f in random_facts(rng, spec, rng.randint(0, 8)))
+            data = write(tmp_path, "data.lp", text)
+            for flags, fail_fast in (([], True), (["--all-errors"], False)):
+                code = main(["validate", spec_path, data, "--format", "jsonl", *flags])
+                report = run(spec, parse_facts(text), RunOptions(fail_fast=fail_fast))
+                rendered = render_report(report, "jsonl")
+                assert capsys.readouterr().out == (rendered + "\n" if rendered else "")
+                assert code == VERDICT_CODES[report.verdict]
+
+
 class TestBridgeMode:
+    @pytest.mark.parametrize("name", ["budget.yaml", "graph.yaml", "knight.yaml",
+                                      "poset.yaml", "solitaire.yaml"])
+    def test_stub_grounder_output_matches_builtin(self, name, tmp_path, capsys):
+        spec_path = write(tmp_path, name, fixture_text(name))
+        rng = random.Random(11)
+        data = write(tmp_path, "data.lp", "".join(
+            render(f.term()) + ".\n" for f in random_facts(rng, load_fixture(name), 12)))
+        runs = []
+        for mode in ("builtin", "bridge"):
+            code = main(["validate", "--mode", mode, "--grounder-cmd", STUB_CMD, "--all-errors",
+                         "--format", "jsonl", spec_path, data])
+            out, err = capsys.readouterr()
+            runs.append((code, out, err))
+        (code, out, err), (bridge_code, bridge_out, bridge_err) = runs
+        if code == 2:  # evaluation failed; the stub grounder fails with its message
+            assert bridge_code == 3
+            bridge_out = bridge_out.replace('"grounder exited with status 1: ', '"').replace(
+                '"bridge-error"', '"eval-error"')
+        else:
+            assert bridge_code == code
+        assert (bridge_out, bridge_err) == (out, err)
+
     def test_bridge_with_stub_grounder(self, income_spec, tmp_path, capsys):
         facts = write(tmp_path, "incomes.lp", INCOME_FACTS)
         cmd = f"{sys.executable} -c \"import sys; sys.stdout.write(sys.stdin.read())\""

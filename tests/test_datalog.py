@@ -1,6 +1,7 @@
 """Rule engine: parsing, safety, stratification, evaluation, aggregates."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -88,14 +89,37 @@ class TestParsing:
         with pytest.raises(ProgramSyntaxError, match="choice"):
             parse_program("{a(1)} :- b(1).")
 
-    def test_constraint_rejected_outside_permissive(self):
-        with pytest.raises(ProgramSyntaxError, match="constraints"):
-            parse_program(":- p(X).")
+    def test_constraint_parses_to_nothing(self):
+        program = parse_program(":- p(X).")
+        assert (program.rules, program.facts) == ([], [])
 
-    def test_permissive_accepts_constraints_and_at_terms(self):
-        program = parse_program(
-            ":- range(X1), @valasp_validate_range(X1) != 1.", permissive=True)
-        assert program.rules[0].head is None
+    def test_constraints_and_at_terms_are_read(self):
+        body = "range(X1), @valasp_validate_range(X1) != 1"
+        program = parse_program(f":- {body}.\n:- not q(Y), #count{{Z : r(Z)}} > @g().")
+        assert (program.rules, program.facts) == ([], [])
+        [rule] = parse_program(f"bad(X1) :- {body}.").rules
+        assert rule.atoms == ("range",)  # planned like any rule
+
+    @pytest.mark.parametrize("text, message", [
+        (":- p(X)", "'.' terminating the rule"),
+        (":- .", "a term"),
+        (":- p(1..3).", "intervals"),
+        (":- p(X) | q(X).", "'.' terminating the rule"),
+        ("p(X) :- q(X), X = @f.", "'(' after the interpreted term name"),
+        ("p(X) :- q(X), X = @(1).", "a name after '@'"),
+    ])
+    def test_constraint_and_at_term_syntax_is_checked(self, text, message):
+        with pytest.raises(ProgramSyntaxError, match=re.escape(message)):
+            parse_program(text)
+
+    @pytest.mark.parametrize("depth", [100, 101, 5000])
+    def test_at_terms_nest_at_most_100_deep(self, depth):
+        text = ":- p(X), X = " + "@f(" * depth + "1" + ")" * depth + "."
+        if depth <= 100:
+            assert parse_program(text).rules == []
+            return
+        with pytest.raises(ProgramSyntaxError, match="terms nested more than 100 levels deep"):
+            parse_program(text)
 
     def test_interval_rejected_in_body(self):
         with pytest.raises(ProgramSyntaxError, match="intervals"):
@@ -162,10 +186,10 @@ class TestFacts:
         assert [r.head.pred for r in program.rules] == ["r", "s"]
         assert program.rules[1].body == ()
 
-    def test_permissive_parse_splits_facts_too(self):
-        program = parse_program("p(1).\n:- p(X), @f(X) != 1.", permissive=True)
-        assert program.facts == [Fact("p", (Number(1),))]
-        assert len(program.rules) == 1
+    def test_parse_splits_facts_around_constraints(self):
+        program = parse_program("p(1).\n:- p(X), @f(X) != 1.\nq(2). r(X) :- q(X).")
+        assert program.facts == [Fact("p", (Number(1),)), Fact("q", (Number(2),))]
+        assert [rule.source for rule in program.rules] == ["r(X) :- q(X)."]
 
     def test_interval_rule_feeds_later_rules(self):
         program = parse_program("q(X) :- r(X), X > 1. r(1..3).")
@@ -284,6 +308,25 @@ class TestEvaluate:
         held = {fact: fact for fact in model}
         assert all(held[fact] is fact for fact in [*program.facts, *given])
         assert made == ["path"] * 5  # only the derived atoms are built
+
+    @pytest.mark.parametrize("text, given, derived, adds", [
+        ("q(X) :- r(X).", "r(1). r(2). r(3).", 3, 6),
+        ("p(1..50).", "", 50, 50),
+        ("q(X) :- r(X). s(X,Y) :- r(X), r(Y), X < Y.", "r(1). r(2). r(3).", 3 + 3, 9),
+    ])
+    def test_only_read_heads_enter_the_delta(self, monkeypatch, text, given, derived, adds):
+        calls = 0
+        add = datalog._Relations.add
+
+        def counting(self, pred, args):
+            nonlocal calls
+            calls += 1
+            return add(self, pred, args)
+
+        monkeypatch.setattr(datalog._Relations, "add", counting)
+        facts = parse_facts(given)
+        assert len(evaluate(parse_program(text), facts)) == len(facts) + derived
+        assert calls == adds
 
     def test_solitaire_range_and_board(self):
         model = evaluate(parse_program(SOLITAIRE_BOARD), [])
@@ -428,6 +471,20 @@ class TestOracleEquivalence:
             extended = evaluate(program, extra)
             assert base <= extended
 
+    def test_constraints_leave_the_model_unchanged(self):
+        rng = random.Random(1717)
+        for _ in range(40):
+            generated = generate_program(rng, comparisons=True)
+            text = render_program(generated)
+            arity = {pred: len(args) for pred, args in generated.facts}
+            arity.update((pred, len(args)) for _, rule in generated.rules
+                         for pred, args in (rule.head, *rule.pos))
+            lines = text.splitlines()
+            for _ in range(rng.randint(1, 4)):
+                lines.insert(rng.randint(0, len(lines)), _random_constraint(rng, arity))
+            assert evaluate(parse_program("\n".join(lines)), []) == \
+                evaluate(parse_program(text), [])
+
     def test_connectivity_against_bfs(self):
         rng = random.Random(5)
         program = parse_program(CONNECTED_RULES)
@@ -479,6 +536,21 @@ class TestOracleEquivalence:
                 used = [*rule.head[1], *(a for _, args in rule.neg for a in args)]
                 shapes["bound var used"] += bool(fresh & set(used))
         assert min(shapes.values()) >= 30, shapes
+
+
+def _random_constraint(rng: random.Random, arity: dict[str, int]) -> str:
+    """A constraint over the given predicates, safe or not, with negation,
+    comparisons, an aggregate or an @-term."""
+    def atom():
+        pred = rng.choice(sorted(arity))
+        args = [rng.choice(["X", "Y", "Z", "_", "1", "2"]) for _ in range(arity[pred])]
+        return f"{pred}({','.join(args)})" if args else pred
+    body = [atom() for _ in range(rng.randint(1, 3))]
+    extras = [f"not {atom()}", "X < Y", "X != 2", "@f(X) != 1", "Y = @g(X, 1)",
+              f"#count{{X : {atom()}}} > 1"]
+    body += rng.sample(extras, rng.randint(0, 3))
+    rng.shuffle(body)
+    return f":- {', '.join(body)}."
 
 
 def _path_model(rules: str, edges: set[tuple[int, int]]) -> set[tuple[int, int]]:
@@ -593,14 +665,34 @@ class TestEvaluationErrors:
             evaluate(rules, parse_facts("p(0)."))
 
     def test_interpreted_term(self):
-        # Only a permissive parse reads @f; planned by hand, it still cannot run.
         rule = "p(Y) :- q(X), Y = @f(X)."
-        program = parse_program(rule, permissive=True)
-        datalog._plan_rule(program.rules[0])
+        program = parse_program(rule)
         with pytest.raises(EvaluationError) as exc:
             evaluate(program, parse_facts("q(1)."))
         assert str(exc.value) == (
             f"externally interpreted term @f cannot be evaluated in rule: {rule} with {{X: 1}}")
+
+    @pytest.mark.parametrize("rule, binding", [
+        ("p(@f(X)) :- q(X).", "{X: 1}"),
+        ("p(1..@f(X)) :- q(X).", "{X: 1}"),
+        ("p(X) :- q(X), X < @f(X).", "{X: 1}"),
+        ("p(X) :- q(X), r(@f(X)).", "{X: 1}"),
+        ("p(X) :- q(X), t(g(@f(X))).", "{X: 1}"),
+        # Keys stop at the @-term, so r(1,2) is a candidate as in a scan.
+        ("p(X) :- q(X), s(@f(X), X).", "{X: 1}"),
+        ("p(X) :- q(X), not r(@f(X)).", "{X: 1}"),
+        ("p(N) :- q(Y), N = #count{@f(X) : r(X)}.", "{X: 1, Y: 1}"),
+        ("p(N) :- q(Y), N = #count{X : r(X), X != @f(Y)}.", "{X: 1, Y: 1}"),
+        ("p(N) :- q(Y), N = #count{X : r(X), s(X, @f(Y))}.", "{X: 1, Y: 1}"),
+        ("p(N) :- q(Y), N = #sum{X : r(X)}, N > @f(Y).", "{N: 1, Y: 1}"),
+    ])
+    def test_interpreted_term_fails_where_reached(self, rule, binding):
+        program, others = parse_program(rule), parse_facts("r(1). s(1,2). t(g(2)).")
+        with pytest.raises(EvaluationError) as exc:
+            evaluate(program, [*parse_facts("q(1)."), *others])
+        assert str(exc.value) == (
+            f"externally interpreted term @f cannot be evaluated in rule: {rule} with {binding}")
+        assert evaluate(program, others) == set(others)  # without q(1), never reached
 
     def test_interval_outside_a_head(self):
         # The parser never builds one; a hand-built rule shows the message.

@@ -1,10 +1,12 @@
 """Constraint-validator emission and the external grounder bridge."""
 
+import random
 import sys
 
 import pytest
 
 from aspcheck.datalog import evaluate, parse_program
+from aspcheck.engine import RunOptions, run
 from aspcheck.emit import (
     BridgeError,
     GrounderBridgeConfig,
@@ -16,7 +18,10 @@ from aspcheck.emit import (
 from aspcheck.schema import ValidationSpec, load_spec
 from aspcheck.terms import parse_facts
 
-from _support import fixture_text, load_fixture
+from _support import FIXTURES, STUB_GROUNDER, fixture_text, load_fixture, random_facts
+
+FIXTURE_NAMES = sorted(path.name for path in FIXTURES.glob("*.yaml"))
+STUB = GrounderBridgeConfig(command=(sys.executable, str(STUB_GROUNDER)))
 
 
 def constraint_lines(text):
@@ -55,9 +60,23 @@ class TestTemplates:
         assert emit_constraint_validators(ValidationSpec()) == []
 
     def test_emitted_text_reparses(self):
-        for name in ("bday.yaml", "knight.yaml", "solitaire.yaml", "income.yaml"):
-            for validator in emit_constraint_validators(load_fixture(name)):
-                parse_program(validator.text, permissive=True)
+        # A validator is a constraint, so it is read and dropped; as the
+        # body of a rule it plans into one safe rule led by the validated atom.
+        for name in FIXTURE_NAMES:
+            spec = load_fixture(name)
+            validators = emit_constraint_validators(spec)
+            assert sorted(v.symbol for v in validators) == sorted(spec.definitions)
+            for validator in validators:
+                assert parse_program(validator.text).rules == []
+                [rule] = parse_program("valasp_check " + validator.text).rules
+                definition = spec.definitions[validator.symbol]
+                assert (rule.body[0].pred, len(rule.body[0].args)) == \
+                    (definition.symbol, definition.arity) == (validator.symbol, validator.arity)
+                assert rule.atoms == (validator.symbol,)
+            exported = parse_program(render_validator_program(spec))
+            program = parse_program(spec.asp_program or "")
+            assert [r.source for r in exported.rules] == [r.source for r in program.rules]
+            assert exported.facts == program.facts
 
     def test_class_style_name(self):
         assert class_style_name("income") == "Income"
@@ -178,8 +197,6 @@ class TestBridge:
 
 class TestBridgeRun:
     def test_run_in_bridge_mode(self):
-        from aspcheck.engine import RunOptions, run
-
         spec = load_fixture("solitaire.yaml")
         canned = "\n".join(SOLITAIRE_ATOMS + ["location(1,1)."])
         options = RunOptions(grounder=echo_grounder(canned),
@@ -189,8 +206,6 @@ class TestBridgeRun:
         assert report.diagnostics[0].message == "Invalid position"
 
     def test_bridge_failure_is_reported(self):
-        from aspcheck.engine import RunOptions, run
-
         spec = load_fixture("income.yaml")
         config = GrounderBridgeConfig(command=(
             sys.executable, "-c", "import sys; sys.exit(1)"))
@@ -209,3 +224,30 @@ class TestBridgeRun:
         report = run(spec, facts, RunOptions(grounder=config))
         assert report.verdict == "invalid"
         assert report.diagnostics[0].rule == "sum-pos"
+
+
+class TestStubGrounder:
+    """Bridge mode end to end, grounded by tests/stub_grounder.py."""
+
+    def test_ground_with_external_gives_the_model(self):
+        text = ("e(1,2). e(2,3).\npath(X,Y) :- e(X,Y). path(X,Z) :- path(X,Y), e(Y,Z).\n"
+                ":- path(X,X), @f(X) != 1.\n")
+        assert ground_with_external(text, STUB) == evaluate(parse_program(text), [])
+        assert len(ground_with_external(text, STUB)) == 5
+
+    def test_engine_message_becomes_a_bridge_error(self):
+        with pytest.raises(BridgeError) as exc:
+            ground_with_external("q(1). p(Y) :- q(X), Y = @f(X).", STUB)
+        assert str(exc.value) == (
+            "grounder exited with status 1: externally interpreted term @f cannot be"
+            " evaluated in rule: p(Y) :- q(X), Y = @f(X). with {X: 1}")
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_bridge_and_builtin_runs_agree(self, name):
+        spec = load_fixture(name)
+        for seed in range(3):
+            rng = random.Random(seed)
+            facts = random_facts(rng, spec, rng.randint(0, 8))
+            builtin = run(spec, facts, RunOptions(fail_fast=False)).diagnostics
+            bridged = run(spec, facts, RunOptions(fail_fast=False, grounder=STUB)).diagnostics
+            assert bridged == builtin, (seed, facts)
