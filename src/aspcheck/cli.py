@@ -1,7 +1,8 @@
 """Command-line front end with CI-friendly exit codes.
 
 Exit codes: 0 data valid, 1 data invalid, 2 specification error,
-3 I/O or grounder-bridge failure.
+3 I/O or grounder-bridge failure, 4 internal error (a defect in aspcheck;
+it prints one line, no traceback).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ EXIT_VALID = 0
 EXIT_INVALID = 1
 EXIT_SPEC_ERROR = 2
 EXIT_IO_ERROR = 3
+EXIT_INTERNAL_ERROR = 4
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -72,6 +74,9 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         print(f"aspcheck: {exc}", file=sys.stderr)
         return EXIT_IO_ERROR
+    except Exception as exc:  # a defect: one line, never a traceback
+        print(f"aspcheck: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
 
 def _read(path: str) -> str:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 import time
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
 from itertools import islice
 from operator import attrgetter, itemgetter
@@ -73,6 +73,15 @@ class AccumulatorStore:
         if checks is None:
             checks = self._checks[definition.symbol] = _compile(definition, self)
         return checks
+
+    def snapshot(self, checked: hooks.CheckedInstance) -> None:
+        """Keep checked for its symbol's after_grounding sweep."""
+        self.snapshots.setdefault(checked.symbol, []).append(checked)
+
+    def env(self, instance: Mapping[str, object] | None = None,
+            on_snapshot: Callable[[], None] | None = None) -> hooks.EvalEnv:
+        """A hook environment over the run's class store and prelude."""
+        return hooks.EvalEnv(instance, self.class_store, self.prelude, on_snapshot=on_snapshot)
 
 
 class _Checks(NamedTuple):
@@ -148,7 +157,7 @@ def check_instance(definition: UserDefinition, fact: Fact,
                 if neg and value < 0:
                     store.sums_neg[key] = store.sums_neg.get(key, 0) + value
             if checks.snapshot:
-                store.snapshots.setdefault(symbol, []).append(checked)
+                store.snapshot(checked)
             return []
     instance = render(fact.term())  # rendered here, not up front: most instances are valid
     return [Diagnostic("instance", symbol, rule, message, instance=instance, arity=arity)
@@ -175,34 +184,25 @@ def _having_and_after_init(definition: UserDefinition, checked: hooks.CheckedIns
             problems.append(("having", f"Expected {cmp}"))
 
     # The hook may rely on the declared comparisons, so it is skipped when
-    # one failed; facet violations do not block it.
+    # one failed; facet violations do not block it.  A bare append_snapshot()
+    # is taken without running the script.
     after_init = None if problems else definition.after_init
-    if after_init:
-        problem = _run_hook(after_init, store, "after_init", instance=checked,
-                            snapshot_target=checked)
+    if after_init and after_init.snapshot_only:
+        store.snapshot(checked)
+    elif after_init:
+        env = store.env(checked.values, on_snapshot=lambda: store.snapshot(checked))
+        problem = _run_hook(after_init, env, "after_init")
         if problem is not None:
             problems.append(problem)
     return problems
 
 
-def _run_hook(script: hooks.HookScript, store: AccumulatorStore, label: str, *,
-              instance: hooks.CheckedInstance | None,
-              snapshot_target: hooks.CheckedInstance | None = None
-              ) -> tuple[str, str] | None:
-    """Run a script against the store; return its problem as (rule, message).
+def _run_hook(script: hooks.HookScript, env: hooks.EvalEnv,
+              label: str) -> tuple[str, str] | None:
+    """Run a script in env; return its problem as (rule, message).
 
     label is the hook's key, e.g. "after_init".
     """
-    on_snapshot = None
-    if snapshot_target is not None:
-        def on_snapshot():
-            store.snapshots.setdefault(snapshot_target.symbol, []).append(snapshot_target)
-    env = hooks.EvalEnv(
-        instance=instance.values if instance is not None else None,
-        class_store=store.class_store,
-        prelude=store.prelude,
-        on_snapshot=on_snapshot,
-    )
     try:
         hooks.eval_instance(script, env)
     except hooks.CheckFailure as exc:
@@ -403,9 +403,13 @@ def finalize(definition: UserDefinition, store: AccumulatorStore) -> list[Diagno
 
     after = definition.after_grounding
     if after:
-        # A hook over self runs once per snapshot, any other hook once.
+        # A hook over self runs once per snapshot, any other hook once.  The
+        # sweep shares one environment; each run starts with no locals.
+        env = store.env()
         for snap in store.snapshots.get(symbol, []) if after.uses_self else [None]:
-            problem = _run_hook(after, store, "after_grounding", instance=snap)
+            env.instance = snap.values if snap is not None else None
+            env.locals = {}
+            problem = _run_hook(after, env, "after_grounding")
             if problem is not None:
                 rule, message = problem
                 shown = render(snap.source) if snap is not None and rule == "hook-fail" else None
@@ -457,7 +461,7 @@ def _diagnostics(spec: ValidationSpec, facts, options: RunOptions,
     for symbol, definition in sorted(spec.definitions.items()):
         script = definition.before_grounding
         if script:
-            problem = _run_hook(script, store, "before_grounding", instance=None)
+            problem = _run_hook(script, store.env(), "before_grounding")
             if problem is not None:
                 yield Diagnostic("before", symbol, *problem, arity=definition.arity)
 

@@ -14,7 +14,9 @@ Scope rules:
   builtins     valid_date, len, match, append_snapshot
 
 An after_grounding script that mentions ``self`` is swept once per stored
-snapshot of its symbol; everything else runs exactly once.
+snapshot of its symbol; everything else runs exactly once.  A script that is
+one bare ``append_snapshot()`` call is marked snapshot_only, and the engine
+takes the snapshot without running it.
 """
 
 from __future__ import annotations
@@ -100,12 +102,14 @@ class HookScript:
     """A parsed hook: each statement is a function of an EvalEnv.
 
     eval_instance calls them in order.  Scripts compare by their source text.
+    snapshot_only: the one statement is a bare append_snapshot() call.
     """
 
     text: str
     statements: tuple[Callable[[EvalEnv], object], ...] = field(compare=False)
     uses_self: bool
     uses_append_snapshot: bool
+    snapshot_only: bool
 
     def __bool__(self) -> bool:
         return bool(self.statements)
@@ -436,7 +440,8 @@ def parse_script(text: str) -> HookScript:
         tok = lines[rest][1][0]
         raise ScriptSyntaxError("unexpected indentation", tok.line, tok.column)
     return HookScript(text, tuple(statements), uses_self="self" in mentions,
-                      uses_append_snapshot="append_snapshot" in mentions)
+                      uses_append_snapshot="append_snapshot" in mentions,
+                      snapshot_only=statements == [_append_snapshot])
 
 
 def _parse_block(lines, start: int, base_indent: int | None, ifs: int, mentions: set[str]):
@@ -567,8 +572,11 @@ def _self(env: EvalEnv):
     return _InstanceScope(env.instance)
 
 
-_CONSTANTS = {"True": _constant(True), "False": _constant(False), "self": _self,
-              "cls": lambda env: _ClsScope(env.class_store)}
+def _cls(env: EvalEnv):
+    return _ClsScope(env.class_store)
+
+
+_CONSTANTS = {"True": _constant(True), "False": _constant(False), "self": _self, "cls": _cls}
 
 
 def _name(name: str):
@@ -582,6 +590,24 @@ def _name(name: str):
 
 
 def _attribute(base, name: str):
+    # self.NAME and cls.NAME read the mapping directly, with no scope object.
+    if base is _self:
+        def self_field(env: EvalEnv):
+            if env.instance is None:
+                raise ScriptEvalError("self is not available in this hook phase")
+            try:
+                return env.instance[name]
+            except KeyError:
+                raise ScriptEvalError(f"instance has no field {name!r}") from None
+        return self_field
+    if base is _cls:
+        def cls_field(env: EvalEnv):
+            try:
+                return env.class_store[name]
+            except KeyError:
+                raise ScriptEvalError(f"cls.{name} is not set") from None
+        return cls_field
+
     def attribute(env: EvalEnv):
         value = base(env)
         if isinstance(value, _InstanceScope):
@@ -681,10 +707,18 @@ class _ClsScope:
 
 
 def _call(name: str, args: tuple):
-    return lambda env: _builtin(name, [arg(env) for arg in args], env)
+    if name == "append_snapshot" and not args:
+        return _append_snapshot
+    return lambda env: _builtin(name, [arg(env) for arg in args])
 
 
-def _builtin(name: str, args: list, env: EvalEnv):
+def _append_snapshot(env: EvalEnv) -> None:
+    if env.on_snapshot is None:
+        raise ScriptEvalError("append_snapshot is only available in after_init")
+    env.on_snapshot()
+
+
+def _builtin(name: str, args: list):
     if name == "valid_date":
         return _valid_date(args)
     if name == "len":
@@ -698,13 +732,8 @@ def _builtin(name: str, args: list, env: EvalEnv):
             return re.fullmatch(args[1], args[0]) is not None
         except re.error as exc:
             raise ScriptEvalError(f"bad pattern in match: {exc}") from exc
-    if name == "append_snapshot":
-        if args:
-            raise ScriptEvalError("append_snapshot takes no arguments")
-        if env.on_snapshot is None:
-            raise ScriptEvalError("append_snapshot is only available in after_init")
-        env.on_snapshot()
-        return None
+    if name == "append_snapshot":  # with no arguments it is _append_snapshot
+        raise ScriptEvalError("append_snapshot takes no arguments")
     raise ScriptEvalError(f"unknown function {name!r}")
 
 

@@ -10,7 +10,8 @@ import textwrap
 
 import pytest
 
-from aspcheck.cli import main
+from aspcheck import engine
+from aspcheck.cli import EXIT_INTERNAL_ERROR, main
 from aspcheck.diagnostics import render_report
 from aspcheck.engine import RunOptions, run
 from aspcheck.schema import load_spec
@@ -561,6 +562,18 @@ def test_interval_width_is_bounded(tmp_path):
     assert proc.stdout == (": resource-limit: interval holds more than 1000000 values"
                            " in rule: p(1..50000000). with {}\nspec-error\n")
     assert "Traceback" not in proc.stdout + proc.stderr
+
+
+def test_unexpected_exception_is_one_line_and_exit_4(income_spec, tmp_path, monkeypatch,
+                                                      capsys):
+    def broken_run(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(engine, "run", broken_run)
+    facts = write(tmp_path, "ok.lp", 'income("A", 3).')
+    assert main(["validate", income_spec, facts]) == EXIT_INTERNAL_ERROR == 4
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "aspcheck: internal error: RuntimeError: boom\n")
 
 
 def test_module_entry_point(tmp_path):

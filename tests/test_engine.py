@@ -1,5 +1,6 @@
 """Validation runs: check order, facets, accumulators, reports."""
 
+import dataclasses
 import random
 from collections import Counter
 from unittest import mock
@@ -9,7 +10,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aspcheck import datalog, engine
+from aspcheck import datalog, engine, hooks
 from aspcheck.datalog import parse_program
 from aspcheck.diagnostics import render_report
 from aspcheck.engine import (
@@ -25,7 +26,7 @@ from aspcheck.engine import (
 from aspcheck.schema import PrimitiveType, load_spec, parse_spec
 from aspcheck.terms import Const, Fact, Func, Number, Str, Tuple, parse_facts, render, sort_key
 
-from _support import FIXTURES, compare_terms, load_fixture
+from _support import FIXTURES, compare_terms, fixture_text, load_fixture, random_facts
 
 INT32_MAX = 2**31 - 1
 INT32_MIN = -(2**31)
@@ -1068,3 +1069,59 @@ def test_one_bad_fact_among_valid_ones_reports_as_the_row_loop(monkeypatch, fail
     assert [(d.rule, d.instance) for d in diagnostics] == [("min", 'income("bad",-5)')]
     assert checked == {"income": 1001}
     assert (sums_pos, sums_neg) == ({("income", "amount"): sum(range(1000))}, {})
+
+
+# The knight spec with its coordinates as a nested user type: the snapshot
+# of a coord is taken while a move is checked.
+_NESTED_KNIGHT = """
+size:
+    value:
+        type: Integer
+        min: 6
+        max: 100
+        count: 1
+    valasp:
+        after_init: |+
+            cls.board_size = self.value
+coord:
+    value:
+        type: Integer
+        min: 1
+    valasp:
+        after_init: |+
+            append_snapshot()
+        after_grounding: |+
+            if self.value > cls.board_size:
+                fail('Value out of bound: {self.value}')
+move:
+    x1: coord
+    y1: coord
+    x2: coord
+    y2: coord
+"""
+
+
+@pytest.mark.parametrize("spec_name", ["knight.yaml", "solitaire.yaml", "nested knight"])
+@pytest.mark.parametrize("fail_fast", [True, False])
+def test_snapshot_only_after_init_matches_running_the_script(monkeypatch, spec_name, fail_fast):
+    text = _NESTED_KNIGHT if spec_name == "nested knight" else fixture_text(spec_name)
+    parse = hooks.parse_script
+    outcomes = {}
+    for honoured in (True, False):
+        monkeypatch.setattr(hooks, "parse_script", parse if honoured else lambda text:
+                            dataclasses.replace(parse(text), snapshot_only=False))
+        spec = load_spec(text)
+        direct = [s for s, d in spec.definitions.items() if d.after_init and d.after_init.snapshot_only]
+        assert direct == ([] if not honoured or spec_name == "solitaire.yaml"
+                          else ["coord"] if spec_name == "nested knight" else ["__in_range"])
+        rng = random.Random(f"{spec_name}:{fail_fast}")
+        for _ in range(40):
+            stores = []
+            monkeypatch.setattr(engine, "AccumulatorStore",
+                                lambda spec: stores.append(AccumulatorStore(spec)) or stores[-1])
+            report = run(spec, random_facts(rng, spec, rng.randint(1, 30)),
+                         RunOptions(fail_fast=fail_fast))
+            outcomes.setdefault(honoured, []).append(
+                (report.diagnostics, report.stats.instances_checked, stores[0].snapshots))
+    assert outcomes[True] == outcomes[False]
+    assert any(diagnostics for diagnostics, _, _ in outcomes[True])

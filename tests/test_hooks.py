@@ -73,6 +73,17 @@ class TestParsing:
         assert parse_script("append_snapshot()").uses_append_snapshot
         assert not parse_script("cls.x = 1").uses_append_snapshot
 
+    @pytest.mark.parametrize("text, snapshot_only", [
+        ("append_snapshot()", True),
+        ("# take it\n\n  append_snapshot ( )   # every instance\n\n", True),
+        ("append_snapshot()\nappend_snapshot()", False),
+        ("if True: append_snapshot()", False),
+        ("append_snapshot(1)", False),
+        ("x = 1\nappend_snapshot()", False),
+    ])
+    def test_snapshot_only_flag(self, text, snapshot_only):
+        assert parse_script(text).snapshot_only is snapshot_only
+
 
 class TestCalendar:
     def test_valid_date_passes(self):
@@ -310,6 +321,63 @@ class TestClassHooks:
         diag = only_diagnostic(report)
         assert (diag.phase, diag.rule) == ("before", "eval-error")
         assert "self is not available" in diag.message
+
+    def test_locals_do_not_leak_across_snapshots(self):
+        # p(2) binds seen; the sweep over p(3) must not see it.
+        report = run_spec("p:\n    x: Integer\n    valasp:\n"
+                          "        after_grounding: |+\n"
+                          "            if self.x == 2: seen = 1\n"
+                          "            if self.x == 3: fail('{seen}')\n", "p(2). p(3).")
+        diag = only_diagnostic(report)
+        assert (diag.phase, diag.rule, diag.message) == (
+            "after", "eval-error", "after_grounding: unknown name 'seen'")
+
+    @pytest.mark.parametrize("checks, want", [
+        ("", [("instance", "min", "p(0,1)", "x: Should be >= 1, but received 0"),
+              ("after", "hook-fail", "p(0,1)", "at 0"),
+              ("after", "hook-fail", "p(2,1)", "at 2")]),
+        ("        having: [x < y]\n",
+         [("instance", "min", "p(0,1)", "x: Should be >= 1, but received 0"),
+          ("instance", "having", "p(2,1)", "Expected x < y"),
+          ("after", "hook-fail", "p(0,1)", "at 0")]),
+    ])
+    def test_snapshot_taken_when_a_facet_fails_not_a_comparison(self, checks, want):
+        spec = ("p:\n    x: {type: Integer, min: 1}\n    y: Integer\n    valasp:\n" + checks
+                + "        after_init: |+\n            append_snapshot()\n"
+                "        after_grounding: |+\n            fail('at {self.x}')\n")
+        report = run(load_spec(spec), parse_facts("p(0,1). p(2,1)."), RunOptions(fail_fast=False))
+        assert [(d.phase, d.rule, d.instance, d.message) for d in report.diagnostics] == want
+
+
+# Each failing attribute read, and append_snapshot with an argument, run by
+# the engine under its hook label: p's hooks (p has x: q; q has value) and
+# the facts.
+@pytest.mark.parametrize("hooks_yaml, facts, want", [
+    ("before_grounding: |+\n            y = self.x\n", "p(1).",
+     ("before", "eval-error", None, "before_grounding: self is not available in this hook phase")),
+    ("after_init: |+\n            y = self.nope\n", "p(1).",
+     ("instance", "eval-error", "p(1)", "after_init: instance has no field 'nope'")),
+    ("after_grounding: |+\n            y = self.nope\n", "p(1).",
+     ("after", "eval-error", None, "after_grounding: instance has no field 'nope'")),
+    ("after_init: |+\n            y = cls.nope\n", "p(1).",
+     ("instance", "eval-error", "p(1)", "after_init: cls.nope is not set")),
+    ("after_grounding: |+\n            y = cls.nope\n", "p(1).",
+     ("after", "eval-error", None, "after_grounding: cls.nope is not set")),
+    ("after_grounding: |+\n            fail('{self.x.value}')\n", "p(7).",
+     ("after", "hook-fail", "p(7)", "7")),
+    ("after_init: |+\n            y = self.x.nope\n", "p(1).",
+     ("instance", "eval-error", "p(1)", "after_init: q has no field 'nope'")),
+    ("before_grounding: |+\n            cls.lst = [1]\n"
+     "        after_grounding: |+\n            y = cls.lst.x\n", "p(1).",
+     ("after", "eval-error", None, "after_grounding: value of type _ListValue has no attributes")),
+    ("after_init: |+\n            append_snapshot(1)\n", "p(1).",
+     ("instance", "eval-error", "p(1)", "after_init: append_snapshot takes no arguments")),
+])
+def test_every_attribute_error_under_its_hook_label(hooks_yaml, facts, want):
+    spec = ("p:\n    x: q\n    valasp:\n        " + hooks_yaml
+            + "q:\n    value: Integer\n")
+    report = run(load_spec(spec), parse_facts(facts), RunOptions(fail_fast=False))
+    assert [(d.phase, d.rule, d.instance, d.message) for d in report.diagnostics] == [want]
 
 
 def having_spec(fields, comparison):
