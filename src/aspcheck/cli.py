@@ -150,6 +150,9 @@ def _cmd_compile(args) -> int:
 def _cmd_check(args) -> int:
     spec = parse_spec(_read(args.spec))
     diagnostics = check_spec(spec)
+    _, problem = engine.parse_asp(spec)
+    if problem is not None:
+        diagnostics.append(problem)
     for diagnostic in diagnostics:
         print(diagnostic.render())
     return EXIT_VALID if not diagnostics else EXIT_SPEC_ERROR

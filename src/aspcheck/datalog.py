@@ -6,6 +6,8 @@ integer arithmetic, and `l..u` intervals in facts and rule heads.  Heads
 must be single atoms; disjunction, choice constructs and optimization are
 rejected so that every program has one computable model.
 
+The parser here is the one reader of ASP text: parse_program, and through
+it terms.parse_facts and terms.parse_term, share its lexer and grammar.
 A body-less rule whose head is ground after constant folding is a fact:
 parse_program returns it in Program.facts, never as a Rule.  A constraint
 (`:- body.`) derives no atom, so it is read for its syntax and dropped.  An
@@ -26,13 +28,16 @@ and kept current as relations grow.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass, field
 from functools import partial
 from operator import itemgetter
+from typing import Iterator
 
 from .terms import (
     COMPARISONS,
     GROUND_TYPES,
+    IDENT,
     MAX_NESTING,
     Const,
     Fact,
@@ -41,7 +46,6 @@ from .terms import (
     Number,
     ParseError,
     Str,
-    TokenCursor,
     Tuple,
     integer_too_long,
     render,
@@ -66,8 +70,8 @@ __all__ = [
 ]
 
 
-class ProgramSyntaxError(ParseError):
-    """Syntax error in rule text, positioned by line and column."""
+# The error of every read of ASP text, by the name rule callers use.
+ProgramSyntaxError = ParseError
 
 
 class UnsafeRuleError(ValueError):
@@ -189,28 +193,222 @@ class Program:
 
 _FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "==": "==", "!=": "!="}
 
+# One lexer for all ASP text.
+_TOKEN_RE = re.compile(
+    r"""
+    (?P<ws>\s+)
+  | (?P<comment>%[^\n]*)
+  | (?P<number>\d+)
+  | (?P<string>"(?:[^"\\]|\\.)*")
+  | (?P<agg>\#(?:min|max|count|sum))
+  | (?P<ident>""" + IDENT + r""")
+  | (?P<var>_*[A-Z][A-Za-z0-9_']*)
+  | (?P<anon>_)
+  | (?P<op>:-|\.\.|<=|>=|!=|==|[-+*/(){},:;.<>=@|])
+  | (?P<bad>.)
+    """,
+    re.VERBOSE,
+)
 
-class _ProgramParser(TokenCursor):
-    error_class = ProgramSyntaxError
+# Exactly the escapes terms.render writes; anything else is an error.
+_ESCAPES = {"\\\\": "\\", '\\"': '"', "\\n": "\n"}
+_ESCAPE_RE = re.compile(r"\\.")
+
+# A flat fact: `ident(arg,...,arg).` with no whitespace or comment inside,
+# after any whitespace and comments.  Each argument is an integer, a string
+# without escapes or a constant.  A second '.' would lex as '..', so it ends
+# the run.  A comment runs to the end of its line, so that a failed match
+# cannot split it at each '%' and backtrack exponentially.
+_FLAT_ARG = rf'-?[0-9]+|"[^"\\]*"|{IDENT}'
+_FLAT_ARG_RE = re.compile(_FLAT_ARG)
+_FLAT_FACT_RE = re.compile(
+    rf"(?:\s|%[^\n]*(?![^\n]))*({IDENT})\(((?:{_FLAT_ARG})(?:,(?:{_FLAT_ARG}))*)\)\.(?!\.)")
+
+
+# Not frozen: a frozen dataclass assigns each field through
+# object.__setattr__, which makes lexing measurably slower.
+@dataclass(slots=True)
+class _Token:
+    kind: str  # a group name of _TOKEN_RE, or "end"
+    text: str
+    offset: int
+
+
+def _line_col(text: str, offset: int) -> dict[str, int]:
+    line = text.count("\n", 0, offset) + 1
+    column = offset - (text.rfind("\n", 0, offset) + 1) + 1
+    return {"line": line, "column": column}
+
+
+class _ProgramParser:
+    """The one reader of ASP text: rules, facts and ground terms.
+
+    One token of lookahead, lexed lazily.  Tokens carry only their offset;
+    line and column are computed when an error is built.  Equal number and
+    constant literals in one parse share one term, found through memo by
+    their text.
+    """
 
     def __init__(self, text: str):
-        super().__init__(text)
+        self.text = text
+        self._next = self._lex(0).__next__
+        self.cur = self._next()
+        self.depth = 0
+        self.memo: dict[str, GroundTerm] = {}
         self.anon_count = 0
         # (message, offset) of the current rule's first constant that cannot
         # be evaluated; an error if it sits in the head of a body-less rule.
         self.defect: tuple[str, int] | None = None
 
-    def parse(self) -> tuple[list[Rule], list[Fact]]:
-        rules: list[Rule] = []
-        facts: list[Fact] = []
+    # tokens ----------------------------------------------------------------
+
+    def _lex(self, pos: int) -> Iterator[_Token]:
+        for m in _TOKEN_RE.finditer(self.text, pos):
+            kind = m.lastgroup
+            if kind == "ws" or kind == "comment":
+                continue
+            if kind == "bad":
+                raise self.error_at(f"unexpected character {m.group()!r}", m.start())
+            yield _Token(kind, m.group(), m.start())
+        yield _Token("end", "", len(self.text))
+
+    def advance(self) -> _Token:
+        tok = self.cur
+        self.cur = self._next()
+        return tok
+
+    def expect(self, text: str, expected: str) -> _Token:
+        if self.cur.text != text:
+            raise self.error(expected)
+        return self.advance()
+
+    def open_paren(self) -> None:
+        """Consume the '(' of a nested term, at most MAX_NESTING deep."""
+        if self.depth == MAX_NESTING:
+            raise self.error_at(f"terms nested more than {MAX_NESTING} levels deep")
+        self.depth += 1
+        self.advance()
+
+    def close_paren(self, expected: str) -> None:
+        self.expect(")", expected)
+        self.depth -= 1
+
+    def parenthesized(self) -> tuple[list, bool]:
+        """The items of '(' ... ')' and whether they form a tuple.
+
+        (t) is just t; (), (t,) and (t,u) are tuples.
+        """
+        self.open_paren()
+        items = []
+        is_tuple = self.cur.text == ")"
+        if not is_tuple:
+            items.append(self.term())
+            while self.cur.text == ",":
+                is_tuple = True
+                self.advance()
+                if self.cur.text == ")":  # trailing comma: (1,)
+                    break
+                items.append(self.term())
+        self.close_paren("')' closing the parenthesis")
+        return items, is_tuple
+
+    def error_at(self, message: str, offset: int | None = None) -> ParseError:
+        """An error at the offset, by default that of the current token."""
+        if offset is None:
+            offset = self.cur.offset
+        return ParseError(message, offset=offset, **_line_col(self.text, offset))
+
+    def error(self, expected: str) -> ParseError:
+        tok = self.cur
+        got = repr(tok.text) if tok.kind != "end" else "end of input"
+        return self.error_at(f"expected {expected}, got {got}")
+
+    # literals --------------------------------------------------------------
+
+    def number(self, literal: str, offset: int) -> Number:
+        """The Number of an integer literal whose digits start at offset."""
+        if literal not in self.memo:
+            try:
+                self.memo[literal] = Number(int(literal))
+            except ValueError:
+                raise self.error_at(integer_too_long(), offset) from None
+        return self.memo[literal]
+
+    def const(self, name: str) -> Const:
+        return self.memo.get(name) or self.memo.setdefault(name, Const(name))
+
+    def string_value(self, tok: _Token) -> str:
+        """The content of a string token, unescaped."""
+        body = tok.text[1:-1]
+        if "\\" not in body:
+            return body
+
+        def unescape(m: re.Match) -> str:
+            esc = m.group()
+            if esc not in _ESCAPES:
+                raise self.error_at(f"unsupported string escape {esc!r}",
+                                    tok.offset + 1 + m.start())
+            return _ESCAPES[esc]
+
+        return _ESCAPE_RE.sub(unescape, body)
+
+    # statements ------------------------------------------------------------
+
+    def statements(self, facts: list[Fact]) -> Iterator[tuple[int, Rule | None]]:
+        """Read the whole text, appending each fact to facts.
+
+        Yields the offset and the Rule of every other statement, None for a
+        constraint.
+        """
         while True:
             self.flat_facts(facts)
             if self.cur.kind == "end":
-                break
+                return
+            start = self.cur.offset
             item = self.rule()
-            if item is not None:
-                (facts if type(item) is Fact else rules).append(item)
-        return rules, facts
+            if type(item) is Fact:
+                facts.append(item)
+            else:
+                yield start, item
+
+    def flat_facts(self, facts: list[Fact]) -> None:
+        """Append the run of flat facts that starts at the current token.
+
+        Each fact takes one match of _FLAT_FACT_RE and gives the values the
+        grammar would.  Lexing resumes after the run.
+        """
+        text = self.text
+        match = _FLAT_FACT_RE.match
+        m = match(text, self.cur.offset)
+        if m is None:
+            return
+        while m is not None:
+            body = m.group(2)
+            args = self._flat_args(body.split(","), m.start(2))
+            if args is None:  # a string argument holds a comma
+                args = self._flat_args(_FLAT_ARG_RE.findall(body), m.start(2))
+            facts.append(Fact(m.group(1), args))
+            end = m.end()
+            m = match(text, end)
+        self._next = self._lex(end).__next__
+        self.cur = self._next()
+
+    def _flat_args(self, parts: list[str], offset: int) -> tuple[GroundTerm, ...] | None:
+        """The terms of a flat fact's arguments; None if parts split a string."""
+        args: list[GroundTerm] = []
+        memo = self.memo
+        for part in parts:
+            first = part[0]
+            if first == '"':
+                if len(part) == 1 or part[-1] != '"':
+                    return None
+                args.append(Str(part[1:-1]))
+            elif first >= "_":  # '_' or a lowercase letter
+                args.append(memo.get(part) or self.const(part))
+            else:
+                args.append(memo.get(part) or self.number(part, offset + (first == "-")))
+            offset += len(part) + 1
+        return tuple(args)
 
     def rule(self) -> Rule | Fact | None:
         """The next rule or fact; None for a constraint, which derives nothing."""
@@ -408,7 +606,7 @@ class _ProgramParser(TokenCursor):
                 return FuncPat(t.text, args)
             return self.const(t.text)
         if t.text == "(":
-            items, is_tuple = self.parenthesized(self.term)
+            items, is_tuple = self.parenthesized()
             if not is_tuple:
                 return items[0]
             if all(isinstance(a, GROUND_TYPES) for a in items):
@@ -673,7 +871,8 @@ def parse_program(text: str) -> Program:
     Every rule is planned (which checks safety) and the rules are
     stratified, so an unstratified text is rejected here.
     """
-    rules, facts = _ProgramParser(text).parse()
+    facts: list[Fact] = []
+    rules = [rule for _, rule in _ProgramParser(text).statements(facts) if rule is not None]
     for rule in rules:
         _plan_rule(rule)
     stratify(rules)

@@ -34,6 +34,7 @@ __all__ = [
     "RunOptions",
     "AccumulatorStore",
     "run",
+    "parse_asp",
     "check_instance",
     "finalize",
     "wrap32",
@@ -501,6 +502,22 @@ def _diagnostics(spec: ValidationSpec, facts, options: RunOptions,
         yield from finalize(spec.definitions[symbol], store)
 
 
+def parse_asp(spec: ValidationSpec) -> tuple[datalog.Program | None, Diagnostic | None]:
+    """The spec's asp program, or None and the asp-syntax diagnostic that
+    ends a run when the program does not parse, is unsafe or is unstratified."""
+    if not spec.asp_program or spec.asp_program.isspace():
+        return datalog.Program([]), None
+    try:
+        return datalog.parse_program(spec.asp_program), None
+    except (datalog.ProgramSyntaxError, datalog.UnsafeRuleError,
+            datalog.UnstratifiedError) as exc:
+        return None, _asp_syntax(exc)
+
+
+def _asp_syntax(exc: Exception) -> Diagnostic:
+    return Diagnostic("before", "", "asp-syntax", str(exc))
+
+
 def _instance_set(spec: ValidationSpec, facts, options: RunOptions):
     """Step 3: input atoms plus whatever the auxiliary program derives."""
     if options.grounder is not None:
@@ -518,20 +535,16 @@ def _instance_set(spec: ValidationSpec, facts, options: RunOptions):
         except emit.BridgeError as exc:
             return None, Diagnostic("before", "", "bridge-error", str(exc))
 
-    program = datalog.Program([])
-    if spec.asp_program and not spec.asp_program.isspace():
-        try:
-            program = datalog.parse_program(spec.asp_program)
-        except (datalog.ProgramSyntaxError, datalog.UnsafeRuleError,
-                datalog.UnstratifiedError) as exc:
-            return None, Diagnostic("before", "", "asp-syntax", str(exc))
+    program, problem = parse_asp(spec)
+    if problem is not None:
+        return None, problem
     rules = program.rules + list(options.rules)
     if not rules:
         return {*program.facts, *facts}, None
     try:
         return datalog.evaluate(datalog.Program(rules, program.facts), facts), None
     except datalog.UnstratifiedError as exc:  # only the joined rules have the cycle
-        return None, Diagnostic("before", "", "asp-syntax", str(exc))
+        return None, _asp_syntax(exc)
     except datalog.ResourceLimitError as exc:
         return None, Diagnostic("before", "", "resource-limit", str(exc))
     except datalog.EvaluationError as exc:

@@ -302,10 +302,7 @@ class _LineParser:
         negs = self.prefix_run("-")
         node, depth = self.atom()
         while self.cur.text == ".":
-            self.advance()
-            if self.cur.kind != "name":
-                raise self.error("an attribute name after '.'")
-            node, depth = _attribute(node, self.advance().text), depth + 1
+            node, depth = _attribute(node, self.attribute_name()), depth + 1
         for _ in range(negs):
             node = _negate(node)
         return node, self.nested(depth + negs, start)
@@ -325,9 +322,14 @@ class _LineParser:
             return _constant(self.string), 0
         if t.text in _CONSTANTS:
             self.advance()
-            if t.text == "self":
-                self.mentions.add("self")
             return _CONSTANTS[t.text], 0
+        if t.text in ("self", "cls"):
+            self.advance()
+            name = self.attribute_name(f"'.' after {t.text!r}")
+            if t.text == "cls":
+                return _cls_field(name), 1
+            self.mentions.add("self")
+            return _self_field(name), 1
         if t.kind == "name":
             self.advance()
             if self.cur.text == "(":
@@ -345,6 +347,13 @@ class _LineParser:
             self.close_bracket(")", "')'")
             return inner
         raise self.error("an expression")
+
+    def attribute_name(self, expected: str = "'.'") -> str:
+        """The NAME of a '.NAME' that must come next."""
+        self.expect(".", expected)
+        if self.cur.kind != "name":
+            raise self.error("an attribute name after '.'")
+        return self.advance().text
 
     def open_bracket(self) -> _Tok:
         """Consume an opening bracket, at most MAX_NESTING deep."""
@@ -566,17 +575,7 @@ def _constant(value):
     return lambda env: value
 
 
-def _self(env: EvalEnv):
-    if env.instance is None:
-        raise ScriptEvalError("self is not available in this hook phase")
-    return _InstanceScope(env.instance)
-
-
-def _cls(env: EvalEnv):
-    return _ClsScope(env.class_store)
-
-
-_CONSTANTS = {"True": _constant(True), "False": _constant(False), "self": _self, "cls": _cls}
+_CONSTANTS = {"True": _constant(True), "False": _constant(False)}
 
 
 def _name(name: str):
@@ -589,35 +588,29 @@ def _name(name: str):
     return lookup
 
 
-def _attribute(base, name: str):
-    # self.NAME and cls.NAME read the mapping directly, with no scope object.
-    if base is _self:
-        def self_field(env: EvalEnv):
-            if env.instance is None:
-                raise ScriptEvalError("self is not available in this hook phase")
-            try:
-                return env.instance[name]
-            except KeyError:
-                raise ScriptEvalError(f"instance has no field {name!r}") from None
-        return self_field
-    if base is _cls:
-        def cls_field(env: EvalEnv):
-            try:
-                return env.class_store[name]
-            except KeyError:
-                raise ScriptEvalError(f"cls.{name} is not set") from None
-        return cls_field
+def _self_field(name: str):
+    def self_field(env: EvalEnv):
+        if env.instance is None:
+            raise ScriptEvalError("self is not available in this hook phase")
+        try:
+            return env.instance[name]
+        except KeyError:
+            raise ScriptEvalError(f"instance has no field {name!r}") from None
+    return self_field
 
+
+def _cls_field(name: str):
+    def cls_field(env: EvalEnv):
+        try:
+            return env.class_store[name]
+        except KeyError:
+            raise ScriptEvalError(f"cls.{name} is not set") from None
+    return cls_field
+
+
+def _attribute(base, name: str):
     def attribute(env: EvalEnv):
         value = base(env)
-        if isinstance(value, _InstanceScope):
-            if name not in value.values:
-                raise ScriptEvalError(f"instance has no field {name!r}")
-            return value.values[name]
-        if isinstance(value, _ClsScope):
-            if name not in value.store:
-                raise ScriptEvalError(f"cls.{name} is not set")
-            return value.store[name]
         if isinstance(value, CheckedInstance):
             if name not in value.values:
                 raise ScriptEvalError(f"{value.symbol} has no field {name!r}")
@@ -694,16 +687,6 @@ class _ListValue(list):
         self.size = len(items) + sum(x.size for x in nested)
         if self.size > MAX_LIST_ITEMS:
             raise ScriptEvalError(f"lists hold more than {MAX_LIST_ITEMS} items")
-
-
-@dataclass(frozen=True, slots=True)
-class _InstanceScope:
-    values: Mapping[str, object]
-
-
-@dataclass(frozen=True, slots=True)
-class _ClsScope:
-    store: dict[str, object]
 
 
 def _call(name: str, args: tuple):

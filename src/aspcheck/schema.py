@@ -423,7 +423,7 @@ _PRIMITIVES = {t.value: t for t in PrimitiveType}
 
 def _parse_field(symbol: str, name: str, entry, *, position: int) -> FieldDecl:
     path = f"{symbol}.{name}"
-    if not re.fullmatch(r"_*[a-z][A-Za-z0-9_]*", name):
+    if not IDENT_RE.match(name):
         raise _err(path, "facet-value", f"{name!r} is not a valid field name",
                    symbol=symbol)
 

@@ -15,7 +15,7 @@ from aspcheck.cli import EXIT_INTERNAL_ERROR, main
 from aspcheck.diagnostics import render_report
 from aspcheck.engine import RunOptions, run
 from aspcheck.schema import load_spec
-from aspcheck.terms import ParseError, parse_facts, render
+from aspcheck.terms import Func, Number, ParseError, Tuple, parse_facts, render
 
 from _support import FIXTURES, STUB_GROUNDER, fixture_text, load_fixture, random_facts
 
@@ -212,9 +212,10 @@ class TestOrdinaryPrograms:
     def test_cli_and_library_agree_on_facts(self, name, tmp_path, capsys):
         spec_path = write(tmp_path, name, fixture_text(name))
         spec = load_fixture(name)
-        for seed in range(5):
+        for seed in range(6):
             rng = random.Random(seed)
-            text = "".join(render(f.term()) + ".\n"
+            spell = render if seed < 5 else _folded
+            text = "".join(spell(f.term()) + ".\n"
                            for f in random_facts(rng, spec, rng.randint(0, 8)))
             data = write(tmp_path, "data.lp", text)
             for flags, fail_fast in (([], True), (["--all-errors"], False)):
@@ -223,6 +224,18 @@ class TestOrdinaryPrograms:
                 rendered = render_report(report, "jsonl")
                 assert capsys.readouterr().out == (rendered + "\n" if rendered else "")
                 assert code == VERDICT_CODES[report.verdict]
+
+
+def _folded(term) -> str:
+    """render(term) with each integer n written as --(n-1)+1, which folds to n."""
+    if isinstance(term, Number):
+        return f"--{term.value - 1}+1"
+    if isinstance(term, (Func, Tuple)):
+        inner = ",".join(map(_folded, term.args))
+        if isinstance(term, Func):
+            return f"{term.name}({inner})"
+        return f"({inner},)" if len(term.args) == 1 else f"({inner})"
+    return render(term)
 
 
 class TestBridgeMode:
@@ -312,11 +325,32 @@ class TestCheck:
         assert main(["check", spec]) == 2
         assert "cyclic" in capsys.readouterr().out
 
+    def test_asp_that_does_not_parse_exit_2(self, tmp_path, capsys):
+        spec = write(tmp_path, "asp.yaml", "p:\n    x: Integer\nvalasp:\n"
+                                           "    asp: |\n        q(X) :- p(X\n")
+        assert main(["validate", spec, write(tmp_path, "p.lp", "p(1).")]) == 2
+        validate_out = capsys.readouterr().out
+        assert main(["check", spec]) == 2
+        out = capsys.readouterr().out
+        assert out == (": asp-syntax: expected ')' closing the argument list,"
+                       " got end of input (line 2, column 1)\n")
+        assert validate_out == out + "spec-error\n"
+
     def test_unknown_facet_exit_2(self, tmp_path, capsys):
         spec = write(tmp_path, "facet.yaml",
                      "p:\n    a:\n        type: Integer\n        'sum*': Integer\n")
         assert main(["check", spec]) == 2
         assert "sum*" in capsys.readouterr().err
+
+
+def test_bare_self_and_cls_are_syntax_errors(tmp_path, capsys):
+    spec = write(tmp_path, "p.yaml", "p:\n    x: Integer\n    valasp:\n"
+                                     "        after_init: fail('{self} {cls}')\n")
+    for argv in (["check", spec], ["validate", spec, write(tmp_path, "p.lp", "p(1).")]):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert "script-syntax" in out + err
+        assert "Scope" not in out + err and "Traceback" not in err
 
 
 # Each of these once ended the CLI in a RecursionError traceback.

@@ -520,7 +520,7 @@ _DATE = CheckedInstance("date", {"y": 1}, parse_term("date(1)"))
     ("cls.t -= 1", None, {"t": "a"}, ScriptEvalError, "cls.t -= needs integer operands"),
     ("x = mystery", None, {}, ScriptEvalError, "unknown name 'mystery'"),
     ("x = self.a", None, {}, ScriptEvalError, "self is not available in this hook phase"),
-    ("x = self", None, {}, ScriptEvalError, "self is not available in this hook phase"),
+    ("x = cls.n.x", None, {"n": 1}, ScriptEvalError, "value of type int has no attributes"),
     ("x = self.nope", {"a": 1}, {}, ScriptEvalError, "instance has no field 'nope'"),
     ("x = cls.nope", None, {}, ScriptEvalError, "cls.nope is not set"),
     ("x = self.d.nope", {"d": _DATE}, {}, ScriptEvalError, "date has no field 'nope'"),
@@ -580,6 +580,8 @@ def test_every_evaluation_error_message(text, instance, store, error, message):
     ("x = ", "expected an expression, got end of line (line 1, column 4)"),
     ("x = )", "expected an expression, got ')' (line 1, column 5)"),
     ("x = self.1", "expected an attribute name after '.', got '1' (line 1, column 10)"),
+    ("x = self", "expected '.' after 'self', got end of line (line 1, column 9)"),
+    ("x = cls + 1", "expected '.' after 'cls', got '+' (line 1, column 9)"),
     ("x = f(1", "expected ')' closing the call, got end of line (line 1, column 8)"),
     ("x = [1, 2", "expected ']' closing the list, got end of line (line 1, column 10)"),
     ("x = (1", "expected ')', got end of line (line 1, column 7)"),

@@ -225,8 +225,8 @@ class TestNormalizeFacets:
         by_string = normalize_facets({"enum": ["Documentary", "Video"]},
                                      PrimitiveType.STRING)
         assert by_string.enum_values == (Str("Documentary"), Str("Video"))
-        by_int = normalize_facets({"enum": [224, 360]}, PrimitiveType.INTEGER)
-        assert by_int.enum_values == (Number(224), Number(360))
+        by_int = normalize_facets({"enum": [224, 360, "1+1"]}, PrimitiveType.INTEGER)
+        assert by_int.enum_values == (Number(224), Number(360), Number(2))
         by_alpha = normalize_facets({"enum": ["req", "rp"]}, PrimitiveType.ALPHA)
         assert by_alpha.enum_values == (Const("req"), Const("rp"))
 
