@@ -13,6 +13,11 @@ parse_program returns it in Program.facts, never as a Rule.  A constraint
 (`:- body.`) derives no atom, so it is read for its syntax and dropped.  An
 externally interpreted term (`@f(t)`) is read anywhere a term is, and
 evaluating one is an EvaluationError, raised only where a rule reaches it.
+Flat facts (`p(1,"a",b).`, nothing inside but the arguments) skip the
+token grammar: a long run of them with one predicate and the same argument
+kinds is read in bulk, a column at a time, with patterns compiled for that
+shape (see _ProgramParser.flat_facts).  Every route reads the same facts
+and raises the same errors.
 
 Evaluation is bottom-up and semi-naive per stratum: each iteration joins at
 least one body atom against the tuples derived in the previous iteration.
@@ -30,7 +35,8 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
+from itertools import repeat
 from operator import itemgetter
 from typing import Iterator
 
@@ -216,13 +222,44 @@ _ESCAPE_RE = re.compile(r"\\.")
 
 # A flat fact: `ident(arg,...,arg).` with no whitespace or comment inside,
 # after any whitespace and comments.  Each argument is an integer, a string
-# without escapes or a constant.  A second '.' would lex as '..', so it ends
-# the run.  A comment runs to the end of its line, so that a failed match
-# cannot split it at each '%' and backtrack exponentially.
-_FLAT_ARG = rf'-?[0-9]+|"[^"\\]*"|{IDENT}'
+# without escapes or a constant: the text before, of and after its value, by
+# the term it reads as.  A second '.' would lex as '..', so it ends the run.
+# A comment runs to the end of its line, so that a failed match cannot split
+# it at each '%' and backtrack exponentially.
+_FLAT_KINDS = {Number: ("", "-?[0-9]+", ""), Str: ('"', r'[^"\\]*', '"'), Const: ("", IDENT, "")}
+_FLAT_ARG = "|".join(map("".join, _FLAT_KINDS.values()))
 _FLAT_ARG_RE = re.compile(_FLAT_ARG)
+_FLAT_SPACE = r"(?:\s|%[^\n]*(?![^\n]))*"
 _FLAT_FACT_RE = re.compile(
-    rf"(?:\s|%[^\n]*(?![^\n]))*({IDENT})\(((?:{_FLAT_ARG})(?:,(?:{_FLAT_ARG}))*)\)\.(?!\.)")
+    rf"{_FLAT_SPACE}({IDENT})\(((?:{_FLAT_ARG})(?:,(?:{_FLAT_ARG}))*)\)\.(?!\.)")
+# A run's first _RUN_START facts are read one at a time: compiling the
+# patterns of a new shape costs about as much as reading that many, so a
+# file of short runs of many shapes pays no more than before.  After them
+# the run is read in bulk, at most _RUN_CHUNK facts at once; more grew peak
+# RSS.
+_RUN_START = 64
+_RUN_CHUNK = 512
+
+
+@lru_cache(maxsize=256)
+def _run_patterns(kinds: tuple[type, ...]) -> tuple[re.Pattern, re.Pattern]:
+    """The patterns of a run of flat facts whose arguments have kinds.
+
+    The first, matched at the predicate of a fact of the run, matches that
+    fact and 1 to _RUN_CHUNK contiguous facts after it with the same
+    predicate; its group "last" is the predicate of the last.  The second
+    matches one fact, with a group per argument value.  The predicate is a
+    backreference, not part of the pattern, so one compiled pair serves
+    every predicate of the same argument kinds.
+    """
+    def args(group: bool) -> str:
+        return ",".join(f"{before}({arg}){after}" if group else before + arg + after
+                        for before, arg, after in map(_FLAT_KINDS.__getitem__, kinds))
+
+    end = r"\)\.(?!\.)"
+    chunk = (rf"(?P<pred>{IDENT})\({args(False)}{end}"
+             rf"(?:{_FLAT_SPACE}(?P<last>(?P=pred))\({args(False)}{end}){{1,{_RUN_CHUNK}}}")
+    return re.compile(chunk), re.compile(rf"{_FLAT_SPACE}{IDENT}\({args(True)}{end}")
 
 
 # Not frozen: a frozen dataclass assigns each field through
@@ -374,24 +411,80 @@ class _ProgramParser:
     def flat_facts(self, facts: list[Fact]) -> None:
         """Append the run of flat facts that starts at the current token.
 
-        Each fact takes one match of _FLAT_FACT_RE and gives the values the
-        grammar would.  Lexing resumes after the run.
+        Each fact takes one match of _FLAT_FACT_RE, until _RUN_START facts
+        in a row share a predicate.  The last of them starts a bulk read
+        (_read_run) of the facts after it that have its shape: its predicate
+        and the kind of each argument.  Each bulk read that reads fewer than
+        _RUN_START facts doubles the run the next one waits for, so that
+        input whose shapes keep changing compiles few patterns.  Either way
+        each fact gets the values the grammar would give it.  Lexing resumes
+        after the run.
         """
         text = self.text
         match = _FLAT_FACT_RE.match
         m = match(text, self.cur.offset)
         if m is None:
             return
+        pred, run, wait = None, 0, _RUN_START  # run: pred facts read one at a time in a row
         while m is not None:
-            body = m.group(2)
+            name, body = m.groups()
             args = self._flat_args(body.split(","), m.start(2))
             if args is None:  # a string argument holds a comma
                 args = self._flat_args(_FLAT_ARG_RE.findall(body), m.start(2))
-            facts.append(Fact(m.group(1), args))
+            facts.append(Fact(name, args))
             end = m.end()
+            run = run + 1 if name == pred else 1
+            if run == wait:
+                count = len(facts)
+                end = self._read_run(facts, tuple(map(type, args)), m.start(1), end)
+                # A bulk read too short to pay for its patterns doubles the wait.
+                wait = _RUN_START if len(facts) - count >= _RUN_START else 2 * wait
+                run = 0
+            pred = name
             m = match(text, end)
         self._next = self._lex(end).__next__
         self.cur = self._next()
+
+    def _read_run(self, facts: list[Fact], kinds: tuple[type, ...], start: int,
+                  pos: int) -> int:
+        """Append the flat facts from pos on that have the predicate and the
+        argument kinds of the fact from start to pos; the offset after them.
+
+        Up to _RUN_CHUNK facts at a time: one match finds where they end, one
+        findall over that span reads their argument columns, and each column
+        is converted at once, a number or a constant through memo once per
+        distinct literal.  Anything else ends the read where it starts.
+        """
+        chunk, row = _run_patterns(kinds)
+        text, memo = self.text, self.memo
+        while (m := chunk.match(text, start)) is not None:
+            end = m.end()
+            rows = row.findall(text, pos, end)
+            columns = []
+            for kind, column in zip(kinds, zip(*rows) if len(kinds) > 1 else (rows,)):
+                if kind is Str:
+                    columns.append(map(tuple.__new__, repeat(Str), zip(repeat(2), column)))
+                    continue
+                new = set(column).difference(memo)
+                if new:
+                    try:
+                        memo.update(zip(new, map(Const, new) if kind is Const
+                                        else map(Number, map(int, new))))
+                    except ValueError:  # an integer too long for int()
+                        self._too_long(row, kinds, pos, end)
+                columns.append(map(memo.__getitem__, column))
+            facts.extend(map(Fact, repeat(m["pred"]), zip(*columns)))
+            start, pos = m.start("last"), end
+            if len(rows) < _RUN_CHUNK:
+                break
+        return pos
+
+    def _too_long(self, row: re.Pattern, kinds: tuple[type, ...], pos: int, end: int) -> None:
+        """Raise at the first integer literal between pos and end too long for int()."""
+        for m in row.finditer(self.text, pos, end):
+            for group, kind in enumerate(kinds, 1):
+                if kind is Number:
+                    self.number(m[group], m.start(group) + (m[group][0] == "-"))
 
     def _flat_args(self, parts: list[str], offset: int) -> tuple[GroundTerm, ...] | None:
         """The terms of a flat fact's arguments; None if parts split a string."""
@@ -546,26 +639,35 @@ class _ProgramParser:
     def fold(self, op_tok, left, right):
         """left op right, computed now if both are numbers and it has a value.
 
-        1/0 and a result with too many digits stay unfolded, to be reported
-        when the rule is evaluated, and become a defect at the operator.
+        1/0, a result with too many digits and a ground operand that is not
+        a number stay unfolded, to be reported when the rule is evaluated,
+        and become a defect at the operator.
         """
         if isinstance(left, Number) and isinstance(right, Number):
             try:
                 return Number(_arith(op_tok.text, left.value, right.value))
             except ArithmeticError as exc:
                 self.defect = self.defect or (str(exc), op_tok.offset)
+        else:
+            self.non_integer(op_tok, left, right)
         return Arith(op_tok.text, left, right)
 
+    def non_integer(self, op_tok, *operands) -> None:
+        """Record a defect at the operator if an operand is ground but not a number."""
+        if any(isinstance(a, GROUND_TYPES) and not isinstance(a, Number) for a in operands):
+            self.defect = self.defect or (f"arithmetic on non-integers ({op_tok.text})",
+                                          op_tok.offset)
+
     def unary(self):
-        signs = 0
+        signs = []
         while self.cur.text == "-":
-            self.advance()
-            signs += 1
+            signs.append(self.advance())
         node = self.primary()
-        for _ in range(signs):
+        for sign in reversed(signs):
             if isinstance(node, Number):
                 node = Number(-node.value)
             else:
+                self.non_integer(sign, node)
                 node = Arith("-", Number(0), node)
         return node
 

@@ -142,13 +142,14 @@ class _Tok:
     column: int
 
 
-def _tokenize_line(line: str, lineno: int) -> list[_Tok]:
+def _tokenize_line(line: str, lineno: int, column: int = 1) -> list[_Tok]:
+    """The tokens of line, whose first character is at column of line lineno."""
     toks: list[_Tok] = []
     pos = 0
     while pos < len(line):
         m = _SCRIPT_TOKEN_RE.match(line, pos)
         if m is None:
-            raise ScriptSyntaxError(f"unexpected character {line[pos]!r}", lineno, pos + 1)
+            raise ScriptSyntaxError(f"unexpected character {line[pos]!r}", lineno, pos + column)
         kind = m.lastgroup
         text = m.group()
         pos = m.end()
@@ -156,21 +157,22 @@ def _tokenize_line(line: str, lineno: int) -> list[_Tok]:
             continue
         if kind == "name" and text in _KEYWORDS:
             kind = "kw"
-        toks.append(_Tok(kind, text, lineno, m.start() + 1))
-    toks.append(_Tok("end", "", lineno, len(line) + 1))
+        toks.append(_Tok(kind, text, lineno, m.start() + column))
+    toks.append(_Tok("end", "", lineno, len(line) + column))
     return toks
 
 
 _SCRIPT_ESCAPES = {"\\\\": "\\", "\\'": "'", '\\"': '"', "\\n": "\n"}
 
 
-def _decode_script_string(tok: _Tok) -> str:
+def _decode_script_string(text: str, tok: _Tok) -> str:
+    """text, the content of the string literal tok or a part of it, unescaped."""
     def unescape(m: re.Match) -> str:
         if m.group() not in _SCRIPT_ESCAPES:
             raise ScriptSyntaxError(f"unsupported escape {m.group()}", tok.line, tok.column)
         return _SCRIPT_ESCAPES[m.group()]
 
-    return re.sub(r"\\.", unescape, tok.text[1:-1])
+    return re.sub(r"\\.", unescape, text)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +217,7 @@ class _LineParser:
         self.i = 0
         self.open = 0  # brackets open at the current token
         self.mentions = mentions
-        self.string: str | None = None  # the last atom, if a string literal
+        self.string: _Tok | None = None  # the last atom, if a string literal
 
     @property
     def cur(self) -> _Tok:
@@ -318,8 +320,8 @@ class _LineParser:
                 raise ScriptSyntaxError(integer_too_long(), t.line, t.column) from None
         if t.kind == "string":
             self.advance()
-            self.string = _decode_script_string(t)
-            return _constant(self.string), 0
+            self.string = t
+            return _constant(_decode_script_string(t.text[1:-1], t)), 0
         if t.text in _CONSTANTS:
             self.advance()
             return _CONSTANTS[t.text], 0
@@ -406,24 +408,29 @@ class _LineParser:
             return _assign(t.text, self.expr())
         return self.expr()
 
-    def fail_segments(self, text: str, tok: _Tok) -> tuple:
-        """Split a literal fail message into text and `{expr}` segments.
+    def fail_segments(self, string: _Tok, tok: _Tok) -> tuple:
+        """Split the string literal of a fail message into text and `{expr}` segments.
 
         The expressions are evaluated when the message is built, at failure.
+        No escape stands for a brace, so the braces are found in the literal
+        as written, and each expression is tokenized at its column.
         """
+        text = string.text[1:-1]
         segments: list = []
         pos = 0
         while pos < len(text):
             open_ = text.find("{", pos)
             if open_ < 0:
-                segments.append(_constant(text[pos:]))
+                segments.append(_constant(_decode_script_string(text[pos:], string)))
                 break
             close = text.find("}", open_)
             if close < 0:
                 raise ScriptSyntaxError("unterminated '{' in fail message", tok.line, tok.column)
             if open_ > pos:
-                segments.append(_constant(text[pos:open_]))
-            p = _LineParser(_tokenize_line(text[open_ + 1 : close], tok.line), self.mentions)
+                segments.append(_constant(_decode_script_string(text[pos:open_], string)))
+            expr_text = _decode_script_string(text[open_ + 1 : close], string)
+            p = _LineParser(_tokenize_line(expr_text, tok.line, string.column + open_ + 2),
+                            self.mentions)
             expr = p.expr()
             if not p.at_end():
                 raise p.error("end of interpolated expression")

@@ -96,6 +96,26 @@ class TestValidate:
         assert err.startswith("invalid input: ")
         assert position in err
 
+    @pytest.mark.parametrize("facts_text, message", [
+        ("p(-a).\n", "arithmetic on non-integers (-) (line 1, column 3)"),
+        ("p(a+1).\n", "arithmetic on non-integers (+) (line 1, column 4)"),
+        ('p("s"*2).\n', "arithmetic on non-integers (*) (line 1, column 6)"),
+        ("p(1).\np(--f(1)).\n", "arithmetic on non-integers (-) (line 2, column 4)"),
+    ])
+    def test_arithmetic_on_non_integers_in_fact_exit_1(self, tmp_path, capsys, facts_text,
+                                                       message):
+        spec = write(tmp_path, "p.yaml", "p:\n    x: Any\n")
+        assert main(["validate", spec, write(tmp_path, "bad.lp", facts_text)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"invalid input: {message}\n"
+        assert "Traceback" not in err
+
+    def test_arithmetic_on_non_integers_in_a_rule_stays_lazy(self, tmp_path, capsys):
+        spec = write(tmp_path, "p.yaml", "p:\n    x: Any\n")
+        facts = write(tmp_path, "rule.lp", "p(1).\nq(Y) :- r(X), Y = -a.\n")
+        assert main(["validate", spec, facts]) == 0
+        assert capsys.readouterr().out == "valid\n"
+
     @pytest.mark.parametrize("depth, code", [(100, 0), (101, 1), (5000, 1)])
     def test_deep_nesting(self, tmp_path, capsys, depth, code):
         spec = write(tmp_path, "p.yaml", "p:\n    x: Any\n")
@@ -351,6 +371,18 @@ def test_bare_self_and_cls_are_syntax_errors(tmp_path, capsys):
         out, err = capsys.readouterr()
         assert "script-syntax" in out + err
         assert "Scope" not in out + err and "Traceback" not in err
+
+
+# An interpolated expression is positioned in the script line, escapes before it counted.
+@pytest.mark.parametrize("script, message", [
+    ("fail('{self} {cls}')", "expected '.' after 'self', got end of line (line 1, column 12)"),
+    ("fail('\\\\ \\'{x $}')", "unexpected character '$' (line 1, column 15)"),
+], ids=["bare-self", "escapes"])
+def test_fail_interpolation_errors_have_line_columns(tmp_path, capsys, script, message):
+    spec = write(tmp_path, "p.yaml",
+                 f"p:\n    x: Integer\n    valasp:\n        after_init: {script}\n")
+    assert main(["check", spec]) == 2
+    assert capsys.readouterr().err == f"p: script-syntax: p.valasp.after_init: {message}\n"
 
 
 # Each of these once ended the CLI in a RecursionError traceback.

@@ -589,8 +589,10 @@ def test_every_evaluation_error_message(text, instance, store, error, message):
     ("x = 1 2", "expected end of line, got '2' (line 1, column 7)"),
     ("fail 'a'", "expected '(' after fail, got \"'a'\" (line 1, column 6)"),
     ("fail('a' 'b')", "expected ')' closing fail, got \"'b'\" (line 1, column 10)"),
-    ("fail('a {1 +}')", "expected an expression, got end of line (line 1, column 4)"),
-    ("fail('a {1 2}')", "expected end of interpolated expression, got '2' (line 1, column 3)"),
+    ("fail('a {1 +}')", "expected an expression, got end of line (line 1, column 13)"),
+    ("fail('a {1 2}')", "expected end of interpolated expression, got '2' (line 1, column 12)"),
+    ("fail('\\n\\'{1 2}')",
+     "expected end of interpolated expression, got '2' (line 1, column 14)"),
     ("fail('a {1')", "unterminated '{' in fail message (line 1, column 1)"),
     ("if True x = 1", "expected ':' after the if condition, got 'x' (line 1, column 9)"),
     ("if True: x = 1 2", "expected end of line after the inline statement, got '2'"

@@ -4,6 +4,7 @@ import copy
 import pickle
 import random
 from functools import cmp_to_key
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -398,6 +399,88 @@ def test_flat_facts_bypass_the_grammar(monkeypatch):
         Fact("p", (Const("x"), Number(-1), Str("a,b"), Number(7), Const("_y"))),
         Fact("q", (Number(1),)),
     ]
+
+
+# Long runs of flat facts are read in bulk, a chunk of facts at a time.  The
+# reference reads the same text with the grammar alone.
+
+_CHUNK_START = datalog._RUN_START  # the first fact a bulk read takes
+_STRINGS = ['"x"', '"a,b"', '","', '""', '"% no comment"', '"p(1)."']
+_CONSTANTS = ["a", "b", "_c", "dE9"]
+_FACT_SEPARATORS = ["", "\n", " ", "\r\n", "\t", "% c\n", "%q(1).\r\n"]
+# Text the bulk read does not cover: (prefix of the arguments, terminator).
+_BREAKS = {
+    "dots": ("", ".."), "escape": ('"a\\"b",', "."), "spacing": (" ", "."),
+    "comment": ("% c\n", "."), "nested": ("f(1),", "."), "long": ("1" * 5000 + ",", "."),
+}
+
+
+def _read_by_grammar(parse, text):
+    with mock.patch.object(datalog._ProgramParser, "flat_facts", lambda self, facts: None):
+        return _outcome(parse, text)
+
+
+def _outcome(parse, text):
+    """The facts read, or the message, line and column of the error."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return str(exc), exc.line, exc.column
+
+
+def _run_text(rng, break_at: int | None, odd_numbers: bool) -> str:
+    """Runs of flat facts, each shape change mid-run; one break at break_at."""
+    numbers = [str(n) for n in range(-5, 6)] + (["007", "-0"] if odd_numbers else [])
+    values = {Number: numbers, Str: _STRINGS, Const: _CONSTANTS}
+    shape = ("p", (Number, Str))
+    parts = []
+    while len(parts) < 2 * (_CHUNK_START + datalog._RUN_CHUNK):
+        pred, kinds = shape
+        for _ in range(rng.choice([1, 3, _CHUNK_START + 1, datalog._RUN_CHUNK + 70])):
+            args = ",".join(rng.choice(values[kind]) for kind in kinds)
+            end = "."
+            if len(parts) == break_at:
+                prefix, end = _BREAKS[rng.choice(sorted(_BREAKS))]
+                args = prefix + args
+            parts.append(f"{pred}({args}){end}{rng.choice(_FACT_SEPARATORS)}")
+        change = rng.randrange(3)  # another kind, another arity, another predicate
+        kinds = list(kinds)
+        if change == 0:
+            kinds[rng.randrange(len(kinds))] = rng.choice([Number, Str, Const])
+        elif change == 1:
+            kinds = kinds[1:] if len(kinds) > 2 else kinds + [rng.choice([Number, Str, Const])]
+        shape = (rng.choice(["p", "q", "pq"]) if change == 2 else pred, tuple(kinds))
+    return "".join(parts)
+
+
+@given(st.integers(min_value=0, max_value=2**32),
+       st.sampled_from([None, 0, _CHUNK_START - 1, _CHUNK_START, _CHUNK_START + 1,
+                        _CHUNK_START + datalog._RUN_CHUNK - 1, _CHUNK_START + datalog._RUN_CHUNK]),
+       st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_bulk_read_runs_read_as_the_grammar_reads_them(seed, break_at, odd_numbers):
+    text = _run_text(random.Random(seed), break_at, odd_numbers)
+    for parse in (parse_facts, lambda text: parse_program(text).facts):
+        assert _outcome(parse, text) == _read_by_grammar(parse, text)
+    if break_at is None and not odd_numbers:
+        # Equal literals read flat share one term.
+        seen: dict = {}
+        for fact in parse_facts(text):
+            for arg in fact.args:
+                if type(arg) is not Str:
+                    assert seen.setdefault(arg, arg) is arg
+
+
+@pytest.mark.parametrize("at", [_CHUNK_START - 1, _CHUNK_START,
+                                _CHUNK_START + datalog._RUN_CHUNK - 1,
+                                _CHUNK_START + datalog._RUN_CHUNK])
+@pytest.mark.parametrize("parse", [parse_facts, parse_program])
+def test_overlong_integer_at_a_chunk_boundary(parse, at):
+    lines = [f'income("c{i}",{i}).\n' for i in range(2 * datalog._RUN_CHUNK)]
+    lines[at] = f'income("c{at}",-{"9" * 5000}).\n'
+    with pytest.raises(ParseError, match="integer literal longer than") as exc:
+        parse("".join(lines))
+    assert (exc.value.line, exc.value.column) == (at + 1, len(f'income("c{at}",-') + 1)
 
 
 @pytest.mark.parametrize("text, facts", [
