@@ -19,8 +19,9 @@ kinds is read in bulk, a column at a time, with patterns compiled for that
 shape (see _ProgramParser.flat_facts).  Every route reads the same facts
 and raises the same errors.
 
-Evaluation is bottom-up and semi-naive per stratum: each iteration joins at
-least one body atom against the tuples derived in the previous iteration.
+Evaluation is bottom-up, semi-naive per component of the dependency graph;
+a non-recursive component takes one pass.  Each iteration joins at least
+one body atom against the tuples derived in the previous iteration.
 Each rule's plan is compiled when it is parsed into nested closures over a
 list of variable slots (see _Compiler); nothing interprets the rule later.
 Body and aggregate-condition atoms read their relation through hash
@@ -855,7 +856,10 @@ def _plan_rule(rule: Rule) -> None:
 
 
 def stratify(program: "Program | list[Rule]") -> list[list[str]]:
-    """Partition predicates into strata; raise UnstratifiedError on bad cycles."""
+    """The finest stratification: the components of the dependency graph, each
+    sorted and after those it reads, which evaluate runs in order, semi-naive
+    per component; a non-recursive component takes one pass.  Raise
+    UnstratifiedError on a cycle through negation or aggregation."""
     rules = program.rules if isinstance(program, Program) else program
     preds: set[str] = set()
     pos_edges: set[tuple[str, str]] = set()
@@ -877,31 +881,20 @@ def stratify(program: "Program | list[Rule]") -> list[list[str]]:
                         neg_edges.add((c.pred, h))
 
     succ: dict[str, list[str]] = {p: [] for p in sorted(preds)}
+    reads: dict[str, list[str]] = {p: [] for p in succ}
     for src, dst in sorted(pos_edges | neg_edges):
         succ[src].append(dst)
-    sccs = _tarjan(succ)
+        reads[dst].append(src)
+    # Over reads, Tarjan lists each component after those it reads; the rest
+    # of the order is its depth-first search from the predicates by name.
+    sccs = _tarjan(reads)
     scc_of = {p: i for i, scc in enumerate(sccs) for p in scc}
     for src, dst in sorted(neg_edges):
         if scc_of[src] == scc_of[dst]:
             # A real cycle through the offending edge, from the least member.
             start = min(sccs[scc_of[src]])
             raise UnstratifiedError(_path(succ, start, src) + _path(succ, dst, start)[:-1])
-
-    # Longest path over the condensation, counting negative edges.  Tarjan
-    # lists each SCC after every SCC it reaches, so in reverse each level is
-    # final before it is pushed along the SCC's edges.
-    level = [0] * len(sccs)
-    for i in reversed(range(len(sccs))):
-        for src in sccs[i]:
-            for dst in succ[src]:
-                j = scc_of[dst]
-                if j != i:
-                    level[j] = max(level[j], level[i] + ((src, dst) in neg_edges))
-
-    strata: list[list[str]] = [[] for _ in sccs]
-    for i, scc in enumerate(sccs):
-        strata[level[i]].extend(scc)
-    return [sorted(s) for s in strata if s]
+    return [sorted(scc) for scc in sccs]
 
 
 def _path(succ: dict[str, list[str]], start: str, goal: str) -> list[str]:
@@ -1064,21 +1057,20 @@ class _Relations:
 
 
 def _eval_stratum(rules: list[Rule], relations: _Relations) -> None:
-    # Only this stratum's heads enter the delta, so an atom over a lower
-    # stratum never reads it; and only the heads that a body atom of the
-    # stratum reads, so every atom in it is read.
-    read = {pred for rule in rules for pred in rule.atoms}
-    noted = [rule.head.pred in read for rule in rules]
+    # One component's rules.  Unless a body atom reads one of its heads, one
+    # pass derives all and nothing enters the delta; otherwise only its heads
+    # do, so an atom over an earlier component never reads the delta.
+    heads = {rule.head.pred for rule in rules}
     delta = _Relations()
-    for rule, note in zip(rules, noted):
-        rule.derive(relations, delta if note else None)
-
+    out = delta if any(p in heads for rule in rules for p in rule.atoms) else None
+    for rule in rules:
+        rule.derive(relations, out)
     while delta.tuples:
         frozen, delta = delta, _Relations()
-        for rule, note in zip(rules, noted):
+        for rule in rules:
             for occurrence, pred in enumerate(rule.atoms):
                 if pred in frozen.tuples:
-                    rule.derive(relations, delta if note else None, frozen, occurrence)
+                    rule.derive(relations, delta, frozen, occurrence)
     # delta empty: fixpoint reached
 
 

@@ -25,7 +25,7 @@ import datetime
 import operator
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 from .terms import (
     COMPARISONS,
@@ -142,14 +142,15 @@ class _Tok:
     column: int
 
 
-def _tokenize_line(line: str, lineno: int, column: int = 1) -> list[_Tok]:
-    """The tokens of line, whose first character is at column of line lineno."""
+def _tokenize_line(line: str, lineno: int, columns: Sequence[int] = ()) -> list[_Tok]:
+    """The tokens of line lineno; line[i] is at column columns[i], by default i + 1."""
+    columns = columns or range(1, len(line) + 2)
     toks: list[_Tok] = []
     pos = 0
     while pos < len(line):
         m = _SCRIPT_TOKEN_RE.match(line, pos)
         if m is None:
-            raise ScriptSyntaxError(f"unexpected character {line[pos]!r}", lineno, pos + column)
+            raise ScriptSyntaxError(f"unexpected character {line[pos]!r}", lineno, columns[pos])
         kind = m.lastgroup
         text = m.group()
         pos = m.end()
@@ -157,8 +158,8 @@ def _tokenize_line(line: str, lineno: int, column: int = 1) -> list[_Tok]:
             continue
         if kind == "name" and text in _KEYWORDS:
             kind = "kw"
-        toks.append(_Tok(kind, text, lineno, m.start() + column))
-    toks.append(_Tok("end", "", lineno, len(line) + column))
+        toks.append(_Tok(kind, text, lineno, columns[m.start()]))
+    toks.append(_Tok("end", "", lineno, columns[len(line)]))
     return toks
 
 
@@ -413,7 +414,7 @@ class _LineParser:
 
         The expressions are evaluated when the message is built, at failure.
         No escape stands for a brace, so the braces are found in the literal
-        as written, and each expression is tokenized at its column.
+        as written, and each expression is tokenized at the columns it is written at.
         """
         text = string.text[1:-1]
         segments: list = []
@@ -428,8 +429,10 @@ class _LineParser:
                 raise ScriptSyntaxError("unterminated '{' in fail message", tok.line, tok.column)
             if open_ > pos:
                 segments.append(_constant(_decode_script_string(text[pos:open_], string)))
-            expr_text = _decode_script_string(text[open_ + 1 : close], string)
-            p = _LineParser(_tokenize_line(expr_text, tok.line, string.column + open_ + 2),
+            raw, start = text[open_ + 1 : close], string.column + open_ + 2
+            # An escape decodes to one character, at its backslash's column.
+            columns = [start + m.start() for m in re.finditer(r"\\.|.|$", raw)]
+            p = _LineParser(_tokenize_line(_decode_script_string(raw, string), tok.line, columns),
                             self.mentions)
             expr = p.expr()
             if not p.at_end():

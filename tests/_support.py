@@ -334,26 +334,18 @@ def _oracle_match(pos, i, binding, database):
             yield from _oracle_match(pos, i + 1, new_binding, database)
 
 
-def stratify_oracle(rules) -> list[list[str]] | None:
-    """Strata of (head, body) rules, body a list of (predicate, negated).
+def stratify_oracle(rules) -> set[tuple[str, str]] | None:
+    """Reachability of (head, body) rules, body a list of (predicate, negated).
 
     None when some negative edge lies on a cycle, a self-loop included.
-    Otherwise each predicate's level is relaxed, edge by edge, to the most
-    negative edges on any path into it, and equal levels form a stratum.
+    Otherwise every (a, b) with b reached from a along one or more edges,
+    which run from a body predicate to its head.
     """
     edges = {(b, head, negated) for head, body in rules for b, negated in body}
     reach = reachable_pairs({(b, head) for b, head, _ in edges})
     if any(negated and (head, b) in reach for b, head, negated in edges):
         return None
-    level = {p: 0 for edge in edges for p in edge[:2]}
-    changed = True
-    while changed:
-        changed = False
-        for b, head, negated in edges:
-            if level[head] < level[b] + negated:
-                level[head] = level[b] + negated
-                changed = True
-    return [sorted(p for p in level if level[p] == k) for k in sorted(set(level.values()))]
+    return reach
 
 
 def model_as_tuples(facts) -> set[tuple]:

@@ -618,6 +618,17 @@ def test_derived_terms_nest_at_most_100_deep(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+def test_solitaire_range_from_far_below_is_an_enum_error(tmp_path, capsys):
+    # range counts up from -4000 in 4007 rounds; location's rules read it
+    # once, after the last round, not once a round.
+    spec = write(tmp_path, "solitaire.yaml", fixture_text("solitaire.yaml"))
+    facts = write(tmp_path, "range.lp", "range(-4000).\n")
+    assert main(["validate", spec, facts]) == 1
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "location/2: enum: value: -4000 is not one of [1, 2, 3, 4, 5, 6, 7]"
+        " [location(3,-4000)]")
+
+
 def test_interval_width_is_bounded(tmp_path):
     # Once a MemoryError traceback and exit 1, after building every number.
     spec = write(tmp_path, "p.yaml", "p:\n    x: Integer\n")

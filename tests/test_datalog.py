@@ -22,6 +22,7 @@ from aspcheck.terms import Fact, Number, parse_facts, render
 from _support import (
     bfs_connected,
     generate_program,
+    load_fixture,
     model_as_tuples,
     naive_fixpoint,
     reachable_pairs,
@@ -215,11 +216,8 @@ class TestFacts:
 
 
 class TestStratify:
-    def test_poset_has_two_strata(self):
-        strata = stratify(parse_program(POSET_RULES))
-        assert len(strata) == 2
-        assert set(strata[0]) == {"element", "r"}
-        assert strata[1] == ["lost"]
+    def test_poset_strata_are_its_components(self):
+        assert stratify(parse_program(POSET_RULES)) == [["r"], ["element"], ["lost"]]
 
     def test_self_negation_rejected(self):
         with pytest.raises(UnstratifiedError, match="p"):
@@ -257,7 +255,7 @@ class TestStratify:
 
     def test_positive_recursion_is_fine(self):
         strata = stratify(parse_program("t(X,Y) :- e(X,Y). t(X,Z) :- t(X,Y), e(Y,Z)."))
-        assert len(strata) == 1
+        assert strata == [["e"], ["t"]]
 
 
 # Rules over 0-ary predicates whose bodies mix plain and negated atoms, so
@@ -273,9 +271,23 @@ _zero_ary_rules = st.lists(st.tuples(
 def test_stratify_matches_relaxation_oracle(rules):
     text = " ".join(f"{head} :- " + ", ".join(("not " if neg else "") + b for b, neg in body)
                     + "." for head, body in rules)
-    expected = stratify_oracle(rules)
-    if expected is not None:
-        assert stratify(parse_program(text)) == expected
+    reach = stratify_oracle(rules)
+    if reach is not None:
+        strata = stratify(parse_program(text))
+        stratum_of = {p: i for i, stratum in enumerate(strata) for p in stratum}
+        preds = {p for head, body in rules for p in [head, *(b for b, _ in body)]}
+        # Sorted strata that partition exactly the rules' predicates, two of
+        # them together when they reach each other.
+        assert all(stratum == sorted(stratum) for stratum in strata)
+        assert sorted(p for stratum in strata for p in stratum) == sorted(preds)
+        for a in preds:
+            for b in preds:
+                together = a == b or {(a, b), (b, a)} <= reach
+                assert (stratum_of[a] == stratum_of[b]) == together, (a, b)
+        # Every edge from an earlier or the same stratum, a negated one from an earlier.
+        for head, body in rules:
+            for b, neg in body:
+                assert stratum_of[b] + neg <= stratum_of[head], (b, head)
         return
     with pytest.raises(UnstratifiedError) as info:
         parse_program(text)
@@ -619,6 +631,24 @@ class TestIndexedJoins:
         assert len(paths) == n * (n + 1) // 2
         assert examined <= 10 * len(paths), (examined, len(paths))
 
+    def test_matching_work_is_linear_in_a_long_solitaire_range(self, monkeypatch):
+        # range counts up from -2000 one round at a time; the location rules
+        # read it in one pass after range is done, not once a round.
+        examined = 0
+        lookup = datalog._Relations.lookup
+
+        def counting(self, *args):
+            nonlocal examined
+            for candidate in lookup(self, *args):
+                examined += 1
+                yield candidate
+
+        monkeypatch.setattr(datalog._Relations, "lookup", counting)
+        program = parse_program(load_fixture("solitaire.yaml").asp_program)
+        model = evaluate(program, parse_facts("range(-2000)."))
+        assert len(model) == 8044
+        assert examined <= 10 * len(model), (examined, len(model))
+
 
 BIG = "1" + "0" * 2200  # its square has more digits than int() converts
 NINES = 10 ** 4300 - 1
@@ -656,6 +686,17 @@ class TestEvaluationErrors:
         with pytest.raises(EvaluationError) as exc:
             evaluate(parse_program(rule), parse_facts(facts))
         assert str(exc.value) == f"{message} in rule: {rule} with {binding}"
+
+    @pytest.mark.parametrize("rules", [["a", "b"], ["b", "a"]])
+    def test_first_failing_component_in_stratify_order_is_reported(self, rules):
+        # a and b are components of their own, after r's and in name order
+        # whichever rule comes first in the program.
+        text = " ".join(f"{head}(X) :- r(X), Y = X/0." for head in rules)
+        program = parse_program(text)
+        assert stratify(program) == [["r"], ["a"], ["b"]]
+        with pytest.raises(EvaluationError) as exc:
+            evaluate(program, parse_facts("r(1)."))
+        assert str(exc.value) == "division by zero in rule: a(X) :- r(X), Y = X/0. with {X: 1}"
 
     def test_interval_width_is_a_resource_limit(self, monkeypatch):
         monkeypatch.setattr(datalog, "MAX_INTERVAL_VALUES", 5)

@@ -593,6 +593,10 @@ def test_every_evaluation_error_message(text, instance, store, error, message):
     ("fail('a {1 2}')", "expected end of interpolated expression, got '2' (line 1, column 12)"),
     ("fail('\\n\\'{1 2}')",
      "expected end of interpolated expression, got '2' (line 1, column 14)"),
+    # Escapes inside the braces count as written, two characters each.
+    ("fail('{1 == \\'a\\' $}')", "unexpected character '$' (line 1, column 19)"),
+    ("fail('{\\'a\\' 2}')",
+     "expected end of interpolated expression, got '2' (line 1, column 14)"),
     ("fail('a {1')", "unterminated '{' in fail message (line 1, column 1)"),
     ("if True x = 1", "expected ':' after the if condition, got 'x' (line 1, column 9)"),
     ("if True: x = 1 2", "expected end of line after the inline statement, got '2'"
