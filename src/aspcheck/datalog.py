@@ -454,7 +454,8 @@ class _ProgramParser:
         Up to _RUN_CHUNK facts at a time: one match finds where they end, one
         findall over that span reads their argument columns, and each column
         is converted at once, a number or a constant through memo once per
-        distinct literal.  Anything else ends the read where it starts.
+        distinct literal.  Anything else, an integer too long for int() too,
+        ends the read where that chunk starts.
         """
         chunk, row = _run_patterns(kinds)
         text, memo = self.text, self.memo
@@ -471,21 +472,14 @@ class _ProgramParser:
                     try:
                         memo.update(zip(new, map(Const, new) if kind is Const
                                         else map(Number, map(int, new))))
-                    except ValueError:  # an integer too long for int()
-                        self._too_long(row, kinds, pos, end)
+                    except ValueError:
+                        return pos
                 columns.append(map(memo.__getitem__, column))
             facts.extend(map(Fact, repeat(m["pred"]), zip(*columns)))
             start, pos = m.start("last"), end
             if len(rows) < _RUN_CHUNK:
                 break
         return pos
-
-    def _too_long(self, row: re.Pattern, kinds: tuple[type, ...], pos: int, end: int) -> None:
-        """Raise at the first integer literal between pos and end too long for int()."""
-        for m in row.finditer(self.text, pos, end):
-            for group, kind in enumerate(kinds, 1):
-                if kind is Number:
-                    self.number(m[group], m.start(group) + (m[group][0] == "-"))
 
     def _flat_args(self, parts: list[str], offset: int) -> tuple[GroundTerm, ...] | None:
         """The terms of a flat fact's arguments; None if parts split a string."""

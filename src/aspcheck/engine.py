@@ -21,14 +21,14 @@ from typing import NamedTuple
 from . import datalog, hooks
 from .diagnostics import Diagnostic, RunStats, ValidationReport
 from .schema import (
+    TERM_CLASSES,
     FieldDecl,
     PrimitiveType,
     UserDefinition,
     ValidationSpec,
     check_spec,
 )
-from .terms import (Const, Fact, Func, Number, Str, integer_too_long, render, sort_key,
-                    too_many_digits)
+from .terms import Fact, Func, integer_too_long, render, sort_key, too_many_digits
 
 __all__ = [
     "RunOptions",
@@ -213,16 +213,16 @@ def _run_hook(script: hooks.HookScript, env: hooks.EvalEnv,
     return None
 
 
-# Per primitive type: the term class, its name in messages, the field value.
+# Per primitive type: its name in messages, the field value of its term.
 _KINDS = {
-    PrimitiveType.INTEGER: (Number, "an integer", attrgetter("value")),
-    PrimitiveType.STRING: (Str, "a string", attrgetter("value")),
-    PrimitiveType.ALPHA: (Const, "an alphanumeric constant", attrgetter("name")),
+    PrimitiveType.INTEGER: ("an integer", attrgetter("value")),
+    PrimitiveType.STRING: ("a string", attrgetter("value")),
+    PrimitiveType.ALPHA: ("an alphanumeric constant", attrgetter("name")),
 }
 
 
 def _compile(definition: UserDefinition, store: AccumulatorStore) -> _Checks:
-    fields = definition.fields
+    symbol, fields = definition.symbol, definition.fields
     after, init = definition.after_grounding, definition.after_init
     snapshot = (after is not None and after.uses_self
                 and (init is None or not init.uses_append_snapshot))
@@ -234,32 +234,39 @@ def _compile(definition: UserDefinition, store: AccumulatorStore) -> _Checks:
     # hook and no other symbol, so its group can be checked column by column.
     pure = order_free and not definition.having and all(
         isinstance(f.type, PrimitiveType) for f in fields)
+    compiled = [(f.name, *_compile_field(f, store)) for f in fields]
     return _Checks(
-        fields=tuple((f.name, _compile_field(f, store)) for f in fields),
-        sums=tuple((f.name, (definition.symbol, f.name), f.facets.sum_pos, f.facets.sum_neg)
-                   for f in fields if f.facets.sum_pos or f.facets.sum_neg),
+        fields=tuple((name, check) for name, check, _, _ in compiled),
+        sums=tuple((name, (symbol, name), pos, neg)
+                   for name, _, _, (pos, neg) in compiled if pos or neg),
         snapshot=snapshot, in_after_init=in_after_init, order_free=order_free,
-        columns=_compile_columns(definition) if pure else None)
+        columns=_compile_columns(symbol, compiled) if pure else None)
 
 
 def _compile_field(fld: FieldDecl, store: AccumulatorStore):
-    """One field's kind and facet checks as a closure over its bounds.
+    """One field's checks, from its facets read once: (check, totals, sums).
 
-    The closure returns the field's value.  Otherwise it raises _Invalid
+    check(term) returns the field's value.  Otherwise it raises _Invalid
     with the kind problem, or _BadFacets with every facet problem in turn:
-    enum, min, max, pattern.
+    enum, min, max, pattern.  totals(column) is None if check raises for a
+    term of the column; else the column's sums of positive and of negative
+    values, each 0 unless the field has that sum facet.  A user-typed or Any
+    field has no totals.  sums: whether the field has a sum+, a sum- facet.
     """
     if isinstance(fld.type, str):
-        return _compile_nested(fld.name, store.spec.definitions[fld.type], store)
+        check = _compile_nested(fld.name, store.spec.definitions[fld.type], store)
+        return check, None, (False, False)
     if fld.type is PrimitiveType.ANY:
-        return lambda term: term
+        return (lambda term: term), None, (False, False)
     name, facets = fld.name, fld.facets
-    kind, noun, value_of = _KINDS[fld.type]
+    kind = TERM_CLASSES[fld.type]
+    noun, value_of = _KINDS[fld.type]
     enum = None if facets.enum_values is None else frozenset(facets.enum_values)
     lo, hi = facets.min, facets.max
     integer = fld.type is PrimitiveType.INTEGER
     what, shown = ("Should be", value_of) if integer else ("length should be", render)
     match = None if integer or facets.pattern is None else re.compile(facets.pattern).fullmatch
+    pos, neg = facets.sum_pos is not None, facets.sum_neg is not None
 
     def check(term):
         if not isinstance(term, kind):
@@ -280,47 +287,9 @@ def _compile_field(fld: FieldDecl, store: AccumulatorStore):
         if problems:
             raise _BadFacets(problems, value)
         return value
-    return check
-
-
-def _compile_columns(definition: UserDefinition):
-    """A pure-facet symbol's checks over whole columns of its group.
-
-    columns(group) is None when some instance fails a kind or facet check.
-    Otherwise it is (key, positive sum, negative sum) per checked field.  It
-    changes nothing, and holds one column list at a time.
-    """
-    tests = [(itemgetter(i), _compile_column(f), (definition.symbol, f.name))
-             for i, f in enumerate(definition.fields) if f.type is not PrimitiveType.ANY]
-    args_of = attrgetter("args")
-
-    def columns(group: list[Fact]) -> list | None:
-        sums = []
-        for field_of, totals_of, key in tests:
-            totals = totals_of(list(map(field_of, map(args_of, group))))
-            if totals is None:
-                return None
-            sums.append((key, *totals))
-        return sums
-    return columns
-
-
-def _compile_column(fld: FieldDecl):
-    """totals(col): None if a term of the field's column fails a check that
-    _compile_field builds; else the column's sums of positive and of
-    negative values, each 0 unless the field has that sum facet.
-    """
-    facets = fld.facets
-    kind, _, value_of = _KINDS[fld.type]
-    kinds = {kind}
-    enum = None if facets.enum_values is None else frozenset(facets.enum_values)
-    lo, hi = facets.min, facets.max
-    integer = fld.type is PrimitiveType.INTEGER
-    match = None if integer or facets.pattern is None else re.compile(facets.pattern).fullmatch
-    pos, neg = facets.sum_pos is not None, facets.sum_neg is not None
 
     def totals(col: list) -> tuple[int, int] | None:
-        if set(map(type, col)) != kinds or (enum is not None and not enum.issuperset(col)):
+        if set(map(type, col)) != {kind} or (enum is not None and not enum.issuperset(col)):
             return None
         if integer:
             # Term order is value order within one kind.
@@ -333,7 +302,30 @@ def _compile_column(fld: FieldDecl):
                 or match is not None and not all(map(match, set(map(value_of, col))))):
             return None
         return 0, 0
-    return totals
+    return check, totals, (pos, neg)
+
+
+def _compile_columns(symbol: str, compiled: list):
+    """A pure-facet symbol's checks over whole columns of its group, from
+    its compiled fields, (name, check, totals, sums) each.
+
+    columns(group) is None when some instance fails a kind or facet check.
+    Otherwise it is (key, positive sum, negative sum) per checked field.  It
+    changes nothing, and holds one column list at a time.
+    """
+    tests = [(itemgetter(i), totals_of, (symbol, name))
+             for i, (name, _, totals_of, _) in enumerate(compiled) if totals_of is not None]
+    args_of = attrgetter("args")
+
+    def columns(group: list[Fact]) -> list | None:
+        sums = []
+        for field_of, totals_of, key in tests:
+            totals = totals_of(list(map(field_of, map(args_of, group))))
+            if totals is None:
+                return None
+            sums.append((key, *totals))
+        return sums
+    return columns
 
 
 def _compile_nested(name: str, nested: UserDefinition, store: AccumulatorStore):

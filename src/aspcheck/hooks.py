@@ -111,9 +111,6 @@ class HookScript:
     uses_append_snapshot: bool
     snapshot_only: bool
 
-    def __bool__(self) -> bool:
-        return bool(self.statements)
-
 
 # ---------------------------------------------------------------------------
 # Tokenizer (per logical line, indentation tracked separately)
@@ -451,7 +448,10 @@ def parse_script(text: str) -> HookScript:
         if not stripped or stripped.startswith("#"):
             continue
         indent = len(expanded) - len(expanded.lstrip(" "))
-        lines.append((indent, _tokenize_line(expanded.strip(), lineno)))
+        # Columns count in the expanded line, its indentation included.
+        start = len(expanded) - len(expanded.lstrip())
+        lines.append((indent, _tokenize_line(stripped, lineno,
+                                             range(start + 1, len(expanded) + 2))))
 
     mentions: set[str] = set()
     statements, rest = _parse_block(lines, 0, None, 0, mentions)

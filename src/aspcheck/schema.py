@@ -54,6 +54,13 @@ class PrimitiveType(enum.Enum):
     ANY = "Any"
 
 
+# The term class of each primitive type's values; Any takes every term.
+TERM_CLASSES = {
+    PrimitiveType.INTEGER: Number,
+    PrimitiveType.STRING: Str,
+    PrimitiveType.ALPHA: Const,
+}
+
 _FACETS_BY_TYPE = {
     PrimitiveType.INTEGER: {"enum", "min", "max", "count", "sum+", "sum-"},
     PrimitiveType.STRING: {"enum", "min", "max", "pattern", "count"},
@@ -79,7 +86,6 @@ class FieldDecl:
     name: str
     type: "PrimitiveType | str"  # str names another user definition
     facets: Facets
-    position: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -347,11 +353,14 @@ def _parse_global_block(value):
     return prelude, asp_program
 
 
-def _parse_hook(text: str, where: str, symbol: str = "", hint: str = "") -> "hooks.HookScript":
+def _parse_hook(text: str, where: str, symbol: str = "",
+                hint: str = "") -> "hooks.HookScript | None":
+    """The script of a hook; None, no hook, if it has no statements."""
     try:
-        return hooks.parse_script(text)
+        script = hooks.parse_script(text)
     except hooks.ScriptSyntaxError as exc:
         raise _err(where, "script-syntax", f"{exc}{hint}", symbol=symbol) from exc
+    return script if script.statements else None
 
 
 def _parse_definition(symbol: str, value) -> UserDefinition:
@@ -375,7 +384,7 @@ def _parse_definition(symbol: str, value) -> UserDefinition:
                            symbol=symbol)
             having, hooks_block = _parse_symbol_block(symbol, entry)
             continue
-        fields.append(_parse_field(symbol, key, entry, position=len(fields)))
+        fields.append(_parse_field(symbol, key, entry))
 
     if not fields:
         raise _err(symbol, "facet-value", "a definition needs at least one field",
@@ -421,7 +430,7 @@ def _parse_symbol_block(symbol: str, block: dict):
 _PRIMITIVES = {t.value: t for t in PrimitiveType}
 
 
-def _parse_field(symbol: str, name: str, entry, *, position: int) -> FieldDecl:
+def _parse_field(symbol: str, name: str, entry) -> FieldDecl:
     path = f"{symbol}.{name}"
     if not IDENT_RE.match(name):
         raise _err(path, "facet-value", f"{name!r} is not a valid field name",
@@ -450,7 +459,7 @@ def _parse_field(symbol: str, name: str, entry, *, position: int) -> FieldDecl:
 
     raw_facets = {k: v for k, v in entry.items() if k != "type"}
     facets = normalize_facets(raw_facets, declared, path=path)
-    return FieldDecl(name=name, type=declared, facets=facets, position=position)
+    return FieldDecl(name=name, type=declared, facets=facets)
 
 
 # ---------------------------------------------------------------------------
@@ -482,14 +491,8 @@ def check_spec(spec: ValidationSpec) -> list[Diagnostic]:
 
 
 def _check_enum_kinds(symbol: str, f: FieldDecl) -> list[Diagnostic]:
-    if f.facets.enum_values is None or not isinstance(f.type, PrimitiveType):
-        return []
-    expected = {
-        PrimitiveType.INTEGER: Number,
-        PrimitiveType.STRING: Str,
-        PrimitiveType.ALPHA: Const,
-    }.get(f.type)
-    if expected is None:
+    expected = TERM_CLASSES.get(f.type)
+    if f.facets.enum_values is None or expected is None:
         return []
     out = []
     for value in f.facets.enum_values:

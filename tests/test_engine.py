@@ -1038,6 +1038,8 @@ def test_precheck_matches_the_row_loop_over_generated_specs(data):
     ("p:\n    a: q\n    b: Integer\nq:\n    x: Integer\n", 3),
     ("p:\n    a: Integer\n    b: Integer\n    valasp:\n"
      "        after_init: |+\n            x = 1\n", 3),
+    ("p:\n    a: Integer\n    b: Integer\n    valasp:\n"
+     "        after_init: |+\n            # later\n", 0),
 ])
 def test_only_impure_symbols_are_checked_row_by_row(monkeypatch, spec_text, calls):
     seen = []
@@ -1056,7 +1058,7 @@ def test_one_bad_fact_among_valid_ones_reports_as_the_row_loop(monkeypatch, fail
                         + ' income("bad",-5).')
     spec = load_fixture("income.yaml")
     outcomes = []
-    for columns in (engine._compile_columns, lambda definition: None):
+    for columns in (engine._compile_columns, lambda symbol, compiled: None):
         stores = []
         monkeypatch.setattr(engine, "_compile_columns", columns)
         monkeypatch.setattr(engine, "AccumulatorStore",

@@ -45,7 +45,6 @@ class TestParsing:
     def test_empty_script(self):
         script = parse_script("")
         assert script.statements == ()
-        assert not script
 
     def test_indented_block(self):
         script = parse_script(
@@ -497,7 +496,7 @@ def test_nesting_at_the_limit_evaluates(text, outcome):
     ("x = self" + ".a" * 101, 1, 5),
     ("x = " + "(" * 51 + "1" + " + 1 + 1)" * 51, 1, 508),
     ("y = 0\n" + "".join(" " * i + "if True:\n" for i in range(101)) + " " * 101 + "x = 1",
-     102, 1),
+     102, 101),
 ])
 def test_nesting_beyond_the_limit_is_a_positioned_error(text, line, column):
     with pytest.raises(ScriptSyntaxError, match="nested more than 100 levels") as exc:
@@ -602,9 +601,12 @@ def test_every_evaluation_error_message(text, instance, store, error, message):
     ("if True: x = 1 2", "expected end of line after the inline statement, got '2'"
      " (line 1, column 16)"),
     ("if True:\nx = 1", "expected an indented block after 'if ...:' (line 1, column 1)"),
-    ("x = 1\n  y = 2", "unexpected indentation (line 2, column 1)"),
-    ("if True:\n    x = 1\n  y = 2", "unexpected indentation (line 3, column 1)"),
-    ("if True:\n  x = 1\n    y = 2", "unexpected indentation (line 3, column 1)"),
+    ("x = 1\n  y = 2", "unexpected indentation (line 2, column 3)"),
+    ("if True:\n    x = 1\n  y = 2", "unexpected indentation (line 3, column 3)"),
+    ("if True:\n  x = 1\n    y = 2", "unexpected indentation (line 3, column 5)"),
+    # Columns count the indentation, a tab as up to 4 spaces.
+    ("if True:\n    x = 1 2", "expected end of line, got '2' (line 2, column 11)"),
+    ("if True:\n\tx = 1 2", "expected end of line, got '2' (line 2, column 11)"),
     ("x = 1 +", "expected an expression, got end of line (line 1, column 8)"),
     ("cls.x = ", "expected an expression, got end of line (line 1, column 8)"),
     pytest.param("x = 10" + "0" * 5000,

@@ -1,5 +1,7 @@
 """Specification loading: YAML structure, facets, semantic checks."""
 
+import json
+
 import pytest
 
 from aspcheck.hooks import HookScript, run_prelude
@@ -35,7 +37,7 @@ class TestLoadSpec:
         assert income.arity == 2
         company, amount = income.fields
         assert company.type is PrimitiveType.STRING
-        assert company.position == 0
+        assert company.name == "company"
         assert amount.type is PrimitiveType.INTEGER
         assert amount.facets.min == 0
         assert amount.facets.sum_pos == (0, 2147483647)
@@ -56,9 +58,19 @@ class TestLoadSpec:
         assert short == explicit
 
     def test_field_positions_follow_source_order(self):
-        spec = load_spec("p:\n    f0: Integer\n    f1: String\n    f2: Any\n")
-        positions = {f.name: f.position for f in spec.definitions["p"].fields}
-        assert positions == {"f0": 0, "f1": 1, "f2": 2}
+        spec = load_spec("p:\n    f2: Integer\n    f0: String\n    f1: Any\n")
+        assert [f.name for f in spec.definitions["p"].fields] == ["f2", "f0", "f1"]
+
+    # Only comments and blank lines: no hook, as if the key were not given.
+    @pytest.mark.parametrize("text", ["", "# later", "\n  # later\n\n"])
+    def test_hook_without_statements_is_absent(self, text):
+        hook = json.dumps(text)  # a YAML double-quoted scalar
+        spec = load_spec(f"valasp:\n    script: {hook}\n"
+                         f"p:\n    x: Integer\n    valasp:\n        after_init: {hook}\n"
+                         f"        before_grounding: {hook}\n        after_grounding: {hook}\n")
+        p = spec.definitions["p"]
+        assert (spec.prelude, p.before_grounding, p.after_init, p.after_grounding) == (
+            None, None, None, None)
 
     def test_loading_is_deterministic(self):
         text = fixture_text("knight.yaml")
