@@ -34,6 +34,7 @@ and kept current as relations grow.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
@@ -59,8 +60,9 @@ from .terms import (
     too_many_digits,
 )
 
-# The most values one interval may hold, checked before any is built; as
-# many as a hook list may hold (hooks.MAX_LIST_ITEMS).
+# The most values one interval may hold, and the most atoms the intervals of
+# one head may give, checked before any is built; as many as a hook list may
+# hold (hooks.MAX_LIST_ITEMS).
 MAX_INTERVAL_VALUES = 10**6
 
 __all__ = [
@@ -125,12 +127,8 @@ class Arith:
 
 @dataclass(frozen=True, slots=True)
 class FuncPat:
-    name: str
-    args: tuple
-
-
-@dataclass(frozen=True, slots=True)
-class TuplePat:
+    # A compound term with a variable inside: a function, or a tuple if unnamed.
+    name: str | None
     args: tuple
 
 
@@ -166,15 +164,10 @@ class Comparison:
 
 
 @dataclass(frozen=True, slots=True)
-class Aggregate:
+class AggregateLit:
     func: str  # min max count sum
     elements: tuple  # element terms, first one is the weight
     condition: tuple  # Atom | Comparison
-
-
-@dataclass(frozen=True, slots=True)
-class AggregateLit:
-    agg: Aggregate
     op: str
     guard: object  # term
 
@@ -550,18 +543,17 @@ class _ProgramParser:
             if self.cur.text not in COMPARISONS:
                 raise self.error("a comparison after the aggregate")
             op = self.advance().text
-            right = self.term()
-            return AggregateLit(agg, op, right)
+            return AggregateLit(*agg, op, self.term())
         left = self.term()
         if self.cur.text in COMPARISONS:
             op = self.advance().text
             if self.cur.kind == "agg":
-                return AggregateLit(self.aggregate(), _FLIP[op], left)
+                return AggregateLit(*self.aggregate(), _FLIP[op], left)
             return Comparison(op, left, self.term())
         return self.as_atom(left)
 
     def as_atom(self, term) -> Atom:
-        if isinstance(term, (FuncPat, Func)):
+        if isinstance(term, (FuncPat, Func)) and term.name is not None:
             return Atom(term.name, term.args)
         if isinstance(term, Const):
             return Atom(term.name, ())
@@ -570,7 +562,8 @@ class _ProgramParser:
     def atom(self) -> Atom:
         return self.as_atom(self.term())
 
-    def aggregate(self) -> Aggregate:
+    def aggregate(self) -> tuple[str, tuple, tuple]:
+        """The function, elements and condition of an aggregate."""
         func = self.advance().text[1:]
         self.expect("{", "'{' opening the aggregate")
         elements = tuple(self.term_list())
@@ -585,7 +578,7 @@ class _ProgramParser:
         if self.cur.text == ";":
             raise self.error_at("multiple aggregate elements are not supported")
         self.expect("}", "'}' closing the aggregate")
-        return Aggregate(func, elements, condition)
+        return func, elements, condition
 
     def condition_literal(self):
         left = self.term()
@@ -694,22 +687,38 @@ class _ProgramParser:
             return AtTerm(name, args)
         if t.kind == "ident":
             self.advance()
-            if self.cur.text == "(":
-                self.open_paren()
-                args = tuple(self.term_list())
-                self.close_paren("')' closing the argument list")
-                if all(isinstance(a, GROUND_TYPES) for a in args):
-                    return Func(t.text, args)
-                return FuncPat(t.text, args)
-            return self.const(t.text)
-        if t.text == "(":
+            if self.cur.text != "(":
+                return self.const(t.text)
+            self.open_paren()
+            name, args = t.text, tuple(self.term_list())
+            self.close_paren("')' closing the argument list")
+        elif t.text == "(":
             items, is_tuple = self.parenthesized()
             if not is_tuple:
                 return items[0]
-            if all(isinstance(a, GROUND_TYPES) for a in items):
-                return Tuple(tuple(items))
-            return TuplePat(tuple(items))
-        raise self.error("a term")
+            name, args = None, tuple(items)
+        else:
+            raise self.error("a term")
+        if all(isinstance(a, GROUND_TYPES) for a in args):
+            return Tuple(args) if name is None else Func(name, args)
+        return FuncPat(name, args)
+
+
+def _children(node) -> tuple:
+    """The terms and literals directly inside a rule node; none in a Var or
+    a ground term."""
+    kind = type(node)
+    if kind in (Atom, FuncPat, AtTerm):
+        return node.args
+    if kind in (Arith, Comparison):
+        return (node.left, node.right)
+    if kind is Interval:
+        return (node.lo, node.hi)
+    if kind is NegAtom:
+        return (node.atom,)
+    if kind is AggregateLit:
+        return (*node.condition, *node.elements, node.guard)
+    return ()
 
 
 def _arith_depth(term) -> int:
@@ -722,12 +731,7 @@ def _arith_depth(term) -> int:
         if isinstance(node, (Arith, AtTerm)):
             depth += 1
             deepest = max(deepest, depth)
-        if isinstance(node, Arith):
-            stack += ((node.left, depth), (node.right, depth))
-        elif isinstance(node, Interval):
-            stack += ((node.lo, depth), (node.hi, depth))
-        elif isinstance(node, (FuncPat, TuplePat, AtTerm)):
-            stack += ((arg, depth) for arg in node.args)
+        stack += ((child, depth) for child in _children(node))
     return deepest
 
 
@@ -763,16 +767,7 @@ def _vars_of(*items) -> set[str]:
         item = stack.pop()
         if isinstance(item, Var):
             out.add(item.name)
-        elif isinstance(item, (Atom, FuncPat, TuplePat, AtTerm)):
-            stack += item.args
-        elif isinstance(item, (Arith, Comparison)):
-            stack += (item.left, item.right)
-        elif isinstance(item, Interval):
-            stack += (item.lo, item.hi)
-        elif isinstance(item, NegAtom):
-            stack.append(item.atom)
-        elif isinstance(item, AggregateLit):
-            stack += (*item.agg.condition, *item.agg.elements, item.guard)
+        stack += _children(item)
     return out
 
 
@@ -781,7 +776,7 @@ def _pattern_ready(term, known: set[str]) -> bool:
     if isinstance(term, Var):
         known.add(term.name)
         return True
-    if isinstance(term, (FuncPat, TuplePat)):
+    if isinstance(term, FuncPat):
         return all(_pattern_ready(a, known) for a in term.args)
     if isinstance(term, (Arith, AtTerm)):
         return _vars_of(term) <= known
@@ -789,7 +784,7 @@ def _pattern_ready(term, known: set[str]) -> bool:
 
 
 def _aggregate_ready(lit: AggregateLit, bound: set[str]) -> bool:
-    needed = _vars_of(lit) - _vars_of(*(c for c in lit.agg.condition if isinstance(c, Atom)))
+    needed = _vars_of(lit) - _vars_of(*(c for c in lit.condition if isinstance(c, Atom)))
     if lit.op == "=" and isinstance(lit.guard, Var):
         needed.discard(lit.guard.name)
     return needed <= bound
@@ -863,20 +858,17 @@ def stratify(program: "Program | list[Rule]") -> list[list[str]]:
         preds.add(h)
         for lit in rule.body:
             if isinstance(lit, Atom):
-                preds.add(lit.pred)
                 pos_edges.add((lit.pred, h))
             elif isinstance(lit, NegAtom):
-                preds.add(lit.atom.pred)
                 neg_edges.add((lit.atom.pred, h))
             elif isinstance(lit, AggregateLit):
-                for c in lit.agg.condition:
-                    if isinstance(c, Atom):
-                        preds.add(c.pred)
-                        neg_edges.add((c.pred, h))
+                neg_edges.update((c.pred, h) for c in lit.condition if isinstance(c, Atom))
+    edges = sorted(pos_edges | neg_edges)
+    preds.update(src for src, _ in edges)
 
     succ: dict[str, list[str]] = {p: [] for p in sorted(preds)}
     reads: dict[str, list[str]] = {p: [] for p in succ}
-    for src, dst in sorted(pos_edges | neg_edges):
+    for src, dst in edges:
         succ[src].append(dst)
         reads[dst].append(src)
     # Over reads, Tarjan lists each component after those it reads; the rest
@@ -1152,9 +1144,9 @@ class _Compiler:
                 b[s] = g
                 return True
             return bind
-        if isinstance(pattern, (FuncPat, TuplePat)):
+        if isinstance(pattern, FuncPat):
             subs = [self.matcher(a, bound) for a in pattern.args]
-            kind, name = (Func, pattern.name) if isinstance(pattern, FuncPat) else (Tuple, None)
+            kind, name = Tuple if pattern.name is None else Func, pattern.name
             return lambda g, b: (type(g) is kind and len(g.args) == len(subs)
                                  and getattr(g, "name", None) == name
                                  and all(sub(a, b) for sub, a in zip(subs, g.args)))
@@ -1204,9 +1196,9 @@ class _Compiler:
         """Over the distinct element tuples, in the order found; binds or compares the guard."""
         inner = set(bound)  # condition variables stay local to the aggregate
         conditions = [self.atom(c, inner, in_body=False) if isinstance(c, Atom)
-                      else self.comparison(c, inner) for c in lit.agg.condition]
-        elements = [self.value(t, inner) for t in lit.agg.elements]
-        error, func = self.error(bound), lit.agg.func
+                      else self.comparison(c, inner) for c in lit.condition]
+        elements = [self.value(t, inner) for t in lit.elements]
+        error, func = self.error(bound), lit.func
         guard = lit.guard
         if lit.op == "=" and isinstance(guard, Var) and guard.name not in bound:
             guard_slot, holds = self.slot(guard.name), None
@@ -1259,7 +1251,7 @@ class _Compiler:
             return lambda b: term
         if isinstance(term, Arith):
             return self.arith(term, bound)
-        if isinstance(term, (FuncPat, TuplePat)):
+        if isinstance(term, FuncPat):
             return self.compound(term, bound)
         error = self.error(bound)
         message = (f"unbound variable {term.name}" if isinstance(term, Var)
@@ -1296,7 +1288,7 @@ class _Compiler:
     def compound(self, term, bound: set[str]):
         """A derived function or tuple, whose arguments nest less than MAX_NESTING deep."""
         values = self.values(term.args, bound)
-        build = Tuple if isinstance(term, TuplePat) else partial(Func, term.name)
+        build = Tuple if term.name is None else partial(Func, term.name)
         error = self.error(bound)
 
         def compound(b: list) -> GroundTerm:
@@ -1333,22 +1325,31 @@ class _Compiler:
         return derive
 
     def intervals(self, args: tuple, bound: set[str]):
-        """instances(b): the head's argument tuples, one per value of each interval."""
+        """instances(b): the head's argument tuples, one per value of each
+        interval.  Each interval, then their product, is bounded before any
+        value is built."""
         error = self.error(bound)
 
         def span(lo, hi):
-            def numbers(b: list) -> list[Number]:
+            def numbers(b: list) -> range:
                 first, last = lo(b), hi(b)
                 if type(first) is not Number or type(last) is not Number:
                     raise error("interval bounds must be integers", b)
                 if last.value - first.value >= MAX_INTERVAL_VALUES:
                     raise error(f"interval holds more than {MAX_INTERVAL_VALUES} values", b,
                                 ResourceLimitError)
-                return [Number(v) for v in range(first.value, last.value + 1)]
+                return range(first.value, last.value + 1)
             return numbers
         columns = [span(self.value(a.lo, bound), self.value(a.hi, bound))
                    if isinstance(a, Interval) else self.values((a,), bound) for a in args]
-        return lambda b: itertools.product(*[column(b) for column in columns])
+
+        def instances(b: list):
+            spans = [column(b) for column in columns]
+            if math.prod(map(len, spans)) > MAX_INTERVAL_VALUES:
+                raise error(f"head intervals give more than {MAX_INTERVAL_VALUES} atoms", b,
+                            ResourceLimitError)
+            return itertools.product(*[map(Number, s) if type(s) is range else s for s in spans])
+        return instances
 
 
 def _term_depth(term: GroundTerm) -> int:

@@ -631,14 +631,23 @@ def test_solitaire_range_from_far_below_is_an_enum_error(tmp_path, capsys):
 
 def test_interval_width_is_bounded(tmp_path):
     # Once a MemoryError traceback and exit 1, after building every number.
-    spec = write(tmp_path, "p.yaml", "p:\n    x: Integer\n")
-    facts = write(tmp_path, "p.lp", "p(1..50000000).\n")
-    proc = subprocess.run([sys.executable, "-m", "aspcheck.cli", "validate", spec, facts],
-                          capture_output=True, text=True, timeout=20)
-    assert proc.returncode == 2
-    assert proc.stdout == (": resource-limit: interval holds more than 1000000 values"
-                           " in rule: p(1..50000000). with {}\nspec-error\n")
-    assert "Traceback" not in proc.stdout + proc.stderr
+    # Intervals each within the bound once built their whole product: 4*10^6
+    # atoms and exit 0 after 15 s for p(1..2000,1..2000).
+    for fields, head, message in [
+        (["x"], "p(1..50000000)", "interval holds more than 1000000 values"),
+        (["a", "b"], "p(1..2000,1..2000)", "head intervals give more than 1000000 atoms"),
+        (["a", "b"], "p(1..1000, 1..1001)", "head intervals give more than 1000000 atoms"),
+        (["a", "b", "c"], "p(1..100,1..100,0..100)",
+         "head intervals give more than 1000000 atoms"),
+    ]:
+        spec = write(tmp_path, "p.yaml", "p:\n" + "".join(f"    {f}: Integer\n" for f in fields))
+        facts = write(tmp_path, "p.lp", f"{head}.\n")
+        proc = subprocess.run([sys.executable, "-m", "aspcheck.cli", "validate", spec, facts],
+                              capture_output=True, text=True, timeout=20)
+        assert proc.returncode == 2, head
+        assert proc.stdout == (f": resource-limit: {message} in rule: {head}. with {{}}\n"
+                               "spec-error\n")
+        assert "Traceback" not in proc.stdout + proc.stderr
 
 
 def test_unexpected_exception_is_one_line_and_exit_4(income_spec, tmp_path, monkeypatch,

@@ -1,5 +1,7 @@
 """Rule engine: parsing, safety, stratification, evaluation, aggregates."""
 
+import dataclasses
+import itertools
 import random
 import re
 
@@ -655,6 +657,59 @@ NINES = 10 ** 4300 - 1
 DEEP = "f(" * 100 + "a" + ")" * 100  # as deep as parsed input may nest
 
 
+class TestChildren:
+    """_children is the one list of the children of each rule node, so every
+    child position of every node class must reach both walkers."""
+
+    TERMS = (datalog.Var, datalog.Arith, datalog.FuncPat, datalog.Interval, datalog.AtTerm)
+    LITERALS = (datalog.Atom, datalog.NegAtom, datalog.Comparison, datalog.AggregateLit)
+
+    @staticmethod
+    def build(cls, child):
+        """An instance of cls with child() in every position that holds terms
+        or literals (two in a tuple field, one under an Atom field's atom) and
+        a name or operator in every str field."""
+        values = []
+        for f in dataclasses.fields(cls):
+            if f.type.startswith("str"):
+                values.append("x")
+            elif f.type == "tuple":
+                values.append((child(), child()))
+            elif f.type == "Atom":
+                values.append(datalog.Atom("q", (child(),)))
+            else:
+                values.append(child())
+        return cls(*values)
+
+    def with_vars(self, cls):
+        """An instance of cls with a distinct Var in every child position, and
+        the names of those Vars."""
+        names: list[str] = []
+
+        def child():
+            names.append(f"V{len(names)}")
+            return datalog.Var(names[-1])
+        return self.build(cls, child), names
+
+    @pytest.mark.parametrize("cls", TERMS + LITERALS, ids=lambda cls: cls.__name__)
+    def test_vars_of_finds_a_var_in_every_position(self, cls):
+        node, names = self.with_vars(cls)
+        if cls is datalog.Var:
+            assert (names, datalog._vars_of(node)) == ([], {node.name})
+        else:
+            assert names and datalog._vars_of(node) == set(names)
+
+    @pytest.mark.parametrize("cls", TERMS, ids=lambda cls: cls.__name__)
+    def test_arith_depth_counts_through_every_position(self, cls):
+        own = 1 if cls in (datalog.Arith, datalog.AtTerm) else 0
+        x = datalog.Var("X")
+        assert datalog._arith_depth(self.build(cls, itertools.repeat(x).__next__)) == own
+        for k in range(len(self.with_vars(cls)[1])):
+            children = itertools.chain(itertools.repeat(x, k), [datalog.Arith("+", x, x)],
+                                       itertools.repeat(x))
+            assert datalog._arith_depth(self.build(cls, children.__next__)) == own + 1, k
+
+
 class TestEvaluationErrors:
     @pytest.mark.parametrize("rule, facts, message, binding", [
         ("q(Y) :- p(X), Y = X + 1.", "p(a).", "arithmetic on non-integers (+)", "{X: a}"),
@@ -704,6 +759,14 @@ class TestEvaluationErrors:
         assert preds(evaluate(rules, parse_facts("p(1).")), "q") == [f"q({i})" for i in range(1, 6)]
         with pytest.raises(datalog.ResourceLimitError, match="interval holds more than 5 values"):
             evaluate(rules, parse_facts("p(0)."))
+        # Each interval within the bound: their product is bounded too, so
+        # 5 atoms evaluate and 10 are a resource limit.
+        rules = parse_program("r(1..5, X..1, a) :- p(X).")
+        assert len(preds(evaluate(rules, parse_facts("p(1).")), "r")) == 5
+        with pytest.raises(datalog.ResourceLimitError) as exc:
+            evaluate(rules, parse_facts("p(0)."))
+        assert str(exc.value) == ("head intervals give more than 5 atoms"
+                                  " in rule: r(1..5, X..1, a) :- p(X). with {X: 0}")
 
     def test_interpreted_term(self):
         rule = "p(Y) :- q(X), Y = @f(X)."
