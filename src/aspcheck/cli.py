@@ -115,8 +115,7 @@ def _cmd_validate(args) -> int:
         # reported as data problems, with positions in the user's files.
         try:
             program = datalog.parse_program(input_text)
-        except (datalog.ProgramSyntaxError, datalog.UnsafeRuleError,
-                datalog.UnstratifiedError) as exc:
+        except datalog.PROGRAM_ERRORS as exc:
             print(f"invalid input: {exc}", file=sys.stderr)
             return EXIT_INVALID
         facts = program.facts

@@ -7,7 +7,8 @@ must be single atoms; disjunction, choice constructs and optimization are
 rejected so that every program has one computable model.
 
 The parser here is the one reader of ASP text: parse_program, and through
-it terms.parse_facts and terms.parse_term, share its lexer and grammar.
+it terms.parse_facts and terms.parse_term, share its lexer and grammar, and
+the grounder bridge (emit) reads the rule heads of its output with it.
 A body-less rule whose head is ground after constant folding is a fact:
 parse_program returns it in Program.facts, never as a Rule.  A constraint
 (`:- body.`) derives no atom, so it is read for its syntax and dropped.  An
@@ -68,7 +69,7 @@ MAX_INTERVAL_VALUES = 10**6
 __all__ = [
     "Program",
     "Rule",
-    "ProgramSyntaxError",
+    "PROGRAM_ERRORS",
     "UnsafeRuleError",
     "UnstratifiedError",
     "EvaluationError",
@@ -77,10 +78,6 @@ __all__ = [
     "stratify",
     "evaluate",
 ]
-
-
-# The error of every read of ASP text, by the name rule callers use.
-ProgramSyntaxError = ParseError
 
 
 class UnsafeRuleError(ValueError):
@@ -96,6 +93,10 @@ class UnstratifiedError(ValueError):
         super().__init__(
             "program is not stratified; negation or aggregation on the cycle: "
             + " -> ".join(cycle + cycle[:1]))
+
+
+# The errors parse_program raises for a text it rejects.
+PROGRAM_ERRORS = (ParseError, UnsafeRuleError, UnstratifiedError)
 
 
 class EvaluationError(RuntimeError):
@@ -527,12 +528,16 @@ class _ProgramParser:
             self.expect(")", "')' closing the head")
         return Atom(t.text, args)
 
-    def body(self) -> tuple:
-        literals = [self.body_literal()]
+    def separated(self, read) -> list:
+        """The items that read() reads, separated by commas."""
+        items = [read()]
         while self.cur.text == ",":
             self.advance()
-            literals.append(self.body_literal())
-        return tuple(literals)
+            items.append(read())
+        return items
+
+    def body(self) -> tuple:
+        return tuple(self.separated(self.body_literal))
 
     def body_literal(self):
         if self.cur.kind == "ident" and self.cur.text == "not":
@@ -570,17 +575,15 @@ class _ProgramParser:
         condition: tuple = ()
         if self.cur.text == ":":
             self.advance()
-            cond = [self.condition_literal()]
-            while self.cur.text == ",":
-                self.advance()
-                cond.append(self.condition_literal())
-            condition = tuple(cond)
+            condition = tuple(self.separated(self.condition_literal))
         if self.cur.text == ";":
             raise self.error_at("multiple aggregate elements are not supported")
         self.expect("}", "'}' closing the aggregate")
         return func, elements, condition
 
     def condition_literal(self):
+        if self.cur.kind == "ident" and self.cur.text == "not":
+            raise self.error_at("negation in an aggregate condition is not supported")
         left = self.term()
         if self.cur.text in COMPARISONS:
             op = self.advance().text
@@ -588,11 +591,7 @@ class _ProgramParser:
         return self.as_atom(left)
 
     def term_list(self, *, allow_interval: bool = False) -> list:
-        terms = [self.term(allow_interval=allow_interval)]
-        while self.cur.text == ",":
-            self.advance()
-            terms.append(self.term(allow_interval=allow_interval))
-        return terms
+        return self.separated(partial(self.term, allow_interval=allow_interval))
 
     def term(self, *, allow_interval: bool = False):
         start = self.cur.offset

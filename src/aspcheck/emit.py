@@ -16,8 +16,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
+from .datalog import _ProgramParser
 from .schema import ValidationSpec
-from .terms import Fact, ParseError, parse_facts
+from .terms import GROUND_TYPES, Fact, ParseError, parse_facts
 
 __all__ = [
     "ConstraintValidator",
@@ -147,21 +148,16 @@ def ground_with_external(program_text: str, config: GrounderBridgeConfig) -> set
 
 def _parse_ground_output(stdout: str) -> set[Fact]:
     atoms: set[Fact] = set()
-    for line in stdout.splitlines():
-        line = line.strip()
-        if not line or line.startswith("%"):
-            continue
+    for line in stdout.split("\n"):  # not splitlines: a string may hold U+2028
         try:
             atoms.update(parse_facts(line))
-            continue
         except ParseError:
-            pass
-        if ":-" in line:
-            head = line.split(":-", 1)[0].strip()
-            if head:
-                try:
-                    atoms.update(parse_facts(head.rstrip(".") + "."))
-                except ParseError:
-                    pass
-        # anything else (directives, choice lines, ...) is ignored
+            # A rule gives its head if that is ground; its body is never read.
+            try:
+                parser = _ProgramParser(line)
+                head = parser.head_atom()
+            except ParseError:  # directives, choice lines, constraints, ...
+                continue
+            if parser.cur.text == ":-" and all(isinstance(a, GROUND_TYPES) for a in head.args):
+                atoms.add(Fact(head.pred, head.args))
     return atoms

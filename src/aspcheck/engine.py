@@ -501,8 +501,7 @@ def parse_asp(spec: ValidationSpec) -> tuple[datalog.Program | None, Diagnostic 
         return datalog.Program([]), None
     try:
         return datalog.parse_program(spec.asp_program), None
-    except (datalog.ProgramSyntaxError, datalog.UnsafeRuleError,
-            datalog.UnstratifiedError) as exc:
+    except datalog.PROGRAM_ERRORS as exc:
         return None, _asp_syntax(exc)
 
 
@@ -519,7 +518,7 @@ def _instance_set(spec: ValidationSpec, facts, options: RunOptions):
             program_text = options.program_text
         else:
             program_text = "\n".join(render(f.term()) + "." for f in
-                                     sorted(set(facts), key=lambda f: sort_key(f.term())))
+                                     sorted(set(facts), key=Fact.term))
         if spec.asp_program:
             program_text += "\n" + spec.asp_program
         try:
@@ -561,4 +560,4 @@ def _grouped_instances(spec: ValidationSpec, atoms):
 
 def _args_key(fact: Fact) -> tuple:
     """Term order within one group, where predicate and arity are fixed."""
-    return tuple(map(sort_key, fact.args))
+    return sort_key(fact.args)

@@ -36,7 +36,6 @@ from .terms import (
     Str,
     integer_too_long,
     render,
-    sort_key,
     too_many_digits,
 )
 
@@ -769,7 +768,7 @@ _TERM_LIKE = (CheckedInstance, *GROUND_TYPES)
 def compare_values(op: str, left, right) -> bool:
     """left op right as scripts compare: terms in term order, ScriptEvalError if unordered."""
     if isinstance(left, _TERM_LIKE) or isinstance(right, _TERM_LIKE):
-        left, right = sort_key(_as_term(left)), sort_key(_as_term(right))
+        left, right = _as_term(left), _as_term(right)
     elif not (_is_int(left) and _is_int(right) or isinstance(left, str) and isinstance(right, str)
               or op in ("==", "!=")):
         raise ScriptEvalError(

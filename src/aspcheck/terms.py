@@ -220,7 +220,8 @@ def render(t: GroundTerm) -> str:
 
 
 def sort_key(t: GroundTerm):
-    """The key of t in the term order: t itself, laid out as its own key (see Number)."""
+    """The key of t in the term order: t itself, laid out as its own key (see Number).
+    A tuple of terms is its own key too, ordered item by item."""
     return t
 
 

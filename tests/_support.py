@@ -81,7 +81,10 @@ def _random_value(rng: random.Random, spec: ValidationSpec, ftype, facets, bound
     return rng.choice(_ANY_KIND + [Number(rng.randint(-2, 8))])
 
 
-def random_term(rng: random.Random, depth: int = 3):
+_STRINGS = ("", "a", "Acme ASP", 'quo"te', "back\\slash", "x y")
+
+
+def random_term(rng: random.Random, depth: int = 3, strings=_STRINGS):
     choices = ["number", "const", "str"]
     if depth > 0:
         choices += ["func", "tuple"]
@@ -91,12 +94,12 @@ def random_term(rng: random.Random, depth: int = 3):
     if kind == "const":
         return Const(rng.choice(["a", "b", "abc", "a1", "zz_z", "q"]))
     if kind == "str":
-        return Str(rng.choice(["", "a", "Acme ASP", 'quo"te', "back\\slash", "x y"]))
+        return Str(rng.choice(strings))
     if kind == "func":
         name = rng.choice(["f", "g", "date", "h2"])
-        args = tuple(random_term(rng, depth - 1) for _ in range(rng.randint(1, 3)))
+        args = tuple(random_term(rng, depth - 1, strings) for _ in range(rng.randint(1, 3)))
         return Func(name, args)
-    args = tuple(random_term(rng, depth - 1) for _ in range(rng.randint(0, 3)))
+    args = tuple(random_term(rng, depth - 1, strings) for _ in range(rng.randint(0, 3)))
     return Tuple(args)
 
 

@@ -300,6 +300,18 @@ class TestBridgeMode:
         assert main(["validate", "--mode", "bridge", "--grounder-cmd", cmd,
                      income_spec, facts]) == 3
 
+    def test_rule_head_string_holding_the_rule_arrow(self, income_spec, tmp_path, capsys):
+        # The head is read by the grammar, not split at the first ':-'.
+        grounder = write(tmp_path, "fake.py", "import sys\nsys.stdin.read()\n"
+                                              "print('income(\"a:-b\",-1) :- b.')\n")
+        facts = write(tmp_path, "ok.lp", 'income("A", 3).')
+        assert main(["validate", "--mode", "bridge", "--grounder-cmd",
+                     shlex.join([sys.executable, grounder]), income_spec, facts]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ('income/2: min: amount: Should be >= 0, but received -1'
+                                ' [income("a:-b",-1)]\ninvalid\n')
+        assert "Traceback" not in captured.err
+
     def test_grounder_from_environment(self, income_spec, tmp_path, monkeypatch):
         facts = write(tmp_path, "ok.lp", 'income("A", 3).')
         monkeypatch.setenv(

@@ -10,15 +10,16 @@ from aspcheck.engine import RunOptions, run
 from aspcheck.emit import (
     BridgeError,
     GrounderBridgeConfig,
+    _parse_ground_output,
     class_style_name,
     emit_constraint_validators,
     ground_with_external,
     render_validator_program,
 )
 from aspcheck.schema import ValidationSpec, load_spec
-from aspcheck.terms import parse_facts
+from aspcheck.terms import Fact, parse_facts, render
 
-from _support import FIXTURES, STUB_GROUNDER, fixture_text, load_fixture, random_facts
+from _support import FIXTURES, STUB_GROUNDER, fixture_text, load_fixture, random_facts, random_term
 
 FIXTURE_NAMES = sorted(path.name for path in FIXTURES.glob("*.yaml"))
 STUB = GrounderBridgeConfig(command=(sys.executable, str(STUB_GROUNDER)))
@@ -154,10 +155,28 @@ class TestBridge:
         assert len(residuals) == 2
 
     def test_rule_lines_contribute_ground_heads(self):
-        canned = "a.\nb :- a.\nc(1) :- b.\n#show a/0.\n{d(1)}.\nnot_a_fact(X) :- e(X).\n"
+        # A head is read by the grammar, so its strings may hold ':-'; the
+        # body is never read, so one beyond the built-in fragment still gives
+        # its head.  Non-ground heads, intervals, constraints, choices,
+        # disjunctions and directives give nothing.
+        canned = ("a.\nb :- a.\nc(1) :- b.\n#show a/0.\n{d(1)}.\nnot_a_fact(X) :- e(X).\n"
+                  'h("x:-y") :- b.\nr("a") :- s("b:-c").\na :- b : c.\n'
+                  "w :- #count{X:p(X);Y:q(Y)} > 1.\nn(X) :- e(X).\np(1..2) :- q.\n"
+                  ":- a.\nx | y :- z.\n")
         atoms = ground_with_external("", echo_grounder(canned))
-        names = {f.predicate for f in atoms}
-        assert names == {"a", "b", "c"}
+        assert sorted(render(f.term()) for f in atoms) == [
+            "a", "b", "c(1)", 'h("x:-y")', 'r("a")', "w"]
+
+    def test_ground_head_is_read_whatever_its_strings_hold(self):
+        # The oracle is the generated head, not the reader.
+        strings = ("a:-b", ":-", "x. y", "1.", "%c", 'q":-"', "back\\slash",
+                   "l\u2028m", "f\x0cg", "")
+        rng = random.Random(20)
+        for _ in range(300):
+            args = tuple(random_term(rng, 2, strings) for _ in range(rng.randint(0, 3)))
+            head = Fact(rng.choice(["p", "income", "h2"]), args)
+            line = render(head.term()) + rng.choice([" :- b.", ' :- s("t:-u"), not v.'])
+            assert _parse_ground_output(line) == {head}, line
 
     def test_nonzero_exit_embeds_stderr(self):
         config = GrounderBridgeConfig(command=(
