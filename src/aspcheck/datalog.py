@@ -56,6 +56,7 @@ from .terms import (
     ParseError,
     Str,
     Tuple,
+    gc_paused,
     integer_too_long,
     render,
     too_many_digits,
@@ -945,6 +946,7 @@ def _tarjan(succ: dict[str, list[str]]) -> list[list[str]]:
     return sccs
 
 
+@gc_paused()
 def parse_program(text: str) -> Program:
     """Parse rule text into rules and ground facts; constraints are dropped.
 
@@ -963,6 +965,7 @@ def parse_program(text: str) -> Program:
 # Evaluation
 
 
+@gc_paused()
 def evaluate(program: Program, input_facts) -> set[Fact]:
     """The unique stratified model over the program's and the input facts.
 

@@ -28,7 +28,8 @@ from .schema import (
     ValidationSpec,
     check_spec,
 )
-from .terms import Fact, Func, integer_too_long, render, sort_key, too_many_digits
+from .terms import (Fact, Func, gc_paused, integer_too_long, render, sort_key,
+                    too_many_digits)
 
 __all__ = [
     "RunOptions",
@@ -414,6 +415,7 @@ def finalize(definition: UserDefinition, store: AccumulatorStore) -> list[Diagno
 # The run itself
 
 
+@gc_paused()
 def run(spec: ValidationSpec, facts, options: RunOptions | None = None) -> ValidationReport:
     """Apply a specification to a set of facts and report the verdict.
 

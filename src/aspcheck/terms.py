@@ -11,6 +11,8 @@ anything that is not ground is an error.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import operator
 import re
 import sys
@@ -33,6 +35,7 @@ __all__ = [
     "compare",
     "sort_key",
     "COMPARISONS",
+    "gc_paused",
 ]
 
 # How deeply terms may nest parentheses; deeper input is a ParseError
@@ -138,6 +141,26 @@ class ParseError(ValueError):
         super().__init__(f"{message} (line {line}, column {column})")
 
 
+@contextlib.contextmanager
+def gc_paused():
+    """Pause the cyclic garbage collector, and restore its state on exit.
+
+    A run builds hundreds of thousands of tracked objects (facts, terms,
+    checked instances) and no reference cycle among them, so each automatic
+    collection walks them all and frees nothing.  Nested uses cost one
+    gc.isenabled() call.  gc.disable is process-wide: other threads run
+    without cyclic collection until the outermost use exits.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
 # ---------------------------------------------------------------------------
 # Parsing, through the one reader of ASP text in datalog
 
@@ -173,6 +196,7 @@ def parse_term(text: str) -> GroundTerm:
     return term
 
 
+@gc_paused()
 def parse_facts(text: str) -> list[Fact]:
     """Parse dot-terminated facts, in source order, duplicates preserved.
 
