@@ -12,9 +12,10 @@ import os
 import shlex
 import sys
 
-from . import datalog, emit, engine
+from . import datalog, engine
 from .diagnostics import render_report
 from .schema import SpecError, check_spec, load_spec, parse_spec
+from .terms import gc_paused
 
 GROUNDER_ENV = "ASPCHECK_GROUNDER"
 
@@ -49,23 +50,20 @@ def _build_parser() -> argparse.ArgumentParser:
                                " searches for models")
     validate.add_argument("--format", choices=("text", "jsonl"), default="text")
 
-    compile_ = sub.add_parser("compile", help="export constraint validators as .lp")
-    compile_.add_argument("spec")
-    compile_.add_argument("output", help="output path, '-' for stdout")
-
     check = sub.add_parser("check", help="check a specification without data")
     check.add_argument("spec")
 
     return parser
 
 
+# Paused over the whole command, the collector does not walk each nested
+# paused call's objects as that call returns; it resumes once they are dropped.
+@gc_paused()
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "validate":
             return _cmd_validate(args)
-        if args.command == "compile":
-            return _cmd_compile(args)
         return _cmd_check(args)
     except SpecError as exc:
         for diagnostic in exc.diagnostics:
@@ -106,7 +104,8 @@ def _cmd_validate(args) -> int:
             print("aspcheck: bridge mode needs --grounder-cmd or"
                   f" ${GROUNDER_ENV}", file=sys.stderr)
             return EXIT_IO_ERROR
-        options.grounder = emit.GrounderBridgeConfig(
+        from .emit import GrounderBridgeConfig
+        options.grounder = GrounderBridgeConfig(
             command=tuple(shlex.split(args.grounder_cmd)),
             timeout=args.grounder_timeout)
         options.program_text = input_text
@@ -133,17 +132,6 @@ def _cmd_validate(args) -> int:
     if any(d.rule == "bridge-error" for d in report.diagnostics):
         return EXIT_IO_ERROR
     return EXIT_SPEC_ERROR
-
-
-def _cmd_compile(args) -> int:
-    spec = load_spec(_read(args.spec))
-    text = emit.render_validator_program(spec)
-    if args.output == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    return EXIT_VALID
 
 
 def _cmd_check(args) -> int:

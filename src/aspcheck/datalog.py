@@ -83,7 +83,7 @@ __all__ = [
 
 class UnsafeRuleError(ValueError):
     def __init__(self, variable: str, rule_text: str):
-        self.variable = variable
+        self.variable = variable = "_" if variable.startswith("_#") else variable
         self.rule_text = rule_text
         super().__init__(f"unsafe variable {variable} in rule: {rule_text}")
 
@@ -833,7 +833,7 @@ def _plan_rule(rule: Rule) -> None:
         else:
             unbound = sorted(_vars_of(*remaining) - bound)
             raise UnsafeRuleError(unbound[0] if unbound else "?", rule.source)
-    loose = sorted(v for v in _vars_of(rule.head) - bound if not v.startswith("_#"))
+    loose = sorted(_vars_of(rule.head) - bound)
     if loose:
         raise UnsafeRuleError(loose[0], rule.source)
     rule.atoms = tuple(compiler.atoms)

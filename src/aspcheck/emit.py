@@ -1,11 +1,9 @@
-"""Constraint-validator emission and the external grounder bridge.
+"""The external grounder bridge.
 
 Validation normally happens in-process, but a full program (choice rules,
 disjunction, anything beyond the stratified fragment) can be grounded by an
 external tool instead; the resulting atoms are fed back for engine-side
-checking.  For users who integrate with a solver that supports interpreted
-terms directly, render_validator_program writes the constraint validators
-together with the auxiliary rules as a plain .lp program.
+checking.
 """
 
 from __future__ import annotations
@@ -17,27 +15,9 @@ from pathlib import Path
 from typing import Sequence
 
 from .datalog import _ProgramParser
-from .schema import ValidationSpec
 from .terms import GROUND_TYPES, Fact, ParseError, parse_facts
 
-__all__ = [
-    "ConstraintValidator",
-    "GrounderBridgeConfig",
-    "BridgeError",
-    "emit_constraint_validators",
-    "render_validator_program",
-    "ground_with_external",
-]
-
-VALIDATE_PREFIX = "valasp_validate_"
-
-
-@dataclass(frozen=True, slots=True)
-class ConstraintValidator:
-    kind: str  # forward (arity 1) | implicit (arity >= 2)
-    symbol: str
-    arity: int
-    text: str
+__all__ = ["GrounderBridgeConfig", "BridgeError", "ground_with_external"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -55,50 +35,6 @@ class GrounderBridgeConfig:
 
 class BridgeError(RuntimeError):
     pass
-
-
-def class_style_name(symbol: str) -> str:
-    """Capitalize the first lowercase letter (the validator class name)."""
-    for i, ch in enumerate(symbol):
-        if ch.islower():
-            return symbol[:i] + ch.upper() + symbol[i + 1 :]
-    return symbol
-
-
-def emit_constraint_validators(spec: ValidationSpec) -> list[ConstraintValidator]:
-    """One constraint per definition routing instances through validation."""
-    out = []
-    for symbol, definition in spec.definitions.items():
-        n = definition.arity
-        if n == 1:
-            text = f":- {symbol}(X1), @{VALIDATE_PREFIX}{symbol}(X1) != 1."
-            kind = "forward"
-        else:
-            xs = ",".join(f"X{i}" for i in range(1, n + 1))
-            text = (f":- {symbol}({xs}),"
-                    f" @{VALIDATE_PREFIX}{symbol}({symbol}({xs})) != 1.")
-            kind = "implicit"
-        out.append(ConstraintValidator(kind=kind, symbol=symbol, arity=n, text=text))
-    return out
-
-
-def render_validator_program(spec: ValidationSpec) -> str:
-    """The exportable program: constraint validators plus auxiliary rules."""
-    lines: list[str] = []
-    for validator in emit_constraint_validators(spec):
-        lines.append(f"% {validator.symbol}/{validator.arity}:"
-                     f" {validator.kind} validator {class_style_name(validator.symbol)}")
-        lines.append(validator.text)
-    if spec.asp_program:
-        if lines:
-            lines.append("")
-        lines.append("% auxiliary rules")
-        lines.append(spec.asp_program.rstrip("\n"))
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-# ---------------------------------------------------------------------------
-# Bridge
 
 
 def ground_with_external(program_text: str, config: GrounderBridgeConfig) -> set[Fact]:

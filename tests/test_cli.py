@@ -110,6 +110,12 @@ class TestValidate:
         assert err == f"invalid input: {message}\n"
         assert "Traceback" not in err
 
+    def test_anonymous_variable_in_a_fact_exit_1(self, tmp_path, capsys):
+        spec = write(tmp_path, "p.yaml", "p:\n    x: Any\n")
+        facts = write(tmp_path, "anon.lp", "p(_).\n")
+        assert main(["validate", spec, facts]) == 1
+        assert capsys.readouterr() == ("", "invalid input: unsafe variable _ in rule: p(_).\n")
+
     def test_arithmetic_on_non_integers_in_a_rule_stays_lazy(self, tmp_path, capsys):
         spec = write(tmp_path, "p.yaml", "p:\n    x: Any\n")
         facts = write(tmp_path, "rule.lp", "p(1).\nq(Y) :- r(X), Y = -a.\n")
@@ -320,32 +326,6 @@ class TestBridgeMode:
         assert main(["validate", "--mode", "bridge", income_spec, facts]) == 0
 
 
-class TestCompile:
-    def test_income_constraint_written(self, income_spec, tmp_path, capsys):
-        out = tmp_path / "out.lp"
-        assert main(["compile", income_spec, str(out)]) == 0
-        assert ":- income(X1,X2), @valasp_validate_income(income(X1,X2)) != 1." \
-            in out.read_text()
-
-    def test_bday_two_constraints(self, tmp_path):
-        spec = write(tmp_path, "bday.yaml", fixture_text("bday.yaml"))
-        out = tmp_path / "out.lp"
-        assert main(["compile", spec, str(out)]) == 0
-        constraints = [l for l in out.read_text().splitlines() if l.startswith(":-")]
-        assert len(constraints) == 2
-
-    def test_stdout_dash(self, income_spec, capsys):
-        assert main(["compile", income_spec, "-"]) == 0
-        assert "@valasp_validate_income" in capsys.readouterr().out
-
-    def test_unreadable_spec_exit_3(self, tmp_path):
-        assert main(["compile", str(tmp_path / "absent.yaml"), "-"]) == 3
-
-    def test_broken_spec_exit_2(self, tmp_path):
-        spec = write(tmp_path, "broken.yaml", "p:\n    a: nowhere\n")
-        assert main(["compile", spec, str(tmp_path / "out.lp")]) == 2
-
-
 class TestCheck:
     @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.yaml")))
     def test_every_fixture_spec_is_clean(self, name, tmp_path):
@@ -367,6 +347,12 @@ class TestCheck:
         assert out == (": asp-syntax: expected ')' closing the argument list,"
                        " got end of input (line 2, column 1)\n")
         assert validate_out == out + "spec-error\n"
+
+    def test_asp_with_an_anonymous_head_variable_exit_2(self, tmp_path, capsys):
+        spec = write(tmp_path, "anon.yaml",
+                     "p:\n    x: Integer\nvalasp:\n    asp: |\n        p(_) :- p(1).\n")
+        assert main(["check", spec]) == 2
+        assert capsys.readouterr().out == ": asp-syntax: unsafe variable _ in rule: p(_) :- p(1).\n"
 
     def test_unknown_facet_exit_2(self, tmp_path, capsys):
         spec = write(tmp_path, "facet.yaml",
@@ -672,6 +658,24 @@ def test_unexpected_exception_is_one_line_and_exit_4(income_spec, tmp_path, monk
     assert main(["validate", income_spec, facts]) == EXIT_INTERNAL_ERROR == 4
     out, err = capsys.readouterr()
     assert (out, err) == ("", "aspcheck: internal error: RuntimeError: boom\n")
+
+
+@pytest.mark.parametrize("argv, data", [
+    (["check", "{spec}"], ""),
+    (["validate", "{spec}", "{facts}"], 'income("A", 3).'),
+], ids=["check", "validate"])
+def test_builtin_mode_does_not_load_the_grounder_bridge(tmp_path, argv, data):
+    spec = write(tmp_path, "income.yaml", fixture_text("income.yaml"))
+    facts = write(tmp_path, "ok.lp", data)
+    code = textwrap.dedent("""
+        import sys
+        from aspcheck import cli
+        code = cli.main(sys.argv[1:])
+        print(code, sorted({"aspcheck.emit", "subprocess"} & set(sys.modules)))
+    """)
+    argv = [arg.format(spec=spec, facts=facts) for arg in argv]
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True)
+    assert proc.stdout.splitlines()[-1] == "0 []", proc.stderr
 
 
 def test_module_entry_point(tmp_path):

@@ -83,6 +83,17 @@ class TestParsing:
         with pytest.raises(UnsafeRuleError):
             parse_program("p(X) :- not q(X).")
 
+    @pytest.mark.parametrize("rule", [
+        "p(_).", "p(_) :- q(X).", "p(_) :- p(1).", "p(f(_),1) :- q(1).",
+        # Only a body literal that binds it makes an anonymous variable safe.
+        "r(X) :- q(X), not s(_).",
+    ])
+    def test_unsafe_anonymous_variable_is_shown_as_underscore(self, rule):
+        with pytest.raises(UnsafeRuleError) as exc:
+            parse_program(rule)
+        assert exc.value.variable == "_"
+        assert str(exc.value) == f"unsafe variable _ in rule: {rule}"
+
     def test_disjunction_rejected(self):
         with pytest.raises(ParseError, match="disjunctive"):
             parse_program("a(1) | b(1) :- c(1).")
@@ -741,8 +752,8 @@ class TestEvaluationErrors:
          f"{{X: {DEEP}}}"),
         # Aggregate conditions are not reordered.
         ("t(N) :- p(Y), N = #count{X : X < 3, p(X)}.", "p(1).", "unbound variable X", "{Y: 1}"),
-        # An anonymous variable is never shown.
-        ("p(_) :- q(X).", "q(1).", "unbound variable _#1", "{X: 1}"),
+        # A bound anonymous variable is never shown.
+        ("q(Y) :- p(X,_), Y = X/0.", "p(1,2).", "division by zero", "{X: 1}"),
     ])
     def test_message_and_binding(self, rule, facts, message, binding):
         with pytest.raises(EvaluationError) as exc:

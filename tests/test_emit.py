@@ -1,4 +1,4 @@
-"""Constraint-validator emission and the external grounder bridge."""
+"""The external grounder bridge."""
 
 import random
 import sys
@@ -11,27 +11,14 @@ from aspcheck.emit import (
     BridgeError,
     GrounderBridgeConfig,
     _parse_ground_output,
-    class_style_name,
-    emit_constraint_validators,
     ground_with_external,
-    render_validator_program,
 )
-from aspcheck.schema import ValidationSpec, load_spec
 from aspcheck.terms import Fact, parse_facts, render
 
-from _support import FIXTURES, STUB_GROUNDER, fixture_text, load_fixture, random_facts, random_term
+from _support import FIXTURES, STUB_GROUNDER, load_fixture, random_facts, random_term
 
 FIXTURE_NAMES = sorted(path.name for path in FIXTURES.glob("*.yaml"))
 STUB = GrounderBridgeConfig(command=(sys.executable, str(STUB_GROUNDER)))
-
-
-def constraint_lines(text):
-    return [line for line in text.splitlines() if line.startswith(":-")]
-
-
-def rule_lines(text):
-    return [line for line in text.splitlines()
-            if line.strip() and not line.startswith("%") and not line.startswith(":-")]
 
 
 def echo_grounder(output: str, *, read_stdin: bool = True) -> GrounderBridgeConfig:
@@ -39,74 +26,6 @@ def echo_grounder(output: str, *, read_stdin: bool = True) -> GrounderBridgeConf
     prologue = "import sys; sys.stdin.read(); " if read_stdin else "import sys; "
     return GrounderBridgeConfig(
         command=(sys.executable, "-c", prologue + f"sys.stdout.write({output!r})"))
-
-
-class TestTemplates:
-    def test_forward_template_for_unary(self):
-        spec = load_spec("range:\n    value: Integer\n")
-        [validator] = emit_constraint_validators(spec)
-        assert validator.kind == "forward"
-        assert validator.text == ":- range(X1), @valasp_validate_range(X1) != 1."
-
-    def test_implicit_template_for_binary(self):
-        spec = load_fixture("bday.yaml")
-        validators = {v.symbol: v for v in emit_constraint_validators(spec)}
-        assert validators["bday"].kind == "implicit"
-        assert validators["bday"].text == \
-            ":- bday(X1,X2), @valasp_validate_bday(bday(X1,X2)) != 1."
-        assert validators["date"].text == \
-            ":- date(X1,X2,X3), @valasp_validate_date(date(X1,X2,X3)) != 1."
-
-    def test_empty_spec(self):
-        assert emit_constraint_validators(ValidationSpec()) == []
-
-    def test_emitted_text_reparses(self):
-        # A validator is a constraint, so it is read and dropped; as the
-        # body of a rule it plans into one safe rule led by the validated atom.
-        for name in FIXTURE_NAMES:
-            spec = load_fixture(name)
-            validators = emit_constraint_validators(spec)
-            assert sorted(v.symbol for v in validators) == sorted(spec.definitions)
-            for validator in validators:
-                assert parse_program(validator.text).rules == []
-                [rule] = parse_program("valasp_check " + validator.text).rules
-                definition = spec.definitions[validator.symbol]
-                assert (rule.body[0].pred, len(rule.body[0].args)) == \
-                    (definition.symbol, definition.arity) == (validator.symbol, validator.arity)
-                assert rule.atoms == (validator.symbol,)
-            exported = parse_program(render_validator_program(spec))
-            program = parse_program(spec.asp_program or "")
-            assert [r.source for r in exported.rules] == [r.source for r in program.rules]
-            assert exported.facts == program.facts
-
-    def test_class_style_name(self):
-        assert class_style_name("income") == "Income"
-        assert class_style_name("__in_range") == "__In_range"
-        assert class_style_name("ordered_triple") == "Ordered_triple"
-
-
-class TestExport:
-    def test_bday_exports_two_constraints_no_rules(self):
-        text = render_validator_program(load_fixture("bday.yaml"))
-        assert len(constraint_lines(text)) == 2
-        assert rule_lines(text) == []
-
-    def test_budget_exports_two_constraints_one_rule(self):
-        text = render_validator_program(load_fixture("budget.yaml"))
-        assert len(constraint_lines(text)) == 2
-        assert len(rule_lines(text)) == 1
-        assert "residual_budget(B-B',R)" in text
-
-    def test_income_contains_implicit_constraint(self):
-        text = render_validator_program(load_fixture("income.yaml"))
-        assert ":- income(X1,X2), @valasp_validate_income(income(X1,X2)) != 1." in text
-
-    def test_empty_spec_empty_file(self):
-        assert render_validator_program(ValidationSpec()) == ""
-
-    def test_export_mentions_validator_class_names(self):
-        text = render_validator_program(load_fixture("knight.yaml"))
-        assert "__In_range" in text
 
 
 SOLITAIRE_ATOMS = (

@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import inspect
+import io
 import random
 import sys
 from collections import Counter
@@ -13,7 +14,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aspcheck import datalog, engine, hooks
+from aspcheck import cli, datalog, engine, hooks
 from aspcheck.datalog import parse_program
 from aspcheck.diagnostics import render_report
 from aspcheck.engine import (
@@ -1180,6 +1181,15 @@ def test_no_collection_runs_while_facts_are_parsed_or_checked(gc_enabled):
     assert gc.isenabled()
 
 
+def test_no_collection_runs_while_the_cli_validates(gc_enabled, tmp_path, capsys):
+    facts = tmp_path / "income.lp"
+    facts.write_text("".join(f'income("c{i}",{i}).\n' for i in range(20000)))
+    started, code = _collections_started(
+        cli.main, ["validate", str(FIXTURES / "income.yaml"), str(facts)])
+    assert (started, code, capsys.readouterr().out) == ([], 0, "valid\n")
+    assert gc.isenabled()
+
+
 def _raises(error, call):
     def expect():
         with pytest.raises(error):
@@ -1207,6 +1217,30 @@ _GC_PAUSED_CALLS = {
     "run raising from its input": _raises(
         RuntimeError, lambda: run(load_fixture("income.yaml"), _broken_facts())),
 }
+
+
+def _cli(argv, stdin, code):
+    def call():
+        with mock.patch("sys.stdin", io.StringIO(stdin)):
+            assert cli.main(argv) == code
+    return call
+
+
+_INCOME = str(FIXTURES / "income.yaml")
+
+
+def _cli_internal_error():
+    with mock.patch.object(engine, "run", side_effect=RuntimeError("boom")):
+        _cli(["validate", _INCOME, "-"], 'income("a",1).', 4)()
+
+
+_GC_PAUSED_CALLS.update({
+    "cli.main exit 0": _cli(["validate", _INCOME, "-"], 'income("a",1).', 0),
+    "cli.main exit 1": _cli(["validate", _INCOME, "-"], 'income("a",-1).', 1),
+    "cli.main spec error": _cli(["validate", "-"], "p:\n    a: nowhere\n", 2),
+    "cli.main missing file": _cli(["check", str(FIXTURES / "absent.yaml")], "", 3),
+    "cli.main internal error": _cli_internal_error,
+})
 
 
 @pytest.mark.parametrize("call", sorted(_GC_PAUSED_CALLS))
