@@ -14,7 +14,7 @@ import sys
 
 from . import datalog, engine
 from .diagnostics import render_report
-from .schema import SpecError, check_spec, load_spec, parse_spec
+from .schema import SpecError, load_spec, parse_spec
 from .terms import gc_paused
 
 GROUNDER_ENV = "ASPCHECK_GROUNDER"
@@ -135,11 +135,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    spec = parse_spec(_read(args.spec))
-    diagnostics = check_spec(spec)
-    _, problem = engine.parse_asp(spec)
-    if problem is not None:
-        diagnostics.append(problem)
+    _, diagnostics = engine.spec_problems(parse_spec(_read(args.spec)))
     for diagnostic in diagnostics:
         print(diagnostic.render())
     return EXIT_VALID if not diagnostics else EXIT_SPEC_ERROR

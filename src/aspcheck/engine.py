@@ -35,7 +35,7 @@ __all__ = [
     "RunOptions",
     "AccumulatorStore",
     "run",
-    "parse_asp",
+    "spec_problems",
     "check_instance",
     "finalize",
     "wrap32",
@@ -419,23 +419,27 @@ def finalize(definition: UserDefinition, store: AccumulatorStore) -> list[Diagno
 def run(spec: ValidationSpec, facts, options: RunOptions | None = None) -> ValidationReport:
     """Apply a specification to a set of facts and report the verdict.
 
-    Every check_spec problem is reported, and then nothing runs.  Otherwise
-    fail-fast takes the first diagnostic of the run's stream, and no more.
+    Every spec_problems problem is reported (in bridge mode, where the
+    grounder reads asp, every check_spec one), and then nothing runs.
+    Otherwise fail-fast takes the first diagnostic of the run's stream.
     """
     options = options or RunOptions()
     started = time.perf_counter()
     store = AccumulatorStore(spec)
-    diags = check_spec(spec)
+    if options.grounder is not None:
+        program, diags = None, check_spec(spec)
+    else:
+        program, diags = spec_problems(spec)
     if not diags:
-        stream = _diagnostics(spec, facts, options, store)
+        stream = _diagnostics(spec, program, facts, options, store)
         diags = list(islice(stream, 1) if options.fail_fast else stream)
     stats = RunStats(instances_checked=dict(store.counts),
                      wall_time=time.perf_counter() - started)
     return ValidationReport.from_diagnostics(diags, stats)
 
 
-def _diagnostics(spec: ValidationSpec, facts, options: RunOptions,
-                 store: AccumulatorStore) -> Iterator[Diagnostic]:
+def _diagnostics(spec: ValidationSpec, program: datalog.Program | None, facts,
+                 options: RunOptions, store: AccumulatorStore) -> Iterator[Diagnostic]:
     """Steps 1-5 of a run, yielding its diagnostics in report order.
 
     No yield sits in a try block, so closing the stream early runs no handler.
@@ -461,7 +465,7 @@ def _diagnostics(spec: ValidationSpec, facts, options: RunOptions,
                 yield Diagnostic("before", symbol, *problem, arity=definition.arity)
 
     # Step 3: the instance set.  A problem ends the run.
-    atoms, problem_diag = _instance_set(spec, facts, options)
+    atoms, problem_diag = _instance_set(spec, program, facts, options)
     if problem_diag is not None:
         yield problem_diag
         return
@@ -496,23 +500,27 @@ def _diagnostics(spec: ValidationSpec, facts, options: RunOptions,
         yield from finalize(spec.definitions[symbol], store)
 
 
-def parse_asp(spec: ValidationSpec) -> tuple[datalog.Program | None, Diagnostic | None]:
-    """The spec's asp program, or None and the asp-syntax diagnostic that
-    ends a run when the program does not parse, is unsafe or is unstratified."""
+def spec_problems(spec: ValidationSpec) -> tuple[datalog.Program | None, list[Diagnostic]]:
+    """The spec's asp program and every problem of the spec: check_spec's,
+    then the asp-syntax diagnostic when the program does not parse, is
+    unsafe or is unstratified, in which case the program is None."""
+    diags = check_spec(spec)
     if not spec.asp_program or spec.asp_program.isspace():
-        return datalog.Program([]), None
+        return datalog.Program([]), diags
     try:
-        return datalog.parse_program(spec.asp_program), None
+        return datalog.parse_program(spec.asp_program), diags
     except datalog.PROGRAM_ERRORS as exc:
-        return None, _asp_syntax(exc)
+        return None, diags + [_asp_syntax(exc)]
 
 
 def _asp_syntax(exc: Exception) -> Diagnostic:
     return Diagnostic("before", "", "asp-syntax", str(exc))
 
 
-def _instance_set(spec: ValidationSpec, facts, options: RunOptions):
-    """Step 3: input atoms plus whatever the auxiliary program derives."""
+def _instance_set(spec: ValidationSpec, program: datalog.Program | None, facts,
+                  options: RunOptions):
+    """Step 3: input atoms plus whatever the spec's parsed asp program
+    derives, or in bridge mode (program None) whatever the grounder gives."""
     if options.grounder is not None:
         from . import emit
 
@@ -528,9 +536,6 @@ def _instance_set(spec: ValidationSpec, facts, options: RunOptions):
         except emit.BridgeError as exc:
             return None, Diagnostic("before", "", "bridge-error", str(exc))
 
-    program, problem = parse_asp(spec)
-    if problem is not None:
-        return None, problem
     rules = program.rules + list(options.rules)
     if not rules:
         return {*program.facts, *facts}, None

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import yaml
 
 from . import hooks
+from .datalog import _path, _tarjan
 from .diagnostics import Diagnostic
 from .terms import (IDENT_RE, MAX_NESTING, Const, GroundTerm, Number, Str, integer_too_long,
                     parse_term, render)
@@ -530,36 +531,26 @@ def _check_facet_bounds(symbol: str, f: FieldDecl) -> list[Diagnostic]:
 def _check_type_cycles(spec: ValidationSpec) -> list[Diagnostic]:
     """Report each cycle of user types, then each chain of too many of them.
 
-    A chain of more than MAX_NESTING is reported at every definition that no
-    other one references.  The search keeps its own stack, not Python's.
+    A cycle is shown once per component of the reference graph, from its
+    least member, as stratify shows a rule cycle.  A chain of more than
+    MAX_NESTING is reported at every definition that no other one references.
     """
     graph = {
         symbol: [f.type for f in definition.fields
                  if isinstance(f.type, str) and f.type in spec.definitions]
         for symbol, definition in spec.definitions.items()
     }
-    depth: dict[str, int | None] = {}  # None while the symbol is on the trail
+    depth: dict[str, int] = {}
     diags: list[Diagnostic] = []
-    for root in graph:
-        if root in depth:
-            continue
-        depth[root] = None
-        trail, work = [root], [iter(graph[root])]
-        while work:
-            succ = next(work[-1], None)
-            if succ is None:
-                work.pop()
-                node = trail.pop()
-                depth[node] = 1 + max((depth[s] or 0 for s in graph[node]), default=0)
-            elif succ not in depth:
-                depth[succ] = None
-                trail.append(succ)
-                work.append(iter(graph[succ]))
-            elif depth[succ] is None:
-                cycle = trail[trail.index(succ):] + [succ]
-                diags.append(Diagnostic(
-                    "spec-load", succ, "type-cycle",
-                    f"cyclic type reference: {' -> '.join(cycle)}"))
+    for scc in _tarjan(graph):  # each component after those it references
+        for node in scc:
+            depth[node] = 1 + max((depth.get(s, 0) for s in graph[node]), default=0)
+        start = min(scc)
+        if len(scc) > 1 or start in graph[start]:
+            cycle = [start] + _path(graph, next(s for s in graph[start] if s in scc), start)
+            diags.append(Diagnostic(
+                "spec-load", start, "type-cycle",
+                f"cyclic type reference: {' -> '.join(cycle)}"))
     referenced = {succ for succs in graph.values() for succ in succs}
     for symbol in graph:
         if symbol not in referenced and depth[symbol] > MAX_NESTING:
