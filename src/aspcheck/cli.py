@@ -8,6 +8,7 @@ it prints one line, no traceback).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import shlex
 import sys
@@ -42,7 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           default=os.environ.get(GROUNDER_ENV),
                           help="external grounder command for bridge mode"
                                f" (default: ${GROUNDER_ENV})")
-    validate.add_argument("--grounder-timeout", type=float, default=60.0)
+    validate.add_argument("--grounder-timeout", type=_seconds, default=60.0)
     validate.add_argument("--all-errors", action="store_true",
                           help="collect every diagnostic instead of failing fast")
     validate.add_argument("--valid-only", action="store_true",
@@ -54,6 +55,16 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("spec")
 
     return parser
+
+
+def _seconds(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite number above 0, got {text!r}")
+    return value
 
 
 # Paused over the whole command, the collector does not walk each nested
@@ -104,10 +115,13 @@ def _cmd_validate(args) -> int:
             print("aspcheck: bridge mode needs --grounder-cmd or"
                   f" ${GROUNDER_ENV}", file=sys.stderr)
             return EXIT_IO_ERROR
+        try:
+            command = tuple(shlex.split(args.grounder_cmd))
+        except ValueError as exc:
+            print(f"aspcheck: cannot split the grounder command: {exc}", file=sys.stderr)
+            return EXIT_IO_ERROR
         from .emit import GrounderBridgeConfig
-        options.grounder = GrounderBridgeConfig(
-            command=tuple(shlex.split(args.grounder_cmd)),
-            timeout=args.grounder_timeout)
+        options.grounder = GrounderBridgeConfig(command=command, timeout=args.grounder_timeout)
         options.program_text = input_text
     else:
         # The input is parsed once, on its own, so data problems are

@@ -61,11 +61,15 @@ def ground_with_external(program_text: str, config: GrounderBridgeConfig) -> set
             list(command),
             input=stdin_text,
             capture_output=True,
-            text=True,
+            encoding="utf-8",
             timeout=config.timeout,
         )
     except FileNotFoundError as exc:
         raise BridgeError(f"grounder not found: {command[0]}") from exc
+    except OSError as exc:
+        raise BridgeError(f"cannot start grounder {command[0]}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise BridgeError(f"grounder output is not UTF-8: {exc}") from exc
     except subprocess.TimeoutExpired as exc:
         raise BridgeError(
             f"grounder timed out after {config.timeout} seconds") from exc

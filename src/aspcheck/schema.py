@@ -155,7 +155,12 @@ def _construct_mapping(loader, node, deep=False):
     mapping = {}
     for key_node, value_node in node.value:
         key = loader.construct_object(key_node, deep=deep)
-        if key in mapping:
+        try:
+            duplicate = key in mapping
+        except TypeError:  # a list, mapping or set as a key
+            raise yaml.constructor.ConstructorError(
+                None, None, "found unhashable key", key_node.start_mark) from None
+        if duplicate:
             raise _DuplicateKey(key, key_node.start_mark)
         mapping[key] = loader.construct_object(value_node, deep=deep)
     return mapping
@@ -240,11 +245,10 @@ def _facet_int(value, path: str) -> int | None:
 
 def _enum_term(value, declared_type: PrimitiveType, path: str) -> GroundTerm:
     """Interpret one enum entry; the field's declared type breaks YAML ties."""
-    if isinstance(value, bool) or isinstance(value, (float, dict, list)):
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise _err(path, "facet-value", f"enum value {value!r} is not a ground term")
     if isinstance(value, int):
         return Number(value)
-    assert isinstance(value, str)
     if declared_type is PrimitiveType.STRING:
         return Str(value)
     try:
@@ -264,7 +268,7 @@ def _normalize_count(value, path: str) -> tuple[int, int | None] | None:
     if isinstance(value, dict):
         extra = set(value) - {"min", "max"}
         if extra:
-            raise _err(path, "facet-value", f"unknown count keys {sorted(extra)}")
+            raise _err(path, "facet-value", f"unknown count keys {sorted(extra, key=repr)}")
         lo = _facet_int(value.get("min"), f"{path}.min") or 0
         hi = _facet_int(value.get("max"), f"{path}.max")
         return (lo, hi)
@@ -285,7 +289,7 @@ def _normalize_sum(value, path: str, *, positive: bool) -> tuple[int, int] | Non
     if isinstance(value, dict):
         extra = set(value) - {"min", "max"}
         if extra:
-            raise _err(path, "facet-value", f"unknown sum keys {sorted(extra)}")
+            raise _err(path, "facet-value", f"unknown sum keys {sorted(extra, key=repr)}")
         lo = _facet_int(value.get("min"), f"{path}.min")
         hi = _facet_int(value.get("max"), f"{path}.max")
         return (default[0] if lo is None else lo, default[1] if hi is None else hi)
@@ -322,7 +326,7 @@ def parse_spec(yaml_text: str) -> ValidationSpec:
         if key == RESERVED_KEY:
             prelude, asp_program = _parse_global_block(value)
         else:
-            definitions[key] = _parse_definition(str(key), value)
+            definitions[key] = _parse_definition(key, value)
 
     return ValidationSpec(prelude=prelude, asp_program=asp_program,
                           definitions=definitions)
@@ -334,7 +338,7 @@ def _parse_global_block(value):
     unknown = set(value) - {"script", "python", "asp"}
     if unknown:
         raise _err(RESERVED_KEY, "facet-value",
-                   f"unknown keys in the valasp block: {sorted(unknown)}")
+                   f"unknown keys in the valasp block: {sorted(unknown, key=repr)}")
     if "script" in value and "python" in value:
         raise _err(RESERVED_KEY, "facet-value", "give either script or python, not both")
 
@@ -364,9 +368,9 @@ def _parse_hook(text: str, where: str, symbol: str = "",
     return script if script.statements else None
 
 
-def _parse_definition(symbol: str, value) -> UserDefinition:
-    if not IDENT_RE.match(symbol):
-        raise _err(symbol, "facet-value",
+def _parse_definition(symbol, value) -> UserDefinition:
+    if not isinstance(symbol, str) or not IDENT_RE.match(symbol):  # .inf is a float
+        raise _err(str(symbol), "facet-value",
                    f"{symbol!r} is not a valid predicate name")
     if not isinstance(value, dict):
         raise _err(symbol, "facet-value", "a definition must be a mapping of fields")
@@ -405,10 +409,14 @@ def _parse_symbol_block(symbol: str, block: dict):
     unknown = set(block) - {"having", "before_grounding", "after_init", "after_grounding"}
     if unknown:
         raise _err(f"{symbol}.{RESERVED_KEY}", "facet-value",
-                   f"unknown keys: {sorted(unknown)}", symbol=symbol)
+                   f"unknown keys: {sorted(unknown, key=repr)}", symbol=symbol)
 
+    items = block.get("having")
+    if items is not None and not isinstance(items, list):
+        raise _err(f"{symbol}.{RESERVED_KEY}.having", "facet-value", "having must be a list",
+                   symbol=symbol)
     having: list[HavingComparison] = []
-    for item in block.get("having") or []:
+    for item in items or []:
         if not isinstance(item, str):
             raise _err(f"{symbol}.{RESERVED_KEY}.having", "facet-value",
                        f"{item!r} is not a comparison", symbol=symbol)

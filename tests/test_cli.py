@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, formats, modes."""
 
+import io
 import json
 import os
 import random
@@ -13,6 +14,7 @@ import pytest
 from aspcheck import engine
 from aspcheck.cli import EXIT_INTERNAL_ERROR, main
 from aspcheck.diagnostics import render_report
+from aspcheck.emit import GrounderBridgeConfig
 from aspcheck.engine import RunOptions, run
 from aspcheck.schema import load_spec
 from aspcheck.terms import Func, Number, ParseError, Tuple, parse_facts, render
@@ -294,6 +296,16 @@ class TestBridgeMode:
                      income_spec, facts]) == 1
         assert "sum-pos" in capsys.readouterr().out
 
+    def test_bridge_mode_leaves_the_asp_program_to_the_grounder(self, tmp_path, capsys):
+        spec = write(tmp_path, "choice.yaml", "valasp:\n    asp: |\n        { q(X) } :- p(X).\n"
+                                              "p:\n    x: Integer\n")
+        facts = write(tmp_path, "p.lp", "p(1).")
+        cmd = f"{sys.executable} -c \"import sys; sys.stdout.write(sys.stdin.read())\""
+        assert main(["validate", "--mode", "bridge", "--grounder-cmd", cmd, spec, facts]) == 0
+        assert capsys.readouterr().out == "valid\n"
+        assert main(["validate", spec, facts]) == 2
+        assert capsys.readouterr().out.startswith(": asp-syntax: choice rules are not supported")
+
     def test_bridge_without_grounder_exit_3(self, income_spec, tmp_path,
                                             monkeypatch, capsys):
         monkeypatch.delenv("ASPCHECK_GROUNDER", raising=False)
@@ -317,6 +329,61 @@ class TestBridgeMode:
         assert captured.out == ('income/2: min: amount: Should be >= 0, but received -1'
                                 ' [income("a:-b",-1)]\ninvalid\n')
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("via_env", [False, True])
+    def test_grounder_command_that_does_not_split_exit_3(self, income_spec, tmp_path,
+                                                          monkeypatch, capsys, via_env):
+        facts = write(tmp_path, "ok.lp", 'income("A", 3).')
+        monkeypatch.setenv("ASPCHECK_GROUNDER", "python 'x")
+        flags = [] if via_env else ["--grounder-cmd", "python 'x"]
+        assert main(["validate", "--mode", "bridge", *flags, income_spec, facts]) == 3
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "aspcheck: cannot split the grounder command:"
+                                  " No closing quotation\n")
+
+    @pytest.mark.parametrize("timeout", ["nan", "inf", "-inf", "0", "-1", "1e400", "x"])
+    def test_grounder_timeout_must_be_finite_and_positive(self, income_spec, tmp_path,
+                                                          capsys, timeout):
+        facts = write(tmp_path, "ok.lp", 'income("A", 3).')
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--mode", "bridge", "--grounder-cmd", STUB_CMD,
+                  f"--grounder-timeout={timeout}", income_spec, facts])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert ("argument --grounder-timeout: expected a finite number above 0,"
+                f" got {timeout!r}") in err
+        assert "internal error" not in err and "Traceback" not in err
+
+    def test_grounder_that_cannot_start_is_a_bridge_error(self, income_spec, tmp_path,
+                                                           capsys):
+        grounder = write(tmp_path, "notexec", "print('p(1).')\n")
+        os.chmod(grounder, 0o644)
+        facts = write(tmp_path, "ok.lp", 'income("A", 3).')
+        assert main(["validate", "--mode", "bridge", "--grounder-cmd", shlex.quote(grounder),
+                     income_spec, facts]) == 3
+        out, err = capsys.readouterr()
+        assert out == f": bridge-error: cannot start grounder {grounder}: Permission denied\n" \
+                      "spec-error\n"
+        assert err == ""
+        report = run(load_spec(fixture_text("income.yaml")), [],
+                     RunOptions(grounder=GrounderBridgeConfig((grounder,))))
+        assert [d.rule for d in report.diagnostics] == ["bridge-error"]
+
+    @pytest.mark.parametrize("stream", ["stdout", "stderr"])
+    def test_grounder_output_that_is_not_utf8_is_a_bridge_error(self, income_spec, tmp_path,
+                                                                 capsys, stream):
+        grounder = write(tmp_path, "bad.py", "import sys\nsys.stdin.read()\n"
+                                             f"sys.{stream}.buffer.write(b'income(\\xff).')\n")
+        facts = write(tmp_path, "ok.lp", 'income("A", 3).')
+        assert main(["validate", "--mode", "bridge", "--grounder-cmd",
+                     shlex.join([sys.executable, grounder]), income_spec, facts]) == 3
+        out, err = capsys.readouterr()
+        assert out.startswith(": bridge-error: grounder output is not UTF-8: 'utf-8' codec"
+                              " can't decode byte 0xff in position 7")
+        assert out.endswith("\nspec-error\n") and err == ""
+        report = run(load_spec(fixture_text("income.yaml")), [],
+                     RunOptions(grounder=GrounderBridgeConfig((sys.executable, grounder))))
+        assert [d.rule for d in report.diagnostics] == ["bridge-error"]
 
     def test_grounder_from_environment(self, income_spec, tmp_path, monkeypatch):
         facts = write(tmp_path, "ok.lp", 'income("A", 3).')
@@ -347,6 +414,26 @@ class TestCheck:
         assert out == (": asp-syntax: expected ')' closing the argument list,"
                        " got end of input (line 2, column 1)\n")
         assert validate_out == out + "spec-error\n"
+
+    @pytest.mark.parametrize("flags", [[], ["--all-errors"]])
+    @pytest.mark.parametrize("spec_text", [
+        'valasp:\n    script: |\n        fail("prelude down")\n'
+        "    asp: |\n        q(X) :- p(X\np:\n    x: Integer\n",
+        "valasp:\n    asp: |\n        q(X) :- p(X\np:\n    x: Integer\n"
+        '    valasp:\n        before_grounding: fail("before")\n',
+    ], ids=["prelude", "before_grounding"])
+    def test_asp_problem_stops_the_run_before_any_hook(self, tmp_path, capsys, flags,
+                                                       spec_text):
+        # A failing prelude or before hook does not make the spec's broken
+        # asp program an invalid verdict: the run stops before step 1.
+        spec = write(tmp_path, "spec.yaml", spec_text)
+        assert main(["check", spec]) == 2
+        check_out = capsys.readouterr().out
+        assert main(["validate", *flags, spec, write(tmp_path, "p.lp", "p(1).")]) == 2
+        out = capsys.readouterr().out
+        assert out == (": asp-syntax: expected ')' closing the argument list,"
+                       " got end of input (line 2, column 1)\nspec-error\n")
+        assert out == check_out + "spec-error\n"
 
     def test_asp_with_an_anonymous_head_variable_exit_2(self, tmp_path, capsys):
         spec = write(tmp_path, "anon.yaml",
@@ -704,3 +791,81 @@ def test_date_part_beyond_a_c_int_is_a_diagnostic(tmp_path, flags):
     assert "max: day: Should be <= 2147483647" in proc.stdout
     if flags:
         assert "hook-fail: no such calendar date: 2000-1-2147483648" in proc.stdout
+
+
+# Hostile YAML values, each written inline, for every spec position below.
+HOSTILE_VALUES = [
+    "null", "~", "2020-01-01", "2001-12-14t21:59:43.10-05:00", "!!binary aGk=",
+    "!!set {a, b}", "!!omap [{a: 1}, {b: 2}]", "1.5", ".inf", ".nan", "-.inf", "true",
+    "0", "-5", "99999999999999999999", "[]", "[1, a]", "[[1]]", "{}", "{a: 1}",
+    "{1: a, b: 2}", "{[a, b]: 1}", "abc", "Integer", "'p(1)'", "'\"s\"'", "a < b",
+    "'x <'", "'1 < 2'", "'[a'",
+]
+_FACETS = ["type", "enum", "min", "max", "pattern", "count", "sum+", "sum-"]
+HOSTILE_TEMPLATES = [
+    *(f"p:\n    x:\n        type: {kind}\n        {facet}: {{v}}\n"
+      for kind in ("Integer", "String", "Alpha", "Any") for facet in _FACETS),
+    *(f"p:\n    x:\n        type: Integer\n        {facet}:\n            {bound}: {{v}}\n"
+      for facet in ("count", "sum+", "sum-") for bound in ("min", "max")),
+    *(f"p:\n    x: Integer\n    y: Integer\n    valasp:\n        {key}: {{v}}\n"
+      for key in ("having", "before_grounding", "after_init", "after_grounding")),
+    "p:\n    x: Integer\n    valasp:\n        having: [{v}]\n",
+    "p:\n    x: Integer\n    valasp: {v}\n",
+    *(f"valasp:\n    {key}: {{v}}\np:\n    x: Integer\n" for key in ("script", "python", "asp")),
+    "valasp: {v}\np:\n    x: Integer\n",
+    "p:\n    x: Integer\n    valasp:\n        {v}: 1\n",
+    "valasp:\n    {v}: 1\np:\n    x: Integer\n",
+    "p:\n    x: {v}\n",
+    "p: {v}\n",
+    "p:\n    {v}: Integer\n",
+    "{v}:\n    x: Integer\n",
+    "{v}\n",
+]
+
+
+@pytest.mark.parametrize("template", HOSTILE_TEMPLATES)
+def test_no_spec_shape_is_an_internal_error(tmp_path, monkeypatch, capsys, template):
+    facts = write(tmp_path, "p.lp", "p(1).\n")
+    failures = []
+    for value in HOSTILE_VALUES:
+        for argv in (["check", "-"], ["validate", "-", facts]):
+            monkeypatch.setattr("sys.stdin", io.StringIO(template.format(v=value)))
+            code = main(argv)
+            err = capsys.readouterr().err
+            if code not in (0, 1, 2) or "internal error" in err or "Traceback" in err:
+                failures.append((value, argv[0], code, err))
+    assert failures == []
+
+
+_UNHASHABLE = "facet-value: not valid YAML: found unhashable key\n  in \"<unicode string>\", line {}"
+_HAVING_NOT_A_LIST = "p: facet-value: p.valasp.having: having must be a list"
+
+
+@pytest.mark.parametrize("spec_text, message", [
+    ("? [a, b]\n: {x: Integer}\n", _UNHASHABLE.format(1)),
+    ("p:\n    [1]: Integer\n", _UNHASHABLE.format(2)),
+    ("p:\n    !!set {a, b}: Integer\n", _UNHASHABLE.format(2)),
+    *((f"p:\n    x: Integer\n    valasp:\n        having: {value}\n", _HAVING_NOT_A_LIST)
+      for value in ("5", "1.5", "true", "2020-01-01", "a < b")),
+    *((f"p:\n    x:\n        type: {kind}\n        enum: [{value}]\n",
+       f"facet-value: p.x.enum: enum value {shown} is not a ground term")
+      for kind, value, shown in [
+          ("Integer", "null", "None"), ("String", "~", "None"),
+          ("Alpha", "2020-01-01", "datetime.date(2020, 1, 1)"),
+          ("Integer", "2001-12-14 21:59:43", "datetime.datetime(2001, 12, 14, 21, 59, 43)"),
+          ("Alpha", "!!binary aGk=", "b'hi'")]),
+    (".inf:\n    x: Integer\n", "facet-value: inf: inf is not a valid predicate name"),
+    ("valasp: {1: a, b: 2}\np:\n    x: Integer\n",
+     "facet-value: valasp: unknown keys in the valasp block: ['b', 1]"),
+    ("p:\n    x:\n        type: Integer\n        count: {1: a, b: 2}\n",
+     "facet-value: p.x.count: unknown count keys ['b', 1]"),
+])
+@pytest.mark.parametrize("command", ["check", "validate"])
+def test_hostile_yaml_shape_is_a_spec_error(tmp_path, capsys, command, spec_text, message):
+    spec = write(tmp_path, "spec.yaml", spec_text)
+    argv = ["check", spec] if command == "check" else ["validate", spec,
+                                                       write(tmp_path, "p.lp", "p(1).\n")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.out + captured.err
+    assert "internal error" not in captured.err and "Traceback" not in captured.err

@@ -261,6 +261,16 @@ class TestCheckSpec:
         diags = check_spec(spec)
         assert any(d.rule == "type-cycle" for d in diags)
 
+    def test_cycle_through_two_back_edges_is_reported_once(self):
+        diags = check_spec(parse_spec("a:\n    x: b\n    y: a\nb:\n    y: a\n"))
+        assert [(d.symbol, d.rule, d.message) for d in diags] == [
+            ("a", "type-cycle", "cyclic type reference: a -> b -> a")]
+
+    def test_each_cycle_starts_at_its_least_member(self):
+        diags = check_spec(parse_spec("z:\n    x: z\nc:\n    x: b\nb:\n    x: c\n"))
+        assert [d.message for d in diags] == ["cyclic type reference: b -> c -> b",
+                                              "cyclic type reference: z -> z"]
+
     def test_type_depth_reported_at_each_unreferenced_definition(self):
         chain = "".join(f"t{i}:\n    x: t{i + 1}\n" for i in range(100)) + "t100:\n    x: Any\n"
         diags = check_spec(parse_spec(chain + "r:\n    x: t1\nok:\n    x: t2\n"))
