@@ -137,7 +137,8 @@ def _err(path: str, rule: str, message: str, symbol: str = "") -> SpecError:
 
 
 # ---------------------------------------------------------------------------
-# YAML reading (order preserved by dict insertion; duplicates rejected)
+# YAML reading (order preserved by dict insertion; duplicates and keys that
+# are not strings rejected)
 
 
 class _DuplicateKey(yaml.YAMLError):
@@ -155,12 +156,10 @@ def _construct_mapping(loader, node, deep=False):
     mapping = {}
     for key_node, value_node in node.value:
         key = loader.construct_object(key_node, deep=deep)
-        try:
-            duplicate = key in mapping
-        except TypeError:  # a list, mapping or set as a key
+        if not isinstance(key, str):  # every key is a name; str() would make .inf "inf"
             raise yaml.constructor.ConstructorError(
-                None, None, "found unhashable key", key_node.start_mark) from None
-        if duplicate:
+                None, None, "found a mapping key that is not a string", key_node.start_mark)
+        if key in mapping:
             raise _DuplicateKey(key, key_node.start_mark)
         mapping[key] = loader.construct_object(value_node, deep=deep)
     return mapping
@@ -268,7 +267,7 @@ def _normalize_count(value, path: str) -> tuple[int, int | None] | None:
     if isinstance(value, dict):
         extra = set(value) - {"min", "max"}
         if extra:
-            raise _err(path, "facet-value", f"unknown count keys {sorted(extra, key=repr)}")
+            raise _err(path, "facet-value", f"unknown count keys {sorted(extra)}")
         lo = _facet_int(value.get("min"), f"{path}.min") or 0
         hi = _facet_int(value.get("max"), f"{path}.max")
         return (lo, hi)
@@ -289,7 +288,7 @@ def _normalize_sum(value, path: str, *, positive: bool) -> tuple[int, int] | Non
     if isinstance(value, dict):
         extra = set(value) - {"min", "max"}
         if extra:
-            raise _err(path, "facet-value", f"unknown sum keys {sorted(extra, key=repr)}")
+            raise _err(path, "facet-value", f"unknown sum keys {sorted(extra)}")
         lo = _facet_int(value.get("min"), f"{path}.min")
         hi = _facet_int(value.get("max"), f"{path}.max")
         return (default[0] if lo is None else lo, default[1] if hi is None else hi)
@@ -338,7 +337,7 @@ def _parse_global_block(value):
     unknown = set(value) - {"script", "python", "asp"}
     if unknown:
         raise _err(RESERVED_KEY, "facet-value",
-                   f"unknown keys in the valasp block: {sorted(unknown, key=repr)}")
+                   f"unknown keys in the valasp block: {sorted(unknown)}")
     if "script" in value and "python" in value:
         raise _err(RESERVED_KEY, "facet-value", "give either script or python, not both")
 
@@ -368,9 +367,9 @@ def _parse_hook(text: str, where: str, symbol: str = "",
     return script if script.statements else None
 
 
-def _parse_definition(symbol, value) -> UserDefinition:
-    if not isinstance(symbol, str) or not IDENT_RE.match(symbol):  # .inf is a float
-        raise _err(str(symbol), "facet-value",
+def _parse_definition(symbol: str, value) -> UserDefinition:
+    if not IDENT_RE.match(symbol):
+        raise _err(symbol, "facet-value",
                    f"{symbol!r} is not a valid predicate name")
     if not isinstance(value, dict):
         raise _err(symbol, "facet-value", "a definition must be a mapping of fields")
@@ -381,7 +380,6 @@ def _parse_definition(symbol, value) -> UserDefinition:
         "before_grounding": None, "after_init": None, "after_grounding": None}
 
     for key, entry in value.items():
-        key = str(key)
         if key == RESERVED_KEY:
             if not isinstance(entry, dict):
                 raise _err(f"{symbol}.{RESERVED_KEY}", "reserved-name",
@@ -409,7 +407,7 @@ def _parse_symbol_block(symbol: str, block: dict):
     unknown = set(block) - {"having", "before_grounding", "after_init", "after_grounding"}
     if unknown:
         raise _err(f"{symbol}.{RESERVED_KEY}", "facet-value",
-                   f"unknown keys: {sorted(unknown, key=repr)}", symbol=symbol)
+                   f"unknown keys: {sorted(unknown)}", symbol=symbol)
 
     items = block.get("having")
     if items is not None and not isinstance(items, list):

@@ -801,8 +801,9 @@ HOSTILE_VALUES = [
     "{1: a, b: 2}", "{[a, b]: 1}", "abc", "Integer", "'p(1)'", "'\"s\"'", "a < b",
     "'x <'", "'1 < 2'", "'[a'",
 ]
-_FACETS = ["type", "enum", "min", "max", "pattern", "count", "sum+", "sum-"]
+_FACETS = ["enum", "min", "max", "pattern", "count", "sum+", "sum-"]
 HOSTILE_TEMPLATES = [
+    "p:\n    x:\n        type: {v}\n",
     *(f"p:\n    x:\n        type: {kind}\n        {facet}: {{v}}\n"
       for kind in ("Integer", "String", "Alpha", "Any") for facet in _FACETS),
     *(f"p:\n    x:\n        type: Integer\n        {facet}:\n            {bound}: {{v}}\n"
@@ -837,14 +838,15 @@ def test_no_spec_shape_is_an_internal_error(tmp_path, monkeypatch, capsys, templ
     assert failures == []
 
 
-_UNHASHABLE = "facet-value: not valid YAML: found unhashable key\n  in \"<unicode string>\", line {}"
+_KEY_NOT_A_STRING = ("facet-value: not valid YAML: found a mapping key that is not a string\n"
+                     "  in \"<unicode string>\", line {}")
 _HAVING_NOT_A_LIST = "p: facet-value: p.valasp.having: having must be a list"
 
 
 @pytest.mark.parametrize("spec_text, message", [
-    ("? [a, b]\n: {x: Integer}\n", _UNHASHABLE.format(1)),
-    ("p:\n    [1]: Integer\n", _UNHASHABLE.format(2)),
-    ("p:\n    !!set {a, b}: Integer\n", _UNHASHABLE.format(2)),
+    ("? [a, b]\n: {x: Integer}\n", _KEY_NOT_A_STRING.format(1)),
+    ("p:\n    [1]: Integer\n", _KEY_NOT_A_STRING.format(2)),
+    ("p:\n    !!set {a, b}: Integer\n", _KEY_NOT_A_STRING.format(2)),
     *((f"p:\n    x: Integer\n    valasp:\n        having: {value}\n", _HAVING_NOT_A_LIST)
       for value in ("5", "1.5", "true", "2020-01-01", "a < b")),
     *((f"p:\n    x:\n        type: {kind}\n        enum: [{value}]\n",
@@ -854,11 +856,12 @@ _HAVING_NOT_A_LIST = "p: facet-value: p.valasp.having: having must be a list"
           ("Alpha", "2020-01-01", "datetime.date(2020, 1, 1)"),
           ("Integer", "2001-12-14 21:59:43", "datetime.datetime(2001, 12, 14, 21, 59, 43)"),
           ("Alpha", "!!binary aGk=", "b'hi'")]),
-    (".inf:\n    x: Integer\n", "facet-value: inf: inf is not a valid predicate name"),
-    ("valasp: {1: a, b: 2}\np:\n    x: Integer\n",
-     "facet-value: valasp: unknown keys in the valasp block: ['b', 1]"),
+    # Read as a string, .inf would have named the predicate or field inf.
+    (".inf:\n    x: Integer\n", _KEY_NOT_A_STRING.format(1)),
+    ("p:\n    .inf: Integer\n    inf: Integer\n", _KEY_NOT_A_STRING.format(2)),
+    ("valasp: {1: a, b: 2}\np:\n    x: Integer\n", _KEY_NOT_A_STRING.format(1)),
     ("p:\n    x:\n        type: Integer\n        count: {1: a, b: 2}\n",
-     "facet-value: p.x.count: unknown count keys ['b', 1]"),
+     _KEY_NOT_A_STRING.format(4)),
 ])
 @pytest.mark.parametrize("command", ["check", "validate"])
 def test_hostile_yaml_shape_is_a_spec_error(tmp_path, capsys, command, spec_text, message):
