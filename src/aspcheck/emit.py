@@ -8,6 +8,7 @@ checking.
 
 from __future__ import annotations
 
+import math
 import subprocess
 import tempfile
 from dataclasses import dataclass
@@ -26,7 +27,8 @@ class GrounderBridgeConfig:
 
     The program is piped to standard input unless an argument contains the
     placeholder ``{file}``, in which case it is written to a temporary file
-    whose path is substituted.  The tool must print ground text on stdout.
+    whose path is substituted.  The tool must print ground text on stdout
+    within timeout seconds, a finite number above 0.
     """
 
     command: tuple[str, ...]
@@ -46,6 +48,9 @@ def ground_with_external(program_text: str, config: GrounderBridgeConfig) -> set
     command: Sequence[str] = config.command
     if not command:
         raise BridgeError("empty grounder command")
+    if not 0 < config.timeout < math.inf:  # NaN fails both comparisons
+        raise BridgeError(f"grounder timeout must be a finite number above 0,"
+                          f" got {config.timeout!r}")
 
     tmp = None
     stdin_text: str | None = program_text

@@ -56,7 +56,8 @@ class AccumulatorStore:
     count tracks distinct ground atoms per symbol; positive/negative sums are
     kept per (symbol, field) for fields carrying a sum facet.  The class
     store is one flat namespace for the whole run, so an after hook can read
-    values bound while checking instances of another symbol.
+    values bound while checking instances of another symbol.  field_types
+    holds every user type that some definition's field has.
     """
 
     def __init__(self, spec: ValidationSpec):
@@ -67,6 +68,8 @@ class AccumulatorStore:
         self.class_store: dict[str, object] = {}
         self.snapshots: dict[str, list[hooks.CheckedInstance]] = {}
         self.prelude: dict[str, object] = {}
+        self.field_types = {f.type for d in spec.definitions.values()
+                            for f in d.fields if isinstance(f.type, str)}
         self._checks: dict[str, _Checks] = {}
 
     def checks(self, definition: UserDefinition) -> "_Checks":
@@ -92,8 +95,9 @@ class _Checks(NamedTuple):
     snapshot: every valid instance is snapshotted (after_grounding reads self,
     after_init does not call append_snapshot).  in_after_init: checking an
     instance runs an after_init, its own or one of its fields' user types,
-    at any depth.  order_free: neither, so no hook sees the checking order.
-    columns: the column pre-check of a pure-facet symbol, else None.
+    at any depth.  order_free: no hook sees the order the instances are
+    checked or swept in.  columns: the column pre-check of a pure-facet
+    symbol, else None.
     """
 
     fields: tuple
@@ -225,22 +229,26 @@ _KINDS = {
 def _compile(definition: UserDefinition, store: AccumulatorStore) -> _Checks:
     symbol, fields = definition.symbol, definition.fields
     after, init = definition.after_grounding, definition.after_init
-    snapshot = (after is not None and after.uses_self
-                and (init is None or not init.uses_append_snapshot))
-    in_after_init = init is not None or any(
-        store.checks(store.spec.definitions[f.type]).in_after_init
-        for f in fields if isinstance(f.type, str))
-    order_free = not (snapshot or in_after_init)
+    sweep = after is not None and after.uses_self
+    snapshot = sweep and (init is None or not init.uses_append_snapshot)
+    nested_init = any(store.checks(store.spec.definitions[f.type]).in_after_init
+                      for f in fields if isinstance(f.type, str))
+    # A hook leaves nothing behind but the class fields it writes, so the
+    # order shows only through those, or through a user type's after_init,
+    # or through a sweep over snapshots also taken in another symbol's group.
+    order_free = not (nested_init or init is not None and init.writes_cls
+                      or sweep and (after.writes_cls or symbol in store.field_types))
     # A pure-facet symbol: checking one instance reads no other instance, no
     # hook and no other symbol, so its group can be checked column by column.
-    pure = order_free and not definition.having and all(
-        isinstance(f.type, PrimitiveType) for f in fields)
+    pure = (order_free and init is None and not snapshot and not definition.having
+            and all(isinstance(f.type, PrimitiveType) for f in fields))
     compiled = [(f.name, *_compile_field(f, store)) for f in fields]
     return _Checks(
         fields=tuple((name, check) for name, check, _, _ in compiled),
         sums=tuple((name, (symbol, name), pos, neg)
                    for name, _, _, (pos, neg) in compiled if pos or neg),
-        snapshot=snapshot, in_after_init=in_after_init, order_free=order_free,
+        snapshot=snapshot, in_after_init=init is not None or nested_init,
+        order_free=order_free,
         columns=_compile_columns(symbol, compiled) if pure else None)
 
 
@@ -400,14 +408,19 @@ def finalize(definition: UserDefinition, store: AccumulatorStore) -> list[Diagno
         # A hook over self runs once per snapshot, any other hook once.  The
         # sweep shares one environment; each run starts with no locals.
         env = store.env()
+        failing = []
         for snap in store.snapshots.get(symbol, []) if after.uses_self else [None]:
             env.instance = snap.values if snap is not None else None
             env.locals = {}
             problem = _run_hook(after, env, "after_grounding")
             if problem is not None:
-                rule, message = problem
-                shown = render(snap.source) if snap is not None and rule == "hook-fail" else None
-                diags.append(diag(rule, message, instance=shown))
+                failing.append((snap, problem))
+        if after.uses_self and store.checks(definition).order_free:
+            # The snapshots came in arrival order; report in term order.
+            failing.sort(key=lambda pair: sort_key(pair[0].source))
+        for snap, (rule, message) in failing:
+            shown = render(snap.source) if snap is not None and rule == "hook-fail" else None
+            diags.append(diag(rule, message, instance=shown))
     return diags
 
 
@@ -471,10 +484,10 @@ def _diagnostics(spec: ValidationSpec, program: datalog.Program | None, facts,
         return
 
     # Step 4: check instances, symbol by symbol: in term order where a hook
-    # can observe the order, else in arrival order, sorting only the failing
-    # ones.  Either way diagnostics come in term order.  A pure-facet symbol
-    # is first checked column by column; if that passes, every instance is
-    # valid and is counted without a row loop.
+    # can observe the order (see _compile), else in arrival order, sorting
+    # only the failing ones.  Either way diagnostics come in term order.  A
+    # pure-facet symbol is first checked column by column; if that passes,
+    # every instance is valid and is counted without a row loop.
     for symbol, group in _grouped_instances(spec, atoms):
         definition = spec.definitions[symbol]
         checks = store.checks(definition)

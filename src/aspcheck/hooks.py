@@ -16,7 +16,9 @@ Scope rules:
 An after_grounding script that mentions ``self`` is swept once per stored
 snapshot of its symbol; everything else runs exactly once.  A script that is
 one bare ``append_snapshot()`` call is marked snapshot_only, and the engine
-takes the snapshot without running it.
+takes the snapshot without running it.  Assigning a ``cls`` field is the only
+effect a script leaves behind, so a script without writes_cls cannot tell in
+which order the engine runs it over the instances.
 """
 
 from __future__ import annotations
@@ -102,6 +104,7 @@ class HookScript:
 
     eval_instance calls them in order.  Scripts compare by their source text.
     snapshot_only: the one statement is a bare append_snapshot() call.
+    writes_cls: some statement assigns a class field (=, += or -=).
     """
 
     text: str
@@ -109,6 +112,7 @@ class HookScript:
     uses_self: bool
     uses_append_snapshot: bool
     snapshot_only: bool
+    writes_cls: bool
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +210,8 @@ class _LineParser:
     """Expression and statement parser over one logical line.
 
     mentions collects "self" and "append_snapshot" where the script uses
-    them; the lines of one script share it.
+    them, and "cls=" where it assigns a class field; the lines of one
+    script share it.
     """
 
     def __init__(self, toks: list[_Tok], mentions: set[str]):
@@ -396,6 +401,7 @@ class _LineParser:
                 name = self.advance().text
                 op = self.advance().text
                 expr = self.expr()
+                self.mentions.add("cls=")
                 if op == "=":
                     return _set_class_field(name, expr)
                 return _update_class_field(name, op, expr)
@@ -459,7 +465,8 @@ def parse_script(text: str) -> HookScript:
         raise ScriptSyntaxError("unexpected indentation", tok.line, tok.column)
     return HookScript(text, tuple(statements), uses_self="self" in mentions,
                       uses_append_snapshot="append_snapshot" in mentions,
-                      snapshot_only=statements == [_append_snapshot])
+                      snapshot_only=statements == [_append_snapshot],
+                      writes_cls="cls=" in mentions)
 
 
 def _parse_block(lines, start: int, base_indent: int | None, ifs: int, mentions: set[str]):

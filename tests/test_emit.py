@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from aspcheck import emit
 from aspcheck.datalog import evaluate, parse_program
 from aspcheck.engine import RunOptions, run
 from aspcheck.emit import (
@@ -150,6 +151,17 @@ class TestBridgeRun:
         report = run(spec, [], RunOptions(grounder=config))
         assert report.verdict == "spec-error"
         assert report.diagnostics[0].rule == "bridge-error"
+
+    @pytest.mark.parametrize("timeout", [float("nan"), float("inf"), -1.0, 0.0])
+    def test_timeout_that_is_not_finite_and_positive_is_a_bridge_error(self, monkeypatch,
+                                                                        timeout):
+        monkeypatch.setattr(emit.subprocess, "run", lambda *args, **kwargs: pytest.fail("ran"))
+        spec = load_fixture("income.yaml")
+        config = GrounderBridgeConfig(command=("cat",), timeout=timeout)
+        report = run(spec, parse_facts('income("a",1).'), RunOptions(grounder=config))
+        assert report.verdict == "spec-error"
+        assert [(d.rule, d.message) for d in report.diagnostics] == [
+            ("bridge-error", f"grounder timeout must be a finite number above 0, got {timeout!r}")]
 
     def test_bridge_renders_facts_when_no_program_text(self):
         from aspcheck.engine import RunOptions, run

@@ -811,7 +811,8 @@ def test_fail_fast_before_hook_failure_skips_evaluation_and_checks(monkeypatch):
 
 
 @pytest.mark.parametrize("hook, checked", [
-    ("        after_init: |+\n            x = 1\n", 3),  # ordered: 1, 3, then 7 fails
+    ("        after_init: |+\n            cls.n = 1\n", 3),  # ordered: 1, 3, then 7 fails
+    ("        after_init: |+\n            x = 1\n", 4),  # writes no class field: order-free
     ("", 4),  # order-free: every instance is checked before the failing ones are sorted
 ])
 def test_fail_fast_counts_checked_instances(hook, checked):
@@ -1132,6 +1133,104 @@ def test_snapshot_only_after_init_matches_running_the_script(monkeypatch, spec_n
                 (report.diagnostics, report.stats.instances_checked, stores[0].snapshots))
     assert outcomes[True] == outcomes[False]
     assert any(diagnostics for diagnostics, _, _ in outcomes[True])
+
+
+# An order-free symbol is checked and swept in arrival order, and only its
+# failures are sorted.  The reference is the sorted path: every symbol without
+# a column pre-check checked in term order and swept in stored order, as if a
+# hook could see the order.
+def _sorted_path():
+    compile_ = engine._compile
+
+    def compile_ordered(definition, store):
+        checks = compile_(definition, store)
+        return checks if checks.columns is not None else checks._replace(order_free=False)
+    return mock.patch.object(engine, "_compile", compile_ordered)
+
+
+def _shuffled_run(spec, facts, fail_fast, rng):
+    """A run on facts in an order of rng's, each symbol's group shuffled too:
+    its diagnostics, instance counts, and snapshots with each symbol's in
+    term order."""
+    grouped = engine._grouped_instances
+    stores = []
+
+    def shuffled_groups(spec, atoms):
+        for symbol, group in grouped(spec, atoms):
+            yield symbol, rng.sample(group, len(group))
+    with mock.patch.object(engine, "_grouped_instances", shuffled_groups), \
+            mock.patch.object(engine, "AccumulatorStore",
+                              lambda spec: stores.append(AccumulatorStore(spec)) or stores[-1]):
+        report = run(spec, rng.sample(facts, len(facts)), RunOptions(fail_fast=fail_fast))
+    snapshots = {symbol: sorted(snaps, key=lambda snap: sort_key(snap.source))
+                 for symbol, snaps in stores[0].snapshots.items()}
+    return report.diagnostics, report.stats.instances_checked, snapshots
+
+
+def _assert_order_free_path_is_the_sorted_path(spec, facts, rng):
+    """Both paths report alike; the diagnostics of --all-errors."""
+    for fail_fast in (True, False):
+        real = _shuffled_run(spec, facts, fail_fast, rng)
+        with _sorted_path():
+            reference = _shuffled_run(spec, facts, fail_fast, rng)
+        assert real[0] == reference[0]
+        # Fail-fast checks an order-free group whole, an ordered one up to
+        # its first failure.
+        if not fail_fast or not any(d.phase == "instance" for d in real[0]):
+            assert real[1:] == reference[1:]
+    return real[0]
+
+
+_HOOKED_SPECS = [path.name for path in sorted(FIXTURES.glob("*.yaml"))
+                 if any(d.after_init or d.after_grounding or d.before_grounding
+                        for d in load_fixture(path.name).definitions.values())]
+
+
+@pytest.mark.parametrize("spec_name", _HOOKED_SPECS + ["nested knight"])
+def test_order_free_path_matches_the_sorted_path(spec_name):
+    spec = load_spec(_NESTED_KNIGHT) if spec_name == "nested knight" else load_fixture(spec_name)
+    rng = random.Random(spec_name)
+    swept = 0  # runs whose sweep reports more than one snapshot
+    for _ in range(40):
+        facts = random_facts(rng, spec, rng.randint(1, 30))
+        found = _assert_order_free_path_is_the_sorted_path(spec, facts, rng)
+        swept += sum(d.phase == "after" and d.instance is not None for d in found) > 1
+    assert swept or spec_name not in ("knight.yaml", "nested knight")
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_order_free_path_matches_the_sorted_path_over_generated_specs(data):
+    text, shapes = data.draw(_generated_specs())
+    facts = data.draw(st.lists(st.sampled_from(sorted(shapes)).flatmap(
+        lambda name: st.tuples(*(_generated_value(t, shapes) for t in shapes[name])).map(
+            lambda args: Fact(name, args))), max_size=10))
+    rng = data.draw(st.randoms(use_true_random=False))
+    _assert_order_free_path_is_the_sorted_path(load_spec(text), facts, rng)
+
+
+# A sweep that writes a class field sees the order it runs in, so it keeps
+# term order: the third instance is p(3), whatever the arrival order.
+_COUNTING_SWEEP = load_spec("""
+p:
+    a: Integer
+    valasp:
+        before_grounding: |+
+            cls.seen = 0
+        after_grounding: |+
+            cls.seen += 1
+            if cls.seen == 3: fail('third is {self.a}')
+""")
+
+
+def test_a_sweep_that_writes_a_class_field_keeps_term_order():
+    facts = parse_facts("p(5). p(1). p(4). p(2). p(6). p(3).")
+    rng = random.Random(24)
+    for _ in range(20):
+        diagnostics, checked, _ = _shuffled_run(_COUNTING_SWEEP, facts, False, rng)
+        assert [(d.phase, d.rule, d.message, d.instance) for d in diagnostics] == [
+            ("after", "hook-fail", "third is 3", "p(3)")]
+        assert checked == {"p": 6}
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,18 @@ class TestParsing:
     def test_snapshot_only_flag(self, text, snapshot_only):
         assert parse_script(text).snapshot_only is snapshot_only
 
+    @pytest.mark.parametrize("text, writes_cls", [
+        ("cls.x = 1", True),
+        ("cls.x += 1", True),
+        ("if self.x > 0:\n    y = 2\n    cls.x -= 1", True),
+        ("x = cls.x", False),
+        ("if self.x > cls.board_size: fail('{cls.board_size}')", False),
+        ("append_snapshot()", False),
+        ("# cls.x = 1", False),  # stored as no hook (test_schema)
+    ])
+    def test_writes_cls_flag(self, text, writes_cls):
+        assert parse_script(text).writes_cls is writes_cls
+
 
 class TestCalendar:
     def test_valid_date_passes(self):
