@@ -37,6 +37,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from collections.abc import KeysView
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import repeat
@@ -966,19 +967,22 @@ def parse_program(text: str) -> Program:
 
 
 @gc_paused()
-def evaluate(program: Program, input_facts) -> set[Fact]:
+def evaluate(program: Program, input_facts) -> KeysView[Fact]:
     """The unique stratified model over the program's and the input facts.
 
-    The rules must come from parse_program (they carry their plans); they
-    are stratified here, so a set of rules joined from several programs
-    raises UnstratifiedError if the join has a bad cycle.
+    The model is a set-like view in arrival order: the program's facts and
+    then the input facts, each at its first occurrence, then the derived
+    atoms relation by relation, each relation's in derivation order.  The
+    rules must come from parse_program (they carry their plans); they are
+    stratified here, so a set of rules joined from several programs raises
+    UnstratifiedError if the join has a bad cycle.
     """
     strata = stratify(program.rules)
     stratum_of = {p: i for i, s in enumerate(strata) for p in s}
     relations = _Relations()
-    model: set[Fact] = set()
+    model: dict[Fact, None] = {}
     for fact in itertools.chain(program.facts, input_facts):
-        model.add(fact)
+        model[fact] = None  # an equal key already there stays
         relations.add(fact.predicate, fact.args)
     given = {pred: len(rel) for pred, rel in relations.tuples.items()}
 
@@ -991,9 +995,10 @@ def evaluate(program: Program, input_facts) -> set[Fact]:
 
     # Relations keep insertion order, so each one's derived tuples follow
     # the given facts, whose own Fact objects the model already holds.
-    model.update(Fact(pred, args) for pred, rel in relations.tuples.items()
-                 for args in itertools.islice(rel, given.get(pred, 0), None))
-    return model
+    for pred, rel in relations.tuples.items():
+        for args in itertools.islice(rel, given.get(pred, 0), None):
+            model[Fact(pred, args)] = None
+    return model.keys()
 
 
 class _Relations:

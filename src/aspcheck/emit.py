@@ -11,9 +11,9 @@ from __future__ import annotations
 import math
 import subprocess
 import tempfile
+from collections.abc import KeysView, Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 from .datalog import _ProgramParser
 from .terms import GROUND_TYPES, Fact, ParseError, parse_facts
@@ -39,11 +39,12 @@ class BridgeError(RuntimeError):
     pass
 
 
-def ground_with_external(program_text: str, config: GrounderBridgeConfig) -> set[Fact]:
+def ground_with_external(program_text: str, config: GrounderBridgeConfig) -> KeysView[Fact]:
     """Ground a program with the configured tool and collect its atoms.
 
     Accepted output lines are facts and fully-ground rule heads; directives,
-    non-ground rules and anything else the dialect prints are ignored.
+    non-ground rules and anything else the dialect prints are ignored.  The
+    atoms are a set-like view in output order, each at its first occurrence.
     """
     command: Sequence[str] = config.command
     if not command:
@@ -91,11 +92,12 @@ def ground_with_external(program_text: str, config: GrounderBridgeConfig) -> set
     return _parse_ground_output(proc.stdout)
 
 
-def _parse_ground_output(stdout: str) -> set[Fact]:
-    atoms: set[Fact] = set()
+def _parse_ground_output(stdout: str) -> KeysView[Fact]:
+    """The atoms of the grounder's output, each at its first occurrence."""
+    atoms: dict[Fact, None] = {}
     for line in stdout.split("\n"):  # not splitlines: a string may hold U+2028
         try:
-            atoms.update(parse_facts(line))
+            atoms.update(dict.fromkeys(parse_facts(line)))
         except ParseError:
             # A rule gives its head if that is ground; its body is never read.
             try:
@@ -104,5 +106,5 @@ def _parse_ground_output(stdout: str) -> set[Fact]:
             except ParseError:  # directives, choice lines, constraints, ...
                 continue
             if parser.cur.text == ":-" and all(isinstance(a, GROUND_TYPES) for a in head.args):
-                atoms.add(Fact(head.pred, head.args))
-    return atoms
+                atoms.setdefault(Fact(head.pred, head.args))
+    return atoms.keys()

@@ -477,18 +477,22 @@ def _diagnostics(spec: ValidationSpec, program: datalog.Program | None, facts,
             if problem is not None:
                 yield Diagnostic("before", symbol, *problem, arity=definition.arity)
 
-    # Step 3: the instance set.  A problem ends the run.
+    # Step 3: the instance set, in arrival order.  A problem ends the run.
     atoms, problem_diag = _instance_set(spec, program, facts, options)
     if problem_diag is not None:
         yield problem_diag
         return
+    # Only the groups keep the atoms: the instance set is freed once they
+    # are built, before any instance is checked.
+    groups = _grouped_instances(spec, atoms)
+    del atoms
 
     # Step 4: check instances, symbol by symbol: in term order where a hook
     # can observe the order (see _compile), else in arrival order, sorting
     # only the failing ones.  Either way diagnostics come in term order.  A
     # pure-facet symbol is first checked column by column; if that passes,
     # every instance is valid and is counted without a row loop.
-    for symbol, group in _grouped_instances(spec, atoms):
+    for symbol, group in groups:
         definition = spec.definitions[symbol]
         checks = store.checks(definition)
         sums = checks.columns(group) if checks.columns is not None else None
@@ -533,7 +537,11 @@ def _asp_syntax(exc: Exception) -> Diagnostic:
 def _instance_set(spec: ValidationSpec, program: datalog.Program | None, facts,
                   options: RunOptions):
     """Step 3: input atoms plus whatever the spec's parsed asp program
-    derives, or in bridge mode (program None) whatever the grounder gives."""
+    derives, or in bridge mode (program None) whatever the grounder gives.
+
+    Each atom comes once, in arrival order: the given facts in input order,
+    then the derived atoms, or the grounder's atoms in its output order.
+    """
     if options.grounder is not None:
         from . import emit
 
@@ -551,7 +559,7 @@ def _instance_set(spec: ValidationSpec, program: datalog.Program | None, facts,
 
     rules = program.rules + list(options.rules)
     if not rules:
-        return {*program.facts, *facts}, None
+        return _distinct([*program.facts, *facts] if program.facts else facts), None
     try:
         return datalog.evaluate(datalog.Program(rules, program.facts), facts), None
     except datalog.UnstratifiedError as exc:  # only the joined rules have the cycle
@@ -574,8 +582,23 @@ def _grouped_instances(spec: ValidationSpec, atoms):
     for atom in atoms:
         if len(atom.args) == arities.get(atom.predicate):
             groups.setdefault(atom.predicate, []).append(atom)
+    del atoms  # the last reference to the instance set
     for symbol in sorted(groups):
         yield symbol, groups[symbol]
+
+
+def _distinct(atoms) -> list[Fact]:
+    """atoms as a list without repeats, each at its first arrival.
+
+    The set that finds repeats is built whole, in one call, and is freed on
+    return, before the atoms are grouped; when nothing repeats, the list
+    itself comes back.
+    """
+    atoms = atoms if isinstance(atoms, list) else list(atoms)
+    if len(set(atoms)) == len(atoms):
+        return atoms
+    seen: set[Fact] = set()
+    return [atom for atom in atoms if not (atom in seen or seen.add(atom))]
 
 
 def _args_key(fact: Fact) -> tuple:

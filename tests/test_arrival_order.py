@@ -1,0 +1,224 @@
+"""Step 3's contract: each atom once, in arrival order, freed once grouped.
+
+Arrival order is the given facts in input order, then the derived atoms,
+or a grounder's atoms in its output order.
+"""
+
+import json
+import os
+import random
+import subprocess
+import sys
+import weakref
+
+import pytest
+
+from aspcheck import cli, datalog, engine
+from aspcheck.datalog import evaluate, parse_program
+from aspcheck.emit import GrounderBridgeConfig, _parse_ground_output
+from aspcheck.engine import RunOptions, run
+from aspcheck.schema import load_spec
+from aspcheck.terms import Fact, parse_facts, render
+
+from _support import STUB_GROUNDER
+
+STUB = GrounderBridgeConfig(command=(sys.executable, str(STUB_GROUNDER)))
+
+
+def rendered(atoms):
+    return [render(atom.term()) for atom in atoms]
+
+
+def record_groups(monkeypatch):
+    """The groups _grouped_instances yields from now on, rendered."""
+    groups = []
+    grouped = engine._grouped_instances
+
+    def record(spec, atoms):
+        for symbol, group in grouped(spec, atoms):
+            groups.append((symbol, rendered(group)))
+            yield symbol, group
+    monkeypatch.setattr(engine, "_grouped_instances", record)
+    return groups
+
+
+# ---------------------------------------------------------------------------
+# Order
+
+
+def test_evaluate_gives_the_given_facts_in_input_order_then_the_derived():
+    program = parse_program("q(9). r(X) :- p(X), X > 1. s(X) :- r(X).")
+    facts = parse_facts("p(3). p(1). p(3). p(2).")
+    model = evaluate(program, facts)
+    assert rendered(model) == ["q(9)", "p(3)", "p(1)", "p(2)", "r(3)", "r(2)", "s(3)", "s(2)"]
+    # Still a set: compared, tested and counted as one.
+    assert model == set(model) and len(model) == 8 and Fact("s", facts[3].args) in model
+    # A repeat is dropped, and the first one kept.
+    assert next(atom for atom in model if atom == facts[2]) is facts[0]
+
+
+def test_ground_output_comes_in_output_order_with_repeats_dropped():
+    atoms = _parse_ground_output('p(2).\np("b").\n#show.\np(1).\np(2).\nq(1) :- p(1).\np(1).\n')
+    assert rendered(atoms) == ["p(2)", 'p("b")', "p(1)", "q(1)"]
+    assert atoms == set(parse_facts('p(2). p("b"). p(1). q(1).'))
+
+
+_PQ = "p:\n    x: Any\nq:\n    x: Any\n"
+
+
+def _shuffled_data(seed: int) -> tuple[str, list[str]]:
+    """Facts of p and q, strings and constants, in a random order with
+    repeats; and their distinct texts at first arrival."""
+    rng = random.Random(seed)
+    texts = [f'{pred}({arg})' for pred in "pq" for i in range(30)
+             for arg in (f'"s{i}"', f"c{i}")]
+    rng.shuffle(texts)
+    texts += rng.sample(texts, 20)
+    rng.shuffle(texts)
+    return "".join(f"{text}.\n" for text in texts), list(dict.fromkeys(texts))
+
+
+@pytest.mark.parametrize("fail_fast", [True, False])
+def test_a_run_without_rules_groups_in_input_order(monkeypatch, fail_fast):
+    data, distinct = _shuffled_data(1)
+    groups = record_groups(monkeypatch)
+    report = run(load_spec(_PQ), parse_facts(data), RunOptions(fail_fast=fail_fast))
+    assert report.verdict == "valid"
+    assert groups == [(pred, [text for text in distinct if text.startswith(pred)])
+                      for pred in "pq"]
+
+
+def test_a_run_with_rules_groups_given_facts_then_derived_atoms(monkeypatch):
+    spec = load_spec(_PQ + "valasp:\n    asp: |\n        q(X) :- p(X).\n")
+    data, distinct = _shuffled_data(2)
+    groups = record_groups(monkeypatch)
+    assert run(spec, parse_facts(data)).verdict == "valid"
+    given_q = [text for text in distinct if text.startswith("q")]
+    derived_q = [f"q{text[1:]}" for text in distinct
+                 if text.startswith("p") and f"q{text[1:]}" not in given_q]
+    assert groups == [("p", [text for text in distinct if text.startswith("p")]),
+                      ("q", given_q + derived_q)]
+
+
+_CHILD = """
+import json, sys
+from aspcheck import engine
+from aspcheck.emit import GrounderBridgeConfig
+from aspcheck.engine import RunOptions, run
+from aspcheck.schema import load_spec
+from aspcheck.terms import parse_facts, render
+
+spec_text, data, stub = sys.argv[1:]
+groups = []
+grouped = engine._grouped_instances
+
+def record(spec, atoms):
+    for symbol, group in grouped(spec, atoms):
+        groups.append([symbol, [render(atom.term()) for atom in group]])
+        yield symbol, group
+
+engine._grouped_instances = record
+bridge = RunOptions(grounder=GrounderBridgeConfig((sys.executable, stub)))
+for text, options in ((spec_text, None),
+                      (spec_text + "valasp:\\n    asp: |\\n        q(X) :- p(X).\\n", None),
+                      (spec_text, bridge)):
+    run(load_spec(text), parse_facts(data), options)
+    print(json.dumps(groups))
+    groups.clear()
+"""
+
+
+def test_groups_are_alike_under_every_hash_seed():
+    data, _ = _shuffled_data(3)
+    outputs = set()
+    for seed in ("0", "1"):
+        proc = subprocess.run([sys.executable, "-c", _CHILD, _PQ, data, str(STUB_GROUNDER)],
+                              capture_output=True, text=True, check=True,
+                              env={**os.environ, "PYTHONHASHSEED": seed})
+        assert [json.loads(line) for line in proc.stdout.splitlines()][0], proc.stdout
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
+
+
+# ---------------------------------------------------------------------------
+# Release
+
+
+class _Model(dict):
+    """The real model, as an ordered container a weak reference can watch."""
+
+
+_RELEASE_SPEC = load_spec("""
+p:
+    x: Integer
+    y: Integer
+    valasp:
+        having: [x < y]
+r:
+    x: Integer
+    valasp:
+        after_init: |
+            cls.last = self.x
+valasp:
+    asp: |
+        p(X, Y) :- q(X), Y = X + 1.
+        r(X) :- q(X).
+""")
+
+
+@pytest.mark.parametrize("fail_fast", [True, False])
+def test_the_instance_set_is_freed_before_any_instance_is_checked(monkeypatch, fail_fast):
+    models = []
+    real_evaluate, real_check = datalog.evaluate, engine.check_instance
+
+    def watched_evaluate(program, facts):
+        model = _Model.fromkeys(real_evaluate(program, facts))
+        models.append(weakref.ref(model))
+        return model
+
+    checked = []
+
+    def check_instance(definition, fact, store):
+        assert models and models[0]() is None, "the instance set is still alive"
+        checked.append(fact)
+        return real_check(definition, fact, store)
+
+    monkeypatch.setattr(datalog, "evaluate", watched_evaluate)
+    monkeypatch.setattr(engine, "check_instance", check_instance)
+    report = run(_RELEASE_SPEC, parse_facts("q(2). q(1)."), RunOptions(fail_fast=fail_fast))
+    assert report.verdict == "valid"
+    assert sorted(rendered(checked)) == ["p(1,2)", "p(2,3)", "r(1)", "r(2)"]
+
+
+# ---------------------------------------------------------------------------
+# Duplicates
+
+_COUNT2 = "p:\n    x: {type: Integer, count: 2}\n"
+_DUPLICATES = "p(1).\np(1).\np(2).\n"
+
+
+@pytest.mark.parametrize("fail_fast", [True, False])
+@pytest.mark.parametrize("spec_text, options", [
+    (_COUNT2, {}),
+    (_COUNT2 + "valasp:\n    asp: |\n        p(1) :- p(2).\n", {}),
+    (_COUNT2, {"grounder": STUB}),
+    (_COUNT2, {"grounder": STUB, "program_text": _DUPLICATES}),
+    (_COUNT2, {"grounder": GrounderBridgeConfig(
+        (sys.executable, "-c", f"import sys; sys.stdin.read(); print({_DUPLICATES!r})"))}),
+], ids=["no-rules", "rule-rederives", "stub", "stub-text", "grounder-repeats"])
+def test_a_repeated_fact_is_one_instance(spec_text, options, fail_fast):
+    report = run(load_spec(spec_text), parse_facts(_DUPLICATES),
+                 RunOptions(fail_fast=fail_fast, **options))
+    assert report.diagnostics == []
+    assert report.verdict == "valid"
+    assert report.stats.instances_checked == {"p": 2}
+
+
+@pytest.mark.parametrize("flags", [[], ["--all-errors"], ["--mode", "bridge", "--grounder-cmd",
+                                                        f"{sys.executable} {STUB_GROUNDER}"]])
+def test_the_cli_counts_a_repeated_fact_once(tmp_path, capsys, flags):
+    spec, data = tmp_path / "p.yaml", tmp_path / "p.lp"
+    spec.write_text(_COUNT2)
+    data.write_text(_DUPLICATES)
+    assert cli.main(["validate", *flags, str(spec), str(data)]) == 0
+    assert capsys.readouterr().out == "valid\n"
