@@ -23,13 +23,17 @@ and raises the same errors.
 Evaluation is bottom-up, semi-naive per component of the dependency graph;
 a non-recursive component takes one pass.  Each iteration joins at least
 one body atom against the tuples derived in the previous iteration.
-Each rule's plan is compiled when it is parsed into nested closures over a
-list of variable slots (see _Compiler); nothing interprets the rule later.
-Body and aggregate-condition atoms read their relation through hash
-indexes keyed by the argument positions known when the atom is reached
-(ground, or a variable bound earlier in the plan), so a join touches only
-the tuples that agree on those positions.  Indexes are built on first use
-and kept current as relations grow.
+parse_program orders each rule's body into a plan; the first time the rule
+is evaluated, the plan becomes one generated Python function, a flat nest of
+for loops with the variables as locals (see _Generator), and nothing
+interprets the rule later.  Body and aggregate-condition atoms read their
+relation through hash indexes keyed by the argument positions known when the
+atom is reached (ground, or a variable bound earlier in the plan), so a join
+touches only the tuples that agree on those positions; an atom with none
+reads the relation's own tuples.  Indexes are built on first use and kept
+current as relations grow.  No text of the rule is in the generated source:
+predicates, terms and messages reach the function as arguments, so rules of
+one shape share one source text, compiled once.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import repeat
 from operator import itemgetter
+from types import CodeType, FunctionType
 from typing import Iterator
 
 from .terms import (
@@ -180,8 +185,9 @@ class Rule:
     head: Atom
     body: tuple
     source: str
+    plan: tuple = ()  # the body in evaluation order (see _plan_rule)
     atoms: tuple = ()  # the predicate of each positive atom in the plan
-    derive: object = None  # the compiled plan (see _Compiler.rule)
+    derive: object = None  # the plan as a function, made on first evaluation (see _Generator)
 
 
 @dataclass(slots=True)
@@ -809,15 +815,20 @@ def _key_positions(atom: Atom, bound: set[str]) -> tuple[int, ...]:
 
 
 def _plan_rule(rule: Rule) -> None:
-    """Order the body so each literal is evaluable when reached; compile it."""
-    compiler = _Compiler(rule.source)
+    """Order the body so each literal is evaluable when reached; check safety.
+
+    The plan is turned into code when the rule is first evaluated.
+    """
     remaining = list(rule.body)
+    plan = []
     bound: set[str] = set()
     while remaining:
         for idx, lit in enumerate(remaining):
+            binds: set[str] = set()
             if isinstance(lit, Atom):
                 known = set(bound)
                 ready = all(_pattern_ready(a, known) for a in lit.args)
+                binds = known
             elif isinstance(lit, NegAtom):
                 ready = _vars_of(lit) <= bound
             elif isinstance(lit, Comparison):
@@ -825,11 +836,14 @@ def _plan_rule(rule: Rule) -> None:
                 ready = (lv <= bound and rv <= bound) or lit.op == "=" and (
                     isinstance(lit.left, Var) and rv <= bound
                     or isinstance(lit.right, Var) and lv <= bound)
+                binds = lv | rv
             else:
                 ready = _aggregate_ready(lit, bound)
+                if lit.op == "=" and isinstance(lit.guard, Var):
+                    binds = {lit.guard.name}
             if ready:
-                compiler.literal(lit, bound)  # adds what lit binds to bound
-                del remaining[idx]
+                bound |= binds
+                plan.append(remaining.pop(idx))
                 break
         else:
             unbound = sorted(_vars_of(*remaining) - bound)
@@ -837,8 +851,9 @@ def _plan_rule(rule: Rule) -> None:
     loose = sorted(_vars_of(rule.head) - bound)
     if loose:
         raise UnsafeRuleError(loose[0], rule.source)
-    rule.atoms = tuple(compiler.atoms)
-    rule.derive = compiler.rule(rule.head, bound)
+    rule.plan = tuple(plan)
+    rule.atoms = tuple(lit.pred for lit in plan if isinstance(lit, Atom))
+    rule.derive = None
 
 
 # ---------------------------------------------------------------------------
@@ -1006,7 +1021,8 @@ class _Relations:
 
     An index holds the tuples of one predicate and arity in buckets, in
     insertion order, keyed by their values at some positions as
-    itemgetter(*positions) gives them.  add keeps every built index current.
+    itemgetter(*positions) gives them.  add, and generated code adding a
+    rule's head atoms, keep every built index current through _grow.
     """
 
     __slots__ = ("tuples", "_indexes", "_index_lists")
@@ -1025,28 +1041,31 @@ class _Relations:
         elif args in rel:
             return False
         rel[args] = None
-        for arity, key_of, index in self._index_lists.get(pred, ()):
-            if len(args) == arity:
-                index.setdefault(key_of(args), []).append(args)
+        _grow(self._index_lists.get(pred, ()), args)
         return True
 
-    def lookup(self, pred: str, arity: int, positions: tuple, key):
-        """The tuples of pred/arity holding key at positions, as of now."""
+    def index(self, pred: str, arity: int, positions: tuple) -> dict[object, list[tuple]]:
+        """The buckets of pred/arity by their values at positions (one or more)."""
         index = self._indexes.get((pred, arity, positions))
         if index is None:
             index = self._indexes[pred, arity, positions] = {}
-            # args[0:0] is (), the one key of an index without positions.
-            key_of = itemgetter(*positions) if positions else itemgetter(slice(0, 0))
+            key_of = itemgetter(*positions)
             self._index_lists.setdefault(pred, []).append((arity, key_of, index))
             for args in self.tuples.get(pred, ()):
                 if len(args) == arity:
                     index.setdefault(key_of(args), []).append(args)
-        bucket = index.get(key)
-        if bucket is None:
-            return ()
-        # Tuples appended while the caller iterates are left to the next
-        # round's delta, as a snapshot would leave them.
-        return itertools.islice(bucket, len(bucket))
+        return index
+
+    def scan(self, pred: str):
+        """The tuples of pred, of every arity: what an atom without keys reads."""
+        return self.tuples.get(pred, ())
+
+
+def _grow(indexes: list[tuple], args: tuple) -> None:
+    """Add args to each of its relation's indexes (arity, key function, index)."""
+    for arity, key_of, index in indexes:
+        if len(args) == arity:
+            index.setdefault(key_of(args), []).append(args)
 
 
 def _eval_stratum(rules: list[Rule], relations: _Relations) -> None:
@@ -1054,10 +1073,13 @@ def _eval_stratum(rules: list[Rule], relations: _Relations) -> None:
     # pass derives all and nothing enters the delta; otherwise only its heads
     # do, so an atom over an earlier component never reads the delta.
     heads = {rule.head.pred for rule in rules}
+    for rule in rules:
+        if rule.derive is None:
+            rule.derive = _Generator(rule).function()
     delta = _Relations()
     out = delta if any(p in heads for rule in rules for p in rule.atoms) else None
     for rule in rules:
-        rule.derive(relations, out)
+        rule.derive(relations, out, None, -1)
     while delta.tuples:
         frozen, delta = delta, _Relations()
         for rule in rules:
@@ -1068,295 +1090,89 @@ def _eval_stratum(rules: list[Rule], relations: _Relations) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Compilation of planned rules
+# Code generation for planned rules
 #
-# A binding is a list with a slot per variable, numbered as first met; which
-# are bound at each literal is known at planning.  A literal compiles to a
-# maker: given the next literal's closure and the relations of one pass, it
-# returns a closure that binds or checks slots of the binding and calls on.
-# Nothing is copied per match; a stale slot is never read.
+# Each rule becomes the source of one function, derive(relations, out, delta,
+# now, k0, k1, ...): one pass of the rule that adds each new head atom to
+# relations and, unless out is None, to out; the body atom at occurrence now
+# reads delta instead of relations.  The body is a flat nest of for loops in
+# plan order, one per atom, over the buckets of a hash index (or, for an atom
+# without key positions, over its relation's tuples); a variable is a local
+# v<slot>, numbered as first met.  A literal that does not hold skips to the
+# next candidate of the innermost loop.  Every predicate, ground term, message
+# and name of the rule reaches the code as a default argument k<i>, so the
+# source holds only names made here and integers: rules of one shape share
+# one source text, and one code object (_code).
+#
+# CPython refuses more than 20 nested blocks in one function, so a nest
+# deeper than _MAX_LOOPS loops goes on in a nested function f<i> that takes
+# the bound variables.  An aggregate's condition is always such a function,
+# collecting the element tuples into the dict it is given.
+
+_MAX_LOOPS = 16
+
+# Python's spelling of each comparison operator.
+_PY_OPS = {"=": "==", "==": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 
 
-class _Compiler:
-    """Compiles one rule's planned literals, in plan order, then its head."""
+class _Limit(str):
+    """The message of a ResourceLimitError, as a helper returns it."""
 
-    def __init__(self, source: str):
-        self.source = source
-        self.slots: dict[str, int] = {}
-        self.makers: list = []
-        self.atoms: list[str] = []  # the predicate of each body atom compiled
 
-    def slot(self, name: str) -> int:
-        return self.slots.setdefault(name, len(self.slots))
+def _fail(message: str, source: str, names: tuple, values: tuple) -> EvaluationError:
+    kind = ResourceLimitError if type(message) is _Limit else EvaluationError
+    return kind(message, source, dict(zip(names, values)))
 
-    def error(self, bound: set[str]):
-        """error(message, b[, kind]): an EvaluationError (or the subclass
-        kind) showing the bound variables."""
-        shown = [(name, self.slot(name)) for name in bound]
 
-        def error(message: str, b: list, kind=EvaluationError) -> EvaluationError:
-            return kind(message, self.source, {name: b[s] for name, s in shown})
-        return error
+# The helpers below return a message instead of a value that has none, and
+# the generated code raises it with the binding of the place it was called.
 
-    # -- literals ----------------------------------------------------------
+def _arith_term(op: str, left, right):
+    """The Number left op right."""
+    if type(left) is not Number or type(right) is not Number:
+        return f"arithmetic on non-integers ({op})"
+    try:
+        return Number(_arith(op, left[1], right[1]))
+    except ArithmeticError as exc:
+        return str(exc)
 
-    def literal(self, lit, bound: set[str]) -> None:
-        compile = {Atom: self.atom, NegAtom: self.negation, Comparison: self.comparison,
-                   AggregateLit: self.aggregate}[type(lit)]
-        self.makers.append(compile(lit, bound))
 
-    def atom(self, atom: Atom, bound: set[str], in_body: bool = True):
-        """Candidates by key positions, then binds, then checks left to right."""
-        pred, arity = atom.pred, len(atom.args)
-        occurrence = len(self.atoms) if in_body else -1
-        if in_body:
-            self.atoms.append(pred)
-        positions = _key_positions(atom, bound)
-        key = self.values([atom.args[p] for p in positions], bound, bare=True)
-        binds: list[tuple[int, int]] = []  # (position, slot) of a variable met first
-        checks: list = []  # (position, matcher) of every other argument
-        for pos, arg in enumerate(atom.args):
-            if pos in positions:
-                continue
-            if isinstance(arg, Var) and arg.name not in bound:
-                bound.add(arg.name)
-                binds.append((pos, self.slot(arg.name)))
-            else:
-                checks.append((pos, self.matcher(arg, bound)))
+def _compound(name: str | None, args: tuple):
+    """A derived function (a tuple if name is None), nested at most MAX_NESTING deep."""
+    for arg in args:
+        # A tuple or a function ranks 3 or 4 (see terms._Term).
+        if arg[0] > 2 and _term_depth(arg) >= MAX_NESTING:
+            return f"derived term nested more than {MAX_NESTING} levels deep"
+    return Tuple(args) if name is None else Func(name, args)
 
-        def make(nxt, relations, delta, now):
-            lookup = (delta if occurrence == now else relations).lookup
 
-            def step(b: list) -> None:
-                for args in lookup(pred, arity, positions, key(b)):
-                    for p, s in binds:
-                        b[s] = args[p]
-                    for p, match in checks:
-                        if not match(args[p], b):
-                            break
-                    else:
-                        nxt(b)
-            return step
-        return make
+def _sum(found: dict):
+    """The Number that #sum gives over the element tuples found."""
+    total = 0
+    for elements in found:
+        weight = elements[0]
+        if type(weight) is not Number:
+            return f"#sum over a non-integer {render(weight)}"
+        total += weight[1]
+    if too_many_digits(total):
+        return integer_too_long("result")
+    return Number(total)
 
-    def matcher(self, pattern, bound: set[str]):
-        """match(g, b): whether ground term g matches, binding pattern's new variables."""
-        if isinstance(pattern, Var):
-            s = self.slot(pattern.name)
-            if pattern.name in bound:
-                return lambda g, b: b[s] == g
-            bound.add(pattern.name)
 
-            def bind(g, b: list) -> bool:
-                b[s] = g
-                return True
-            return bind
-        if isinstance(pattern, FuncPat):
-            subs = [self.matcher(a, bound) for a in pattern.args]
-            kind, name = Tuple if pattern.name is None else Func, pattern.name
-            return lambda g, b: (type(g) is kind and len(g.args) == len(subs)
-                                 and getattr(g, "name", None) == name
-                                 and all(sub(a, b) for sub, a in zip(subs, g.args)))
-        if isinstance(pattern, GROUND_TYPES):
-            return lambda g, b: g == pattern
-        value = self.value(pattern, bound)  # arithmetic or an interpreted term
-        return lambda g, b: value(b) == g
+def _span(lo, hi):
+    """The values of the interval lo..hi, bounded before any is built."""
+    if type(lo) is not Number or type(hi) is not Number:
+        return "interval bounds must be integers"
+    if hi[1] - lo[1] >= MAX_INTERVAL_VALUES:
+        return _Limit(f"interval holds more than {MAX_INTERVAL_VALUES} values")
+    return range(lo[1], hi[1] + 1)
 
-    def negation(self, lit: NegAtom, bound: set[str]):
-        pred, values = lit.atom.pred, self.values(lit.atom.args, bound)
 
-        def make(nxt, relations, delta, now):
-            tuples = relations.tuples
-
-            def step(b: list) -> None:
-                if values(b) not in tuples.get(pred, ()):
-                    nxt(b)
-            return step
-        return make
-
-    def comparison(self, lit: Comparison, bound: set[str]):
-        """Binds an unbound variable side of '=', else compares in term order."""
-        if lit.op == "=":
-            for var, other in ((lit.left, lit.right), (lit.right, lit.left)):
-                if isinstance(var, Var) and var.name not in bound:
-                    value = self.value(other, bound)
-                    bound.add(var.name)
-                    s = self.slot(var.name)
-
-                    def make_bind(nxt, *_):
-                        def step(b: list) -> None:
-                            b[s] = value(b)
-                            nxt(b)
-                        return step
-                    return make_bind
-        left, right = self.value(lit.left, bound), self.value(lit.right, bound)
-        holds = COMPARISONS[lit.op]
-
-        def make(nxt, *_):
-            def step(b: list) -> None:
-                if holds(left(b), right(b)):
-                    nxt(b)
-            return step
-        return make
-
-    def aggregate(self, lit: AggregateLit, bound: set[str]):
-        """Over the distinct element tuples, in the order found; binds or compares the guard."""
-        inner = set(bound)  # condition variables stay local to the aggregate
-        conditions = [self.atom(c, inner, in_body=False) if isinstance(c, Atom)
-                      else self.comparison(c, inner) for c in lit.condition]
-        elements = [self.value(t, inner) for t in lit.elements]
-        error, func = self.error(bound), lit.func
-        guard = lit.guard
-        if lit.op == "=" and isinstance(guard, Var) and guard.name not in bound:
-            guard_slot, holds = self.slot(guard.name), None
-            bound.add(guard.name)
-        else:
-            guard_value, holds = self.value(guard, bound), COMPARISONS[lit.op]
-
-        def make(nxt, relations, delta, now):
-            found: dict[tuple, None] = {}
-
-            def collect(b: list) -> None:
-                found[tuple([e(b) for e in elements])] = None
-            solve = collect
-            for condition in reversed(conditions):
-                solve = condition(solve, relations, None, None)
-
-            def step(b: list) -> None:
-                found.clear()
-                solve(b)
-                if func == "count":
-                    value = Number(len(found))
-                elif func == "sum":
-                    total = 0
-                    for t in found:
-                        if type(t[0]) is not Number:
-                            raise error(f"#sum over a non-integer {render(t[0])}", b)
-                        total += t[0].value
-                    if too_many_digits(total):
-                        raise error(integer_too_long("result"), b)
-                    value = Number(total)
-                elif not found:
-                    return  # #min and #max bind nothing over an empty set
-                else:
-                    value = (min if func == "min" else max)(t[0] for t in found)
-                if holds is None:
-                    b[guard_slot] = value
-                elif not holds(value, guard_value(b)):
-                    return
-                nxt(b)
-            return step
-        return make
-
-    # -- terms -------------------------------------------------------------
-
-    def value(self, term, bound: set[str]):
-        """value(b): the ground value of term; an EvaluationError if it has none."""
-        if isinstance(term, Var) and term.name in bound:
-            return itemgetter(self.slot(term.name))
-        if isinstance(term, GROUND_TYPES):
-            return lambda b: term
-        if isinstance(term, Arith):
-            return self.arith(term, bound)
-        if isinstance(term, FuncPat):
-            return self.compound(term, bound)
-        error = self.error(bound)
-        message = (f"unbound variable {term.name}" if isinstance(term, Var)
-                   else f"externally interpreted term @{term.name} cannot be evaluated"
-                   if isinstance(term, AtTerm) else "interval outside a fact or rule head")
-
-        def fail(b: list):
-            raise error(message, b)
-        return fail
-
-    def arith(self, term: Arith, bound: set[str]):
-        left, right = self.value(term.left, bound), self.value(term.right, bound)
-        op, error = term.op, self.error(bound)
-
-        def arith(b: list) -> Number:
-            a, c = left(b), right(b)
-            if type(a) is not Number or type(c) is not Number:
-                raise error(f"arithmetic on non-integers ({op})", b)
-            try:
-                return Number(_arith(op, a.value, c.value))
-            except ArithmeticError as exc:
-                raise error(str(exc), b) from None
-        return arith
-
-    def values(self, terms, bound: set[str], bare: bool = False):
-        """values(b): the terms' values as a tuple; if bare, alone for one term."""
-        if len(terms) > (0 if bare else 1) and all(isinstance(t, Var) and t.name in bound for t in terms):
-            return itemgetter(*[self.slots[t.name] for t in terms])
-        values = [self.value(t, bound) for t in terms]
-        if bare and len(values) == 1:
-            return values[0]
-        return lambda b: tuple([v(b) for v in values])
-
-    def compound(self, term, bound: set[str]):
-        """A derived function or tuple, whose arguments nest less than MAX_NESTING deep."""
-        values = self.values(term.args, bound)
-        build = Tuple if term.name is None else partial(Func, term.name)
-        error = self.error(bound)
-
-        def compound(b: list) -> GroundTerm:
-            args = values(b)
-            for v in args:
-                if isinstance(v, (Func, Tuple)) and _term_depth(v) >= MAX_NESTING:
-                    raise error(f"derived term nested more than {MAX_NESTING} levels deep", b)
-            return build(args)
-        return compound
-
-    # -- the head and the whole rule ---------------------------------------
-
-    def rule(self, head: Atom, bound: set[str]):
-        """derive: one pass of the rule, adding each new head atom to relations
-        and, unless out is None, to out."""
-        pred, makers, width = head.pred, self.makers, len(self.slots)
-        if any(isinstance(a, Interval) for a in head.args):
-            instances = self.intervals(head.args, bound)
-        else:
-            values = self.values(head.args, bound)
-            instances = lambda b: (values(b),)  # noqa: E731
-
-        def derive(relations, out, delta=None, occurrence=None) -> None:
-            add, note = relations.add, out.add if out is not None else None
-
-            def emit(b: list) -> None:
-                for args in instances(b):
-                    if add(pred, args) and note:
-                        note(pred, args)
-            step = emit
-            for make in reversed(makers):
-                step = make(step, relations, delta, occurrence)
-            step([None] * width)
-        return derive
-
-    def intervals(self, args: tuple, bound: set[str]):
-        """instances(b): the head's argument tuples, one per value of each
-        interval.  Each interval, then their product, is bounded before any
-        value is built."""
-        error = self.error(bound)
-
-        def span(lo, hi):
-            def numbers(b: list) -> range:
-                first, last = lo(b), hi(b)
-                if type(first) is not Number or type(last) is not Number:
-                    raise error("interval bounds must be integers", b)
-                if last.value - first.value >= MAX_INTERVAL_VALUES:
-                    raise error(f"interval holds more than {MAX_INTERVAL_VALUES} values", b,
-                                ResourceLimitError)
-                return range(first.value, last.value + 1)
-            return numbers
-        columns = [span(self.value(a.lo, bound), self.value(a.hi, bound))
-                   if isinstance(a, Interval) else self.values((a,), bound) for a in args]
-
-        def instances(b: list):
-            spans = [column(b) for column in columns]
-            if math.prod(map(len, spans)) > MAX_INTERVAL_VALUES:
-                raise error(f"head intervals give more than {MAX_INTERVAL_VALUES} atoms", b,
-                            ResourceLimitError)
-            return itertools.product(*[map(Number, s) if type(s) is range else s for s in spans])
-        return instances
+def _instances(columns: tuple):
+    """A head's argument tuples, one per value of each interval column."""
+    if math.prod(map(len, columns)) > MAX_INTERVAL_VALUES:
+        return _Limit(f"head intervals give more than {MAX_INTERVAL_VALUES} atoms")
+    return itertools.product(*[map(Number, c) if type(c) is range else c for c in columns])
 
 
 def _term_depth(term: GroundTerm) -> int:
@@ -1368,3 +1184,278 @@ def _term_depth(term: GroundTerm) -> int:
         deepest = max(deepest, depth)
         stack += ((a, depth + 1) for a in node.args if isinstance(a, (Func, Tuple)))
     return deepest
+
+
+@lru_cache(maxsize=512)
+def _code(source: str) -> CodeType:
+    """The code object of the one function that source defines."""
+    module = compile(source, "<rule>", "exec")
+    return next(c for c in module.co_consts if isinstance(c, CodeType))
+
+
+def _tuple(items: list[str]) -> str:
+    """A tuple display of the expressions items."""
+    return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
+
+
+class _Function:
+    """The lines of one generated function, and where its nest stands."""
+
+    __slots__ = ("header", "lines", "indent", "loops", "found")
+
+    def __init__(self, indent: int, found: str | None = None):
+        self.header = ""  # a nested function's def line
+        self.lines: list[str] = []
+        self.indent = indent
+        self.loops = 0  # loops opened; none yet means the nest's only binding
+        self.found = found  # the dict an aggregate condition collects into
+
+
+class _Generator:
+    """Writes one planned rule as a function (see above)."""
+
+    def __init__(self, rule: Rule):
+        self.rule = rule
+        self.consts: list = [rule.source, rule.head.pred]  # k0, k1
+        self.slots: dict[str, int] = {}
+        self.names = itertools.count()  # numbers the other names made here
+        self.hoisted: list[str] = []  # derive's lines before its nest
+        self.nested: list[_Function] = []
+        self.main = self.fn = _Function(1)  # derive's own nest
+        self.occurrence = 0  # of the next body atom
+
+    def function(self):
+        """The rule's derive function, its code shared by rules of its shape."""
+        source, constants = self.source()
+        return FunctionType(_code(source), globals(), "derive", constants)
+
+    def source(self) -> tuple[str, tuple]:
+        """The text of derive and the constants its k parameters default to."""
+        bound: set[str] = set()
+        for lit in self.rule.plan:
+            self.literal(lit, bound)
+        self.head(self.rule.head, bound)
+        params = ", ".join(f"k{i}" for i in range(len(self.consts)))
+        lines = [f"def derive(relations, out, delta, now, {params}):",
+                 *("    " + line for line in self.hoisted),
+                 # Read after the lines above build indexes, so that it holds
+                 # a new index of the head's relation too.
+                 "    grow = relations._index_lists.get(k1, ())",
+                 "    rel = relations.tuples.get(k1) or {}",
+                 "    note = None if out is None else out.add"]
+        for fn in self.nested:
+            lines += ["    " + fn.header, *fn.lines]
+        lines += self.main.lines
+        return "\n".join(lines) + "\n", tuple(self.consts)
+
+    # -- names and lines ---------------------------------------------------
+
+    def const(self, value) -> str:
+        self.consts.append(value)
+        return f"k{len(self.consts) - 1}"
+
+    def var(self, name: str) -> str:
+        return f"v{self.slots.setdefault(name, len(self.slots))}"
+
+    def fresh(self, prefix: str) -> str:
+        return f"{prefix}{next(self.names)}"
+
+    def line(self, text: str) -> None:
+        self.fn.lines.append("    " * self.fn.indent + text)
+
+    def skip_if(self, condition: str) -> None:
+        self.line(f"if {condition}: {'continue' if self.fn.loops else 'return'}")
+
+    def fail_if(self, condition: str, message: str, bound: set[str]) -> None:
+        """Raise message when condition holds, showing the bound variables."""
+        names = sorted(bound, key=self.slots.__getitem__)
+        values = _tuple([self.var(name) for name in names])
+        self.line(f"if {condition}: raise _fail({message}, k0, {self.const(tuple(names))}, "
+                  f"{values})")
+
+    def open_loop(self, header: str, bound: set[str]) -> None:
+        if self.fn.loops == _MAX_LOOPS:
+            self.call(_Function(2, self.fn.found), bound)
+        self.line(header)
+        self.fn.indent += 1
+        self.fn.loops += 1
+
+    def call(self, fn: _Function, bound: set[str]) -> None:
+        """Go on in fn, a nested function called here with its found dict, if
+        any, and the bound variables."""
+        names = [self.var(name) for name in sorted(bound, key=self.slots.__getitem__)]
+        name, params = self.fresh("f"), ", ".join([fn.found, *names] if fn.found else names)
+        fn.header = f"def {name}({params}):"
+        self.line(f"{name}({params})")
+        self.nested.append(fn)
+        self.fn = fn
+
+    # -- literals ----------------------------------------------------------
+
+    def literal(self, lit, bound: set[str]) -> None:
+        if type(lit) is Atom:
+            self.atom(lit, bound, self.occurrence)
+            self.occurrence += 1
+        elif type(lit) is NegAtom:
+            pred, values = lit.atom.pred, [self.value(a, bound) for a in lit.atom.args]
+            tuples = self.fresh("n")
+            self.hoisted.append(f"{tuples} = relations.tuples.get({self.const(pred)}, ())")
+            self.skip_if(f"{_tuple(values)} in {tuples}")
+        elif type(lit) is Comparison:
+            self.comparison(lit, bound)
+        else:
+            self.aggregate(lit, bound)
+
+    def atom(self, atom: Atom, bound: set[str], occurrence: int | None) -> None:
+        """A loop over the candidates by key positions; binds and checks in position order.
+
+        A body atom reads delta at occurrence now; an aggregate condition
+        (occurrence None) always reads relations.  Only the head's relation
+        grows during a pass, so a body atom of that predicate loops over a
+        copy of what it reads, as it stands when the loop starts.
+        """
+        pred, arity = self.const(atom.pred), len(atom.args)
+        source = "relations" if occurrence is None else \
+            f"(delta if now == {occurrence} else relations)"
+        grows = occurrence is not None and atom.pred == self.rule.head.pred
+        positions = _key_positions(atom, bound)
+        row = self.fresh("t")
+        if positions:
+            get = self.fresh("g")
+            self.hoisted.append(f"{get} = {source}.index({pred}, {arity}, {positions!r}).get")
+            key = [self.value(atom.args[p], bound) for p in positions]
+            bucket = f"{get}({key[0] if len(key) == 1 else _tuple(key)}, ())"
+            self.open_loop(f"for {row} in {bucket}{'[:]' if grows else ''}:", bound)
+        else:
+            tuples = self.fresh("r")
+            self.hoisted.append(f"{tuples} = {source}.scan({pred})")
+            self.open_loop(f"for {row} in {f'tuple({tuples})' if grows else tuples}:", bound)
+            self.skip_if(f"len({row}) != {arity}")
+        for pos, arg in enumerate(atom.args):
+            if pos not in positions:
+                self.match(f"{row}[{pos}]", arg, bound)
+
+    def match(self, ground: str, pattern, bound: set[str]) -> None:
+        """Skip unless the ground term matches pattern, binding its new variables."""
+        if isinstance(pattern, Var):
+            if pattern.name in bound:
+                self.skip_if(f"{ground} != {self.var(pattern.name)}")
+            else:
+                bound.add(pattern.name)
+                self.line(f"{self.var(pattern.name)} = {ground}")
+        elif isinstance(pattern, FuncPat):
+            term, args = self.fresh("t"), self.fresh("t")
+            self.line(f"{term} = {ground}")
+            n = len(pattern.args)
+            if pattern.name is None:
+                self.skip_if(f"type({term}) is not Tuple or {term}[1] != {n}")
+                self.line(f"{args} = {term}[2]")
+            else:
+                self.skip_if(f"type({term}) is not Func or {term}[1] != {n}"
+                             f" or {term}[2] != {self.const(pattern.name)}")
+                self.line(f"{args} = {term}[3]")
+            for i, sub in enumerate(pattern.args):
+                self.match(f"{args}[{i}]", sub, bound)
+        elif isinstance(pattern, GROUND_TYPES):
+            self.skip_if(f"{ground} != {self.const(pattern)}")
+        else:  # arithmetic or an interpreted term
+            self.skip_if(f"{ground} != {self.value(pattern, bound)}")
+
+    def comparison(self, lit: Comparison, bound: set[str]) -> None:
+        """Binds an unbound variable side of '=', else compares in term order."""
+        if lit.op == "=":
+            for var, other in ((lit.left, lit.right), (lit.right, lit.left)):
+                if isinstance(var, Var) and var.name not in bound:
+                    value = self.value(other, bound)
+                    bound.add(var.name)
+                    self.line(f"{self.var(var.name)} = {value}")
+                    return
+        left, right = self.value(lit.left, bound), self.value(lit.right, bound)
+        self.skip_if(f"not {left} {_PY_OPS[lit.op]} {right}")
+
+    def aggregate(self, lit: AggregateLit, bound: set[str]) -> None:
+        """Over the distinct element tuples, in the order found; binds or compares the guard."""
+        found, outer = self.fresh("a"), self.fn
+        self.line(f"{found} = {{}}")
+        self.call(_Function(2, found), bound)
+        inner = set(bound)  # condition variables stay local to the aggregate
+        for condition in lit.condition:
+            if isinstance(condition, Atom):
+                self.atom(condition, inner, None)
+            else:
+                self.comparison(condition, inner)
+        elements = [self.value(t, inner) for t in lit.elements]
+        self.line(f"{found}[{_tuple(elements)}] = None")
+        self.fn = outer
+        value = self.fresh("t")
+        if lit.func == "count":
+            self.line(f"{value} = Number(len({found}))")
+        elif lit.func == "sum":
+            self.line(f"{value} = _sum({found})")
+            self.fail_if(f"type({value}) is str", value, bound)
+        else:  # #min and #max bind nothing over an empty set
+            self.skip_if(f"not {found}")
+            self.line(f"{value} = {lit.func}({found})[0]")
+        guard = lit.guard
+        if lit.op == "=" and isinstance(guard, Var) and guard.name not in bound:
+            bound.add(guard.name)
+            self.line(f"{self.var(guard.name)} = {value}")
+        else:
+            self.skip_if(f"not {value} {_PY_OPS[lit.op]} {self.value(guard, bound)}")
+
+    # -- terms -------------------------------------------------------------
+
+    def value(self, term, bound: set[str]) -> str:
+        """An expression for the ground value of term; raises if it has none."""
+        if isinstance(term, Var) and term.name in bound:
+            return self.var(term.name)
+        if isinstance(term, GROUND_TYPES):
+            return self.const(term)
+        if isinstance(term, (Arith, FuncPat)):
+            if isinstance(term, Arith):
+                operands = [self.value(term.left, bound), self.value(term.right, bound)]
+                call = f"_arith_term({self.const(term.op)}, {', '.join(operands)})"
+            else:
+                args = [self.value(a, bound) for a in term.args]
+                call = f"_compound({self.const(term.name)}, {_tuple(args)})"
+            value = self.fresh("t")
+            self.line(f"{value} = {call}")
+            self.fail_if(f"type({value}) is str", value, bound)
+            return value
+        message = (f"unbound variable {term.name}" if isinstance(term, Var)
+                   else f"externally interpreted term @{term.name} cannot be evaluated"
+                   if isinstance(term, AtTerm) else "interval outside a fact or rule head")
+        self.fail_if("True", self.const(message), bound)
+        return "None"
+
+    # -- the head ----------------------------------------------------------
+
+    def head(self, head: Atom, bound: set[str]) -> None:
+        """Adds the head's atoms; each interval, then their product, is bounded
+        before any value is built."""
+        if any(isinstance(a, Interval) for a in head.args):
+            columns = []
+            for arg in head.args:
+                if isinstance(arg, Interval):
+                    lo, hi = self.value(arg.lo, bound), self.value(arg.hi, bound)
+                    column = self.fresh("t")
+                    self.line(f"{column} = _span({lo}, {hi})")
+                    self.fail_if(f"type({column}) is not range", column, bound)
+                    columns.append(column)
+                else:
+                    columns.append(_tuple([self.value(arg, bound)]))
+            instances, args = self.fresh("t"), self.fresh("t")
+            self.line(f"{instances} = _instances({_tuple(columns)})")
+            self.fail_if(f"type({instances}) is _Limit", instances, bound)
+            self.open_loop(f"for {args} in {instances}:", bound)
+        else:
+            values = [self.value(a, bound) for a in head.args]
+            args = self.fresh("t")
+            self.line(f"{args} = {_tuple(values)}")
+        # A relation is registered with its first tuple, so that relations
+        # keep the order of their first derived atoms.
+        self.line(f"if {args} not in rel:")
+        self.line(f"    if not rel: relations.tuples[k1] = rel")
+        self.line(f"    rel[{args}] = None")
+        self.line(f"    if grow: _grow(grow, {args})")
+        self.line(f"    if note: note(k1, {args})")

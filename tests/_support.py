@@ -8,6 +8,7 @@ quantification.  Tests compare library output against these.
 
 from __future__ import annotations
 
+import math
 import random
 from pathlib import Path
 
@@ -144,15 +145,34 @@ def compare_terms(a, b) -> int:
 
 
 class GenRule:
-    __slots__ = ("head", "pos", "neg", "cmp")
+    __slots__ = ("head", "pos", "neg", "cmp", "agg")
 
-    def __init__(self, head, pos, neg, cmp=()):
-        self.head = head  # (pred, args); args are var names or int constants
+    def __init__(self, head, pos, neg, cmp=(), agg=()):
+        # (pred, args); args are var names, int constants, arithmetic
+        # (op, left, right) with op one of + - * /, or compound terms
+        # (name, args) with name an identifier or None for a tuple.
+        self.head = head
         self.pos = pos  # list of (pred, args)
-        self.neg = neg  # list of (pred, args), all vars bound by pos or cmp
-        # (op, left, right), each side a var name or an int; an "=" with a
-        # var that is not bound before it binds that var.
+        self.neg = neg  # list of (pred, args), all vars bound by pos, agg or cmp
+        # (op, left, right), each side a var name, an int or arithmetic; an
+        # "=" with a var that is not bound before it binds that var.
         self.cmp = cmp
+        # Aggregates over the pos-bound variables, each a GenAggregate.
+        self.agg = agg
+
+
+class GenAggregate:
+    __slots__ = ("func", "elements", "condition", "tests", "op", "guard")
+
+    def __init__(self, func, elements, condition, tests, op, guard):
+        self.func = func  # count sum min max
+        self.elements = elements  # var names; the first is the weight
+        self.condition = condition  # list of (pred, args) over strictly lower layers
+        self.tests = tests  # (op, var, int) after the condition atoms
+        # value op guard; guard a var name or an int, and an "=" with a var
+        # bound nowhere else binds it.
+        self.op = op
+        self.guard = guard
 
 
 class GenProgram:
@@ -164,18 +184,32 @@ class GenProgram:
 
 
 _VARS = ["X", "Y", "Z", "W"]
+_ARITH_OPS = ["+", "-", "*", "/"]
+_GUARD_OPS = ["<", "<=", ">", ">=", "=", "!="]
+_FLIPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "!=": "!="}
+# Predicates that only rules with compound heads derive, and no rule reads,
+# so no compound value meets arithmetic or a #sum.
+_OUTPUTS = [("o0", 1), ("o1", 2)]
 
 
 def generate_program(rng: random.Random, *, max_rules: int = 8,
                      domain: int = 6, allow_negation: bool = True,
-                     join_shapes: bool = False, comparisons: bool = False) -> GenProgram:
+                     join_shapes: bool = False, comparisons: bool = False,
+                     aggregates: bool = False, arithmetic: bool = False,
+                     compounds: bool = False) -> GenProgram:
     """A random layered program.
 
     With join_shapes, body atoms also take integer constants, and about
     half of the rules join a predicate with itself.  With comparisons,
     rules also hold up to three comparisons: `<`, `!=`, and `=` that binds
-    a new variable.  Off, the random draws (and so the programs for a given
-    seed) are those of the plain shape.
+    a new variable.  With aggregates, about half of the rules hold a
+    #count, #sum, #min or #max over atoms of lower layers, whose guard binds
+    a new variable or is compared.  With arithmetic, sides of comparisons
+    and the head arguments of rules that read only lower layers may be
+    `+ - * /` over a variable and a small constant.  With compounds, rules
+    for the output predicates o0/1 and o1/2 derive function and tuple terms.
+    Off, the random draws (and so the programs for a given seed) are those
+    of the plain shape.
     """
     edb = [("e0", rng.choice([1, 2])), ("e1", rng.choice([1, 2]))]
     idb = [(f"p{i}", rng.choice([1, 2])) for i in range(rng.randint(1, 3))]
@@ -214,7 +248,14 @@ def generate_program(rng: random.Random, *, max_rules: int = 8,
             bound.extend(a for a in args if isinstance(a, str))
         if not bound:
             continue
+        agg = []
+        if aggregates and rng.random() < 0.5:
+            agg.append(_aggregate(rng, bound, strictly_lower, arity_of, domain, len(rules)))
+        known = set(bound)
         cmp = _comparisons(rng, bound, domain) if comparisons else ()
+        if arithmetic:
+            recursive = any(layer_of[p] == k for p, _ in pos)
+            cmp = [_with_arithmetic(rng, c, known, recursive) for c in cmp]
 
         neg = []
         if allow_negation and strictly_lower and rng.random() < 0.5:
@@ -225,8 +266,88 @@ def generate_program(rng: random.Random, *, max_rules: int = 8,
         head_args = tuple(
             rng.choice(bound) if rng.random() < 0.8 else rng.randint(1, domain)
             for _ in range(arity_of[head_pred]))
-        rules.append((k, GenRule((head_pred, head_args), pos, neg, cmp)))
+        if arithmetic and all(layer_of[p] < k for p, _ in pos):  # no recursion through it
+            head_args = tuple(_arith_term(rng, a) if isinstance(a, str) and rng.random() < 0.4
+                              else a for a in head_args)
+        rules.append((k, GenRule((head_pred, head_args), pos, neg, cmp, agg)))
+    if compounds:
+        for name, arity in _OUTPUTS:
+            for _ in range(rng.randint(1, 2)):
+                pred = rng.choice(sorted(arity_of))
+                args = tuple(rng.choice(_VARS[:2]) for _ in range(arity_of[pred]))
+                bound = [a for a in args if isinstance(a, str)]
+                head = tuple(_compound(rng, bound, domain, 2) for _ in range(arity))
+                rules.append((4, GenRule((name, head), [(pred, args)], [])))
     return GenProgram(facts, rules)
+
+
+def _aggregate(rng: random.Random, bound: list, lower: list, arity_of: dict, domain: int,
+               index: int) -> GenAggregate:
+    """An aggregate over lower's atoms, its own variables named L<index>_<j>;
+    a binding guard extends bound with N<index>."""
+    func = rng.choice(["count", "sum", "min", "max"])
+    local = [f"L{index}_{j}" for j in range(2)]
+    condition, seen = [], []
+    for _ in range(rng.randint(1, 2)):
+        pred = rng.choice(lower)
+        args = tuple(rng.choice(bound) if rng.random() < 0.3 else
+                     rng.randint(1, domain) if rng.random() < 0.15 else rng.choice(local)
+                     for _ in range(arity_of[pred]))
+        condition.append((pred, args))
+        seen += [a for a in args if isinstance(a, str) and a not in seen]
+    elements = rng.sample(seen, min(len(seen), rng.randint(1, 2))) if seen else [bound[0]]
+    tests = []
+    if rng.random() < 0.3:
+        tests.append((rng.choice(["<", "!=", "<="]), rng.choice(elements), rng.randint(1, domain)))
+    if rng.random() < 0.5:
+        guard = f"N{index}"
+        op = "="
+        bound.append(guard)
+    else:
+        op = rng.choice(_GUARD_OPS)
+        guard = rng.choice(bound) if rng.random() < 0.3 else rng.randint(0, 2 * domain)
+    return GenAggregate(func, elements, condition, tests, op, guard)
+
+
+def _arith_term(rng: random.Random, side):
+    """side op c, for a constant c from 1 to 3."""
+    return (rng.choice(_ARITH_OPS), side, rng.randint(1, 3))
+
+
+def _with_arithmetic(rng: random.Random, comparison: tuple, known: set,
+                     recursive: bool) -> tuple:
+    """The comparison with arithmetic on a side that binds nothing; known is
+    the set of variables bound before it, extended by what it binds.  A rule
+    that reads its own layer binds no computed value, so recursion cannot
+    make new values without end."""
+    op, left, right = comparison
+    new = [s for s in (left, right) if isinstance(s, str) and s not in known]
+    known.update(new)
+    if new and recursive:
+        return comparison
+    if new:  # only the side that is not the new variable
+        if left in new:
+            return (op, left, _arith_term(rng, right)) if rng.random() < 0.5 else comparison
+        return (op, _arith_term(rng, left), right) if rng.random() < 0.5 else comparison
+    if rng.random() < 0.4:
+        left = _arith_term(rng, left)
+    if rng.random() < 0.4:
+        right = _arith_term(rng, right)
+    return (op, left, right)
+
+
+def _compound(rng: random.Random, bound: list, domain: int, depth: int):
+    """A function or tuple term over bound variables and small constants."""
+    args = []
+    for _ in range(rng.randint(1, 2)):
+        roll = rng.random()
+        if depth > 1 and roll < 0.25:
+            args.append(_compound(rng, bound, domain, depth - 1))
+        elif bound and roll < 0.8:
+            args.append(rng.choice(bound))
+        else:
+            args.append(rng.randint(1, domain))
+    return (rng.choice(["f", "g", None]), tuple(args))
 
 
 def _comparisons(rng: random.Random, bound: list, domain: int) -> list:
@@ -254,17 +375,44 @@ def render_program(program: GenProgram) -> str:
         pred, args = item
         if not args:
             return pred
-        shown = ",".join(str(a) for a in args)
+        shown = ",".join(map(_render_term, args))
         return f"{pred}({shown})"
 
     lines = [atom(f) + "." for f in sorted(program.facts)]
     for _, rule in program.rules:
         # Comparisons come first, so the planner must move them after the
         # atoms that bind their variables.
-        body = [f"{left} {op} {right}" for op, left, right in rule.cmp]
-        body += [atom(p) for p in rule.pos] + [f"not {atom(n)}" for n in rule.neg]
+        body = [f"{_render_term(left)} {op} {_render_term(right)}" for op, left, right in rule.cmp]
+        body += [atom(p) for p in rule.pos]
+        body += [_render_aggregate(a, atom) for a in rule.agg]
+        body += [f"not {atom(n)}" for n in rule.neg]
         lines.append(f"{atom(rule.head)} :- {', '.join(body)}.")
     return "\n".join(lines)
+
+
+def _render_term(item) -> str:
+    """A generated term as rule text."""
+    if not isinstance(item, tuple):
+        return str(item)
+    if item[0] in _ARITH_OPS:
+        op, left, right = item
+        return f"({_render_term(left)}{op}{_render_term(right)})"
+    name, args = item
+    if name is None and len(args) == 1:
+        return f"({_render_term(args[0])},)"
+    return f"{name or ''}({','.join(map(_render_term, args))})"
+
+
+def _render_aggregate(agg: GenAggregate, atom) -> str:
+    condition = [atom(c) for c in agg.condition]
+    condition += [f"{left} {op} {right}" for op, left, right in agg.tests]
+    text = f"#{agg.func}{{{','.join(agg.elements)} : {', '.join(condition)}}}"
+    # A binding guard is written first; a compared one on either side.
+    if agg.op == "=" and isinstance(agg.guard, str) and agg.guard.startswith("N"):
+        return f"{agg.guard} = {text}"
+    if len(condition) % 2:
+        return f"{text} {agg.op} {agg.guard}"
+    return f"{agg.guard} {_FLIPPED[agg.op]} {text}"
 
 
 def naive_fixpoint(program: GenProgram) -> set[tuple]:
@@ -278,7 +426,12 @@ def naive_fixpoint(program: GenProgram) -> set[tuple]:
             changed = False
             for rule in layer_rules:
                 for binding in _oracle_match(rule.pos, 0, {}, database):
-                    binding = _oracle_compare(rule.cmp, binding)
+                    for agg in rule.agg:
+                        binding = _oracle_aggregate(agg, binding, database)
+                        if binding is None:
+                            break
+                    else:
+                        binding = _oracle_compare(rule.cmp, binding)
                     if binding is None:
                         continue
                     if any((n[0], _oracle_ground(n[1], binding)) in database
@@ -291,6 +444,10 @@ def naive_fixpoint(program: GenProgram) -> set[tuple]:
     return database
 
 
+_HOLDS = {"<": lambda a, b: a < b, "<=": lambda a, b: a <= b, ">": lambda a, b: a > b,
+          ">=": lambda a, b: a >= b, "=": lambda a, b: a == b, "!=": lambda a, b: a != b}
+
+
 def _oracle_compare(cmp, binding):
     """The binding extended by each binding "=", or None if a comparison fails."""
     binding = dict(binding)
@@ -299,19 +456,51 @@ def _oracle_compare(cmp, binding):
             binding[left] = _oracle_value(right, binding)
         elif op == "=" and isinstance(right, str) and right not in binding:
             binding[right] = _oracle_value(left, binding)
-        else:
-            a, b = _oracle_value(left, binding), _oracle_value(right, binding)
-            if not (a < b if op == "<" else a != b if op == "!=" else a == b):
-                return None
+        elif not _HOLDS[op](_oracle_value(left, binding), _oracle_value(right, binding)):
+            return None
     return binding
 
 
+def _oracle_aggregate(agg: GenAggregate, binding, database):
+    """The binding, extended by a binding guard, or None if the aggregate
+    fails.  The value is taken over the distinct element tuples; #min and
+    #max of none fail."""
+    found = set()
+    for inner in _oracle_match(agg.condition, 0, binding, database):
+        if all(_HOLDS[op](inner[var], value) for op, var, value in agg.tests):
+            found.add(tuple(inner[e] for e in agg.elements))
+    weights = [t[0] for t in found]
+    if agg.func == "count":
+        value = len(found)
+    elif agg.func == "sum":
+        value = sum(weights)
+    elif not weights:
+        return None
+    else:
+        value = min(weights) if agg.func == "min" else max(weights)
+    if agg.op == "=" and isinstance(agg.guard, str) and agg.guard not in binding:
+        return {**binding, agg.guard: value}
+    return binding if _HOLDS[agg.op](value, _oracle_value(agg.guard, binding)) else None
+
+
 def _oracle_value(item, binding):
-    return binding[item] if isinstance(item, str) else item
+    """The value of a generated term: an int, or (name, args) for a compound."""
+    if isinstance(item, str):
+        return binding[item]
+    if not isinstance(item, tuple):
+        return item
+    if item[0] in _ARITH_OPS:
+        op, left, right = item
+        a, b = _oracle_value(left, binding), _oracle_value(right, binding)
+        if op == "/":  # truncated toward zero
+            return math.trunc(a / b)
+        return a + b if op == "+" else a - b if op == "-" else a * b
+    name, args = item
+    return (name, tuple(_oracle_value(a, binding) for a in args))
 
 
 def _oracle_ground(args, binding):
-    return tuple(binding[a] if isinstance(a, str) else a for a in args)
+    return tuple(_oracle_value(a, binding) for a in args)
 
 
 def _oracle_match(pos, i, binding, database):
@@ -352,11 +541,13 @@ def stratify_oracle(rules) -> set[tuple[str, str]] | None:
 
 
 def model_as_tuples(facts) -> set[tuple]:
-    """Library facts (integer arguments) as plain (pred, ints) tuples."""
-    out = set()
-    for f in facts:
-        out.add((f.predicate, tuple(a.value for a in f.args)))
-    return out
+    """Library facts as plain (pred, args) tuples: an integer argument as an
+    int, a function or tuple as (name, args), name None for a tuple."""
+    def plain(t):
+        if isinstance(t, Number):
+            return t.value
+        return (t.name if isinstance(t, Func) else None, tuple(map(plain, t.args)))
+    return {(f.predicate, tuple(map(plain, f.args))) for f in facts}
 
 
 # ---------------------------------------------------------------------------

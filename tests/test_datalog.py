@@ -1,9 +1,13 @@
 """Rule engine: parsing, safety, stratification, evaluation, aggregates."""
 
+import builtins
 import dataclasses
+import io
 import itertools
+import keyword
 import random
 import re
+import tokenize
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +24,7 @@ from aspcheck.datalog import (
 )
 from aspcheck.terms import Fact, Number, ParseError, parse_facts, render
 
+import _support
 from _support import (
     bfs_connected,
     generate_program,
@@ -347,18 +352,21 @@ class TestEvaluate:
         ("q(X) :- r(X). s(X,Y) :- r(X), r(Y), X < Y.", "r(1). r(2). r(3).", 3 + 3, 9),
     ])
     def test_only_read_heads_enter_the_delta(self, monkeypatch, text, given, derived, adds):
-        calls = 0
-        add = datalog._Relations.add
+        # Generated code inserts heads into the relations' dicts itself, so
+        # count what every _Relations of the evaluation (the model's and
+        # each round's delta) holds at the end.
+        made = []
 
-        def counting(self, pred, args):
-            nonlocal calls
-            calls += 1
-            return add(self, pred, args)
+        class Recorded(datalog._Relations):
+            def __init__(self):
+                super().__init__()
+                made.append(self)
 
-        monkeypatch.setattr(datalog._Relations, "add", counting)
+        monkeypatch.setattr(datalog, "_Relations", Recorded)
         facts = parse_facts(given)
         assert len(evaluate(parse_program(text), facts)) == len(facts) + derived
-        assert calls == adds
+        assert made, "no relations were made"
+        assert sum(len(rel) for relations in made for rel in relations.tuples.values()) == adds
 
     def test_solitaire_range_and_board(self):
         model = evaluate(parse_program(SOLITAIRE_BOARD), [])
@@ -569,6 +577,51 @@ class TestOracleEquivalence:
                 shapes["bound var used"] += bool(fresh & set(used))
         assert min(shapes.values()) >= 30, shapes
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_every_literal_kind_matches_naive_fixpoint(self, seed):
+        generated = generate_program(random.Random(seed), comparisons=True, aggregates=True,
+                                     arithmetic=True, compounds=True)
+        text = render_program(generated)
+        assert model_as_tuples(evaluate(parse_program(text), [])) == \
+            naive_fixpoint(generated), text
+
+    def test_generated_programs_hold_every_literal_kind(self, monkeypatch):
+        # The property above sees each aggregate with either guard, arithmetic
+        # in heads and in comparisons, and compound heads; and the aggregates
+        # hold for some bindings and fail for others.
+        outcomes = {True: 0, False: 0}
+        aggregate = _support._oracle_aggregate
+
+        def counted(*args):
+            binding = aggregate(*args)
+            outcomes[binding is not None] += 1
+            return binding
+
+        monkeypatch.setattr(_support, "_oracle_aggregate", counted)
+        rng = random.Random(2626)
+        shapes: dict[str, int] = {}
+        checked = 0
+        for _ in range(200):
+            generated = generate_program(rng, comparisons=True, aggregates=True,
+                                         arithmetic=True, compounds=True)
+            for _, rule in generated.rules:
+                kinds = [f"#{a.func} " + ("binds" if a.op == "=" and str(a.guard)[0] == "N"
+                                         else "compares") for a in rule.agg]
+                heads = [a for a in rule.head[1] if isinstance(a, tuple)]
+                kinds += ["arithmetic head" if a[0] in ("+", "-", "*", "/") else "compound head"
+                          for a in heads]
+                kinds += ["arithmetic comparison" for _, left, right in rule.cmp
+                          if isinstance(left, tuple) or isinstance(right, tuple)]
+                for kind in kinds:
+                    shapes[kind] = shapes.get(kind, 0) + 1
+            program = parse_program(render_program(generated))
+            assert model_as_tuples(evaluate(program, [])) == naive_fixpoint(generated)
+            checked += 1
+        assert checked == 200
+        assert len(shapes) == 11 and min(shapes.values()) >= 30, shapes
+        assert min(outcomes.values()) >= 100, outcomes
+
 
 def _random_constraint(rng: random.Random, arity: dict[str, int]) -> str:
     """A constraint over the given predicates, safe or not, with negation,
@@ -583,6 +636,36 @@ def _random_constraint(rng: random.Random, arity: dict[str, int]) -> str:
     body += rng.sample(extras, rng.randint(0, 3))
     rng.shuffle(body)
     return f":- {', '.join(body)}."
+
+
+def _count_candidates(monkeypatch) -> dict[str, int]:
+    """Counts, as evaluation goes on, the tuples an atom's loop is given: by
+    key ("get", each bucket an index's get returns) and without ("scan",
+    each tuple of a relation read whole)."""
+    examined = {"get": 0, "scan": 0}
+    index, scan = datalog._Relations.index, datalog._Relations.scan
+
+    class Buckets:
+        def __init__(self, buckets):
+            self.buckets = buckets
+
+        def get(self, key, default):
+            bucket = self.buckets.get(key, default)
+            examined["get"] += len(bucket)
+            return bucket
+
+    class Tuples:
+        def __init__(self, tuples):
+            self.tuples = tuples
+
+        def __iter__(self):
+            for args in self.tuples:
+                examined["scan"] += 1
+                yield args
+
+    monkeypatch.setattr(datalog._Relations, "index", lambda self, *key: Buckets(index(self, *key)))
+    monkeypatch.setattr(datalog._Relations, "scan", lambda self, pred: Tuples(scan(self, pred)))
+    return examined
 
 
 def _path_model(rules: str, edges: set[tuple[int, int]]) -> set[tuple[int, int]]:
@@ -635,39 +718,98 @@ class TestIndexedJoins:
 
     @pytest.mark.parametrize("n", [100, 200])
     def test_matching_work_is_linear_in_the_closure(self, monkeypatch, n):
-        examined = 0
-        lookup = datalog._Relations.lookup
-
-        def counting(self, *args):
-            nonlocal examined
-            for candidate in lookup(self, *args):
-                examined += 1
-                yield candidate
-
-        monkeypatch.setattr(datalog._Relations, "lookup", counting)
+        examined = _count_candidates(monkeypatch)
         edges = {(i, i + 1) for i in range(n)}
         paths = _path_model(
             "path(X,Y) :- edge(X,Y). path(X,Z) :- path(X,Y), edge(Y,Z).", edges)
         assert len(paths) == n * (n + 1) // 2
-        assert examined <= 10 * len(paths), (examined, len(paths))
+        assert sum(examined.values()) <= 10 * len(paths), (examined, len(paths))
+        assert examined["get"] and examined["scan"], examined
 
     def test_matching_work_is_linear_in_a_long_solitaire_range(self, monkeypatch):
         # range counts up from -2000 one round at a time; the location rules
         # read it in one pass after range is done, not once a round.
-        examined = 0
-        lookup = datalog._Relations.lookup
-
-        def counting(self, *args):
-            nonlocal examined
-            for candidate in lookup(self, *args):
-                examined += 1
-                yield candidate
-
-        monkeypatch.setattr(datalog._Relations, "lookup", counting)
+        examined = _count_candidates(monkeypatch)
         program = parse_program(load_fixture("solitaire.yaml").asp_program)
         model = evaluate(program, parse_facts("range(-2000)."))
         assert len(model) == 8044
-        assert examined <= 10 * len(model), (examined, len(model))
+        assert sum(examined.values()) <= 10 * len(model), (examined, len(model))
+        assert examined["scan"], examined
+
+
+class TestGeneratedCode:
+    # Three rules of one shape: they differ in predicates, constants and
+    # strings (quotes, backslashes, newlines, Python keywords, __class__),
+    # and the last in its variable names too.
+    RULES = [
+        (r'__class__(X, "\"\"\"", lambda) :- q(X, "a\\b", import), not r(X, "\n"), '
+         r'None = X, None != __class__, "None" != "\\".',
+         r'q(1, "a\\b", import). q(2, "a\\b", import). q(3, "a\\b", lambda). r(2, "\n").',
+         [r'__class__(1,"\"\"\"",lambda)']),
+        ('s(X, "plain", c) :- t(X, "b", d), not u(X, "n"), None = X, None != e, "f" != "g".',
+         't(1, "b", d). t(2, "b", d). t(3, "b", x). u(2, "n").',
+         ['s(1,"plain",c)']),
+        ('s(A, "plain", c) :- t(A, "b", d), not u(A, "n"), B = A, B != e, "f" != "g".',
+         't(1, "b", d). t(2, "b", d). t(3, "b", x). u(2, "n").',
+         ['s(1,"plain",c)']),
+    ]
+    # Names of the generated code itself; any other name must be one the
+    # generator makes: a letter and a number.
+    OWN = {"derive", "relations", "out", "delta", "now", "grow", "rel", "note", "add", "index",
+           "scan", "get", "tuples", "_index_lists"}
+
+    def test_source_holds_no_text_of_the_rule(self):
+        rules = [parse_program(text).rules[0] for text, _, _ in self.RULES]
+        sources = {datalog._Generator(rule).source()[0] for rule in rules}
+        assert len(sources) == 1
+        source, = sources
+        allowed = self.OWN | set(keyword.kwlist) | set(dir(builtins)) | set(vars(datalog))
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+            assert tok.type != tokenize.STRING, tok
+            if tok.type == tokenize.NUMBER:
+                assert tok.string.isdigit(), tok
+            if tok.type == tokenize.NAME:
+                assert re.fullmatch(r"[a-z]\d+", tok.string) or tok.string in allowed, tok
+                assert tok.string not in ("lambda", "import", "__class__"), tok
+        for (_, facts, expected), rule in zip(self.RULES, rules):
+            model = evaluate(datalog.Program([rule]), parse_facts(facts))
+            assert sorted(render(f.term()) for f in model if f.predicate == rule.head.pred) \
+                == expected
+        assert rules[0].derive.__code__ is rules[1].derive.__code__ is rules[2].derive.__code__
+
+    def test_code_is_generated_at_first_evaluation(self):
+        program = parse_program("p(X) :- q(X). r(X) :- p(X), not q(X).")
+        assert [rule.derive for rule in program.rules] == [None, None]
+        evaluate(program, parse_facts("q(1)."))
+        derive = [rule.derive for rule in program.rules]
+        assert all(derive)
+        evaluate(program, parse_facts("q(2)."))
+        assert [rule.derive for rule in program.rules] == derive
+
+    # CPython refuses a function with more than 20 nested loops or 100
+    # levels of indentation; these evaluate as the engine did with closures.
+    CHAIN = ", ".join(f"e(X{i},X{i + 1})" for i in range(30))
+
+    @pytest.mark.parametrize("head, facts, expected", [
+        ("p(X0)", "e(1,1).", ["p(1)"]),
+        ("p(X0)", "e(1,1). e(2,1). e(3,4).", ["p(1)", "p(2)"]),
+        ("p(X0, 1..2)", "e(1,1). e(2,1). e(3,4).", ["p(1,1)", "p(1,2)", "p(2,1)", "p(2,2)"]),
+    ])
+    def test_a_30_atom_body(self, head, facts, expected):
+        model = evaluate(parse_program(f"{head} :- {self.CHAIN}."), parse_facts(facts))
+        assert preds(model, "p") == expected
+
+    def test_25_comparisons_and_an_aggregate(self):
+        comparisons = ", ".join(f"X < {i}" for i in range(3, 28))
+        program = parse_program(f"q(X, N) :- r(X), {comparisons}, N = #count{{Y : s(X, Y), Y > X}}.")
+        facts = parse_facts("r(1). r(2). r(5). s(1,0). s(1,2). s(1,3). s(2,4). s(5,9).")
+        assert preds(evaluate(program, facts), "q") == ["q(1,2)", "q(2,1)"]
+
+    def test_a_20_atom_aggregate_condition(self):
+        chain = ", ".join(f"e(Y{i},Y{i + 1})" for i in range(20))
+        program = parse_program(f"q(X, N) :- r(X), N = #count{{Y20 : e(X,Y0), {chain}}}.")
+        facts = parse_facts("r(1). r(3). e(1,2). e(2,2). e(2,5). e(5,5).")
+        assert preds(evaluate(program, facts), "q") == ["q(1,2)", "q(3,0)"]
 
 
 BIG = "1" + "0" * 2200  # its square has more digits than int() converts
