@@ -805,6 +805,15 @@ class TestGeneratedCode:
         facts = parse_facts("r(1). r(2). r(5). s(1,0). s(1,2). s(1,3). s(2,4). s(5,9).")
         assert preds(evaluate(program, facts), "q") == ["q(1,2)", "q(2,1)"]
 
+    def test_thousands_of_literals(self):
+        # One call frame per literal overflowed the stack in a closure chain;
+        # a loop nest holds them as lines.
+        tests = ", ".join(f"X != {i}" for i in range(4, 3000))
+        program = parse_program(f"p(X) :- e(X), {tests}. q(N) :- N = #count{{X : e(X), {tests}}}.")
+        model = evaluate(program, parse_facts("e(1). e(3). e(5)."))
+        assert preds(model, "p") == ["p(1)", "p(3)"]
+        assert preds(model, "q") == ["q(2)"]
+
     def test_a_20_atom_aggregate_condition(self):
         chain = ", ".join(f"e(Y{i},Y{i + 1})" for i in range(20))
         program = parse_program(f"q(X, N) :- r(X), N = #count{{Y20 : e(X,Y0), {chain}}}.")
