@@ -34,6 +34,11 @@ reads the relation's own tuples.  Indexes are built on first use and kept
 current as relations grow.  No text of the rule is in the generated source:
 predicates, terms and messages reach the function as arguments, so rules of
 one shape share one source text, compiled once.
+
+evaluate returns the fixpoint's relations themselves, as a Model: a set of
+Facts that keeps each predicate's argument tuples and builds a Fact only
+when it is iterated, so a caller that reads the relations (the validation
+engine) never builds one.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from collections.abc import KeysView
+from collections.abc import Set
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import repeat
@@ -84,6 +89,7 @@ __all__ = [
     "parse_program",
     "stratify",
     "evaluate",
+    "Model",
 ]
 
 
@@ -982,24 +988,25 @@ def parse_program(text: str) -> Program:
 
 
 @gc_paused()
-def evaluate(program: Program, input_facts) -> KeysView[Fact]:
+def evaluate(program: Program, input_facts) -> Model:
     """The unique stratified model over the program's and the input facts.
 
-    The model is a set-like view in arrival order: the program's facts and
-    then the input facts, each at its first occurrence, then the derived
-    atoms relation by relation, each relation's in derivation order.  The
-    rules must come from parse_program (they carry their plans); they are
-    stratified here, so a set of rules joined from several programs raises
-    UnstratifiedError if the join has a bad cycle.
+    The model is a Model: a set of Facts kept as relations, each predicate's
+    atoms in arrival order (the program's facts and then the input facts,
+    each at its first occurrence, then the derived atoms in derivation
+    order).  The rules must come from parse_program (they carry their
+    plans); they are stratified here, so a set of rules joined from several
+    programs raises UnstratifiedError if the join has a bad cycle.
     """
     strata = stratify(program.rules)
     stratum_of = {p: i for i, s in enumerate(strata) for p in s}
     relations = _Relations()
-    model: dict[Fact, None] = {}
+    tuples = relations.tuples  # no index exists yet to keep current
     for fact in itertools.chain(program.facts, input_facts):
-        model[fact] = None  # an equal key already there stays
-        relations.add(fact.predicate, fact.args)
-    given = {pred: len(rel) for pred, rel in relations.tuples.items()}
+        rel = tuples.get(fact.predicate)
+        if rel is None:
+            rel = tuples[fact.predicate] = {}
+        rel[fact.args] = None  # an equal key already there stays
 
     by_stratum: dict[int, list[Rule]] = {}
     for rule in program.rules:
@@ -1007,13 +1014,38 @@ def evaluate(program: Program, input_facts) -> KeysView[Fact]:
 
     for idx in sorted(by_stratum):
         _eval_stratum(by_stratum[idx], relations)
+    return Model(tuples)
 
-    # Relations keep insertion order, so each one's derived tuples follow
-    # the given facts, whose own Fact objects the model already holds.
-    for pred, rel in relations.tuples.items():
-        for args in itertools.islice(rel, given.get(pred, 0), None):
-            model[Fact(pred, args)] = None
-    return model.keys()
+
+class Model(Set):
+    """evaluate's result: a set of Facts, held as the fixpoint's relations.
+
+    relations maps each predicate, in the order it first arrived, to its
+    argument tuples as the keys of a dict, in arrival order.  in and len
+    read them as they are; iteration goes relation by relation and builds
+    a Fact per atom as it goes.  No Fact and no index is kept.
+    """
+
+    __slots__ = ("relations", "_len", "__weakref__")
+
+    def __init__(self, relations: dict[str, dict[tuple, None]]):
+        self.relations = relations
+        self._len = sum(map(len, relations.values()))
+
+    @classmethod
+    def _from_iterable(cls, atoms) -> set[Fact]:  # what &, |, - and ^ return
+        return set(atoms)
+
+    def __contains__(self, atom) -> bool:
+        return isinstance(atom, Fact) and atom.args in self.relations.get(atom.predicate, ())
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self) -> Iterator[Fact]:
+        for pred, tuples in self.relations.items():
+            for args in tuples:
+                yield Fact(pred, args)
 
 
 class _Relations:

@@ -6,13 +6,19 @@ external grounder bridge), checks every instance of every declared symbol
 in a deterministic order, and finally checks aggregate facets and after
 hooks.  Both modes run the same steps, which yield diagnostics one at a
 time; the default, fail-fast, stops at the first.
+
+The instance set is a mapping of relations, predicate -> argument tuples
+in arrival order: the rule engine's own fixpoint relations, or the given
+facts or the grounder's atoms gathered the same way.  Step 4 groups it by
+symbol and lets it go; from then on an instance is a tuple of argument
+terms, and its atom is built as a term only for a snapshot or a message.
 """
 
 from __future__ import annotations
 
 import re
 import time
-from collections.abc import Callable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from itertools import islice
 from operator import attrgetter, itemgetter
@@ -28,7 +34,7 @@ from .schema import (
     ValidationSpec,
     check_spec,
 )
-from .terms import (Fact, Func, gc_paused, integer_too_long, render, sort_key,
+from .terms import (Fact, Func, atom_term, gc_paused, integer_too_long, render, sort_key,
                     too_many_digits)
 
 __all__ = [
@@ -105,7 +111,7 @@ class _Checks(NamedTuple):
     snapshot: bool
     in_after_init: bool
     order_free: bool
-    columns: Callable[[list[Fact]], list | None] | None
+    columns: Callable[[list[tuple]], list | None] | None
 
 
 class _Invalid(Exception):
@@ -125,23 +131,25 @@ def wrap32(n: int) -> int:
 # Instance checking
 
 
-def check_instance(definition: UserDefinition, fact: Fact,
+def check_instance(definition: UserDefinition, args: tuple,
                    store: AccumulatorStore) -> list[Diagnostic]:
-    """Check one ground atom: arity, kinds, facets, having, after_init.
+    """Check one ground atom, the definition's symbol over the argument
+    terms args: arity, kinds, facets, having, after_init.
 
     Diagnostics come back in check order; count/sum accumulators update only
     when the instance is fully valid (count tracks every atom processed).
+    The atom is built as a term only for a snapshot or a diagnostic.
     """
     symbol = definition.symbol
     arity = definition.arity
     store.counts[symbol] = store.counts.get(symbol, 0) + 1
     checks = store.checks(definition)
-    if len(fact.args) != arity:
-        problems = [_arity_problem(symbol, arity, len(fact.args))]
+    if len(args) != arity:
+        problems = [_arity_problem(symbol, arity, len(args))]
     else:
         values: dict[str, object] = {}
         kinds, facets = [], []
-        for (name, check), arg in zip(checks.fields, fact.args):
+        for (name, check), arg in zip(checks.fields, args):
             try:
                 values[name] = check(arg)
             except _BadFacets as exc:
@@ -153,7 +161,7 @@ def check_instance(definition: UserDefinition, fact: Fact,
         # the hook cannot run.  Facet failures only block accumulation.
         problems = kinds + facets
         if not kinds and (definition.having or definition.after_init or checks.snapshot):
-            checked = hooks.CheckedInstance(symbol, values, fact.term())
+            checked = hooks.CheckedInstance(symbol, values, atom_term(symbol, args))
             problems += _having_and_after_init(definition, checked, store)
         if not problems:
             for name, key, pos, neg in checks.sums:
@@ -165,7 +173,7 @@ def check_instance(definition: UserDefinition, fact: Fact,
             if checks.snapshot:
                 store.snapshot(checked)
             return []
-    instance = render(fact.term())  # rendered here, not up front: most instances are valid
+    instance = render(atom_term(symbol, args))  # built here, not up front: most are valid
     return [Diagnostic("instance", symbol, rule, message, instance=instance, arity=arity)
             for rule, message in problems]
 
@@ -324,12 +332,11 @@ def _compile_columns(symbol: str, compiled: list):
     """
     tests = [(itemgetter(i), totals_of, (symbol, name))
              for i, (name, _, totals_of, _) in enumerate(compiled) if totals_of is not None]
-    args_of = attrgetter("args")
 
-    def columns(group: list[Fact]) -> list | None:
+    def columns(group: list[tuple]) -> list | None:
         sums = []
         for field_of, totals_of, key in tests:
-            totals = totals_of(list(map(field_of, map(args_of, group))))
+            totals = totals_of(list(map(field_of, group)))
             if totals is None:
                 return None
             sums.append((key, *totals))
@@ -477,15 +484,17 @@ def _diagnostics(spec: ValidationSpec, program: datalog.Program | None, facts,
             if problem is not None:
                 yield Diagnostic("before", symbol, *problem, arity=definition.arity)
 
-    # Step 3: the instance set, in arrival order.  A problem ends the run.
-    atoms, problem_diag = _instance_set(spec, program, facts, options)
+    # Step 3: the instance set, as relations in arrival order.  A problem
+    # ends the run.
+    relations, problem_diag = _instance_set(spec, program, facts, options)
     if problem_diag is not None:
         yield problem_diag
         return
     # Only the groups keep the atoms: the instance set is freed once they
-    # are built, before any instance is checked.
-    groups = _grouped_instances(spec, atoms)
-    del atoms
+    # are built, before any instance is checked.  From here on an instance
+    # is its tuple of argument terms.
+    groups = _grouped_instances(spec, relations)
+    del relations
 
     # Step 4: check instances, symbol by symbol: in term order where a hook
     # can observe the order (see _compile), else in arrival order, sorting
@@ -504,13 +513,13 @@ def _diagnostics(spec: ValidationSpec, program: datalog.Program | None, facts,
                 if neg:
                     store.sums_neg[key] = store.sums_neg.get(key, 0) + neg
         elif checks.order_free:
-            failing = {fact: found for fact in group
-                       if (found := check_instance(definition, fact, store))}
-            for fact in sorted(failing, key=_args_key):
-                yield from failing[fact]
+            failing = {args: found for args in group
+                       if (found := check_instance(definition, args, store))}
+            for args in sorted(failing, key=sort_key):
+                yield from failing[args]
         else:
-            for fact in sorted(group, key=_args_key):
-                yield from check_instance(definition, fact, store)
+            for args in sorted(group, key=sort_key):
+                yield from check_instance(definition, args, store)
 
     # Step 5: aggregate facets and after hooks, in symbol order.
     for symbol in sorted(spec.definitions):
@@ -537,10 +546,12 @@ def _asp_syntax(exc: Exception) -> Diagnostic:
 def _instance_set(spec: ValidationSpec, program: datalog.Program | None, facts,
                   options: RunOptions):
     """Step 3: input atoms plus whatever the spec's parsed asp program
-    derives, or in bridge mode (program None) whatever the grounder gives.
+    derives, or in bridge mode (program None) whatever the grounder gives,
+    as relations: predicate -> argument tuples, each atom once.
 
-    Each atom comes once, in arrival order: the given facts in input order,
-    then the derived atoms, or the grounder's atoms in its output order.
+    Each relation holds its atoms in arrival order: the given facts in
+    input order, then the derived atoms, or the grounder's atoms in its
+    output order.
     """
     if options.grounder is not None:
         from . import emit
@@ -548,20 +559,20 @@ def _instance_set(spec: ValidationSpec, program: datalog.Program | None, facts,
         if options.program_text is not None:
             program_text = options.program_text
         else:
-            program_text = "\n".join(render(f.term()) + "." for f in
-                                     sorted(set(facts), key=Fact.term))
+            program_text = "\n".join(render(f.term()) + "." for f in dict.fromkeys(facts))
         if spec.asp_program:
             program_text += "\n" + spec.asp_program
         try:
-            return emit.ground_with_external(program_text, options.grounder), None
+            atoms = emit.ground_with_external(program_text, options.grounder)
         except emit.BridgeError as exc:
             return None, Diagnostic("before", "", "bridge-error", str(exc))
+        return _relations(spec, atoms), None
 
     rules = program.rules + list(options.rules)
     if not rules:
-        return _distinct([*program.facts, *facts] if program.facts else facts), None
+        return _relations(spec, [*program.facts, *facts] if program.facts else facts), None
     try:
-        return datalog.evaluate(datalog.Program(rules, program.facts), facts), None
+        return datalog.evaluate(datalog.Program(rules, program.facts), facts).relations, None
     except datalog.UnstratifiedError as exc:  # only the joined rules have the cycle
         return None, _asp_syntax(exc)
     except datalog.ResourceLimitError as exc:
@@ -570,37 +581,43 @@ def _instance_set(spec: ValidationSpec, program: datalog.Program | None, facts,
         return None, Diagnostic("before", "", "eval-error", str(exc))
 
 
-def _grouped_instances(spec: ValidationSpec, atoms):
-    """Defined symbols in name order, each with its atoms in arrival order.
+def _relations(spec: ValidationSpec, atoms: Iterable[Fact]) -> dict[str, list[tuple]]:
+    """The argument tuples of each defined predicate among atoms, in
+    arrival order, each once.
+
+    Repeats are looked for by one set of every atom's arguments, freed
+    before any group is built, so that the set and the groups are never
+    held at once.  Only if two atoms have equal arguments, a repeat or the
+    same arguments under two predicates, is each group searched for
+    repeats on its own.
+    """
+    definitions = spec.definitions
+    atoms = atoms if isinstance(atoms, list) else list(atoms)
+    repeats = len({atom.args for atom in atoms}) != len(atoms)
+    groups: dict[str, list[tuple]] = {}
+    for atom in atoms:
+        if atom.predicate in definitions:
+            groups.setdefault(atom.predicate, []).append(atom.args)
+    if repeats:
+        for pred, group in groups.items():
+            seen: set[tuple] = set()
+            groups[pred] = [args for args in group if not (args in seen or seen.add(args))]
+    return groups
+
+
+def _grouped_instances(spec: ValidationSpec, relations):
+    """Defined symbols in name order, each with the argument tuples of its
+    atoms in arrival order.
 
     Atoms whose predicate matches a definition only by name but not by arity
     are left unvalidated, mirroring how a grounder would treat them as a
     different predicate.
     """
-    arities = {symbol: definition.arity for symbol, definition in spec.definitions.items()}
-    groups: dict[str, list[Fact]] = {}
-    for atom in atoms:
-        if len(atom.args) == arities.get(atom.predicate):
-            groups.setdefault(atom.predicate, []).append(atom)
-    del atoms  # the last reference to the instance set
-    for symbol in sorted(groups):
-        yield symbol, groups[symbol]
-
-
-def _distinct(atoms) -> list[Fact]:
-    """atoms as a list without repeats, each at its first arrival.
-
-    The set that finds repeats is built whole, in one call, and is freed on
-    return, before the atoms are grouped; when nothing repeats, the list
-    itself comes back.
-    """
-    atoms = atoms if isinstance(atoms, list) else list(atoms)
-    if len(set(atoms)) == len(atoms):
-        return atoms
-    seen: set[Fact] = set()
-    return [atom for atom in atoms if not (atom in seen or seen.add(atom))]
-
-
-def _args_key(fact: Fact) -> tuple:
-    """Term order within one group, where predicate and arity are fixed."""
-    return sort_key(fact.args)
+    groups = {}
+    for symbol in sorted(spec.definitions.keys() & relations.keys()):
+        arity = spec.definitions[symbol].arity
+        group = [args for args in relations[symbol] if len(args) == arity]
+        if group:
+            groups[symbol] = group
+    del relations  # the last reference to the instance set
+    yield from groups.items()

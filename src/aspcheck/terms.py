@@ -128,7 +128,12 @@ class Fact:
 
     def term(self) -> GroundTerm:
         """The fact viewed as a term (used for rendering and ordering)."""
-        return Func(self.predicate, self.args) if self.args else Const(self.predicate)
+        return atom_term(self.predicate, self.args)
+
+
+def atom_term(predicate: str, args: tuple[GroundTerm, ...]) -> GroundTerm:
+    """The atom predicate(args) viewed as a term."""
+    return Func(predicate, args) if args else Const(predicate)
 
 
 class ParseError(ValueError):

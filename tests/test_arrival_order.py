@@ -18,7 +18,7 @@ from aspcheck.datalog import evaluate, parse_program
 from aspcheck.emit import GrounderBridgeConfig, _parse_ground_output
 from aspcheck.engine import RunOptions, run
 from aspcheck.schema import load_spec
-from aspcheck.terms import Fact, parse_facts, render
+from aspcheck.terms import Fact, atom_term, parse_facts, render
 
 from _support import STUB_GROUNDER
 
@@ -34,9 +34,9 @@ def record_groups(monkeypatch):
     groups = []
     grouped = engine._grouped_instances
 
-    def record(spec, atoms):
-        for symbol, group in grouped(spec, atoms):
-            groups.append((symbol, rendered(group)))
+    def record(spec, relations):
+        for symbol, group in grouped(spec, relations):
+            groups.append((symbol, [render(atom_term(symbol, args)) for args in group]))
             yield symbol, group
     monkeypatch.setattr(engine, "_grouped_instances", record)
     return groups
@@ -53,8 +53,9 @@ def test_evaluate_gives_the_given_facts_in_input_order_then_the_derived():
     assert rendered(model) == ["q(9)", "p(3)", "p(1)", "p(2)", "r(3)", "r(2)", "s(3)", "s(2)"]
     # Still a set: compared, tested and counted as one.
     assert model == set(model) and len(model) == 8 and Fact("s", facts[3].args) in model
-    # A repeat is dropped, and the first one kept.
-    assert next(atom for atom in model if atom == facts[2]) is facts[0]
+    # A repeat is dropped, and the first one kept: no Fact is kept, so its
+    # arguments are.
+    assert next(args for args in model.relations["p"] if args == facts[2].args) is facts[0].args
 
 
 def test_ground_output_comes_in_output_order_with_repeats_dropped():
@@ -106,15 +107,15 @@ from aspcheck import engine
 from aspcheck.emit import GrounderBridgeConfig
 from aspcheck.engine import RunOptions, run
 from aspcheck.schema import load_spec
-from aspcheck.terms import parse_facts, render
+from aspcheck.terms import atom_term, parse_facts, render
 
 spec_text, data, stub = sys.argv[1:]
 groups = []
 grouped = engine._grouped_instances
 
-def record(spec, atoms):
-    for symbol, group in grouped(spec, atoms):
-        groups.append([symbol, [render(atom.term()) for atom in group]])
+def record(spec, relations):
+    for symbol, group in grouped(spec, relations):
+        groups.append([symbol, [render(atom_term(symbol, args)) for args in group]])
         yield symbol, group
 
 engine._grouped_instances = record
@@ -144,8 +145,8 @@ def test_groups_are_alike_under_every_hash_seed():
 # Release
 
 
-class _Model(dict):
-    """The real model, as an ordered container a weak reference can watch."""
+class _Relation(dict):
+    """A relation of the real model, as a dict a weak reference can watch."""
 
 
 _RELEASE_SPEC = load_spec("""
@@ -172,22 +173,23 @@ def test_the_instance_set_is_freed_before_any_instance_is_checked(monkeypatch, f
     real_evaluate, real_check = datalog.evaluate, engine.check_instance
 
     def watched_evaluate(program, facts):
-        model = _Model.fromkeys(real_evaluate(program, facts))
-        models.append(weakref.ref(model))
-        return model
+        model = real_evaluate(program, facts)
+        relations = {pred: _Relation(rel) for pred, rel in model.relations.items()}
+        models.extend([weakref.ref(model), *map(weakref.ref, relations.values())])
+        return datalog.Model(relations)
 
     checked = []
 
-    def check_instance(definition, fact, store):
-        assert models and models[0]() is None, "the instance set is still alive"
-        checked.append(fact)
-        return real_check(definition, fact, store)
+    def check_instance(definition, args, store):
+        assert models and all(ref() is None for ref in models), "the instance set is still alive"
+        checked.append(atom_term(definition.symbol, args))
+        return real_check(definition, args, store)
 
     monkeypatch.setattr(datalog, "evaluate", watched_evaluate)
     monkeypatch.setattr(engine, "check_instance", check_instance)
     report = run(_RELEASE_SPEC, parse_facts("q(2). q(1)."), RunOptions(fail_fast=fail_fast))
     assert report.verdict == "valid"
-    assert sorted(rendered(checked)) == ["p(1,2)", "p(2,3)", "r(1)", "r(2)"]
+    assert sorted(map(render, checked)) == ["p(1,2)", "p(2,3)", "r(1)", "r(2)"]
 
 
 # ---------------------------------------------------------------------------
@@ -222,3 +224,69 @@ def test_the_cli_counts_a_repeated_fact_once(tmp_path, capsys, flags):
     data.write_text(_DUPLICATES)
     assert cli.main(["validate", *flags, str(spec), str(data)]) == 0
     assert capsys.readouterr().out == "valid\n"
+
+
+# ---------------------------------------------------------------------------
+# Relations: what step 3 hands step 4
+
+
+def test_the_model_is_a_set_of_facts_held_as_relations():
+    given = parse_facts("p(1). q(1). p(2).")
+    model = evaluate(datalog.Program([]), given)
+    assert model == set(given) and set(given) == model
+    assert model <= set(given) and not model <= set(given[:2])
+    assert model - {given[1]} == {given[0], given[2]}
+    p1, q1 = given[0], given[1]
+    assert p1 in model
+    assert Fact("p", p1.args * 2) not in model  # a known predicate, another arity
+    assert Fact("r", p1.args) not in model and q1.args not in model
+    assert len(model) == 3
+    # Relation by relation, each in arrival order: p(2) before q(1).
+    assert rendered(model) == ["p(1)", "p(2)", "q(1)"]
+    watched = weakref.ref(model)
+    del model
+    assert watched() is None
+
+
+_ARITY_SPEC = load_spec("p: {x: Integer}\nvalasp:\n    asp: |\n        p(X,X) :- p(X).\n")
+
+
+@pytest.mark.parametrize("fail_fast", [True, False])
+@pytest.mark.parametrize("options", [{}, {"grounder": STUB}], ids=["builtin", "stub"])
+def test_atoms_of_another_arity_stay_unvalidated(options, fail_fast):
+    # The p relation holds p/1 and p/2 atoms; only p/1 is declared.
+    facts = parse_facts("p(1). p(2). p(3).")
+    model = evaluate(parse_program(_ARITY_SPEC.asp_program), facts)
+    assert sorted(len(atom.args) for atom in model) == [1, 1, 1, 2, 2, 2]
+    report = run(_ARITY_SPEC, facts, RunOptions(fail_fast=fail_fast, **options))
+    assert report.diagnostics == []
+    assert report.verdict == "valid"
+    assert report.stats.instances_checked == {"p": 3}
+
+
+_CLOSURE_SPEC = load_spec("""
+e: {a: Integer, b: Integer}
+path: {a: Integer, b: Integer}
+valasp:
+    asp: |
+        path(X,Y) :- e(X,Y).
+        path(X,Z) :- path(X,Y), e(Y,Z).
+""")
+
+
+def test_a_run_with_rules_builds_no_fact(monkeypatch):
+    facts = parse_facts("".join(f"e({i},{i + 1}).\n" for i in range(200)))
+    made = []
+    init = Fact.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Fact, "__init__", counted)
+    report = run(_CLOSURE_SPEC, facts, RunOptions(fail_fast=False))
+    assert report.verdict == "valid"
+    assert report.stats.instances_checked == {"e": 200, "path": 200 * 201 // 2}
+    assert len(made) == 0
+    Fact("e", ())  # the patched class does count a construction
+    assert len(made) == 1

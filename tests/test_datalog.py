@@ -333,18 +333,20 @@ class TestEvaluate:
         with pytest.raises(EvaluationError, match="derived term nested more than 100 levels"):
             evaluate(parse_program(rules + " step(0..100)."), [])
 
-    def test_model_holds_the_given_fact_objects(self, monkeypatch):
+    def test_model_holds_the_given_argument_tuples(self, monkeypatch):
         program = parse_program("path(X,Y) :- edge(X,Y). path(X,Z) :- path(X,Y), edge(Y,Z)."
                                 " edge(3,4).")
         given = parse_facts("edge(1,2). edge(2,3). path(1,2).")
         made = []  # the reader builds its facts with datalog.Fact too
         monkeypatch.setattr(datalog, "Fact", lambda pred, args: made.append(pred) or Fact(pred, args))
         model = evaluate(program, given)
+        assert made == []  # no Fact is built, for a given atom or a derived one
+        held = {(pred, args): args for pred, rel in model.relations.items() for args in rel}
+        assert all(held[fact.predicate, fact.args] is fact.args
+                   for fact in [*program.facts, *given])
         assert preds(model, "path") == [f"path({a},{b})" for a in (1, 2, 3) for b in (2, 3, 4)
                                         if a < b]
-        held = {fact: fact for fact in model}
-        assert all(held[fact] is fact for fact in [*program.facts, *given])
-        assert made == ["path"] * 5  # only the derived atoms are built
+        assert made == ["edge"] * 3 + ["path"] * 6  # iteration builds one per atom
 
     @pytest.mark.parametrize("text, given, derived, adds", [
         ("q(X) :- r(X).", "r(1). r(2). r(3).", 3, 6),

@@ -20,7 +20,6 @@ from aspcheck.diagnostics import render_report
 from aspcheck.engine import (
     AccumulatorStore,
     RunOptions,
-    _args_key,
     _grouped_instances,
     check_instance,
     finalize,
@@ -28,8 +27,8 @@ from aspcheck.engine import (
     wrap32,
 )
 from aspcheck.schema import PrimitiveType, load_spec, parse_spec
-from aspcheck.terms import (Const, Fact, Func, Number, ParseError, Str, Tuple, parse_facts, render,
-                            sort_key)
+from aspcheck.terms import (Const, Fact, Func, Number, ParseError, Str, Tuple, atom_term,
+                            parse_facts, render, sort_key)
 
 from _support import FIXTURES, compare_terms, fixture_text, load_fixture, random_facts
 
@@ -171,42 +170,42 @@ class TestCheckOrder:
     def test_arity_first(self):
         spec = load_spec(self.SPEC)
         store = AccumulatorStore(spec)
-        diags = check_instance(spec.definitions["p"], Fact("p", (Number(1),)), store)
+        diags = check_instance(spec.definitions["p"], (Number(1),), store)
         assert [d.rule for d in diags] == ["wrong-arity"]
 
     def test_kind_before_facets(self):
         spec = load_spec(self.SPEC)
         store = AccumulatorStore(spec)
         fact = parse_facts("p(x, -1).")[0]
-        diags = check_instance(spec.definitions["p"], fact, store)
+        diags = check_instance(spec.definitions["p"], fact.args, store)
         assert diags[0].rule == "wrong-kind"
 
     def test_facets_before_having(self):
         spec = load_spec(self.SPEC)
         store = AccumulatorStore(spec)
         fact = parse_facts("p(-1, -2).")[0]
-        diags = check_instance(spec.definitions["p"], fact, store)
+        diags = check_instance(spec.definitions["p"], fact.args, store)
         assert diags[0].rule == "min"
 
     def test_having_before_hook(self):
         spec = load_spec(self.SPEC)
         store = AccumulatorStore(spec)
         fact = parse_facts("p(90, 80).")[0]
-        diags = check_instance(spec.definitions["p"], fact, store)
+        diags = check_instance(spec.definitions["p"], fact.args, store)
         assert [d.rule for d in diags] == ["having"]
 
     def test_hook_last(self):
         spec = load_spec(self.SPEC)
         store = AccumulatorStore(spec)
         fact = parse_facts("p(60, 80).")[0]
-        diags = check_instance(spec.definitions["p"], fact, store)
+        diags = check_instance(spec.definitions["p"], fact.args, store)
         assert [d.rule for d in diags] == ["hook-fail"]
 
     def test_valid_instance_no_diagnostics(self):
         spec = load_spec(self.SPEC)
         store = AccumulatorStore(spec)
         fact = parse_facts("p(10, 20).")[0]
-        assert check_instance(spec.definitions["p"], fact, store) == []
+        assert check_instance(spec.definitions["p"], fact.args, store) == []
         assert store.counts == {"p": 1}
 
 
@@ -245,7 +244,7 @@ class TestFacets:
             facts = [Fact("p", (Number(i), Number(v))) for i, v in enumerate(values)]
             store = AccumulatorStore(spec)
             for fact in facts:
-                assert check_instance(spec.definitions["p"], fact, store) == []
+                assert check_instance(spec.definitions["p"], fact.args, store) == []
             assert store.sums_pos.get(("p", "v"), 0) == sum(v for v in values if v > 0)
             assert store.sums_neg.get(("p", "v"), 0) == sum(v for v in values if v < 0)
             assert finalize(spec.definitions["p"], store) == []
@@ -522,12 +521,11 @@ _ORDER_SPEC = load_spec("p:\n    a: Any\n    b: Any\n")
 @given(st.lists(st.tuples(_order_terms, _order_terms), max_size=40))
 @settings(max_examples=200)
 def test_instances_are_checked_in_term_order(pairs):
-    atoms = {Fact("p", args) for args in pairs}
-    groups = list(_grouped_instances(_ORDER_SPEC, atoms))
-    ordered = sorted(groups[0][1], key=_args_key) if groups else []
-    assert ordered == sorted(atoms, key=lambda f: sort_key(f.term()))
+    groups = list(_grouped_instances(_ORDER_SPEC, {"p": dict.fromkeys(pairs)}))
+    ordered = [atom_term("p", args) for args in sorted(groups[0][1], key=sort_key)] if groups else []
+    assert ordered == sorted({atom_term("p", args) for args in pairs}, key=sort_key)
     for left, right in zip(ordered, ordered[1:]):
-        assert compare_terms(left.term(), right.term()) < 0
+        assert compare_terms(left, right) < 0
 
 
 # Every instance-phase message, as check_instance and run report it.  Per
@@ -629,7 +627,7 @@ _MESSAGES = [
 def test_instance_messages_and_check_order(text, expected):
     fact = parse_facts(text + ".")[0]
     definition = _TABLE_SPEC.definitions[fact.predicate]
-    direct = check_instance(definition, fact, AccumulatorStore(_TABLE_SPEC))
+    direct = check_instance(definition, fact.args, AccumulatorStore(_TABLE_SPEC))
     assert [(d.rule, d.message) for d in direct] == expected
     assert {(d.phase, d.symbol, d.instance, d.arity) for d in direct} <= {
         ("instance", fact.predicate, text.replace(" ", ""), definition.arity)}
@@ -638,7 +636,7 @@ def test_instance_messages_and_check_order(text, expected):
 
 
 def test_wrong_arity_message():
-    diags = check_instance(_TABLE_SPEC.definitions["num"], Fact("num", (Number(1), Number(2))),
+    diags = check_instance(_TABLE_SPEC.definitions["num"], (Number(1), Number(2)),
                            AccumulatorStore(_TABLE_SPEC))
     assert [(d.rule, d.message) for d in diags] == [
         ("wrong-arity", "num is expected to have arity 1, but 2 arguments are found")]
@@ -656,7 +654,7 @@ def test_checks_are_built_once_per_run(monkeypatch):
     assert Counter(built) == once
     store = AccumulatorStore(_TABLE_SPEC)
     for fact in facts + facts:
-        check_instance(_TABLE_SPEC.definitions[fact.predicate], fact, store)
+        check_instance(_TABLE_SPEC.definitions[fact.predicate], fact.args, store)
     assert Counter(built) == once + once
 
 
@@ -978,7 +976,7 @@ def _assert_precheck_is_the_row_loop(spec, definition, group):
     store = AccumulatorStore(spec)
     sums = store.checks(definition).columns(group)
     assert (store.counts, store.sums_pos, store.sums_neg) == ({}, {}, {})
-    problems = [d for fact in group for d in check_instance(definition, fact, store)]
+    problems = [d for args in group for d in check_instance(definition, args, store)]
     assert (sums is not None) == (not problems)
     if sums is not None:
         assert {key: pos for key, pos, _ in sums if pos} == store.sums_pos
@@ -986,11 +984,11 @@ def _assert_precheck_is_the_row_loop(spec, definition, group):
 
 
 def _draw_group(data, spec, definition):
-    """1-6 facts of definition; half the time the first and only those
-    others that are valid one by one, so that a single failing check shows."""
+    """1-6 instances of definition, argument tuples; half the time the first
+    and only those others that are valid one by one, so that a single
+    failing check shows."""
     args = st.tuples(*(_field_value(f) for f in definition.fields))
-    group = data.draw(st.lists(args.map(lambda a: Fact(definition.symbol, a)),
-                               min_size=1, max_size=6))
+    group = data.draw(st.lists(args, min_size=1, max_size=6))
     if data.draw(st.booleans()):
         group[1:] = [f for f in group[1:]
                      if not check_instance(definition, f, AccumulatorStore(spec))]
@@ -1022,7 +1020,7 @@ def test_precheck_fails_when_one_check_fails(bad):
     spec = _PURE_SPECS["patterns"]
     definition = spec.definitions[bad[0]]
     valid = parse_facts('p("a",ab). p("ab",bb). q(1,a). q(-1,f(1)). q(3,"s").')
-    group = [f for f in valid if f.predicate == bad[0]] + parse_facts(bad + ".")
+    group = [f.args for f in valid + parse_facts(bad + ".") if f.predicate == bad[0]]
     assert AccumulatorStore(spec).checks(definition).columns(group[:-1]) is not None
     assert AccumulatorStore(spec).checks(definition).columns(group) is None
     _assert_precheck_is_the_row_loop(spec, definition, group)
