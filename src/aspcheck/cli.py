@@ -108,8 +108,6 @@ def _cmd_validate(args) -> int:
     input_text = "\n".join(_read(p) for p in paths)
 
     options = engine.RunOptions(fail_fast=not args.all_errors)
-
-    facts = []
     if args.mode == "bridge":
         if not args.grounder_cmd:
             print("aspcheck: bridge mode needs --grounder-cmd or"
@@ -122,19 +120,12 @@ def _cmd_validate(args) -> int:
             return EXIT_IO_ERROR
         from .emit import GrounderBridgeConfig
         options.grounder = GrounderBridgeConfig(command=command, timeout=args.grounder_timeout)
-        options.program_text = input_text
-    else:
-        # The input is parsed once, on its own, so data problems are
-        # reported as data problems, with positions in the user's files.
-        try:
-            program = datalog.parse_program(input_text)
-        except datalog.PROGRAM_ERRORS as exc:
-            print(f"invalid input: {exc}", file=sys.stderr)
-            return EXIT_INVALID
-        facts = program.facts
-        options.rules = tuple(program.rules)
 
-    report = engine.run(spec, facts, options)
+    try:
+        report = engine.run(spec, input_text, options)
+    except datalog.PROGRAM_ERRORS as exc:  # the input is not a program
+        print(f"invalid input: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     rendered = render_report(report, args.format)
     if rendered:
         print(rendered)

@@ -1,11 +1,12 @@
 """Specification application: the five-step validation run.
 
-A run executes the prelude, the before hooks, obtains the instance set
-(either by evaluating the auxiliary rules in-process or through the
-external grounder bridge), checks every instance of every declared symbol
-in a deterministic order, and finally checks aggregate facets and after
-hooks.  Both modes run the same steps, which yield diagnostics one at a
-time; the default, fail-fast, stops at the first.
+A run reads ASP text or Facts (builtin mode parses text first), executes
+the prelude, the before hooks, obtains the instance set (either by
+evaluating the auxiliary rules in-process or through the external
+grounder bridge), checks every instance of every declared symbol in a
+deterministic order, and finally checks aggregate facets and after hooks.
+Both modes run the same steps, which yield diagnostics one at a time; the
+default, fail-fast, stops at the first.
 
 The instance set is a mapping of relations, predicate -> argument tuples
 in arrival order: the rule engine's own fixpoint relations, or the given
@@ -50,10 +51,11 @@ __all__ = [
 
 @dataclass(slots=True)
 class RunOptions:
+    """How run goes: fail_fast stops it at its first diagnostic, and a grounder
+    (an emit.GrounderBridgeConfig) selects bridge mode."""
+
     fail_fast: bool = True
-    grounder: "object | None" = None  # emit.GrounderBridgeConfig: bridge mode
-    program_text: str | None = None  # bridge mode: raw program text to ground
-    rules: tuple[datalog.Rule, ...] = ()  # builtin mode: parsed rules joining asp
+    grounder: "object | None" = None
 
 
 class AccumulatorStore:
@@ -436,8 +438,12 @@ def finalize(definition: UserDefinition, store: AccumulatorStore) -> list[Diagno
 
 
 @gc_paused()
-def run(spec: ValidationSpec, facts, options: RunOptions | None = None) -> ValidationReport:
-    """Apply a specification to a set of facts and report the verdict.
+def run(spec: ValidationSpec, data, options: RunOptions | None = None) -> ValidationReport:
+    """Apply a specification to data, ASP text or Facts, and report the verdict.
+
+    Builtin mode parses text before the spec gate, raising any of
+    datalog.PROGRAM_ERRORS, and joins its rules to asp.  The grounder reads
+    the text as it is, or the Facts one per line in arrival order, each once.
 
     Every spec_problems problem is reported (in bridge mode, where the
     grounder reads asp, every check_spec one), and then nothing runs.
@@ -447,18 +453,21 @@ def run(spec: ValidationSpec, facts, options: RunOptions | None = None) -> Valid
     started = time.perf_counter()
     store = AccumulatorStore(spec)
     if options.grounder is not None:
+        if not isinstance(data, str):
+            data = "\n".join(render(f.term()) + "." for f in dict.fromkeys(data))
         program, diags = None, check_spec(spec)
     else:
+        data = datalog.parse_program(data) if isinstance(data, str) else datalog.Program([], data)
         program, diags = spec_problems(spec)
     if not diags:
-        stream = _diagnostics(spec, program, facts, options, store)
+        stream = _diagnostics(spec, program, data, options, store)
         diags = list(islice(stream, 1) if options.fail_fast else stream)
     stats = RunStats(instances_checked=dict(store.counts),
                      wall_time=time.perf_counter() - started)
     return ValidationReport.from_diagnostics(diags, stats)
 
 
-def _diagnostics(spec: ValidationSpec, program: datalog.Program | None, facts,
+def _diagnostics(spec: ValidationSpec, program: datalog.Program | None, given,
                  options: RunOptions, store: AccumulatorStore) -> Iterator[Diagnostic]:
     """Steps 1-5 of a run, yielding its diagnostics in report order.
 
@@ -486,7 +495,7 @@ def _diagnostics(spec: ValidationSpec, program: datalog.Program | None, facts,
 
     # Step 3: the instance set, as relations in arrival order.  A problem
     # ends the run.
-    relations, problem_diag = _instance_set(spec, program, facts, options)
+    relations, problem_diag = _instance_set(spec, program, given, options)
     if problem_diag is not None:
         yield problem_diag
         return
@@ -543,11 +552,11 @@ def _asp_syntax(exc: Exception) -> Diagnostic:
     return Diagnostic("before", "", "asp-syntax", str(exc))
 
 
-def _instance_set(spec: ValidationSpec, program: datalog.Program | None, facts,
+def _instance_set(spec: ValidationSpec, program: datalog.Program | None, given,
                   options: RunOptions):
-    """Step 3: input atoms plus whatever the spec's parsed asp program
-    derives, or in bridge mode (program None) whatever the grounder gives,
-    as relations: predicate -> argument tuples, each atom once.
+    """Step 3: the given Program's facts plus what its rules and asp derive,
+    or in bridge mode (program None) what the grounder gives for the given
+    text, as relations: predicate -> argument tuples, each atom once.
 
     Each relation holds its atoms in arrival order: the given facts in
     input order, then the derived atoms, or the grounder's atoms in its
@@ -556,19 +565,15 @@ def _instance_set(spec: ValidationSpec, program: datalog.Program | None, facts,
     if options.grounder is not None:
         from . import emit
 
-        if options.program_text is not None:
-            program_text = options.program_text
-        else:
-            program_text = "\n".join(render(f.term()) + "." for f in dict.fromkeys(facts))
         if spec.asp_program:
-            program_text += "\n" + spec.asp_program
+            given += "\n" + spec.asp_program
         try:
-            atoms = emit.ground_with_external(program_text, options.grounder)
+            atoms = emit.ground_with_external(given, options.grounder)
         except emit.BridgeError as exc:
             return None, Diagnostic("before", "", "bridge-error", str(exc))
         return _relations(spec, atoms), None
 
-    rules = program.rules + list(options.rules)
+    rules, facts = program.rules + given.rules, given.facts
     if not rules:
         return _relations(spec, [*program.facts, *facts] if program.facts else facts), None
     try:

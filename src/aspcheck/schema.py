@@ -257,6 +257,16 @@ def _enum_term(value, declared_type: PrimitiveType, path: str) -> GroundTerm:
         return Str(value)
 
 
+def _bounds(value: dict, path: str, facet: str, default: tuple) -> tuple:
+    """A {min, max} mapping's bounds; a missing one is default's."""
+    extra = set(value) - {"min", "max"}
+    if extra:
+        raise _err(path, "facet-value", f"unknown {facet} keys {sorted(extra)}")
+    lo = _facet_int(value.get("min"), f"{path}.min")
+    hi = _facet_int(value.get("max"), f"{path}.max")
+    return (default[0] if lo is None else lo, default[1] if hi is None else hi)
+
+
 def _normalize_count(value, path: str) -> tuple[int, int | None] | None:
     if value is None:
         return None
@@ -265,12 +275,7 @@ def _normalize_count(value, path: str) -> tuple[int, int | None] | None:
     if isinstance(value, int):
         return (value, value)
     if isinstance(value, dict):
-        extra = set(value) - {"min", "max"}
-        if extra:
-            raise _err(path, "facet-value", f"unknown count keys {sorted(extra)}")
-        lo = _facet_int(value.get("min"), f"{path}.min") or 0
-        hi = _facet_int(value.get("max"), f"{path}.max")
-        return (lo, hi)
+        return _bounds(value, path, "count", (0, None))
     raise _err(path, "facet-value", "count must be an integer or {min,max}")
 
 
@@ -286,12 +291,7 @@ def _normalize_sum(value, path: str, *, positive: bool) -> tuple[int, int] | Non
         # A bare bound tightens the side a sum can actually grow toward.
         return (0, value) if positive else (value, 0)
     if isinstance(value, dict):
-        extra = set(value) - {"min", "max"}
-        if extra:
-            raise _err(path, "facet-value", f"unknown sum keys {sorted(extra)}")
-        lo = _facet_int(value.get("min"), f"{path}.min")
-        hi = _facet_int(value.get("max"), f"{path}.max")
-        return (default[0] if lo is None else lo, default[1] if hi is None else hi)
+        return _bounds(value, path, "sum", default)
     raise _err(path, "facet-value", "expected Integer, an integer bound or {min,max}")
 
 

@@ -200,17 +200,17 @@ _DUPLICATES = "p(1).\np(1).\np(2).\n"
 
 
 @pytest.mark.parametrize("fail_fast", [True, False])
-@pytest.mark.parametrize("spec_text, options", [
-    (_COUNT2, {}),
-    (_COUNT2 + "valasp:\n    asp: |\n        p(1) :- p(2).\n", {}),
-    (_COUNT2, {"grounder": STUB}),
-    (_COUNT2, {"grounder": STUB, "program_text": _DUPLICATES}),
+@pytest.mark.parametrize("spec_text, options, data", [
+    (_COUNT2, {}, parse_facts(_DUPLICATES)),
+    (_COUNT2 + "valasp:\n    asp: |\n        p(1) :- p(2).\n", {}, parse_facts(_DUPLICATES)),
+    (_COUNT2, {"grounder": STUB}, parse_facts(_DUPLICATES)),
+    (_COUNT2, {"grounder": STUB}, _DUPLICATES),
     (_COUNT2, {"grounder": GrounderBridgeConfig(
-        (sys.executable, "-c", f"import sys; sys.stdin.read(); print({_DUPLICATES!r})"))}),
+        (sys.executable, "-c", f"import sys; sys.stdin.read(); print({_DUPLICATES!r})"))},
+     parse_facts(_DUPLICATES)),
 ], ids=["no-rules", "rule-rederives", "stub", "stub-text", "grounder-repeats"])
-def test_a_repeated_fact_is_one_instance(spec_text, options, fail_fast):
-    report = run(load_spec(spec_text), parse_facts(_DUPLICATES),
-                 RunOptions(fail_fast=fail_fast, **options))
+def test_a_repeated_fact_is_one_instance(spec_text, options, data, fail_fast):
+    report = run(load_spec(spec_text), data, RunOptions(fail_fast=fail_fast, **options))
     assert report.diagnostics == []
     assert report.verdict == "valid"
     assert report.stats.instances_checked == {"p": 2}

@@ -254,6 +254,30 @@ class TestOrdinaryPrograms:
                 assert code == VERDICT_CODES[report.verdict]
 
 
+    @pytest.mark.parametrize("mode, seeds", [("builtin", range(4)), ("bridge", range(1))])
+    @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.yaml")))
+    def test_cli_and_library_agree_on_text(self, name, mode, seeds, tmp_path, capsys):
+        spec_path = write(tmp_path, name, fixture_text(name))
+        spec = load_fixture(name)
+        grounder = GrounderBridgeConfig(command=(sys.executable, str(STUB_GROUNDER)))
+        for seed in seeds:
+            rng = random.Random(seed)
+            text = "".join(render(f.term()) + ".\n"
+                           for f in random_facts(rng, spec, rng.randint(0, 12)))
+            data = write(tmp_path, "data.lp", text)
+            for flags, fail_fast in (([], True), (["--all-errors"], False)):
+                options = RunOptions(fail_fast=fail_fast,
+                                     grounder=grounder if mode == "bridge" else None)
+                report = run(spec, text, options)
+                bridge_error = any(d.rule == "bridge-error" for d in report.diagnostics)
+                for fmt in ("text", "jsonl"):
+                    code = main(["validate", "--mode", mode, "--grounder-cmd", STUB_CMD,
+                                 "--format", fmt, *flags, spec_path, data])
+                    rendered = render_report(report, fmt)
+                    assert capsys.readouterr().out == (rendered + "\n" if rendered else "")
+                    assert code == (3 if bridge_error else VERDICT_CODES[report.verdict])
+
+
 def _folded(term) -> str:
     """render(term) with each integer n written as --(n-1)+1, which folds to n."""
     if isinstance(term, Number):
@@ -414,6 +438,21 @@ class TestCheck:
         assert out == (": asp-syntax: expected ')' closing the argument list,"
                        " got end of input (line 2, column 1)\n")
         assert validate_out == out + "spec-error\n"
+
+    def test_input_that_does_not_parse_wins_over_asp_that_does_not(self, tmp_path, capsys):
+        spec = write(tmp_path, "asp.yaml", "p:\n    x: Integer\nvalasp:\n"
+                                           "    asp: |\n        q(X) :- p(X\n")
+        assert main(["validate", spec, write(tmp_path, "p.lp", "p(1\n")]) == 1
+        assert capsys.readouterr() == ("", "invalid input: expected ')' closing the head,"
+                                           " got end of input (line 2, column 1)\n")
+
+    def test_cycle_only_in_the_joined_rules_exit_2(self, tmp_path, capsys):
+        spec = write(tmp_path, "cycle.yaml", "valasp:\n    asp: |\n"
+                                             "        q(X) :- p(X), not r(X).\np:\n    a: Integer\n")
+        assert main(["validate", spec, write(tmp_path, "p.lp", "p(1). r(X) :- q(X).\n")]) == 2
+        assert capsys.readouterr() == (
+            ": asp-syntax: program is not stratified; negation or aggregation on the cycle:"
+            " q -> r -> q\nspec-error\n", "")
 
     @pytest.mark.parametrize("flags", [[], ["--all-errors"]])
     @pytest.mark.parametrize("spec_text", [

@@ -138,9 +138,7 @@ class TestBridgeRun:
     def test_run_in_bridge_mode(self):
         spec = load_fixture("solitaire.yaml")
         canned = "\n".join(SOLITAIRE_ATOMS + ["location(1,1)."])
-        options = RunOptions(grounder=echo_grounder(canned),
-                             program_text="location(1,1).")
-        report = run(spec, [], options)
+        report = run(spec, "location(1,1).", RunOptions(grounder=echo_grounder(canned)))
         assert report.verdict == "invalid"
         assert report.diagnostics[0].message == "Invalid position"
 

@@ -398,10 +398,9 @@ class TestRunModes:
 
     def test_extra_rules_join_the_aux_program(self):
         spec = load_fixture("income.yaml")
-        extra = parse_program('income("Derived", 2000000000) :- seed(1).\nseed(1).')
-        options = RunOptions(rules=tuple(extra.rules))
-        facts = parse_facts('income("Acme", 1500000000).') + extra.facts
-        report = run(spec, facts, options)
+        text = ('income("Acme", 1500000000).\n'
+                'income("Derived", 2000000000) :- seed(1).\nseed(1).')
+        report = run(spec, text)
         assert report.verdict == "invalid"
         assert single(report).rule == "sum-pos"
         assert "3500000000" in single(report).message
@@ -425,11 +424,39 @@ class TestRunModes:
     def test_cycle_only_in_the_joined_rules_is_asp_syntax(self):
         spec = load_spec("valasp:\n    asp: |+\n        q(X) :- p(X), not r(X).\n"
                          "p:\n    a: Integer\n")
-        extra = parse_program("r(X) :- q(X).")
-        report = run(spec, parse_facts("p(1)."), RunOptions(rules=tuple(extra.rules)))
+        report = run(spec, "p(1).\nr(X) :- q(X).")
         assert report.verdict == "spec-error"
         assert single(report).rule == "asp-syntax"
         assert "not stratified" in single(report).message
+
+    @pytest.mark.parametrize("spec_text", [
+        "valasp:\n    asp: |\n        q(X) :- p(X\np:\n    a: Integer\n",
+        "p:\n    a: nowhere\n",
+    ], ids=["asp-syntax", "check-spec"])
+    def test_input_that_does_not_parse_raises_before_any_spec_problem(self, monkeypatch,
+                                                                     spec_text):
+        def no_spec_problems(spec):
+            raise AssertionError("the spec was looked at first")
+
+        monkeypatch.setattr(engine, "spec_problems", no_spec_problems)
+        monkeypatch.setattr(engine, "check_spec", no_spec_problems)
+        with pytest.raises(ParseError, match=r"closing the head, got end of input"
+                                             r" \(line 2, column 1\)"):
+            run(parse_spec(spec_text), "p(1\n")
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.yaml")))
+    def test_text_and_its_facts_give_the_same_report(self, name):
+        spec = load_fixture(name)
+        for seed in range(10):
+            rng = random.Random(seed)
+            text = "".join(render(f.term()) + ".\n"
+                           for f in random_facts(rng, spec, rng.randint(0, 12)))
+            for fail_fast in (True, False):
+                options = RunOptions(fail_fast=fail_fast)
+                as_text, as_facts = run(spec, text, options), run(spec, parse_facts(text), options)
+                assert as_text.diagnostics == as_facts.diagnostics, (seed, text)
+                assert as_text.stats.instances_checked == as_facts.stats.instances_checked
 
     def test_spec_facts_without_rules_skip_evaluation(self, monkeypatch):
         def no_evaluate(*args):

@@ -206,6 +206,38 @@ class TestNormalizeFacets:
         assert facets.count == (2, None)
         facets = normalize_facets({"count": {"max": 4}}, PrimitiveType.ANY)
         assert facets.count == (0, 4)
+        facets = normalize_facets({"count": {}}, PrimitiveType.ANY)
+        assert facets.count == (0, None)
+
+    @pytest.mark.parametrize("key, bounds, expected", [
+        ("sum+", {"min": 5}, (5, INT32_MAX)),
+        ("sum+", {"max": 9}, (0, 9)),
+        ("sum+", {}, (0, INT32_MAX)),
+        ("sum-", {"min": -9}, (-9, 0)),
+        ("sum-", {"max": -5}, (INT32_MIN, -5)),
+        ("sum-", {}, (INT32_MIN, 0)),
+    ])
+    def test_sum_mapping_defaults(self, key, bounds, expected):
+        facets = normalize_facets({key: bounds}, PrimitiveType.INTEGER)
+        assert (facets.sum_pos if key == "sum+" else facets.sum_neg) == expected
+
+    @pytest.mark.parametrize("key, facet", [("count", "count"), ("sum+", "sum"),
+                                            ("sum-", "sum")])
+    def test_unknown_bound_keys(self, key, facet):
+        with pytest.raises(SpecError) as exc:
+            normalize_facets({key: {"max": 3, "least": 1, "avg": 2}},
+                             PrimitiveType.INTEGER, path="amount")
+        [diagnostic] = exc.value.diagnostics
+        assert (diagnostic.rule, diagnostic.message) == (
+            "facet-value", f"amount.{key}: unknown {facet} keys ['avg', 'least']")
+
+    @pytest.mark.parametrize("key", ["count", "sum+", "sum-"])
+    def test_bound_that_is_not_an_integer(self, key):
+        with pytest.raises(SpecError) as exc:
+            normalize_facets({key: {"min": 1, "max": "x"}}, PrimitiveType.INTEGER,
+                             path="amount")
+        [diagnostic] = exc.value.diagnostics
+        assert diagnostic.message == f"amount.{key}.max: expected an integer"
 
     def test_string_has_no_value_bound_defaults(self):
         facets = normalize_facets({}, PrimitiveType.STRING)
