@@ -31,9 +31,11 @@ relation through hash indexes keyed by the argument positions known when the
 atom is reached (ground, or a variable bound earlier in the plan), so a join
 touches only the tuples that agree on those positions; an atom with none
 reads the relation's own tuples.  Indexes are built on first use and kept
-current as relations grow.  No text of the rule is in the generated source:
-predicates, terms and messages reach the function as arguments, so rules of
-one shape share one source text, compiled once.
+current as relations grow.  Only two places write a tuple: evaluate's loop
+over the given facts, and each rule's generated head block, which adds a new
+atom to the relations and to its round's delta.  No text of the rule is in
+the generated source: predicates, terms and messages reach the function as
+arguments, so rules of one shape share one source text, compiled once.
 
 evaluate returns the fixpoint's relations themselves, as a Model: a set of
 Facts that keeps each predicate's argument tuples and builds a Fact only
@@ -868,28 +870,39 @@ def _plan_rule(rule: Rule) -> None:
 
 def stratify(program: "Program | list[Rule]") -> list[list[str]]:
     """The finest stratification: the components of the dependency graph, each
-    sorted and after those it reads, which evaluate runs in order, semi-naive
-    per component; a non-recursive component takes one pass.  Raise
+    after those it reads, which evaluate runs in order, semi-naive per
+    component; a non-recursive component takes one pass.  A predicate is a
+    name and an arity, so p/1 and p/2 may sit in different components; each
+    component is given as the sorted names of its predicates.  Raise
     UnstratifiedError on a cycle through negation or aggregation."""
     rules = program.rules if isinstance(program, Program) else program
-    preds: set[str] = set()
-    pos_edges: set[tuple[str, str]] = set()
-    neg_edges: set[tuple[str, str]] = set()
+    return [sorted({name for name, _ in scc}) for scc in _components(rules)]
+
+
+def _key(atom: Atom) -> tuple[str, int]:
+    return atom.pred, len(atom.args)
+
+
+def _components(rules: list[Rule]) -> list[list[tuple[str, int]]]:
+    """stratify's components, of predicates as (name, arity), each sorted."""
+    preds: set[tuple[str, int]] = set()
+    pos_edges: set[tuple] = set()
+    neg_edges: set[tuple] = set()
     for rule in rules:
-        h = rule.head.pred
+        h = _key(rule.head)
         preds.add(h)
         for lit in rule.body:
             if isinstance(lit, Atom):
-                pos_edges.add((lit.pred, h))
+                pos_edges.add((_key(lit), h))
             elif isinstance(lit, NegAtom):
-                neg_edges.add((lit.atom.pred, h))
+                neg_edges.add((_key(lit.atom), h))
             elif isinstance(lit, AggregateLit):
-                neg_edges.update((c.pred, h) for c in lit.condition if isinstance(c, Atom))
+                neg_edges.update((_key(c), h) for c in lit.condition if isinstance(c, Atom))
     edges = sorted(pos_edges | neg_edges)
     preds.update(src for src, _ in edges)
 
-    succ: dict[str, list[str]] = {p: [] for p in sorted(preds)}
-    reads: dict[str, list[str]] = {p: [] for p in succ}
+    succ: dict[tuple, list[tuple]] = {p: [] for p in sorted(preds)}
+    reads: dict[tuple, list[tuple]] = {p: [] for p in succ}
     for src, dst in edges:
         succ[src].append(dst)
         reads[dst].append(src)
@@ -901,7 +914,8 @@ def stratify(program: "Program | list[Rule]") -> list[list[str]]:
         if scc_of[src] == scc_of[dst]:
             # A real cycle through the offending edge, from the least member.
             start = min(sccs[scc_of[src]])
-            raise UnstratifiedError(_path(succ, start, src) + _path(succ, dst, start)[:-1])
+            cycle = _path(succ, start, src) + _path(succ, dst, start)[:-1]
+            raise UnstratifiedError([name for name, _ in cycle])
     return [sorted(scc) for scc in sccs]
 
 
@@ -979,7 +993,7 @@ def parse_program(text: str) -> Program:
     rules = [rule for _, rule in _ProgramParser(text).statements(facts) if rule is not None]
     for rule in rules:
         _plan_rule(rule)
-    stratify(rules)
+    _components(rules)
     return Program(rules=rules, facts=facts)
 
 
@@ -998,8 +1012,7 @@ def evaluate(program: Program, input_facts) -> Model:
     plans); they are stratified here, so a set of rules joined from several
     programs raises UnstratifiedError if the join has a bad cycle.
     """
-    strata = stratify(program.rules)
-    stratum_of = {p: i for i, s in enumerate(strata) for p in s}
+    stratum_of = {p: i for i, s in enumerate(_components(program.rules)) for p in s}
     relations = _Relations()
     tuples = relations.tuples  # no index exists yet to keep current
     for fact in itertools.chain(program.facts, input_facts):
@@ -1010,7 +1023,7 @@ def evaluate(program: Program, input_facts) -> Model:
 
     by_stratum: dict[int, list[Rule]] = {}
     for rule in program.rules:
-        by_stratum.setdefault(stratum_of[rule.head.pred], []).append(rule)
+        by_stratum.setdefault(stratum_of[_key(rule.head)], []).append(rule)
 
     for idx in sorted(by_stratum):
         _eval_stratum(by_stratum[idx], relations)
@@ -1053,8 +1066,9 @@ class _Relations:
 
     An index holds the tuples of one predicate and arity in buckets, in
     insertion order, keyed by their values at some positions as
-    itemgetter(*positions) gives them.  add, and generated code adding a
-    rule's head atoms, keep every built index current through _grow.
+    itemgetter(*positions) gives them.  It is only a store: its writers are
+    evaluate's loop over the given facts and the generated head blocks, which
+    keep every built index current through _grow.
     """
 
     __slots__ = ("tuples", "_indexes", "_index_lists")
@@ -1065,16 +1079,6 @@ class _Relations:
         self._indexes: dict[tuple, dict[object, list[tuple]]] = {}
         # pred -> (arity, key function, index) of each of its indexes
         self._index_lists: dict[str, list[tuple]] = {}
-
-    def add(self, pred: str, args: tuple) -> bool:
-        rel = self.tuples.get(pred)
-        if rel is None:
-            rel = self.tuples[pred] = {}
-        elif args in rel:
-            return False
-        rel[args] = None
-        _grow(self._index_lists.get(pred, ()), args)
-        return True
 
     def index(self, pred: str, arity: int, positions: tuple) -> dict[object, list[tuple]]:
         """The buckets of pred/arity by their values at positions (one or more)."""
@@ -1274,7 +1278,7 @@ class _Generator:
                  # a new index of the head's relation too.
                  "    grow = relations._index_lists.get(k1, ())",
                  "    rel = relations.tuples.get(k1) or {}",
-                 "    note = None if out is None else out.add"]
+                 "    note = None if out is None else out.tuples.get(k1) or {}"]
         for fn in self.nested:
             lines += ["    " + fn.header, *fn.lines]
         lines += self.main.lines
@@ -1490,4 +1494,6 @@ class _Generator:
         self.line(f"    if not rel: relations.tuples[k1] = rel")
         self.line(f"    rel[{args}] = None")
         self.line(f"    if grow: _grow(grow, {args})")
-        self.line(f"    if note: note(k1, {args})")
+        self.line("    if note is not None:")
+        self.line("        if not note: out.tuples[k1] = note")
+        self.line(f"        note[{args}] = None")

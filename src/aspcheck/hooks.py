@@ -142,9 +142,8 @@ class _Tok:
     column: int
 
 
-def _tokenize_line(line: str, lineno: int, columns: Sequence[int] = ()) -> list[_Tok]:
-    """The tokens of line lineno; line[i] is at column columns[i], by default i + 1."""
-    columns = columns or range(1, len(line) + 2)
+def _tokenize_line(line: str, lineno: int, columns: Sequence[int]) -> list[_Tok]:
+    """The tokens of line lineno; line[i], or its end at i = len(line), is at column columns[i]."""
     toks: list[_Tok] = []
     pos = 0
     while pos < len(line):

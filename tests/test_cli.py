@@ -454,6 +454,21 @@ class TestCheck:
             ": asp-syntax: program is not stratified; negation or aggregation on the cycle:"
             " q -> r -> q\nspec-error\n", "")
 
+    @pytest.mark.parametrize("mode", ["builtin", "bridge"])
+    def test_p1_and_p2_are_different_predicates(self, tmp_path, capsys, mode):
+        # q reads not p/2, which no rule derives: no cycle through p/1.
+        rules = "p(X) :- q(X).\n        q(X) :- r(X), not p(X,X).\n"
+        spec = write(tmp_path, "arity.yaml", f"valasp:\n    asp: |\n        {rules}"
+                                             "r:\n    x: Integer\n")
+        data = write(tmp_path, "r.lp", "r(1).\n")
+        assert main(["validate", "--mode", mode, "--grounder-cmd", STUB_CMD, spec, data]) == 0
+        assert capsys.readouterr() == ("valid\n", "")
+        # The same rules in the input.
+        spec = write(tmp_path, "r.yaml", "r:\n    x: Integer\n")
+        data = write(tmp_path, "rules.lp", "r(1). p(X) :- q(X). q(X) :- r(X), not p(X,X).\n")
+        assert main(["validate", "--mode", mode, "--grounder-cmd", STUB_CMD, spec, data]) == 0
+        assert capsys.readouterr() == ("valid\n", "")
+
     @pytest.mark.parametrize("flags", [[], ["--all-errors"]])
     @pytest.mark.parametrize("spec_text", [
         'valasp:\n    script: |\n        fail("prelude down")\n'

@@ -26,6 +26,8 @@ from aspcheck.terms import Fact, Number, ParseError, parse_facts, render
 
 import _support
 from _support import (
+    GenProgram,
+    GenRule,
     bfs_connected,
     generate_program,
     load_fixture,
@@ -282,6 +284,20 @@ class TestStratify:
         strata = stratify(parse_program("t(X,Y) :- e(X,Y). t(X,Z) :- t(X,Y), e(Y,Z)."))
         assert strata == [["e"], ["t"]]
 
+    def test_a_predicate_is_a_name_and_an_arity(self):
+        # q reads not p/2, which no rule derives, so p/1 depends on it
+        # through no cycle.
+        program = parse_program("r(1). p(X) :- q(X). q(X) :- r(X), not p(X,X).")
+        assert stratify(program) == [["p"], ["r"], ["q"], ["p"]]
+        model = evaluate(program, [])
+        assert sorted(render(f.term()) for f in model) == ["p(1)", "q(1)", "r(1)"]
+
+    def test_a_cycle_of_one_arity_is_still_rejected(self):
+        with pytest.raises(UnstratifiedError) as info:
+            parse_program("r(1). p(X) :- q(X). q(X) :- r(X), not p(X).")
+        assert str(info.value) == ("program is not stratified; negation or aggregation"
+                                   " on the cycle: p -> q -> p")
+
 
 # Rules over 0-ary predicates whose bodies mix plain and negated atoms, so
 # both stratified and unstratified programs are drawn.
@@ -498,6 +514,54 @@ class TestOracleEquivalence:
             assert model_as_tuples(model) == naive_fixpoint(generated)
             checked += 1
         assert checked == 40
+
+    @staticmethod
+    def _random_facts(rng, arities):
+        return {(pred, tuple(rng.randint(1, 8) for _ in range(arity)))
+                for pred, arity in arities for _ in range(rng.randint(0, 12))}
+
+    def test_second_rule_of_a_head_registers_its_delta(self, monkeypatch):
+        # In a round where the f rule derives nothing and the g rule does,
+        # the g rule's head block registers the round's path relation.
+        rules = [(1, GenRule(("path", ("X", "Y")), [("e", ("X", "Y"))], [])),
+                 (1, GenRule(("path", ("X", "Z")), [("path", ("X", "Y")), ("f", ("Y", "Z"))], [])),
+                 (1, GenRule(("path", ("X", "Z")), [("path", ("X", "Y")), ("g", ("Y", "Z"))], []))]
+        registered = []
+        function = datalog._Generator.function
+
+        def recorded(generator):
+            derive, rule = function(generator), generator.rule
+
+            def wrapper(relations, out, delta, now):
+                before = out is not None and "path" in out.tuples
+                derive(relations, out, delta, now)
+                after = out is not None and "path" in out.tuples
+                registered.append((rule.body[-1].pred, before, after))
+            return wrapper
+
+        monkeypatch.setattr(datalog._Generator, "function", recorded)
+        rng = random.Random(3030)
+        for _ in range(40):
+            generated = GenProgram(self._random_facts(rng, [("e", 2), ("f", 2), ("g", 2)]), rules)
+            model = evaluate(parse_program(render_program(generated)), [])
+            assert model_as_tuples(model) == naive_fixpoint(generated)
+        assert ("g", False, True) in registered
+
+    def test_two_arities_of_one_name_share_one_delta(self):
+        # q/1 and q/2 read each other, so they form one component, and the
+        # atoms of both enter each round's delta under the name q.
+        rules = [(1, GenRule(("q", ("X",)), [("s", ("X",))], [])),
+                 (1, GenRule(("q", ("X", "Z")), [("q", ("X",)), ("e", ("X", "Z"))], [])),
+                 (1, GenRule(("q", ("X", "X")), [("q", ("X",))], [])),
+                 (1, GenRule(("q", ("X",)), [("q", ("X", "Y")), ("t", ("Y",))], [])),
+                 (1, GenRule(("q", ("Y",)), [("q", ("X", "Y")), ("t", ("X",))], []))]
+        program = parse_program(render_program(GenProgram(set(), rules)))
+        assert stratify(program) == [["e"], ["s"], ["t"], ["q"]]
+        rng = random.Random(3131)
+        for _ in range(40):
+            generated = GenProgram(self._random_facts(rng, [("s", 1), ("t", 1), ("e", 2)]), rules)
+            model = evaluate(parse_program(render_program(generated)), [])
+            assert model_as_tuples(model) == naive_fixpoint(generated)
 
     def test_monotone_growth_without_negation(self):
         rng = random.Random(99)
