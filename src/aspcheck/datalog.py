@@ -21,8 +21,10 @@ shape (see _ProgramParser.flat_facts).  Every route reads the same facts
 and raises the same errors.
 
 Evaluation is bottom-up, semi-naive per component of the dependency graph;
-a non-recursive component takes one pass.  Each iteration joins at least
-one body atom against the tuples derived in the previous iteration.
+a non-recursive component takes one pass.  A predicate is a name and an
+arity, in the graph and in every relation, delta, index and model: p/1 and
+p/2 are two relations.  Each iteration joins at least one body atom against
+the tuples derived in the previous iteration.
 parse_program orders each rule's body into a plan; the first time the rule
 is evaluated, the plan becomes one generated Python function, a flat nest of
 for loops with the variables as locals (see _Generator), and nothing
@@ -194,7 +196,7 @@ class Rule:
     body: tuple
     source: str
     plan: tuple = ()  # the body in evaluation order (see _plan_rule)
-    atoms: tuple = ()  # the predicate of each positive atom in the plan
+    atoms: tuple = ()  # the (name, arity) of each positive atom in the plan
     derive: object = None  # the plan as a function, made on first evaluation (see _Generator)
 
 
@@ -288,6 +290,25 @@ def _line_col(text: str, offset: int) -> dict[str, int]:
     return {"line": line, "column": column}
 
 
+def _lex(text: str, pos: int) -> Iterator[_Token]:
+    """The tokens of text from pos on, then an "end" token.
+
+    A function of the text alone: a parser holds its lexer, and a lexer that
+    held its parser would make a reference cycle, which only the cyclic
+    collector frees.
+    """
+    for m in _TOKEN_RE.finditer(text, pos):
+        kind = m.lastgroup
+        if kind == "ws" or kind == "comment":
+            continue
+        if kind == "bad":
+            offset = m.start()
+            raise ParseError(f"unexpected character {m.group()!r}", offset=offset,
+                             **_line_col(text, offset))
+        yield _Token(kind, m.group(), m.start())
+    yield _Token("end", "", len(text))
+
+
 class _ProgramParser:
     """The one reader of ASP text: rules, facts and ground terms.
 
@@ -299,7 +320,7 @@ class _ProgramParser:
 
     def __init__(self, text: str):
         self.text = text
-        self._next = self._lex(0).__next__
+        self._next = _lex(text, 0).__next__
         self.cur = self._next()
         self.depth = 0
         self.memo: dict[str, GroundTerm] = {}
@@ -309,16 +330,6 @@ class _ProgramParser:
         self.defect: tuple[str, int] | None = None
 
     # tokens ----------------------------------------------------------------
-
-    def _lex(self, pos: int) -> Iterator[_Token]:
-        for m in _TOKEN_RE.finditer(self.text, pos):
-            kind = m.lastgroup
-            if kind == "ws" or kind == "comment":
-                continue
-            if kind == "bad":
-                raise self.error_at(f"unexpected character {m.group()!r}", m.start())
-            yield _Token(kind, m.group(), m.start())
-        yield _Token("end", "", len(self.text))
 
     def advance(self) -> _Token:
         tok = self.cur
@@ -453,7 +464,7 @@ class _ProgramParser:
                 run = 0
             pred = name
             m = match(text, end)
-        self._next = self._lex(end).__next__
+        self._next = _lex(text, end).__next__
         self.cur = self._next()
 
     def _read_run(self, facts: list[Fact], kinds: tuple[type, ...], start: int,
@@ -860,7 +871,7 @@ def _plan_rule(rule: Rule) -> None:
     if loose:
         raise UnsafeRuleError(loose[0], rule.source)
     rule.plan = tuple(plan)
-    rule.atoms = tuple(lit.pred for lit in plan if isinstance(lit, Atom))
+    rule.atoms = tuple(_key(lit) for lit in plan if isinstance(lit, Atom))
     rule.derive = None
 
 
@@ -874,7 +885,8 @@ def stratify(program: "Program | list[Rule]") -> list[list[str]]:
     component; a non-recursive component takes one pass.  A predicate is a
     name and an arity, so p/1 and p/2 may sit in different components; each
     component is given as the sorted names of its predicates.  Raise
-    UnstratifiedError on a cycle through negation or aggregation."""
+    UnstratifiedError on a cycle through negation or aggregation; the cycle
+    names its predicates as name/arity if two of them share a name."""
     rules = program.rules if isinstance(program, Program) else program
     return [sorted({name for name, _ in scc}) for scc in _components(rules)]
 
@@ -915,6 +927,8 @@ def _components(rules: list[Rule]) -> list[list[tuple[str, int]]]:
             # A real cycle through the offending edge, from the least member.
             start = min(sccs[scc_of[src]])
             cycle = _path(succ, start, src) + _path(succ, dst, start)[:-1]
+            if len({name for name, _ in cycle}) < len(set(cycle)):  # p/1 and p/2 on it
+                raise UnstratifiedError([f"{name}/{arity}" for name, arity in cycle])
             raise UnstratifiedError([name for name, _ in cycle])
     return [sorted(scc) for scc in sccs]
 
@@ -1016,9 +1030,10 @@ def evaluate(program: Program, input_facts) -> Model:
     relations = _Relations()
     tuples = relations.tuples  # no index exists yet to keep current
     for fact in itertools.chain(program.facts, input_facts):
-        rel = tuples.get(fact.predicate)
+        key = (fact.predicate, len(fact.args))
+        rel = tuples.get(key)
         if rel is None:
-            rel = tuples[fact.predicate] = {}
+            rel = tuples[key] = {}
         rel[fact.args] = None  # an equal key already there stays
 
     by_stratum: dict[int, list[Rule]] = {}
@@ -1033,15 +1048,16 @@ def evaluate(program: Program, input_facts) -> Model:
 class Model(Set):
     """evaluate's result: a set of Facts, held as the fixpoint's relations.
 
-    relations maps each predicate, in the order it first arrived, to its
-    argument tuples as the keys of a dict, in arrival order.  in and len
-    read them as they are; iteration goes relation by relation and builds
-    a Fact per atom as it goes.  No Fact and no index is kept.
+    relations maps each predicate, a (name, arity) pair, in the order it
+    first arrived, to its argument tuples as the keys of a dict, in arrival
+    order.  in and len read them as they are; iteration goes relation by
+    relation and builds a Fact per atom as it goes.  No Fact and no index is
+    kept.
     """
 
     __slots__ = ("relations", "_len", "__weakref__")
 
-    def __init__(self, relations: dict[str, dict[tuple, None]]):
+    def __init__(self, relations: dict[tuple[str, int], dict[tuple, None]]):
         self.relations = relations
         self._len = sum(map(len, relations.values()))
 
@@ -1050,65 +1066,65 @@ class Model(Set):
         return set(atoms)
 
     def __contains__(self, atom) -> bool:
-        return isinstance(atom, Fact) and atom.args in self.relations.get(atom.predicate, ())
+        return isinstance(atom, Fact) and \
+            atom.args in self.relations.get((atom.predicate, len(atom.args)), ())
 
     def __len__(self) -> int:
         return self._len
 
     def __iter__(self) -> Iterator[Fact]:
-        for pred, tuples in self.relations.items():
+        for (pred, _), tuples in self.relations.items():
             for args in tuples:
                 yield Fact(pred, args)
 
 
 class _Relations:
-    """Tuples by predicate in insertion order, with hash indexes built on first use.
+    """Tuples by predicate, a (name, arity) pair, in insertion order, with
+    hash indexes built on first use.
 
-    An index holds the tuples of one predicate and arity in buckets, in
-    insertion order, keyed by their values at some positions as
-    itemgetter(*positions) gives them.  It is only a store: its writers are
-    evaluate's loop over the given facts and the generated head blocks, which
-    keep every built index current through _grow.
+    An index holds the tuples of one predicate in buckets, in insertion
+    order, keyed by their values at some positions as itemgetter(*positions)
+    gives them.  It is only a store: its writers are evaluate's loop over
+    the given facts and the generated head blocks, which keep every built
+    index current through _grow.
     """
 
     __slots__ = ("tuples", "_indexes", "_index_lists")
 
     def __init__(self) -> None:
-        self.tuples: dict[str, dict[tuple, None]] = {}  # pred -> tuples as keys
-        # (pred, arity, positions) -> key -> bucket
+        self.tuples: dict[tuple[str, int], dict[tuple, None]] = {}  # pred -> tuples as keys
+        # (pred, positions) -> key -> bucket
         self._indexes: dict[tuple, dict[object, list[tuple]]] = {}
-        # pred -> (arity, key function, index) of each of its indexes
-        self._index_lists: dict[str, list[tuple]] = {}
+        # pred -> (key function, index) of each of its indexes
+        self._index_lists: dict[tuple[str, int], list[tuple]] = {}
 
-    def index(self, pred: str, arity: int, positions: tuple) -> dict[object, list[tuple]]:
-        """The buckets of pred/arity by their values at positions (one or more)."""
-        index = self._indexes.get((pred, arity, positions))
+    def index(self, pred: tuple[str, int], positions: tuple) -> dict[object, list[tuple]]:
+        """The buckets of pred by their values at positions (one or more)."""
+        index = self._indexes.get((pred, positions))
         if index is None:
-            index = self._indexes[pred, arity, positions] = {}
+            index = self._indexes[pred, positions] = {}
             key_of = itemgetter(*positions)
-            self._index_lists.setdefault(pred, []).append((arity, key_of, index))
+            self._index_lists.setdefault(pred, []).append((key_of, index))
             for args in self.tuples.get(pred, ()):
-                if len(args) == arity:
-                    index.setdefault(key_of(args), []).append(args)
+                index.setdefault(key_of(args), []).append(args)
         return index
 
-    def scan(self, pred: str):
-        """The tuples of pred, of every arity: what an atom without keys reads."""
+    def scan(self, pred: tuple[str, int]):
+        """The tuples of pred: what an atom without keys reads."""
         return self.tuples.get(pred, ())
 
 
 def _grow(indexes: list[tuple], args: tuple) -> None:
-    """Add args to each of its relation's indexes (arity, key function, index)."""
-    for arity, key_of, index in indexes:
-        if len(args) == arity:
-            index.setdefault(key_of(args), []).append(args)
+    """Add args to each of its relation's indexes (key function, index)."""
+    for key_of, index in indexes:
+        index.setdefault(key_of(args), []).append(args)
 
 
 def _eval_stratum(rules: list[Rule], relations: _Relations) -> None:
     # One component's rules.  Unless a body atom reads one of its heads, one
     # pass derives all and nothing enters the delta; otherwise only its heads
     # do, so an atom over an earlier component never reads the delta.
-    heads = {rule.head.pred for rule in rules}
+    heads = {_key(rule.head) for rule in rules}
     for rule in rules:
         if rule.derive is None:
             rule.derive = _Generator(rule).function()
@@ -1252,7 +1268,7 @@ class _Generator:
 
     def __init__(self, rule: Rule):
         self.rule = rule
-        self.consts: list = [rule.source, rule.head.pred]  # k0, k1
+        self.consts: list = [rule.source, _key(rule.head)]  # k0, k1
         self.slots: dict[str, int] = {}
         self.names = itertools.count()  # numbers the other names made here
         self.hoisted: list[str] = []  # derive's lines before its nest
@@ -1333,7 +1349,7 @@ class _Generator:
             self.atom(lit, bound, self.occurrence)
             self.occurrence += 1
         elif type(lit) is NegAtom:
-            pred, values = lit.atom.pred, [self.value(a, bound) for a in lit.atom.args]
+            pred, values = _key(lit.atom), [self.value(a, bound) for a in lit.atom.args]
             tuples = self.fresh("n")
             self.hoisted.append(f"{tuples} = relations.tuples.get({self.const(pred)}, ())")
             self.skip_if(f"{_tuple(values)} in {tuples}")
@@ -1350,15 +1366,15 @@ class _Generator:
         grows during a pass, so a body atom of that predicate loops over a
         copy of what it reads, as it stands when the loop starts.
         """
-        pred, arity = self.const(atom.pred), len(atom.args)
+        pred = self.const(_key(atom))
         source = "relations" if occurrence is None else \
             f"(delta if now == {occurrence} else relations)"
-        grows = occurrence is not None and atom.pred == self.rule.head.pred
+        grows = occurrence is not None and _key(atom) == _key(self.rule.head)
         positions = _key_positions(atom, bound)
         row = self.fresh("t")
         if positions:
             get = self.fresh("g")
-            self.hoisted.append(f"{get} = {source}.index({pred}, {arity}, {positions!r}).get")
+            self.hoisted.append(f"{get} = {source}.index({pred}, {positions!r}).get")
             key = [self.value(atom.args[p], bound) for p in positions]
             bucket = f"{get}({key[0] if len(key) == 1 else _tuple(key)}, ())"
             self.open_loop(f"for {row} in {bucket}{'[:]' if grows else ''}:", bound)
@@ -1366,7 +1382,6 @@ class _Generator:
             tuples = self.fresh("r")
             self.hoisted.append(f"{tuples} = {source}.scan({pred})")
             self.open_loop(f"for {row} in {f'tuple({tuples})' if grows else tuples}:", bound)
-            self.skip_if(f"len({row}) != {arity}")
         for pos, arg in enumerate(atom.args):
             if pos not in positions:
                 self.match(f"{row}[{pos}]", arg, bound)

@@ -8,11 +8,12 @@ deterministic order, and finally checks aggregate facets and after hooks.
 Both modes run the same steps, which yield diagnostics one at a time; the
 default, fail-fast, stops at the first.
 
-The instance set is a mapping of relations, predicate -> argument tuples
-in arrival order: the rule engine's own fixpoint relations, or the given
-facts or the grounder's atoms gathered the same way.  Step 4 groups it by
-symbol and lets it go; from then on an instance is a tuple of argument
-terms, and its atom is built as a term only for a snapshot or a message.
+The instance set is a mapping of relations, (name, arity) -> argument
+tuples in arrival order: the rule engine's own fixpoint relations, or the
+given facts or the grounder's atoms gathered the same way.  Step 4 takes
+each definition's relation as its group and lets the set go; from then on
+an instance is a tuple of argument terms, and its atom is built as a term
+only for a snapshot or a message.
 """
 
 from __future__ import annotations
@@ -556,7 +557,7 @@ def _instance_set(spec: ValidationSpec, program: datalog.Program | None, given,
                   options: RunOptions):
     """Step 3: the given Program's facts plus what its rules and asp derive,
     or in bridge mode (program None) what the grounder gives for the given
-    text, as relations: predicate -> argument tuples, each atom once.
+    text, as relations: (name, arity) -> argument tuples, each atom once.
 
     Each relation holds its atoms in arrival order: the given facts in
     input order, then the derived atoms, or the grounder's atoms in its
@@ -586,9 +587,10 @@ def _instance_set(spec: ValidationSpec, program: datalog.Program | None, given,
         return None, Diagnostic("before", "", "eval-error", str(exc))
 
 
-def _relations(spec: ValidationSpec, atoms: Iterable[Fact]) -> dict[str, list[tuple]]:
-    """The argument tuples of each defined predicate among atoms, in
-    arrival order, each once.
+def _relations(spec: ValidationSpec,
+               atoms: Iterable[Fact]) -> dict[tuple[str, int], list[tuple]]:
+    """The argument tuples of each defined predicate among atoms, by its
+    (name, arity), in arrival order, each once.
 
     Repeats are looked for by one set of every atom's arguments, freed
     before any group is built, so that the set and the groups are never
@@ -596,13 +598,14 @@ def _relations(spec: ValidationSpec, atoms: Iterable[Fact]) -> dict[str, list[tu
     same arguments under two predicates, is each group searched for
     repeats on its own.
     """
-    definitions = spec.definitions
+    defined = {(symbol, definition.arity) for symbol, definition in spec.definitions.items()}
     atoms = atoms if isinstance(atoms, list) else list(atoms)
     repeats = len({atom.args for atom in atoms}) != len(atoms)
-    groups: dict[str, list[tuple]] = {}
+    groups: dict[tuple[str, int], list[tuple]] = {}
     for atom in atoms:
-        if atom.predicate in definitions:
-            groups.setdefault(atom.predicate, []).append(atom.args)
+        key = (atom.predicate, len(atom.args))
+        if key in defined:
+            groups.setdefault(key, []).append(atom.args)
     if repeats:
         for pred, group in groups.items():
             seen: set[tuple] = set()
@@ -614,14 +617,13 @@ def _grouped_instances(spec: ValidationSpec, relations):
     """Defined symbols in name order, each with the argument tuples of its
     atoms in arrival order.
 
-    Atoms whose predicate matches a definition only by name but not by arity
-    are left unvalidated, mirroring how a grounder would treat them as a
-    different predicate.
+    A definition's group is the relation of its symbol and arity: atoms of
+    the symbol with another arity are another predicate, as a grounder
+    treats them, and are left unvalidated.
     """
     groups = {}
-    for symbol in sorted(spec.definitions.keys() & relations.keys()):
-        arity = spec.definitions[symbol].arity
-        group = [args for args in relations[symbol] if len(args) == arity]
+    for symbol, definition in sorted(spec.definitions.items()):
+        group = list(relations.get((symbol, definition.arity), ()))
         if group:
             groups[symbol] = group
     del relations  # the last reference to the instance set

@@ -151,10 +151,13 @@ def gc_paused():
     """Pause the cyclic garbage collector, and restore its state on exit.
 
     A run builds hundreds of thousands of tracked objects (facts, terms,
-    checked instances) and no reference cycle among them, so each automatic
-    collection walks them all and frees nothing.  Nested uses cost one
-    gc.isenabled() call.  gc.disable is process-wide: other threads run
-    without cyclic collection until the outermost use exits.
+    checked instances), nearly all of them in no reference cycle, so each
+    automatic collection walks them all and frees next to nothing.  A
+    parser of ASP text is no cycle either, so it is freed as its call
+    returns, and bridge mode, which builds one per output line, keeps none.
+    The few small cycles a run does build wait for the collector.  Nested
+    uses cost one gc.isenabled() call.  gc.disable is process-wide: other
+    threads run without cyclic collection until the outermost use exits.
     """
     if not gc.isenabled():
         yield

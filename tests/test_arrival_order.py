@@ -55,7 +55,7 @@ def test_evaluate_gives_the_given_facts_in_input_order_then_the_derived():
     assert model == set(model) and len(model) == 8 and Fact("s", facts[3].args) in model
     # A repeat is dropped, and the first one kept: no Fact is kept, so its
     # arguments are.
-    assert next(args for args in model.relations["p"] if args == facts[2].args) is facts[0].args
+    assert next(args for args in model.relations[("p", 1)] if args == facts[2].args) is facts[0].args
 
 
 def test_ground_output_comes_in_output_order_with_repeats_dropped():

@@ -118,7 +118,7 @@ class TestParsing:
         program = parse_program(f":- {body}.\n:- not q(Y), #count{{Z : r(Z)}} > @g().")
         assert (program.rules, program.facts) == ([], [])
         [rule] = parse_program(f"bad(X1) :- {body}.").rules
-        assert rule.atoms == ("range",)  # planned like any rule
+        assert rule.atoms == (("range", 1),)  # planned like any rule
 
     @pytest.mark.parametrize("text, message", [
         (":- p(X)", "'.' terminating the rule"),
@@ -298,6 +298,13 @@ class TestStratify:
         assert str(info.value) == ("program is not stratified; negation or aggregation"
                                    " on the cycle: p -> q -> p")
 
+    def test_a_cycle_through_two_arities_of_a_name_gives_each_arity(self):
+        with pytest.raises(UnstratifiedError) as info:
+            parse_program("r(1). p(X) :- r(X), not p(X,X). p(X,X) :- p(X).")
+        assert info.value.cycle == ["p/1", "p/2"]
+        assert str(info.value) == ("program is not stratified; negation or aggregation"
+                                   " on the cycle: p/1 -> p/2 -> p/1")
+
 
 # Rules over 0-ary predicates whose bodies mix plain and negated atoms, so
 # both stratified and unstratified programs are drawn.
@@ -357,7 +364,7 @@ class TestEvaluate:
         monkeypatch.setattr(datalog, "Fact", lambda pred, args: made.append(pred) or Fact(pred, args))
         model = evaluate(program, given)
         assert made == []  # no Fact is built, for a given atom or a derived one
-        held = {(pred, args): args for pred, rel in model.relations.items() for args in rel}
+        held = {(pred, args): args for (pred, _), rel in model.relations.items() for args in rel}
         assert all(held[fact.predicate, fact.args] is fact.args
                    for fact in [*program.facts, *given])
         assert preds(model, "path") == [f"path({a},{b})" for a in (1, 2, 3) for b in (2, 3, 4)
@@ -533,9 +540,9 @@ class TestOracleEquivalence:
             derive, rule = function(generator), generator.rule
 
             def wrapper(relations, out, delta, now):
-                before = out is not None and "path" in out.tuples
+                before = out is not None and ("path", 2) in out.tuples
                 derive(relations, out, delta, now)
-                after = out is not None and "path" in out.tuples
+                after = out is not None and ("path", 2) in out.tuples
                 registered.append((rule.body[-1].pred, before, after))
             return wrapper
 
@@ -549,7 +556,7 @@ class TestOracleEquivalence:
 
     def test_two_arities_of_one_name_share_one_delta(self):
         # q/1 and q/2 read each other, so they form one component, and the
-        # atoms of both enter each round's delta under the name q.
+        # atoms of both enter each round's delta, each under its own arity.
         rules = [(1, GenRule(("q", ("X",)), [("s", ("X",))], [])),
                  (1, GenRule(("q", ("X", "Z")), [("q", ("X",)), ("e", ("X", "Z"))], [])),
                  (1, GenRule(("q", ("X", "X")), [("q", ("X",))], [])),
@@ -562,6 +569,29 @@ class TestOracleEquivalence:
             generated = GenProgram(self._random_facts(rng, [("s", 1), ("t", 1), ("e", 2)]), rules)
             model = evaluate(parse_program(render_program(generated)), [])
             assert model_as_tuples(model) == naive_fixpoint(generated)
+
+    @pytest.mark.parametrize("q2", ["q", "q2"])
+    def test_a_rule_reading_another_arity_of_its_head_runs_once(self, monkeypatch, q2):
+        # q/1 reads q/2, a predicate of an earlier component, so its
+        # component is not recursive: one pass, and no delta round, as when
+        # q/2 has a name of its own.
+        calls = []
+        function = datalog._Generator.function
+
+        def recorded(generator):
+            derive, rule = function(generator), generator.rule
+
+            def wrapper(relations, out, delta, now):
+                calls.append(rule.source)
+                derive(relations, out, delta, now)
+            return wrapper
+
+        monkeypatch.setattr(datalog._Generator, "function", recorded)
+        model = evaluate(parse_program(f"{q2}(X,Y) :- e(X,Y). q(X) :- {q2}(X,Y)."),
+                         parse_facts("e(1,2). e(1,3). e(2,3)."))
+        assert sorted(render(f.term()) for f in model
+                      if f.predicate == "q" and len(f.args) == 1) == ["q(1)", "q(2)"]
+        assert calls.count(f"q(X) :- {q2}(X,Y).") == 1
 
     def test_monotone_growth_without_negation(self):
         rng = random.Random(99)
@@ -791,6 +821,13 @@ class TestIndexedJoins:
         assert len(paths) == n * (n + 1) // 2
         assert sum(examined.values()) <= 10 * len(paths), (examined, len(paths))
         assert examined["get"] and examined["scan"], examined
+
+    def test_an_atom_without_keys_reads_only_its_own_arity(self, monkeypatch):
+        examined = _count_candidates(monkeypatch)
+        model = evaluate(parse_program("p(X) :- q(X)."),
+                         parse_facts("q(1). q(1,2). q(2,3). q(3,4,5). q(4)."))
+        assert preds(model, "p") == ["p(1)", "p(4)"]
+        assert examined == {"get": 0, "scan": 2}
 
     def test_matching_work_is_linear_in_a_long_solitaire_range(self, monkeypatch):
         # range counts up from -2000 one round at a time; the location rules

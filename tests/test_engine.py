@@ -548,7 +548,7 @@ _ORDER_SPEC = load_spec("p:\n    a: Any\n    b: Any\n")
 @given(st.lists(st.tuples(_order_terms, _order_terms), max_size=40))
 @settings(max_examples=200)
 def test_instances_are_checked_in_term_order(pairs):
-    groups = list(_grouped_instances(_ORDER_SPEC, {"p": dict.fromkeys(pairs)}))
+    groups = list(_grouped_instances(_ORDER_SPEC, {("p", 2): dict.fromkeys(pairs)}))
     ordered = [atom_term("p", args) for args in sorted(groups[0][1], key=sort_key)] if groups else []
     assert ordered == sorted({atom_term("p", args) for args in pairs}, key=sort_key)
     for left, right in zip(ordered, ordered[1:]):

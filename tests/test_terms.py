@@ -1,8 +1,10 @@
 """Term parsing, rendering and ordering."""
 
 import copy
+import gc
 import pickle
 import random
+import sys
 from functools import cmp_to_key
 from unittest import mock
 
@@ -12,6 +14,9 @@ from hypothesis import strategies as st
 
 from aspcheck import datalog, hooks, terms
 from aspcheck.datalog import evaluate, parse_program
+from aspcheck.emit import GrounderBridgeConfig
+from aspcheck.engine import RunOptions, run
+from aspcheck.schema import load_spec
 from aspcheck.terms import (
     Const,
     Fact,
@@ -27,7 +32,7 @@ from aspcheck.terms import (
     sort_key,
 )
 
-from _support import compare_terms, random_term
+from _support import STUB_GROUNDER, compare_terms, random_term
 
 
 class TestParseTerm:
@@ -386,6 +391,39 @@ def test_fact_files_read_alike_whatever_the_separators(facts, rng):
     text = "".join(tok + rng.choice(_SEPARATORS)
                    for fact in facts for tok in _tokens(fact.term(), rng) + ["."])
     assert parse_facts(text) == parse_program(text).facts == facts
+
+
+def _parsers() -> int:
+    return sum(isinstance(obj, datalog._ProgramParser) for obj in gc.get_objects())
+
+
+def _parse_all() -> None:
+    for _ in range(200):
+        parse_facts('p(1). q(a,"s"). r(f(1),(a,b)).')
+        parse_term("f(1,(a,b))")
+        parse_program("p(X) :- q(X), not r(X). s(1..2).")
+
+
+def _run_bridge() -> None:
+    # The grounder's output is read a line at a time, with a parser a line.
+    grounder = GrounderBridgeConfig(command=(sys.executable, str(STUB_GROUNDER)))
+    report = run(load_spec("p:\n    x: Integer\n"), "p(1). p(2). q(X) :- p(X).",
+                 RunOptions(grounder=grounder))
+    assert report.verdict == "valid"
+
+
+@pytest.mark.parametrize("work", [_parse_all, _run_bridge], ids=["parse", "bridge-run"])
+def test_a_parser_is_freed_as_its_call_returns(work):
+    # A parser holds its lexer and the lexer does not hold the parser, so no
+    # parser waits for the cyclic collector, which a run pauses.
+    gc.collect()
+    before = _parsers()
+    gc.disable()
+    try:
+        work()
+        assert _parsers() == before
+    finally:
+        gc.enable()
 
 
 def test_flat_facts_bypass_the_grammar(monkeypatch):
