@@ -598,19 +598,18 @@ def _relations(spec: ValidationSpec,
     same arguments under two predicates, is each group searched for
     repeats on its own.
     """
-    defined = {(symbol, definition.arity) for symbol, definition in spec.definitions.items()}
+    arity_of = {symbol: definition.arity for symbol, definition in spec.definitions.items()}
     atoms = atoms if isinstance(atoms, list) else list(atoms)
     repeats = len({atom.args for atom in atoms}) != len(atoms)
-    groups: dict[tuple[str, int], list[tuple]] = {}
+    groups: dict[str, list[tuple]] = {}  # keyed once at the end, not per atom
     for atom in atoms:
-        key = (atom.predicate, len(atom.args))
-        if key in defined:
-            groups.setdefault(key, []).append(atom.args)
+        if arity_of.get(atom.predicate) == len(atom.args):
+            groups.setdefault(atom.predicate, []).append(atom.args)
     if repeats:
         for pred, group in groups.items():
             seen: set[tuple] = set()
             groups[pred] = [args for args in group if not (args in seen or seen.add(args))]
-    return groups
+    return {(pred, arity_of[pred]): group for pred, group in groups.items()}
 
 
 def _grouped_instances(spec: ValidationSpec, relations):
