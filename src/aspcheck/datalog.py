@@ -9,11 +9,14 @@ rejected so that every program has one computable model.
 The parser here is the one reader of ASP text: parse_program, and through
 it terms.parse_facts and terms.parse_term, share its lexer and grammar, and
 the grounder bridge (emit) reads the rule heads of its output with it.
-A body-less rule whose head is ground after constant folding is a fact:
-parse_program returns it in Program.facts, never as a Rule.  A constraint
-(`:- body.`) derives no atom, so it is read for its syntax and dropped.  An
-externally interpreted term (`@f(t)`) is read anywhere a term is, and
-evaluating one is an EvaluationError, raised only where a rule reaches it.
+A body-less rule whose head is ground after constant folding is a fact,
+never a Rule.  The parser adds each fact to a sink: parse_program's gives
+Program.facts, relation lists ((name, arity) -> argument tuples, in source
+order, repeats kept) with no Fact built, and parse_facts' a list of Facts.
+A constraint (`:- body.`) derives no atom, so it is read for its syntax and
+dropped.  An externally interpreted term (`@f(t)`) is read anywhere a term
+is, and evaluating one is an EvaluationError, raised only where a rule
+reaches it.
 Flat facts (`p(1,"a",b).`, nothing inside but the arguments) skip the
 token grammar: a long run of them with one predicate and the same argument
 kinds is read in bulk, a column at a time, with patterns compiled for that
@@ -202,8 +205,12 @@ class Rule:
 
 @dataclass(slots=True)
 class Program:
+    """A program's rules, and its facts as relation lists: (name, arity) ->
+    argument tuples, each relation at its first fact, each list in source
+    order with repeats kept."""
+
     rules: list[Rule]
-    facts: list[Fact] = field(default_factory=list)
+    facts: dict[tuple[str, int], list[tuple]] = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +314,44 @@ def _lex(text: str, pos: int) -> Iterator[_Token]:
                              **_line_col(text, offset))
         yield _Token(kind, m.group(), m.start())
     yield _Token("end", "", len(text))
+
+
+class _FactList:
+    """A sink for the parser's facts (see _ProgramParser.statements): a Fact
+    per fact, in source order, repeats kept."""
+
+    __slots__ = ("facts",)
+
+    def __init__(self) -> None:
+        self.facts: list[Fact] = []
+
+    def add(self, name: str, args: tuple) -> None:
+        self.facts.append(Fact(name, args))
+
+    def add_run(self, name: str, arity: int, rows: Iterator[tuple]) -> None:
+        self.facts.extend(map(Fact, repeat(name), rows))
+
+
+class _RelationLists:
+    """A sink for the parser's facts as relation lists, the Program.facts of
+    parse_program.  No Fact is built."""
+
+    __slots__ = ("relations",)
+
+    def __init__(self) -> None:
+        self.relations: dict[tuple[str, int], list[tuple]] = {}
+
+    def add(self, name: str, args: tuple) -> None:
+        self.add_run(name, len(args), (args,))
+
+    def add_run(self, name: str, arity: int, rows: Iterator[tuple]) -> None:
+        rows_of = self.relations.get((name, arity))
+        if rows_of is None:
+            rows_of = self.relations[name, arity] = []
+        rows_of.extend(rows)
+
+
+_Sink = _FactList | _RelationLists
 
 
 class _ProgramParser:
@@ -413,25 +458,25 @@ class _ProgramParser:
 
     # statements ------------------------------------------------------------
 
-    def statements(self, facts: list[Fact]) -> Iterator[tuple[int, Rule | None]]:
-        """Read the whole text, appending each fact to facts.
+    def statements(self, sink: _Sink) -> Iterator[tuple[int, Rule | None]]:
+        """Read the whole text, adding each fact to sink (see _FactList).
 
         Yields the offset and the Rule of every other statement, None for a
         constraint.
         """
         while True:
-            self.flat_facts(facts)
+            self.flat_facts(sink)
             if self.cur.kind == "end":
                 return
             start = self.cur.offset
             item = self.rule()
-            if type(item) is Fact:
-                facts.append(item)
+            if type(item) is Atom:
+                sink.add(item.pred, item.args)
             else:
                 yield start, item
 
-    def flat_facts(self, facts: list[Fact]) -> None:
-        """Append the run of flat facts that starts at the current token.
+    def flat_facts(self, sink: _Sink) -> None:
+        """Add to sink the run of flat facts that starts at the current token.
 
         Each fact takes one match of _FLAT_FACT_RE, until _RUN_START facts
         in a row share a predicate.  The last of them starts a bulk read
@@ -453,24 +498,24 @@ class _ProgramParser:
             args = self._flat_args(body.split(","), m.start(2))
             if args is None:  # a string argument holds a comma
                 args = self._flat_args(_FLAT_ARG_RE.findall(body), m.start(2))
-            facts.append(Fact(name, args))
+            sink.add(name, args)
             end = m.end()
             run = run + 1 if name == pred else 1
             if run == wait:
-                count = len(facts)
-                end = self._read_run(facts, tuple(map(type, args)), m.start(1), end)
+                end, read = self._read_run(sink, tuple(map(type, args)), m.start(1), end)
                 # A bulk read too short to pay for its patterns doubles the wait.
-                wait = _RUN_START if len(facts) - count >= _RUN_START else 2 * wait
+                wait = _RUN_START if read >= _RUN_START else 2 * wait
                 run = 0
             pred = name
             m = match(text, end)
         self._next = _lex(text, end).__next__
         self.cur = self._next()
 
-    def _read_run(self, facts: list[Fact], kinds: tuple[type, ...], start: int,
-                  pos: int) -> int:
-        """Append the flat facts from pos on that have the predicate and the
-        argument kinds of the fact from start to pos; the offset after them.
+    def _read_run(self, sink: _Sink, kinds: tuple[type, ...], start: int,
+                  pos: int) -> tuple[int, int]:
+        """Add to sink the flat facts from pos on that have the predicate and
+        the argument kinds of the fact from start to pos; the offset after
+        them and how many they are.
 
         Up to _RUN_CHUNK facts at a time: one match finds where they end, one
         findall over that span reads their argument columns, and each column
@@ -480,6 +525,7 @@ class _ProgramParser:
         """
         chunk, row = _run_patterns(kinds)
         text, memo = self.text, self.memo
+        read = 0
         while (m := chunk.match(text, start)) is not None:
             end = m.end()
             rows = row.findall(text, pos, end)
@@ -494,13 +540,14 @@ class _ProgramParser:
                         memo.update(zip(new, map(Const, new) if kind is Const
                                         else map(Number, map(int, new))))
                     except ValueError:
-                        return pos
+                        return pos, read
                 columns.append(map(memo.__getitem__, column))
-            facts.extend(map(Fact, repeat(m["pred"]), zip(*columns)))
+            sink.add_run(m["pred"], len(kinds), zip(*columns))
+            read += len(rows)
             start, pos = m.start("last"), end
             if len(rows) < _RUN_CHUNK:
                 break
-        return pos
+        return pos, read
 
     def _flat_args(self, parts: list[str], offset: int) -> tuple[GroundTerm, ...] | None:
         """The terms of a flat fact's arguments; None if parts split a string."""
@@ -519,8 +566,9 @@ class _ProgramParser:
             offset += len(part) + 1
         return tuple(args)
 
-    def rule(self) -> Rule | Fact | None:
-        """The next rule or fact; None for a constraint, which derives nothing."""
+    def rule(self) -> Rule | Atom | None:
+        """The next rule, or the head of a fact; None for a constraint, which
+        derives nothing."""
         start = self.cur.offset
         self.defect = None
         head = None if self.cur.text == ":-" else self.head_atom()
@@ -537,7 +585,7 @@ class _ProgramParser:
         if head is None:
             return None
         if not body and all(isinstance(a, GROUND_TYPES) for a in head.args):
-            return Fact(head.pred, head.args)
+            return head
         source = " ".join(self.text[start : end_tok.offset + 1].split())
         return Rule(head=head, body=body, source=source)
 
@@ -1000,15 +1048,16 @@ def _tarjan(succ: dict[str, list[str]]) -> list[list[str]]:
 def parse_program(text: str) -> Program:
     """Parse rule text into rules and ground facts; constraints are dropped.
 
+    The facts come as relation lists (see Program); no Fact is built.
     Every rule is planned (which checks safety) and the rules are
     stratified, so an unstratified text is rejected here.
     """
-    facts: list[Fact] = []
-    rules = [rule for _, rule in _ProgramParser(text).statements(facts) if rule is not None]
+    sink = _RelationLists()
+    rules = [rule for _, rule in _ProgramParser(text).statements(sink) if rule is not None]
     for rule in rules:
         _plan_rule(rule)
     _components(rules)
-    return Program(rules=rules, facts=facts)
+    return Program(rules=rules, facts=sink.relations)
 
 
 # ---------------------------------------------------------------------------
@@ -1020,16 +1069,19 @@ def evaluate(program: Program, input_facts) -> Model:
     """The unique stratified model over the program's and the input facts.
 
     The model is a Model: a set of Facts kept as relations, each predicate's
-    atoms in arrival order (the program's facts and then the input facts,
-    each at its first occurrence, then the derived atoms in derivation
-    order).  The rules must come from parse_program (they carry their
-    plans); they are stratified here, so a set of rules joined from several
-    programs raises UnstratifiedError if the join has a bad cycle.
+    atoms in arrival order (the program's facts, read from its relation
+    lists, and then the input Facts, each at its first occurrence, then the
+    derived atoms in derivation order).  The program is not changed.  The
+    rules must come from parse_program (they carry their plans); they are
+    stratified here, so a set of rules joined from several programs raises
+    UnstratifiedError if the join has a bad cycle.
     """
     stratum_of = {p: i for i, s in enumerate(_components(program.rules)) for p in s}
     relations = _Relations()
     tuples = relations.tuples  # no index exists yet to keep current
-    for fact in itertools.chain(program.facts, input_facts):
+    for key, rows in program.facts.items():
+        tuples[key] = dict.fromkeys(rows)
+    for fact in input_facts:
         key = (fact.predicate, len(fact.args))
         rel = tuples.get(key)
         if rel is None:

@@ -9,11 +9,13 @@ Both modes run the same steps, which yield diagnostics one at a time; the
 default, fail-fast, stops at the first.
 
 The instance set is a mapping of relations, (name, arity) -> argument
-tuples in arrival order: the rule engine's own fixpoint relations, or the
-given facts or the grounder's atoms gathered the same way.  Step 4 takes
-each definition's relation as its group and lets the set go; from then on
-an instance is a tuple of argument terms, and its atom is built as a term
-only for a snapshot or a message.
+tuples in arrival order, each atom once: the rule engine's own fixpoint
+relations, or without rules the relation lists the parser reads from the
+text, with their repeats dropped; Fact input and the grounder's atoms are
+gathered into such lists first.  No Fact is built for an atom of ASP text,
+given or derived.  Step 4 takes each definition's relation as its group
+and lets the set go; from then on an instance is a tuple of argument
+terms, and its atom is built as a term only for a snapshot or a message.
 """
 
 from __future__ import annotations
@@ -458,10 +460,12 @@ def run(spec: ValidationSpec, data, options: RunOptions | None = None) -> Valida
             data = "\n".join(render(f.term()) + "." for f in dict.fromkeys(data))
         program, diags = None, check_spec(spec)
     else:
-        data = datalog.parse_program(data) if isinstance(data, str) else datalog.Program([], data)
+        if isinstance(data, str):
+            data = datalog.parse_program(data)
         program, diags = spec_problems(spec)
     if not diags:
         stream = _diagnostics(spec, program, data, options, store)
+        del program, data  # the stream lets them go after step 3
         diags = list(islice(stream, 1) if options.fail_fast else stream)
     stats = RunStats(instances_checked=dict(store.counts),
                      wall_time=time.perf_counter() - started)
@@ -497,6 +501,7 @@ def _diagnostics(spec: ValidationSpec, program: datalog.Program | None, given,
     # Step 3: the instance set, as relations in arrival order.  A problem
     # ends the run.
     relations, problem_diag = _instance_set(spec, program, given, options)
+    del program, given
     if problem_diag is not None:
         yield problem_diag
         return
@@ -555,13 +560,15 @@ def _asp_syntax(exc: Exception) -> Diagnostic:
 
 def _instance_set(spec: ValidationSpec, program: datalog.Program | None, given,
                   options: RunOptions):
-    """Step 3: the given Program's facts plus what its rules and asp derive,
-    or in bridge mode (program None) what the grounder gives for the given
-    text, as relations: (name, arity) -> argument tuples, each atom once.
+    """Step 3: the facts of the spec's asp program and of the given input,
+    and what the rules of both derive, or in bridge mode (program None) what
+    the grounder gives for the given text, as relations: (name, arity) ->
+    argument tuples, each atom once.
 
-    Each relation holds its atoms in arrival order: the given facts in
-    input order, then the derived atoms, or the grounder's atoms in its
-    output order.
+    The input is a Program parsed from text, whose facts are relation lists,
+    or Facts.  Each relation holds its atoms in arrival order: the spec's
+    facts, then the given facts in input order, then the derived atoms, or
+    the grounder's atoms in its output order.
     """
     if options.grounder is not None:
         from . import emit
@@ -572,13 +579,19 @@ def _instance_set(spec: ValidationSpec, program: datalog.Program | None, given,
             atoms = emit.ground_with_external(given, options.grounder)
         except emit.BridgeError as exc:
             return None, Diagnostic("before", "", "bridge-error", str(exc))
-        return _relations(spec, atoms), None
+        return _distinct(spec, _relations(spec, atoms)), None
 
-    rules, facts = program.rules + given.rules, given.facts
+    rules, relations, facts = program.rules, program.facts, ()
+    if isinstance(given, datalog.Program):  # text: its facts are relation lists
+        rules, relations = rules + given.rules, _joined(relations, given.facts)
+    elif rules:  # Facts, read as evaluate's input
+        facts = given
+    else:
+        relations = _joined(relations, _relations(spec, given))
     if not rules:
-        return _relations(spec, [*program.facts, *facts] if program.facts else facts), None
+        return _distinct(spec, relations), None
     try:
-        return datalog.evaluate(datalog.Program(rules, program.facts), facts).relations, None
+        return datalog.evaluate(datalog.Program(rules, relations), facts).relations, None
     except datalog.UnstratifiedError as exc:  # only the joined rules have the cycle
         return None, _asp_syntax(exc)
     except datalog.ResourceLimitError as exc:
@@ -587,29 +600,54 @@ def _instance_set(spec: ValidationSpec, program: datalog.Program | None, given,
         return None, Diagnostic("before", "", "eval-error", str(exc))
 
 
+def _joined(first: dict, then: dict) -> dict[tuple[str, int], list[tuple]]:
+    """The relation lists of first, then those of then; neither changes."""
+    if not first:
+        return then
+    joined = dict(first)
+    for key, rows in then.items():
+        joined[key] = joined[key] + rows if key in joined else rows
+    return joined
+
+
 def _relations(spec: ValidationSpec,
                atoms: Iterable[Fact]) -> dict[tuple[str, int], list[tuple]]:
     """The argument tuples of each defined predicate among atoms, by its
-    (name, arity), in arrival order, each once.
-
-    Repeats are looked for by one set of every atom's arguments, freed
-    before any group is built, so that the set and the groups are never
-    held at once.  Only if two atoms have equal arguments, a repeat or the
-    same arguments under two predicates, is each group searched for
-    repeats on its own.
+    (name, arity), in arrival order, repeats kept: Fact input and the
+    grounder's atoms as the relation lists the parser gives for text.
     """
     arity_of = {symbol: definition.arity for symbol, definition in spec.definitions.items()}
-    atoms = atoms if isinstance(atoms, list) else list(atoms)
-    repeats = len({atom.args for atom in atoms}) != len(atoms)
     groups: dict[str, list[tuple]] = {}  # keyed once at the end, not per atom
     for atom in atoms:
         if arity_of.get(atom.predicate) == len(atom.args):
             groups.setdefault(atom.predicate, []).append(atom.args)
-    if repeats:
-        for pred, group in groups.items():
-            seen: set[tuple] = set()
-            groups[pred] = [args for args in group if not (args in seen or seen.add(args))]
     return {(pred, arity_of[pred]): group for pred, group in groups.items()}
+
+
+def _distinct(spec: ValidationSpec,
+              relations: Mapping[tuple[str, int], list[tuple]]) -> dict[tuple[str, int], list]:
+    """Step 3 without rules: the relation list of each definition's symbol
+    and arity, each atom once, in arrival order.
+
+    Repeats are looked for by one set over these lists' tuples, freed before
+    this returns.  Only a list that adds fewer tuples to the set than it
+    holds, through a repeat or arguments that an earlier list holds too, is
+    searched for repeats on its own.
+    """
+    groups = {key: rows for symbol, definition in spec.definitions.items()
+              if (rows := relations.get(key := (symbol, definition.arity)))}
+    seen: set[tuple] = set()
+    shared = []
+    for key, rows in groups.items():
+        size = len(seen)
+        seen.update(rows)
+        if len(seen) - size < len(rows):
+            shared.append(key)
+    del seen
+    for key in shared:
+        once: set[tuple] = set()
+        groups[key] = [args for args in groups[key] if not (args in once or once.add(args))]
+    return groups
 
 
 def _grouped_instances(spec: ValidationSpec, relations):

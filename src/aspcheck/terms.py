@@ -214,15 +214,15 @@ def parse_facts(text: str) -> list[Fact]:
     error naming its line, so that program files are not silently misread
     as data.
     """
-    from .datalog import _ProgramParser  # datalog imports this module
+    from .datalog import _FactList, _ProgramParser  # datalog imports this module
 
     parser = _ProgramParser(text)
-    facts: list[Fact] = []
-    for start, rule in parser.statements(facts):  # the first non-fact ends the read
+    sink = _FactList()
+    for start, rule in parser.statements(sink):  # the first non-fact ends the read
         if rule is None or rule.body:
             raise parser.error_at("rules are not allowed in a facts file", start)
         raise parser.error_at("facts must be ground", start)
-    return facts
+    return sink.facts
 
 
 # ---------------------------------------------------------------------------

@@ -550,6 +550,16 @@ def model_as_tuples(facts) -> set[tuple]:
     return {(f.predicate, tuple(map(plain, f.args))) for f in facts}
 
 
+def relation_lists(facts) -> dict[tuple[str, int], list[tuple]]:
+    """Facts grouped as parse_program gives them in Program.facts: (name,
+    arity) -> argument tuples, each relation at its first fact, in order,
+    repeats kept."""
+    relations: dict[tuple[str, int], list[tuple]] = {}
+    for fact in facts:
+        relations.setdefault((fact.predicate, len(fact.args)), []).append(fact.args)
+    return relations
+
+
 # ---------------------------------------------------------------------------
 # Graph and order-relation oracles
 

@@ -79,21 +79,24 @@ def _shuffled_data(seed: int) -> tuple[str, list[str]]:
     return "".join(f"{text}.\n" for text in texts), list(dict.fromkeys(texts))
 
 
+@pytest.mark.parametrize("as_text", [False, True], ids=["facts", "text"])
 @pytest.mark.parametrize("fail_fast", [True, False])
-def test_a_run_without_rules_groups_in_input_order(monkeypatch, fail_fast):
+def test_a_run_without_rules_groups_in_input_order(monkeypatch, fail_fast, as_text):
     data, distinct = _shuffled_data(1)
     groups = record_groups(monkeypatch)
-    report = run(load_spec(_PQ), parse_facts(data), RunOptions(fail_fast=fail_fast))
+    report = run(load_spec(_PQ), data if as_text else parse_facts(data),
+                 RunOptions(fail_fast=fail_fast))
     assert report.verdict == "valid"
     assert groups == [(pred, [text for text in distinct if text.startswith(pred)])
                       for pred in "pq"]
 
 
-def test_a_run_with_rules_groups_given_facts_then_derived_atoms(monkeypatch):
+@pytest.mark.parametrize("as_text", [False, True], ids=["facts", "text"])
+def test_a_run_with_rules_groups_given_facts_then_derived_atoms(monkeypatch, as_text):
     spec = load_spec(_PQ + "valasp:\n    asp: |\n        q(X) :- p(X).\n")
     data, distinct = _shuffled_data(2)
     groups = record_groups(monkeypatch)
-    assert run(spec, parse_facts(data)).verdict == "valid"
+    assert run(spec, data if as_text else parse_facts(data)).verdict == "valid"
     given_q = [text for text in distinct if text.startswith("q")]
     derived_q = [f"q{text[1:]}" for text in distinct
                  if text.startswith("p") and f"q{text[1:]}" not in given_q]
@@ -190,6 +193,46 @@ def test_the_instance_set_is_freed_before_any_instance_is_checked(monkeypatch, f
     report = run(_RELEASE_SPEC, parse_facts("q(2). q(1)."), RunOptions(fail_fast=fail_fast))
     assert report.verdict == "valid"
     assert sorted(map(render, checked)) == ["p(1,2)", "p(2,3)", "r(1)", "r(2)"]
+
+
+class _Rows(list):
+    """A parsed relation list, as a list a weak reference can watch."""
+
+
+_TEXT_SPEC = "p:\n    x: Integer\n    y: Integer\n    valasp:\n        having: [x < y]\n"
+
+
+@pytest.mark.parametrize("fail_fast", [True, False])
+@pytest.mark.parametrize("asp", ["", "p(0,1). q(7).", "p(X,X+1) :- q(X)."],
+                         ids=["no-asp", "asp-facts", "asp-rules"])
+def test_parsed_relation_lists_are_freed_before_any_instance_is_checked(
+        monkeypatch, asp, fail_fast):
+    # Not through run's input, not through the stream's, not through the
+    # Program that holds them: when step 4 starts, the groups are copies.
+    lists = []
+    real_parse, real_check = datalog.parse_program, engine.check_instance
+
+    def watched_parse(text):
+        program = real_parse(text)
+        program.facts = {pred: _Rows(rows) for pred, rows in program.facts.items()}
+        lists.extend(map(weakref.ref, program.facts.values()))
+        return program
+
+    checked = []
+
+    def check_instance(definition, args, store):
+        assert lists and all(ref() is None for ref in lists), "a parsed relation list is alive"
+        checked.append(atom_term(definition.symbol, args))
+        return real_check(definition, args, store)
+
+    monkeypatch.setattr(datalog, "parse_program", watched_parse)
+    monkeypatch.setattr(engine, "check_instance", check_instance)
+    spec = load_spec(_TEXT_SPEC + (f"valasp:\n    asp: |\n        {asp}\n" if asp else ""))
+    report = run(spec, "p(1,2). q(5). p(2,3). p(1,2). q(6).", RunOptions(fail_fast=fail_fast))
+    assert report.verdict == "valid"
+    expected = ["p(1,2)", "p(2,3)", *(["p(0,1)"] if "p(0" in asp else []),
+                *(["p(5,6)", "p(6,7)"] if ":-" in asp else [])]
+    assert sorted(map(render, checked)) == sorted(expected)
 
 
 # ---------------------------------------------------------------------------
@@ -290,3 +333,47 @@ def test_a_run_with_rules_builds_no_fact(monkeypatch):
     assert len(made) == 0
     Fact("e", ())  # the patched class does count a construction
     assert len(made) == 1
+
+
+@pytest.mark.parametrize("fail_fast", [True, False])
+@pytest.mark.parametrize("asp", ["", "e(0,0).", "path(X,Y) :- e(X,Y)."],
+                         ids=["no-asp", "asp-facts", "asp-rules"])
+def test_a_run_on_text_builds_no_fact(monkeypatch, asp, fail_fast):
+    # The parser writes relation lists, which step 3 reads as they are:
+    # without rules engine._relations, which gathers Facts, is not called.
+    text = "".join(f"e({i},{i + 1}).\n" for i in range(200)) + "e(0,1). f(1).\n"
+    spec = load_spec("e: {a: Integer, b: Integer}\npath: {a: Integer, b: Integer}\n"
+                     + (f"valasp:\n    asp: |\n        {asp}\n" if asp else ""))
+    made = []
+    init = Fact.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    def no_relations(*args):
+        raise AssertionError("engine._relations called on text")
+
+    monkeypatch.setattr(Fact, "__init__", counted)
+    monkeypatch.setattr(engine, "_relations", no_relations)
+    report = run(spec, text, RunOptions(fail_fast=fail_fast))
+    assert report.verdict == "valid"
+    assert report.stats.instances_checked == {
+        "e": 200 + (asp == "e(0,0)."), **({"path": 200} if ":-" in asp else {})}
+    assert len(made) == 0
+
+
+@pytest.mark.parametrize("fail_fast", [True, False])
+@pytest.mark.parametrize("count", [2, 1])
+def test_a_spec_fact_repeated_in_the_input_is_one_instance(fail_fast, count):
+    # The spec's p(1) and the input's two are one atom: as text, as Facts
+    # and through the grounder alike.
+    spec = load_spec(f"p:\n    x: {{type: Integer, count: {count}}}\n"
+                     "valasp:\n    asp: |\n        p(1).\n")
+    text = "p(1). p(2). p(1)."
+    reports = [run(spec, data, RunOptions(fail_fast=fail_fast, **options))
+               for data, options in ((text, {}), (parse_facts(text), {}),
+                                     (text, {"grounder": STUB}))]
+    assert [r.stats.instances_checked for r in reports] == [{"p": 2}] * 3
+    assert reports[0].diagnostics == reports[1].diagnostics == reports[2].diagnostics
+    assert reports[0].verdict == ("valid" if count == 2 else "invalid")

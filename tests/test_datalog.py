@@ -22,7 +22,7 @@ from aspcheck.datalog import (
     parse_program,
     stratify,
 )
-from aspcheck.terms import Fact, Number, ParseError, parse_facts, render
+from aspcheck.terms import Const, Fact, Func, Number, ParseError, Str, Tuple, parse_facts, render
 
 import _support
 from _support import (
@@ -34,6 +34,7 @@ from _support import (
     model_as_tuples,
     naive_fixpoint,
     reachable_pairs,
+    relation_lists,
     render_program,
     stratify_oracle,
 )
@@ -111,12 +112,12 @@ class TestParsing:
 
     def test_constraint_parses_to_nothing(self):
         program = parse_program(":- p(X).")
-        assert (program.rules, program.facts) == ([], [])
+        assert (program.rules, program.facts) == ([], relation_lists([]))
 
     def test_constraints_and_at_terms_are_read(self):
         body = "range(X1), @valasp_validate_range(X1) != 1"
         program = parse_program(f":- {body}.\n:- not q(Y), #count{{Z : r(Z)}} > @g().")
-        assert (program.rules, program.facts) == ([], [])
+        assert (program.rules, program.facts) == ([], relation_lists([]))
         [rule] = parse_program(f"bad(X1) :- {body}.").rules
         assert rule.atoms == (("range", 1),)  # planned like any rule
 
@@ -164,7 +165,7 @@ class TestParsing:
     @pytest.mark.parametrize("signs, value", [(5000, 3), (5001, -3)])
     def test_long_run_of_unary_minus_folds(self, signs, value):
         program = parse_program("p(" + "-" * signs + "3).")
-        assert program.facts == [Fact("p", (Number(value),))]
+        assert program.facts == relation_lists([Fact("p", (Number(value),))])
 
     @pytest.mark.parametrize("arith", [
         "-" * 100 + "X",
@@ -209,14 +210,16 @@ class TestFacts:
     def test_ground_bodyless_rules_are_facts(self):
         program = parse_program('p(1). q(f(a),(1,"s")). t(2+3).\n'
                                 "r(X) :- p(X). s(1..3).")
-        assert [render(f.term()) for f in program.facts] == [
-            "p(1)", 'q(f(a),(1,"s"))', "t(5)"]
+        assert program.facts == relation_lists([
+            Fact("p", (Number(1),)),
+            Fact("q", (Func("f", (Const("a"),)), Tuple((Number(1), Str("s"))))),
+            Fact("t", (Number(5),))])
         assert [r.head.pred for r in program.rules] == ["r", "s"]
         assert program.rules[1].body == ()
 
     def test_parse_splits_facts_around_constraints(self):
         program = parse_program("p(1).\n:- p(X), @f(X) != 1.\nq(2). r(X) :- q(X).")
-        assert program.facts == [Fact("p", (Number(1),)), Fact("q", (Number(2),))]
+        assert program.facts == relation_lists([Fact("p", (Number(1),)), Fact("q", (Number(2),))])
         assert [rule.source for rule in program.rules] == ["r(X) :- q(X)."]
 
     def test_interval_rule_feeds_later_rules(self):
@@ -365,8 +368,10 @@ class TestEvaluate:
         model = evaluate(program, given)
         assert made == []  # no Fact is built, for a given atom or a derived one
         held = {(pred, args): args for (pred, _), rel in model.relations.items() for args in rel}
-        assert all(held[fact.predicate, fact.args] is fact.args
-                   for fact in [*program.facts, *given])
+        assert program.facts == relation_lists([Fact("edge", (Number(3), Number(4)))])
+        assert all(held[pred, args] is args
+                   for pred, args in [*(("edge", args) for args in program.facts["edge", 2]),
+                                      *((fact.predicate, fact.args) for fact in given)])
         assert preds(model, "path") == [f"path({a},{b})" for a in (1, 2, 3) for b in (2, 3, 4)
                                         if a < b]
         assert made == ["edge"] * 3 + ["path"] * 6  # iteration builds one per atom

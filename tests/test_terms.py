@@ -32,7 +32,7 @@ from aspcheck.terms import (
     sort_key,
 )
 
-from _support import STUB_GROUNDER, compare_terms, random_term
+from _support import STUB_GROUNDER, compare_terms, random_term, relation_lists
 
 
 class TestParseTerm:
@@ -245,7 +245,7 @@ def test_nesting_beyond_the_limit_is_a_positioned_error(parse, text, column, dep
 def test_nesting_at_the_limit_parses_alike():
     term = parse_term(_nested(100))
     assert parse_facts(f"p({_nested(100)}).")[0].args == (term,)
-    assert parse_program(f"p({_nested(100)}).").facts[0].args == (term,)
+    assert parse_program(f"p({_nested(100)}).").facts == relation_lists([Fact("p", (term,))])
 
 
 # Round-trip property over generated terms (depth-limited).
@@ -375,7 +375,7 @@ def _tokens(term, rng) -> list[str]:
 def test_rule_parser_reads_ground_fact_files_as_facts(facts, rng):
     text = "".join("".join(_tokens(f.term(), rng)) + ".\n" for f in facts)
     program = parse_program(text)
-    assert program.facts == parse_facts(text) == facts
+    assert program.facts == relation_lists(facts) and parse_facts(text) == facts
     assert program.rules == []
 
 
@@ -390,7 +390,7 @@ _SEPARATORS = ["", " ", "\n", "% note\n"]
 def test_fact_files_read_alike_whatever_the_separators(facts, rng):
     text = "".join(tok + rng.choice(_SEPARATORS)
                    for fact in facts for tok in _tokens(fact.term(), rng) + ["."])
-    assert parse_facts(text) == parse_program(text).facts == facts
+    assert parse_facts(text) == facts and parse_program(text).facts == relation_lists(facts)
 
 
 def _parsers() -> int:
@@ -432,11 +432,12 @@ def test_flat_facts_bypass_the_grammar(monkeypatch):
 
     monkeypatch.setattr(datalog._ProgramParser, "rule", grammar)
     text = 'income("company7",5).\n% note\n  p(x,-1,"a,b",007,_y).q(1).\n'
-    assert parse_facts(text) == parse_program(text).facts == [
+    facts = [
         Fact("income", (Str("company7"), Number(5))),
         Fact("p", (Const("x"), Number(-1), Str("a,b"), Number(7), Const("_y"))),
         Fact("q", (Number(1),)),
     ]
+    assert parse_facts(text) == facts and parse_program(text).facts == relation_lists(facts)
 
 
 # Long runs of flat facts are read in bulk, a chunk of facts at a time.  The
@@ -509,6 +510,38 @@ def test_bulk_read_runs_read_as_the_grammar_reads_them(seed, break_at, odd_numbe
                     assert seen.setdefault(arg, arg) is arg
 
 
+# parse_program adds each fact to a relation list, parse_facts builds a Fact
+# per fact: the same facts in the same order, repeats and all.
+
+_SINK_VALUES = {Number: ["1", "-2", "007", "30"],
+                Str: ['"x"', '"a,b"', '","', '"a\\"b"', '"\\\\"', '"l\\nm"', '"%"'],
+                Const: ["a", "_b", "c9"]}
+_SINK_LENGTHS = [1, 3, _CHUNK_START + 1, datalog._RUN_CHUNK + 70]
+_SINK_GAPS = ["", "\n", " ", "% c\n"]
+_SINK_RULES = ["t(2+3). ", "p(3-1).\n", "q(f(a),-(1)).\n"]
+
+
+@given(st.lists(st.tuples(st.sampled_from(["p", "q"]), st.sampled_from([1, 2]),
+                          st.sampled_from(_SINK_LENGTHS)), min_size=1, max_size=5),
+       st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_parse_program_groups_the_facts_parse_facts_reads(runs, rng):
+    # Runs of one shape, long enough for a bulk read and for several chunks;
+    # few values, so facts repeat; p and q each at two arities; comments and
+    # ground body-less rules between facts.
+    parts = []
+    for pred, arity, length in runs:
+        kinds = [rng.choice(sorted(_SINK_VALUES, key=str)) for _ in range(arity)]
+        for _ in range(length):
+            args = ",".join(rng.choice(_SINK_VALUES[kind]) for kind in kinds)
+            parts.append(f"{pred}({args}).{rng.choice(_SINK_GAPS)}")
+            if rng.random() < 0.01:
+                parts.append(rng.choice(_SINK_RULES))
+    text = "".join(parts)
+    grouped = relation_lists(parse_facts(text))
+    assert list(parse_program(text).facts.items()) == list(grouped.items())
+
+
 @pytest.mark.parametrize("at", [_CHUNK_START - 1, _CHUNK_START,
                                 _CHUNK_START + datalog._RUN_CHUNK - 1,
                                 _CHUNK_START + datalog._RUN_CHUNK])
@@ -530,7 +563,7 @@ def test_overlong_integer_at_a_chunk_boundary(parse, at):
     ('p("a,b",",",-3,x).', [Fact("p", (Str("a,b"), Str(","), Number(-3), Const("x")))]),
 ])
 def test_boundary_facts_read_alike(text, facts):
-    assert parse_facts(text) == parse_program(text).facts == facts
+    assert parse_facts(text) == facts and parse_program(text).facts == relation_lists(facts)
 
 
 # Each error as the reader reports it, line and column included; None
@@ -553,7 +586,7 @@ def test_boundary_errors_are_unchanged(text, facts_error, program_error):
     assert str(exc.value) == facts_error
     if program_error is None:
         program = parse_program(text)
-        assert (program.facts, len(program.rules)) == ([], 1)
+        assert (program.facts, len(program.rules)) == (relation_lists([]), 1)
     else:
         with pytest.raises(ParseError) as program_exc:
             parse_program(text)
